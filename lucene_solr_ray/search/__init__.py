@@ -32,7 +32,6 @@ from .distributed import (
     ServingPool,
     ShardedServingPool,
     search_by_field_sharded,
-    search_many,
     search_sharded,
 )
 from .memoryindex import MemoryIndex
@@ -67,7 +66,7 @@ __all__ = [
     "MatchAllDocsQuery", "PhraseQuery", "PrefixQuery", "Query", "RegexpQuery",
     "TermQuery", "TermRangeQuery", "WildcardQuery", "bm25",
     "highlight", "merge_shard_topk", "more_like_this", "parse_query",
-    "rescore", "search_many", "search_sharded", "SearcherActor",
+    "rescore", "search_sharded", "SearcherActor",
     "spellcheck", "suggest_prefix", "term_vector", "top_k",
     "ServingPool", "ShardedServingPool", "search_by_field_sharded",
     "MemoryIndex", "ClassicQueryParser", "ClassicSimilarity",

@@ -1,27 +1,37 @@
-"""Doc-sharded distributed search: scatter/gather with global statistics.
+"""Doc-sharded distributed search: one stats pass + scatter + reduce core.
 
 The Ray Data restatement of Solr's two-stage distributed query
 (``QueryComponent.java:662-714`` STAGE_EXECUTE_QUERY scatter +
-``mergeIds`` k-way merge) and Lucene's parallel leaf slices
-(``IndexSearcher.java:88-92,232-236``):
+``mergeIds`` k-way merge) and Lucene's per-slice ``CollectorManager``
+(``IndexSearcher.java:88-92,232-236``). Every sharded request runs the
+same three pieces over the deterministic partition groups of
+``plan_shards``:
 
-1. **stats pass** — per-shard term statistics for the query terms (cheap
-   term-dict lookups) are summed into GLOBAL (df, maxDoc, sumTotalTermFreq)
-   and broadcast, so every shard scores exactly as a single Lucene index
-   would (no per-shard-IDF drift — the BaseDistributedSearchTestCase
-   equivalence requirement);
-2. **scoring pass** — a Dataset of shard descriptors -> ``map_batches``
-   over shard scorers (each loads only its partitions' segments + norms)
-   -> per-shard top-k tables;
-3. **merge** — ``TopDocs.merge`` tie semantics (score desc, lower
-   shardIndex, in-shard order — ``TopDocs.java:94-113``), with shardIndex
-   = deterministic partition-group id, never actor arrival order.
+1. **stats pass** (``_global_stats``) — each shard's ``doc_freqs`` for the
+   query terms are summed into GLOBAL (df, maxDoc, sumTotalTermFreq), so
+   every shard scores exactly as a single Lucene index would (no
+   per-shard-IDF drift — the BaseDistributedSearchTestCase equivalence
+   requirement);
+2. **scatter** — a per-shard function runs against ``_shard_searcher``
+   (only that shard's segments + norms, global stats injected) and its
+   payloads come back in shard-id order, never actor arrival order.
+   Per-call requests scatter with ``map_batches`` over the shard
+   descriptors, one row per shard (``_scatter``); ``ShardedServingPool``
+   scatters to resident ``ShardSearcherActor``s;
+3. **reduce** — the request shape's fold: ``TopDocs.merge`` tie
+   semantics (score desc, lower shardIndex, in-shard order —
+   ``TopDocs.java:94-113``) for ``search_sharded``, ``manager.reduce`` for
+   ``collect_sharded``, (value, doc asc) for ``search_by_field_sharded``.
 
-Rank identity vs the single-process searcher is asserted in tests at two
-parallelism levels (the control-vs-sharded strategy).
+``ServingPool`` is the query-parallel path: whole-index replicas, one
+query per replica call, no stats pass. Rank identity vs the
+single-process searcher is asserted in tests at several shard counts
+(the control-vs-sharded strategy).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -92,39 +102,109 @@ def plan_shards(manifest: IndexManifest, num_shards: int) -> list[dict]:
     ]
 
 
-def _shard_searcher(index_dir: str, pids: list[int], stats: dict,
-                    precise: bool):
+def _global_stats(man: IndexManifest, terms, scatter) -> dict:
+    """The stats pass: ``scatter(fn, stats)`` returns ``fn(shard
+    searcher)`` for every shard; their ``doc_freqs`` sum into the global
+    df. Collection constants come from the manifest, so an empty term set
+    needs no scatter."""
+    stats = {"max_doc": man.max_doc, "sum_ttf": man.sum_total_term_freq,
+             "df": {}}
+    terms = sorted(terms)
+    if not terms:
+        return stats
+    dfs = scatter(lambda s: s.reader.doc_freqs(terms), stats)
+    return dict(stats, df={t: sum(d.get(t, 0) for d in dfs) for t in terms})
+
+
+def _shard_searcher(index_dir: str, pids: list[int], stats: dict):
+    """IndexSearcher over one shard's partitions (their segments + norms
+    only) scoring with the injected global ``stats``; ``doc_range`` is the
+    shard's slice of the global doc-id space."""
     from .readers import NormsReader, SegmentsReader
     from .searcher import IndexSearcher
 
     man = IndexManifest.load(index_dir)
-    by_pid = {r["partition_id"]: r for r in man.partitions}
-    lo = min(by_pid[p]["doc_base"] for p in pids)
-    hi = max(by_pid[p]["doc_base"] + by_pid[p]["rows"] for p in pids)
-    stats = dict(stats, doc_range=(lo, hi))
+    want = set(pids)
+    rows = [r for r in man.partitions if r["partition_id"] in want]
+    lo = min(r["doc_base"] for r in rows)
+    hi = max(r["doc_base"] + r["rows"] for r in rows)
     return IndexSearcher(
-        index_dir, precise=precise,
+        index_dir,
         reader=SegmentsReader(index_dir, partition_ids=pids),
         norms=NormsReader(index_dir, man.max_doc, partition_ids=pids),
-        global_stats=stats,
+        global_stats=dict(stats, doc_range=(lo, hi)),
     )
 
 
-class SearcherActor:
-    """Query-parallel serving: a stateful actor-pool stage holding the full
-    index (term dict in RAM, payloads mmap'd) — the IndexSearcher/
-    SearcherManager analogue for high query throughput. Use with
-    ``queries_ds.map_batches(SearcherActor, fn_constructor_args=(idx,),
-    concurrency=N)``."""
+def _scatter(index_dir: str, shards: list[dict], fn, stats: dict) -> list:
+    """Run ``fn(shard searcher)`` on every shard in one ``map_batches``
+    pass that emits one row per shard carrying its pickled payload;
+    payloads return in shard-id order."""
+    import pickle
 
-    def __init__(self, index_dir: str, k: int = 10, prune: bool = True,
-                 compact_terms: bool = False):
+    import ray
+    import ray.data as rd
+
+    ref = ray.put((fn, stats))  # broadcast once (managers carry columns)
+
+    def task(batch: dict) -> dict:
+        f, st = ray.get(ref)
+        return {"shard_id": batch["shard_id"], "payload": np.asarray([
+            pickle.dumps(f(_shard_searcher(index_dir, list(pids), st)))
+            for pids in batch["partition_ids"]
+        ], object)}
+
+    rows = rd.from_items(shards).map_batches(task).take_all()
+    rows.sort(key=lambda r: int(r["shard_id"]))
+    return [pickle.loads(r["payload"]) for r in rows]
+
+
+def _sharded(index_dir: str, num_shards: int, terms, fn) -> list:
+    """Stats pass, then one scatter of ``fn``: per-shard payloads in
+    shard-id order, for the caller's reduce."""
+    man = IndexManifest.load(index_dir)
+    scatter = partial(_scatter, index_dir, plan_shards(man, num_shards))
+    return scatter(fn, _global_stats(man, terms, scatter))
+
+
+def _hits(s, q: Query, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """One shard's top-k (doc ids, scores) in local rank order."""
+    t = s.search(q, k=k)
+    return (t["doc_id"].to_numpy(zero_copy_only=False)
+            .astype(np.int64, copy=False),
+            t["score"].to_numpy(zero_copy_only=False)
+            .astype(np.float32, copy=False))
+
+
+def _merge(parts: list, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``TopDocs.merge`` of per-shard hits listed in shard-id order."""
+    return merge_shard_topk(
+        [(i, d, s) for i, (d, s) in enumerate(parts)], k)
+
+
+# the (query_id, rank, doc_id, score) result schema of batched requests
+_COLUMNS = {"query_id": np.int64, "rank": np.int32, "doc_id": np.int64,
+            "score": np.float32}
+
+
+def _columns(parts: list[dict]) -> dict:
+    """Concatenate result-column parts; a typed empty leads each column so
+    zero parts still give the full schema."""
+    return {c: np.concatenate([np.empty(0, dt), *(p[c] for p in parts)])
+            for c, dt in _COLUMNS.items()}
+
+
+class SearcherActor:
+    """Query-parallel serving: a stateful actor holding the full index
+    (term dict in RAM, payloads mmap'd) — the IndexSearcher/
+    SearcherManager analogue for high query throughput. Called with
+    ``{"query_id", "query"}`` batches, as a ``map_batches`` UDF or as a
+    ``ServingPool`` replica."""
+
+    def __init__(self, index_dir: str, k: int = 10, prune: bool = True):
         from .searcher import IndexSearcher
 
-        # compact_terms: front-coded term dict (~10x less actor RAM at
-        # 10^7+ terms/shard; identical results — search/termdict.py)
-        self.searcher = IndexSearcher(index_dir,
-                                      compact_terms=compact_terms)
+        self.searcher = IndexSearcher(index_dir)
         self.k = k
         self.prune = prune
         # parsed-query LRU: steady-state serving repeats query shapes
@@ -153,120 +233,15 @@ class SearcherActor:
         return q
 
     def __call__(self, batch: dict) -> dict:
-        qids, ranks, docs, scores = [], [], [], []
+        parts = []
         for qid, qtext in zip(batch["query_id"], batch["query"]):
             t = self.searcher.search(self._parse(str(qtext)), k=self.k,
                                      prune=self.prune)
-            qids.append(np.full(t.num_rows, int(qid), np.int64))
-            ranks.append(t["rank"].to_numpy(zero_copy_only=False))
-            docs.append(t["doc_id"].to_numpy(zero_copy_only=False))
-            scores.append(t["score"].to_numpy(zero_copy_only=False))
-        if not qids:
-            return {"query_id": np.empty(0, np.int64),
-                    "rank": np.empty(0, np.int64),
-                    "doc_id": np.empty(0, np.int64),
-                    "score": np.empty(0, np.float64)}
-        return {"query_id": np.concatenate(qids),
-                "rank": np.concatenate(ranks),
-                "doc_id": np.concatenate(docs),
-                "score": np.concatenate(scores)}
-
-
-class ShardSearcherActor:
-    """One doc-range shard held resident: segment term dict + norms loaded
-    once; each query scores with INJECTED global statistics (the Solr
-    distributed-IDF stats pass) so shard scores equal a single index's."""
-
-    def __init__(self, index_dir: str, pids: list[int]):
-        from .readers import NormsReader, SegmentsReader
-
-        self.index_dir = index_dir
-        self.pids = list(pids)
-        self.man = IndexManifest.load(index_dir)
-        by_pid = {r["partition_id"]: r for r in self.man.partitions}
-        self.doc_range = (
-            min(by_pid[p]["doc_base"] for p in self.pids),
-            max(by_pid[p]["doc_base"] + by_pid[p]["rows"]
-                for p in self.pids),
-        )
-        self.reader = SegmentsReader(index_dir, partition_ids=self.pids)
-        self.norms = NormsReader(index_dir, self.man.max_doc,
-                                 partition_ids=self.pids)
-        self._searcher = None  # built on first search (needs stats)
-
-    def ready(self) -> bool:
-        return True
-
-    def df(self, terms: list[str]) -> dict:
-        return self.reader.doc_freqs(terms)
-
-    def search(self, q, k: int, stats: dict) -> dict:
-        # resident searcher: manifest/deletes/caches load ONCE per actor
-        # (was a fresh IndexSearcher — a manifest.json disk read — per
-        # query). Only the per-query term df varies; max_doc/sum_ttf/
-        # doc_range are collection/shard constants, and the result
-        # cache stays valid because equal queries see equal df.
-        if self._searcher is None:
-            from .searcher import IndexSearcher
-
-            self._searcher = IndexSearcher(
-                self.index_dir,
-                reader=self.reader, norms=self.norms,
-                global_stats=dict(stats, doc_range=self.doc_range),
-            )
-        s = self._searcher
-        s._stats = dict(stats, doc_range=self.doc_range)
-        t = s.search(q, k=k)
-        return {
-            "doc_id": t["doc_id"].to_numpy(zero_copy_only=False)
-                       .astype(np.int64, copy=False),
-            "score": t["score"].to_numpy(zero_copy_only=False)
-                      .astype(np.float32, copy=False),
-        }
-
-
-class ShardedServingPool:
-    """Persistent doc-sharded serving: N resident shard actors + the
-    two-phase distributed query (stats scatter, scored scatter, TopDocs
-    merge) per request — the steady-state SolrCloud query path, with
-    rank identity to the single-process searcher."""
-
-    def __init__(self, index_dir: str, *, num_shards: int = 4):
-        import ray
-
-        man = IndexManifest.load(index_dir)
-        shards = plan_shards(man, num_shards)
-        actor_cls = ray.remote(ShardSearcherActor)
-        self.actors = [
-            actor_cls.remote(index_dir, s["partition_ids"]) for s in shards
-        ]
-        ray.get([a.ready.remote() for a in self.actors])
-        self.max_doc = man.max_doc
-        self.sum_ttf = man.sum_total_term_freq
-
-    def search(self, q: Query, k: int = 10) -> pa.Table:
-        import ray
-
-        terms = sorted(query_terms(q))
-        stats = {"max_doc": self.max_doc, "sum_ttf": self.sum_ttf,
-                 "df": {}}
-        if terms:
-            dfs = ray.get([a.df.remote(terms) for a in self.actors])
-            stats["df"] = {
-                t: sum(d.get(t, 0) for d in dfs) for t in terms
-            }
-        parts = ray.get([a.search.remote(q, k, stats)
-                         for a in self.actors])
-        shard_results = [
-            (i, p["doc_id"], p["score"]) for i, p in enumerate(parts)
-            if p["doc_id"].size
-        ]
-        docs, scores = merge_shard_topk(shard_results, k)
-        return pa.table({
-            "rank": pa.array(np.arange(1, docs.size + 1, dtype=np.int32)),
-            "doc_id": pa.array(docs),
-            "score": pa.array(scores),
-        })
+            part = {c: t[c].to_numpy(zero_copy_only=False)
+                    for c in ("rank", "doc_id", "score")}
+            part["query_id"] = np.full(t.num_rows, int(qid), np.int64)
+            parts.append(part)
+        return _columns(parts)
 
 
 class ServingPool:
@@ -276,140 +251,82 @@ class ServingPool:
     are per-execution and would re-pay startup per call)."""
 
     def __init__(self, index_dir: str, *, k: int = 10, prune: bool = True,
-                 num_actors: int = 4, compact_terms: bool = False):
+                 num_actors: int = 4):
         import ray
 
         actor_cls = ray.remote(SearcherActor)
-        self.actors = [
-            actor_cls.remote(index_dir, k, prune, compact_terms)
-            for _ in range(num_actors)
-        ]
+        self.actors = [actor_cls.remote(index_dir, k, prune)
+                       for _ in range(num_actors)]
         # block until every replica finished loading (warm pool)
         ray.get([a.ready.remote() for a in self.actors])
 
     def search_many(self, query_texts: list[str]) -> pa.Table:
+        """(query_id, rank, doc_id, score) for a batch of query strings,
+        split across the replicas; an empty batch gives an empty table."""
         import ray
 
-        n = len(self.actors)
-        chunks = np.array_split(np.arange(len(query_texts)), n)
-        refs = []
-        for a, idx in zip(self.actors, chunks):
-            if idx.size == 0:
-                continue
-            batch = {
+        chunks = np.array_split(np.arange(len(query_texts)), len(self.actors))
+        out = _columns(ray.get([
+            a.__call__.remote({
                 "query_id": idx,
                 "query": np.array([query_texts[i] for i in idx], object),
-            }
-            refs.append(a.__call__.remote(batch))
-        parts = ray.get(refs)
-        out = {key: np.concatenate([p[key] for p in parts])
-               for key in ("query_id", "rank", "doc_id", "score")}
+            })
+            for a, idx in zip(self.actors, chunks) if idx.size
+        ]))
         order = np.lexsort((out["rank"], out["query_id"]))
+        return pa.table({c: v[order] for c, v in out.items()})
+
+
+class ShardSearcherActor:
+    """One doc-range shard held resident: ``_shard_searcher`` loads the
+    shard's term dict + norms once; each request runs a per-shard function
+    with that request's global stats injected. The searcher's result cache
+    stays valid because equal queries see equal df."""
+
+    def __init__(self, index_dir: str, pids: list[int], stats: dict):
+        self.searcher = _shard_searcher(index_dir, pids, stats)
+
+    def ready(self) -> bool:
+        return True
+
+    def run(self, fn, stats: dict):
+        s = self.searcher
+        s._stats = dict(stats, doc_range=s._stats["doc_range"])
+        return fn(s)
+
+
+class ShardedServingPool:
+    """Persistent doc-sharded serving: N resident shard actors + the
+    distributed query (stats pass, scatter, TopDocs merge) per request —
+    the steady-state SolrCloud query path, with rank identity to the
+    single-process searcher."""
+
+    def __init__(self, index_dir: str, *, num_shards: int = 4):
+        import ray
+
+        self.manifest = IndexManifest.load(index_dir)
+        stats = _global_stats(self.manifest, (), None)
+        actor_cls = ray.remote(ShardSearcherActor)
+        self.actors = [
+            actor_cls.remote(index_dir, s["partition_ids"], stats)
+            for s in plan_shards(self.manifest, num_shards)
+        ]
+        ray.get([a.ready.remote() for a in self.actors])
+
+    def _scatter(self, fn, stats: dict) -> list:
+        import ray
+
+        return ray.get([a.run.remote(fn, stats) for a in self.actors])
+
+    def search(self, q: Query, k: int = 10) -> pa.Table:
+        stats = _global_stats(self.manifest, query_terms(q), self._scatter)
+        docs, scores = _merge(
+            self._scatter(lambda s: _hits(s, q, k), stats), k)
         return pa.table({
-            "query_id": pa.array(out["query_id"][order]),
-            "rank": pa.array(out["rank"][order]),
-            "doc_id": pa.array(out["doc_id"][order]),
-            "score": pa.array(out["score"][order]),
+            "rank": pa.array(np.arange(1, docs.size + 1, dtype=np.int32)),
+            "doc_id": pa.array(docs),
+            "score": pa.array(scores),
         })
-
-
-def search_many(
-    index_dir: str, query_texts: list[str], k: int = 10,
-    concurrency: int = 4, prune: bool = True,
-) -> pa.Table:
-    """Serve a batch of query strings on an actor pool; one result table."""
-    import ray.data as rd
-
-    qds = rd.from_items([
-        {"query_id": i, "query": t} for i, t in enumerate(query_texts)
-    ])
-    out = qds.map_batches(
-        SearcherActor,
-        fn_constructor_args=(index_dir, k, prune),
-        concurrency=concurrency,
-        batch_size=max(1, len(query_texts) // max(1, concurrency * 2)),
-    ).to_pandas().sort_values(["query_id", "rank"])
-    return pa.Table.from_pandas(out, preserve_index=False)
-
-
-def search_by_field_sharded(
-    index_dir: str, q: Query, k: int, field: str, *,
-    num_shards: int = 8, descending: bool = True,
-) -> pa.Table:
-    """Sharded TopFieldCollector: each shard returns its local top-k by
-    the docvalues field (reading ONLY its partitions' column slices), the
-    driver merges with the same (value, doc id asc) order — rank-identical
-    to the single-process ``search_by_field`` because doc ids are global
-    (no shardIndex tie-break needed, unlike TopFieldDocs.merge)."""
-    import ray
-    import ray.data as rd
-
-    man = IndexManifest.load(index_dir)
-    shards = plan_shards(man, num_shards)
-    stats = {"max_doc": man.max_doc, "sum_ttf": man.sum_total_term_freq,
-             "df": {}}
-    terms = sorted(query_terms(q))
-    if terms:
-        # df pre-pass so shard scorers see global stats (scores unused for
-        # the field sort, but _docs_only runs the scorer machinery)
-        def shard_stats(batch: dict) -> dict:
-            from .readers import SegmentsReader
-
-            out = []
-            for pids in batch["partition_ids"]:
-                r = SegmentsReader(index_dir, partition_ids=list(pids))
-                dfs = r.doc_freqs(terms)
-                out.append([dfs.get(t, 0) for t in terms])
-            return {"dfs": np.asarray(out, np.int64)}
-
-        df_global = np.zeros(len(terms), np.int64)
-        for row in rd.from_items(shards).map_batches(shard_stats).take_all():
-            df_global += np.asarray(row["dfs"], np.int64)
-        stats["df"] = dict(zip(terms, df_global.tolist()))
-    stats_ref = ray.put(stats)
-    q_ref = ray.put(q)
-
-    def shard_task(batch: dict) -> dict:
-        import pyarrow.parquet as pq
-
-        st = ray.get(stats_ref)
-        qq = ray.get(q_ref)
-        out = {"doc_id": [], "val": []}
-        by_pid = {r["partition_id"]: r for r in
-                  IndexManifest.load(index_dir).partitions}
-        for pids in batch["partition_ids"]:
-            pids = list(pids)
-            s = _shard_searcher(index_dir, pids, st, False)
-            docs = s._docs_only(qq)
-            lo = min(by_pid[p]["doc_base"] for p in pids)
-            vals_parts = []
-            for p in sorted(pids):
-                row = by_pid[p]
-                pf = pq.ParquetFile(row["file"])
-                for rg in row["row_groups"]:
-                    vals_parts.append(
-                        pf.read_row_group(rg, columns=[field])
-                        .column(field).to_numpy(zero_copy_only=False)
-                    )
-            vals = np.concatenate(vals_parts)
-            v = vals[docs - lo]
-            key = -v if descending else v
-            order = np.lexsort((docs, key))[:k]
-            out["doc_id"].extend(docs[order].tolist())
-            out["val"].extend(v[order].tolist())
-        return {k2: np.asarray(v2) for k2, v2 in out.items()}
-
-    parts = rd.from_items(shards).map_batches(shard_task).take_all()
-    docs = np.array([int(r["doc_id"]) for r in parts], np.int64)
-    vals = np.array([r["val"] for r in parts])
-    key = -vals if descending else vals
-    order = np.lexsort((docs, key))[:k]
-    d = docs[order]
-    return pa.table({
-        "rank": pa.array(np.arange(1, d.size + 1, dtype=np.int32)),
-        "doc_id": pa.array(d),
-        field: pa.array(vals[order]),
-    })
 
 
 def search_sharded(
@@ -418,156 +335,74 @@ def search_sharded(
     k: int = 10,
     *,
     num_shards: int = 8,
-    precise: bool = False,
 ) -> pa.Table:
     """Returns (query_id, rank, doc_id, score) — rank-identical to the
     single-process searcher over the same index."""
-    import ray
-    import ray.data as rd
-
-    man = IndexManifest.load(index_dir)
-    shards = plan_shards(man, num_shards)
-    terms = sorted(set().union(*(query_terms(q) for q in queries)) or set())
-
-    # ---- stats pass: per-shard df for the query terms, summed globally
-    def shard_stats(batch: dict) -> dict:
-        from .readers import SegmentsReader
-
-        out = []
-        for pids in batch["partition_ids"]:
-            r = SegmentsReader(index_dir, partition_ids=list(pids))
-            dfs = r.doc_freqs(terms) if terms else {}
-            out.append([dfs.get(t, 0) for t in terms])
-        return {"dfs": np.array(out, np.int64)}
-
-    df_global = np.zeros(len(terms), np.int64)
-    if terms:
-        for row in (
-            rd.from_items(shards).map_batches(shard_stats).take_all()
-        ):
-            df_global += np.asarray(row["dfs"], np.int64)
-    stats = {
-        "max_doc": man.max_doc,
-        "sum_ttf": man.sum_total_term_freq,
-        "df": dict(zip(terms, df_global.tolist())),
-    }
-    stats_ref = ray.put(stats)
-    q_ref = ray.put(queries)
-
-    # ---- scoring pass: per-shard top-k
-    def shard_search(batch: dict) -> dict:
-        st = ray.get(stats_ref)
-        qs = ray.get(q_ref)
-        rows = {"query_id": [], "shard_id": [], "hit": [], "doc_id": [],
-                "score": []}
-        for sid, pids in zip(batch["shard_id"], batch["partition_ids"]):
-            s = _shard_searcher(index_dir, list(pids), st, precise)
-            for qi, q in enumerate(qs):
-                t = s.search(q, k=k)
-                n = t.num_rows
-                rows["query_id"].extend([qi] * n)
-                rows["shard_id"].extend([int(sid)] * n)
-                rows["hit"].extend(range(n))
-                rows["doc_id"].extend(t["doc_id"].to_pylist())
-                rows["score"].extend(t["score"].to_pylist())
-        return {k2: np.asarray(v) for k2, v in rows.items()}
-
-    parts = rd.from_items(shards).map_batches(shard_search).take_all()
-
-    # ---- TopDocs.merge per query
-    out = {"query_id": [], "rank": [], "doc_id": [], "score": []}
-    dtype = np.float64 if precise else np.float32
-    for qi in range(len(queries)):
-        shard_results = []
-        for row in parts:
-            m = np.asarray(row["query_id"]) == qi
-            if not m.any():
-                continue
-            shard_results.append((
-                int(np.asarray(row["shard_id"])[m][0]),
-                np.asarray(row["doc_id"])[m],
-                np.asarray(row["score"])[m].astype(dtype),
-            ))
-        shard_results.sort(key=lambda x: x[0])
-        docs, scores = merge_shard_topk(shard_results, k)
-        out["query_id"].extend([qi] * docs.size)
-        out["rank"].extend(range(1, docs.size + 1))
-        out["doc_id"].extend(docs.tolist())
-        out["score"].extend(scores.tolist())
-    return pa.table({
-        "query_id": pa.array(out["query_id"], pa.int32()),
-        "rank": pa.array(out["rank"], pa.int32()),
-        "doc_id": pa.array(out["doc_id"], pa.int64()),
-        "score": pa.array(np.asarray(out["score"], dtype)),
-    })
+    terms = set().union(*map(query_terms, queries))
+    parts = _sharded(index_dir, num_shards, terms,
+                     lambda s: [_hits(s, q, k) for q in queries])
+    merged = [_merge([p[qi] for p in parts], k)
+              for qi in range(len(queries))]
+    return pa.table(_columns([
+        {"query_id": np.full(d.size, qi, np.int64),
+         "rank": np.arange(1, d.size + 1, dtype=np.int32),
+         "doc_id": d, "score": sc}
+        for qi, (d, sc) in enumerate(merged)
+    ]))
 
 
-def collect_sharded(
-    index_dir: str,
-    q: Query,
-    manager,
-    *,
-    num_shards: int = 8,
-    precise: bool = False,
-):
+def collect_sharded(index_dir: str, q: Query, manager, *,
+                    num_shards: int = 8):
     """CollectorManager execution (``search/CollectorManager.java`` +
     ``IndexSearcher.search(Query, CollectorManager)``): one fresh
-    collector per shard runs inside a Ray Data task against that
-    shard's partitions (global stats broadcast, like search_sharded);
-    the driver folds the per-shard outputs with ``manager.reduce`` in
-    shard-id order (the reference reduces in leaf-slice order).
+    collector per shard runs against that shard's partitions with global
+    stats; the driver folds the per-shard outputs with ``manager.reduce``
+    in shard-id order (the reference reduces in leaf-slice order).
     Per-shard payloads are small collector outputs, never postings."""
-    import pickle
+    return manager.reduce(_sharded(
+        index_dir, num_shards, query_terms(q),
+        lambda s: s.collect(q, manager.new_collector())))
 
-    import ray
-    import ray.data as rd
 
-    man = IndexManifest.load(index_dir)
-    shards = plan_shards(man, num_shards)
-    terms = sorted(query_terms(q))
+def _field_topk(s, q: Query, k: int, field: str, descending: bool):
+    """One shard's TopFieldCollector: its top-k (doc ids, values) by
+    ``field``, read from only its partitions' source row groups."""
+    import pyarrow.parquet as pq
 
-    def shard_stats(batch: dict) -> dict:
-        from .readers import SegmentsReader
+    lo, hi = s._stats["doc_range"]
+    rows = sorted((r for r in s.manifest.partitions
+                   if lo <= r["doc_base"] < hi),
+                  key=lambda r: r["doc_base"])
+    vals = np.concatenate([
+        pq.ParquetFile(r["file"])
+        .read_row_groups(r["row_groups"], columns=[field])
+        .column(field).to_numpy(zero_copy_only=False)
+        for r in rows
+    ])
+    docs = s._docs_only(q)
+    v = vals[docs - lo]
+    order = np.lexsort((docs, -v if descending else v))[:k]
+    return docs[order], v[order]
 
-        out = []
-        for pids in batch["partition_ids"]:
-            r = SegmentsReader(index_dir, partition_ids=list(pids))
-            dfs = r.doc_freqs(terms) if terms else {}
-            out.append([dfs.get(t, 0) for t in terms])
-        return {"dfs": np.array(out, np.int64)}
 
-    df_global = np.zeros(len(terms), np.int64)
-    if terms:
-        for row in (
-            rd.from_items(shards).map_batches(shard_stats).take_all()
-        ):
-            df_global += np.asarray(row["dfs"], np.int64)
-    stats = {
-        "max_doc": man.max_doc,
-        "sum_ttf": man.sum_total_term_freq,
-        "df": dict(zip(terms, df_global.tolist())),
-    }
-    stats_ref = ray.put(stats)
-    mgr_ref = ray.put(manager)
-    q_ref = ray.put(q)
-
-    def shard_collect(batch: dict) -> dict:
-        st = ray.get(stats_ref)
-        mgr = ray.get(mgr_ref)
-        qq = ray.get(q_ref)
-        sids, blobs = [], []
-        for sid, pids in zip(batch["shard_id"], batch["partition_ids"]):
-            s = _shard_searcher(index_dir, list(pids), st, precise)
-            res = s.collect(qq, mgr.new_collector())
-            sids.append(int(sid))
-            blobs.append(pickle.dumps(res))
-        return {"shard_id": np.asarray(sids, np.int64),
-                "payload": np.asarray(blobs, object)}
-
-    parts = []
-    for row in (
-        rd.from_items(shards).map_batches(shard_collect).take_all()
-    ):
-        parts.append((int(row["shard_id"]), row["payload"]))
-    parts.sort()
-    return manager.reduce([pickle.loads(p) for _, p in parts])
+def search_by_field_sharded(
+    index_dir: str, q: Query, k: int, field: str, *,
+    num_shards: int = 8, descending: bool = True,
+) -> pa.Table:
+    """Sharded TopFieldCollector: each shard returns its local top-k by
+    the docvalues field, the driver merges with the same (value, doc id
+    asc) order — rank-identical to the single-process ``search_by_field``
+    because doc ids are global (no shardIndex tie-break needed, unlike
+    TopFieldDocs.merge). The df stats pass still runs: scores are unused
+    for the field sort, but ``_docs_only`` runs the scorer machinery."""
+    parts = _sharded(index_dir, num_shards, query_terms(q),
+                     partial(_field_topk, q=q, k=k, field=field,
+                             descending=descending))
+    docs = np.concatenate([d for d, _ in parts])
+    vals = np.concatenate([v for _, v in parts])
+    order = np.lexsort((docs, -vals if descending else vals))[:k]
+    return pa.table({
+        "rank": pa.array(np.arange(1, order.size + 1, dtype=np.int32)),
+        "doc_id": pa.array(docs[order]),
+        field: pa.array(vals[order]),
+    })

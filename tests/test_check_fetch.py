@@ -4,7 +4,12 @@ import pyarrow.parquet as pq
 import pytest
 
 from lucene_solr_ray.index import build_index, check_index, fetch_docs
-from lucene_solr_ray.search import IndexSearcher, search_many, parse_query
+from lucene_solr_ray.search import (
+    IndexSearcher,
+    ServingPool,
+    parse_query,
+    search_sharded,
+)
 from lucene_solr_ray.analysis import get_analyzer
 from lucene_solr_ray.sources import generate_table
 
@@ -60,13 +65,25 @@ def test_fetch_docs_roundtrip(cidx):
 def test_search_many_actor_pool(cidx):
     idx, _, _ = cidx
     texts = ["return value", "def run", "+return -quick", "getMap"]
-    out = search_many(idx, texts, k=5, concurrency=2).to_pydict()
+    out = ServingPool(idx, k=5, num_actors=2).search_many(texts).to_pydict()
     s = IndexSearcher(idx)
     ana = get_analyzer("standard")
     for qid, qt in enumerate(texts):
         want = s.search(parse_query(qt, ana), k=5).to_pydict()
         m = [i for i, q in enumerate(out["query_id"]) if q == qid]
         assert [out["doc_id"][i] for i in m] == want["doc_id"], qt
+
+
+def test_empty_batch_keeps_result_schema(cidx):
+    """A batch of no queries answers with an empty table of the batched
+    result schema, from the replica pool and the sharded path alike."""
+    idx, _, _ = cidx
+    served = ServingPool(idx, k=5, num_actors=2).search_many([])
+    sharded = search_sharded(idx, [], k=5, num_shards=2)
+    for t in (served, sharded):
+        assert t.num_rows == 0
+        assert t.column_names == ["query_id", "rank", "doc_id", "score"]
+    assert served.schema == sharded.schema
 
 
 def test_sorted_index_early_termination(tmp_path_factory, ray_session):

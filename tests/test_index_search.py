@@ -216,7 +216,7 @@ def test_sharded_search_rank_identity(index_dir, searcher, ray_session):
         PrefixQuery("get"),
     ]
     want = [searcher.search(q, k=15).to_pydict() for q in queries]
-    for num_shards in (2, 6):
+    for num_shards in (2, 6, 9):
         got = search_sharded(index_dir, queries, k=15,
                              num_shards=num_shards).to_pydict()
         for qi, w in enumerate(want):

@@ -73,31 +73,3 @@ def test_compact_reader_rank_identical(tmp_path_factory, ray_session):
     assert plain.reader.num_terms() == compact.reader.num_terms()
     assert list(plain.reader.terms_in_range("w1", "w2")) == \
         list(compact.reader.terms_in_range("w1", "w2"))
-
-
-def test_serving_pool_compact_terms(tmp_path_factory, ray_session):
-    """ServingPool replicas can hold the front-coded dict — identical
-    answers to the plain pool."""
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    from lucene_solr_ray.index import build_index
-    from lucene_solr_ray.search.distributed import ServingPool
-
-    rng = np.random.default_rng(5)
-    docs = [" ".join(rng.choice([f"w{i}" for i in range(80)], 20))
-            for _ in range(300)]
-    d = tmp_path_factory.mktemp("pool_src")
-    pq.write_table(pa.table({
-        "doc_id": pa.array(range(300), pa.int64()),
-        "content": pa.array(docs),
-    }), str(d / "docs.parquet"))
-    out = str(tmp_path_factory.mktemp("pool_idx") / "idx")
-    build_index(str(d), out, text_field="content", rows_per_partition=100)
-    plain = ServingPool(out, k=5, prune=False, num_actors=2)
-    compact = ServingPool(out, k=5, prune=False, num_actors=2,
-                          compact_terms=True)
-    qs = ["w1", "w2 w3", "w4 w5 w6"]
-    a = plain.search_many(qs).to_pandas()
-    b = compact.search_many(qs).to_pandas()
-    assert a.equals(b)
