@@ -49,8 +49,8 @@ def write_simpletext(reader, out_path: str, *, field: str = "text",
         for t in terms.tolist():
             has_pos = positions
             if has_pos is None:
-                has_pos = len(bytes(reader._pos_payload(
-                    reader._term_rows(t).start))) > 0 \
+                has_pos = len(bytes(reader._stream(
+                    "pos", reader._term_rows(t).start))) > 0 \
                     if len(reader._term_rows(t)) else False
             if has_pos:
                 docs, tfs, flat = reader.postings_with_positions(t)

@@ -106,8 +106,8 @@ class _PrefixUnion:
         plist = batch["prefix"].to_pylist()
         row_parts, gid_parts = [], []
         for i, p in enumerate(plist):
-            lo = int(r._ts.searchsorted(p, "left"))
-            hi = int(r._ts.searchsorted(p + _MAX_CODEPOINT, "right"))
+            lo = int(np.searchsorted(r.terms, p, "left"))
+            hi = int(np.searchsorted(r.terms, p + _MAX_CODEPOINT, "right"))
             if hi > lo:
                 row_parts.append(np.arange(lo, hi, dtype=np.int64))
                 gid_parts.append(np.full(hi - lo, i, np.int64))

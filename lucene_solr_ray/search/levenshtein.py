@@ -15,9 +15,7 @@ dictionary intersection is the standard leapfrog between
   * ``next_valid(s)`` — the lexicographically smallest string ``>= s``
     the automaton accepts, and
   * ``searchsorted`` — the smallest dictionary term ``>=`` that string
-    (the repo's term dicts — :class:`termdict.FrontCodedTerms`,
-    :class:`termdict.NumpyTerms`, or a sorted numpy array — all bisect
-    in ``O(log V)``),
+    (a bisect of the reader's sorted term array, ``O(log V)``),
 
 so the number of dictionary probes is ``O(matches + automaton boundary
 crossings)``, independent of vocabulary size — the complexity class the
@@ -361,18 +359,15 @@ class _SortedArrayView:
         return fn(self.arr, term)
 
 
-def intersect_sorted(dfa: LevenshteinDFA, terms) -> tuple[list[str], int]:
-    """Leapfrog the DFA against a sorted term store.
-
-    ``terms`` needs ``__len__``, ``__getitem__`` and ``searchsorted`` —
-    satisfied by :class:`termdict.FrontCodedTerms`,
-    :class:`termdict.NumpyTerms` and :class:`_SortedArrayView`.
+def intersect_sorted(dfa: LevenshteinDFA,
+                     terms: np.ndarray) -> tuple[list[str], int]:
+    """Leapfrog the DFA against a sorted numpy term array (duplicates
+    allowed; each matching term is returned once).
 
     Returns ``(matching terms, dictionary probes)`` — probes is the
-    sublinearity measure (each probe is one bisect + one decode).
+    sublinearity measure (each probe is one bisect + one lookup).
     """
-    if isinstance(terms, np.ndarray):
-        terms = _SortedArrayView(terms)
+    terms = _SortedArrayView(terms)
     out: list[str] = []
     probes = 0
     n = len(terms)

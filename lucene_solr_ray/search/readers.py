@@ -14,9 +14,10 @@ The DirectoryReader analogue (``index/DirectoryReader.java:62-202``):
   used by tests and by doc-sharded scorer actors that each own a small
   shard set, never for a giant corpus in one process.
 
-Term dictionary RAM cost is ~60 B/term + the term bytes; at web scale the
-dictionary is sharded across scorer actors (each actor mounts a range of
-``terms-*`` files), exactly like per-shard FSTs.
+The term dictionary is one sorted array of term strings per reader. Its
+RAM cost is ~60 B/term + the term bytes; at web scale the dictionary is
+sharded across scorer actors (each actor mounts a range of ``terms-*``
+files).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 
 from ..codec import decode_postings
 from ..codec.postings import decode_values
@@ -97,19 +99,14 @@ class Chunk:
 
 
 class TermDictReader:
-    """Shared logic: sorted in-memory term dict + payload resolution.
+    """Shared logic: the in-memory term dictionary + payload resolution.
 
-    ``compact_terms=True`` swaps the per-row Python-string term array for
-    the front-coded blob (``termdict.FrontCodedTerms`` — the BlockTree
-    shared-prefix economics); query results are identical, steady-state
-    term-dict memory drops ~10x (bytes/term in BASELINE.md).
-    ``compact_terms="fst"`` uses the minimal acyclic automaton instead
-    (``fst.FSTTerms`` — shared prefixes AND suffixes, the util/fst
-    shape), same results behind the same API."""
+    The dictionary is ``self.terms``: one sorted object array of term
+    strings, one entry per term-dict row (a term split into several
+    chunks repeats), bisected with ``np.searchsorted``. Each row points
+    at its payloads in the mmap'd ``.bin`` files."""
 
-    def __init__(self, cache_size: int = 4096,
-                 compact_terms: bool | str = False):
-        self._compact_terms = compact_terms
+    def __init__(self, cache_size: int = 4096):
         self._cache = _LRU(cache_size)
         self._bloom = None  # optional FuzzySet (codec.bloom sidecar)
         # subclasses fill:
@@ -118,29 +115,41 @@ class TermDictReader:
         self.df: np.ndarray
         self.ttf: np.ndarray
         self.start_doc: np.ndarray
-        self.block_last: list
-        self.block_max_tf: list
-        self.block_max_norm: list
 
-    def _payload(self, row: int) -> memoryview:
+    def _stream(self, name: str, row: int):
+        """One row's bytes of stream ``name``: "doc" postings, "pos"
+        positions, "off" char offsets, "pay" payloads (b"" when the
+        index does not store it)."""
         raise NotImplementedError
 
-    def _pos_payload(self, row: int):
-        return b""
+    def _payload(self, row: int) -> memoryview:
+        return self._stream("doc", row)
 
-    def _off_payload(self, row: int):
-        return b""
-
-    def _pay_payload(self, row: int):
-        return b""
-
-    @property
-    def has_offsets(self) -> bool:
-        return False
-
-    @property
-    def has_payloads(self) -> bool:
-        return False
+    def _postings_with_stream(self, term: str, name: str, per_tf: int):
+        """(doc_ids asc, tfs, values) over every row of ``term``:
+        ``values`` is the concatenated ``name`` stream, ``per_tf`` values
+        per occurrence, its per-posting runs gathered into doc order."""
+        rows = self._term_rows(term)
+        if len(rows) == 0:
+            e = np.empty(0, np.int64)
+            return e, e.astype(np.int32), np.empty(0, np.uint32)
+        docs_l, tfs_l, val_l = [], [], []
+        for r in rows:
+            d, f = decode_postings(self._payload(r))
+            docs_l.append(d)
+            tfs_l.append(f)
+            val_l.append(decode_values(self._stream(name, r)))
+        docs = np.concatenate(docs_l)
+        tfs = np.concatenate(tfs_l)
+        vals = np.concatenate(val_l)
+        if len(rows) > 1:
+            order = np.argsort(docs, kind="stable")
+            if not np.array_equal(order, np.arange(docs.size)):
+                cum = np.concatenate(([0], np.cumsum(per_tf * tfs)))
+                vals = np.concatenate(
+                    [vals[cum[i]:cum[i + 1]] for i in order.tolist()])
+                docs, tfs = docs[order], tfs[order]
+        return docs, tfs, vals
 
     def term_payloads(self, term: str):
         """(doc_ids asc, tfs, payloads:float32) — one payload value per
@@ -150,26 +159,7 @@ class TermDictReader:
         if not self.has_payloads:
             raise ValueError(
                 "index has no payloads (build with store_payloads=True)")
-        rows = self._term_rows(term)
-        docs_l, tfs_l, pay_l = [], [], []
-        for r in rows:
-            d, f = decode_postings(self._payload(r))
-            docs_l.append(d)
-            tfs_l.append(f)
-            pay_l.append(decode_values(self._pay_payload(r)))
-        if not docs_l:
-            e = np.empty(0, np.int64)
-            return e, e.astype(np.int32), np.empty(0, np.float32)
-        docs = np.concatenate(docs_l)
-        tfs = np.concatenate(tfs_l)
-        pay = np.concatenate(pay_l)
-        if len(docs_l) > 1:
-            order = np.argsort(docs, kind="stable")
-            if not np.array_equal(order, np.arange(docs.size)):
-                cum = np.concatenate(([0], np.cumsum(tfs)))
-                pay = np.concatenate(
-                    [pay[cum[i]:cum[i + 1]] for i in order.tolist()])
-                docs, tfs = docs[order], tfs[order]
+        docs, tfs, pay = self._postings_with_stream(term, "pay", 1)
         return docs, tfs, pay.astype(np.uint32).view(np.float32)
 
     def term_offsets(self, term: str):
@@ -180,61 +170,25 @@ class TermDictReader:
         if not self.has_offsets:
             raise ValueError(
                 "index has no offsets (build with store_offsets=True)")
-        rows = self._term_rows(term)
-        docs_l, tfs_l, off_l = [], [], []
-        for r in rows:
-            d, f = decode_postings(self._payload(r))
-            docs_l.append(d)
-            tfs_l.append(f)
-            off_l.append(decode_values(self._off_payload(r)))
-        if not docs_l:
-            e = np.empty(0, np.int64)
-            return e, e.astype(np.int32), np.empty(0, np.uint32)
-        docs = np.concatenate(docs_l)
-        tfs = np.concatenate(tfs_l)
-        off = np.concatenate(off_l)
-        if len(docs_l) > 1:
-            order = np.argsort(docs, kind="stable")
-            if not np.array_equal(order, np.arange(docs.size)):
-                cum = np.concatenate(([0], np.cumsum(2 * tfs)))
-                off = np.concatenate(
-                    [off[cum[i]:cum[i + 1]] for i in order.tolist()])
-                docs, tfs = docs[order], tfs[order]
-        return docs, tfs, off
+        return self._postings_with_stream(term, "off", 2)
 
-    def _finish_init(self, terms, chunk_order, df, ttf, start_doc,
-                     block_last_col, block_max_tf_col, block_max_norm_col):
-        """``*_col`` are pyarrow list columns kept as (offsets, values)
-        numpy pairs — no per-row Python list materialization (5+ s at
+    def _finish_init(self, tbl, chunk_order):
+        """Sort the terms table ``tbl``'s rows by (term, chunk_order).
+        The block-max list columns are kept as (offsets, values) numpy
+        pairs — no per-row Python list materialization (5+ s at
         10^6-row term dicts)."""
-        terms = np.asarray(terms, dtype=object)
+        terms = np.asarray(tbl["term"].to_pylist(), dtype=object)
         order = np.lexsort((chunk_order, terms))
-        sorted_terms = terms[order]
-        if self._compact_terms == "fst":
-            from .fst import FSTTerms
-
-            self._ts = FSTTerms(sorted_terms.tolist())
-            self.terms = None  # compact mode: no per-row str array
-        elif self._compact_terms:
-            from .termdict import FrontCodedTerms
-
-            self._ts = FrontCodedTerms(sorted_terms.tolist())
-            self.terms = None  # compact mode: no per-row str array
-        else:
-            from .termdict import NumpyTerms
-
-            self.terms = sorted_terms
-            self._ts = NumpyTerms(sorted_terms)
+        self.terms = terms[order]
         self.chunk_order = np.asarray(chunk_order)[order]
-        self.df = np.asarray(df, np.int64)[order]
-        self.ttf = np.asarray(ttf, np.int64)[order]
-        self.start_doc = np.asarray(start_doc, np.int64)[order]
+        self.df = np.asarray(tbl["df"].to_numpy(), np.int64)[order]
+        self.ttf = np.asarray(tbl["ttf"].to_numpy(), np.int64)[order]
+        self.start_doc = np.asarray(tbl["start_doc"].to_numpy(),
+                                    np.int64)[order]
         self._blk = {}
-        for name, col in (("last", block_last_col),
-                          ("maxtf", block_max_tf_col),
-                          ("maxnorm", block_max_norm_col)):
-            arr = col.combine_chunks() if hasattr(col, "combine_chunks") \
-                else col
+        for name, col in (("last", "block_last"), ("maxtf", "block_max_tf"),
+                          ("maxnorm", "block_max_norm")):
+            arr = tbl[col].combine_chunks()
             self._blk[name] = (arr.offsets.to_numpy(), arr.values.to_numpy())
         self._row_order = order  # maps sorted pos -> original row
 
@@ -255,25 +209,13 @@ class TermDictReader:
     def _term_rows(self, term: str) -> range:
         if self._bloom is not None and not self._bloom.contains(term):
             return range(0, 0)
-        lo = self._ts.searchsorted(term, side="left")
-        hi = self._ts.searchsorted(term, side="right")
+        lo = np.searchsorted(self.terms, term, side="left")
+        hi = np.searchsorted(self.terms, term, side="right")
         return range(int(lo), int(hi))
 
     # ---- public API ----
     def num_terms(self) -> int:
-        if self.terms is not None:
-            return int(np.sum(self.terms[1:] != self.terms[:-1]) + 1) \
-                if self.terms.size else 0
-        n = getattr(self, "_num_unique", None)
-        if n is None:
-            n = 0
-            prev = None
-            for t in self._ts:
-                if t != prev:
-                    n += 1
-                    prev = t
-            self._num_unique = n
-        return n
+        return int(self.unique_terms().size)
 
     def doc_freqs(self, terms: list[str]) -> dict[str, int]:
         return {t: int(self.df[self._term_rows(t)].sum()) for t in terms}
@@ -292,7 +234,7 @@ class TermDictReader:
                 block_last=self.blk("last", r).astype(np.int64),
                 block_max_tf=self.blk("maxtf", r).astype(np.int32),
                 block_max_norm=self.blk("maxnorm", r).astype(np.uint8),
-                positions=self._pos_payload(r),
+                positions=self._stream("pos", r),
             )
             for r in rows
         ]
@@ -327,30 +269,7 @@ class TermDictReader:
         hit = self._cache.get(("pp", term))
         if hit is not None:
             return hit
-        rows = self._term_rows(term)
-        if len(rows) == 0:
-            e = np.empty(0, np.int64)
-            out = (e, e.astype(np.int32), np.empty(0, np.uint32))
-        else:
-            docs_l, tfs_l, pos_l = [], [], []
-            for r in rows:
-                d, f = decode_postings(self._payload(r))
-                docs_l.append(d)
-                tfs_l.append(f)
-                pos_l.append(decode_values(self._pos_payload(r)))
-            docs = np.concatenate(docs_l)
-            tfs = np.concatenate(tfs_l)
-            pos = np.concatenate(pos_l)
-            if len(rows) > 1:
-                order = np.argsort(docs, kind="stable")
-                if not np.array_equal(order, np.arange(docs.size)):
-                    # gather per-posting position runs into doc order
-                    cum = np.concatenate(([0], np.cumsum(tfs)))
-                    pos = np.concatenate(
-                        [pos[cum[i]:cum[i + 1]] for i in order.tolist()]
-                    )
-                    docs, tfs = docs[order], tfs[order]
-            out = (docs, tfs, pos)
+        out = self._postings_with_stream(term, "pos", 1)
         self._cache.put(("pp", term), out)
         return out
 
@@ -358,16 +277,6 @@ class TermDictReader:
         u = getattr(self, "_unique_terms", None)
         if u is not None:
             return u
-        if self.terms is None:
-            # compact mode: decode on demand, do NOT cache — enumeration
-            # rewrites (fuzzy) pay a transient O(n) decode; steady-state
-            # memory stays at the blob
-            out, prev = [], None
-            for t in self._ts:
-                if t != prev:
-                    out.append(t)
-                    prev = t
-            return np.asarray(out, dtype=object)
         if not self.terms.size:
             return self.terms
         keep = np.empty(self.terms.size, bool)
@@ -378,44 +287,17 @@ class TermDictReader:
         return u
 
     def terms_matching(self, predicate) -> list[str]:
-        if self.terms is None:
-            out, prev = [], None
-            for t in self._ts:
-                if t != prev and predicate(t):
-                    out.append(t)
-                prev = t
-            return out
         return [t for t in self.unique_terms() if predicate(t)]
 
     def has_terms_in_range(self, lower, upper) -> bool:
         """O(log V) existence probe: do any terms fall in [lower,
         upper)? (terms_in_range materializes the slice — wrong tool for
         a boolean.)"""
-        if self.terms is None:
-            lo = self._ts.searchsorted(lower, "left")
-            hi = self._ts.searchsorted(upper, "left")
-            return hi > lo
-        u = self.unique_terms()
-        return np.searchsorted(u, upper, "left") > \
-            np.searchsorted(u, lower, "left")
+        return bool(np.searchsorted(self.terms, upper, "left")
+                    > np.searchsorted(self.terms, lower, "left"))
 
     def terms_in_range(self, lower, upper, include_lower=True,
                        include_upper=True) -> list[str]:
-        if self.terms is None:
-            lo = 0
-            hi = len(self._ts)
-            if lower is not None:
-                lo = self._ts.searchsorted(
-                    lower, "left" if include_lower else "right")
-            if upper is not None:
-                hi = self._ts.searchsorted(
-                    upper, "right" if include_upper else "left")
-            out, prev = [], None
-            for t in self._ts.iter_range(lo, hi):
-                if t != prev:
-                    out.append(t)
-                    prev = t
-            return out
         u = self.unique_terms()
         lo = 0
         hi = u.size
@@ -428,40 +310,18 @@ class TermDictReader:
 
 class _BinPayloads:
     """Per-row payload refs into lazily-mmap'd .bin files (shared by the
-    merged and per-segment readers — payload bytes never live in RAM)."""
+    merged and per-segment readers — payload bytes never live in RAM).
+    Each stored stream keeps one (offsets, lengths) pair per row."""
 
-    def _set_payload_refs(self, file_paths, file_idx, offsets, lengths,
-                          pos_offsets, pos_lengths,
-                          off_offsets=None, off_lengths=None,
-                          pay_offsets=None, pay_lengths=None):
+    def _set_payload_refs(self, file_paths, file_idx, **streams):
+        """``streams``: name -> (offsets, lengths), or None when the
+        index does not store that stream."""
         self._file_paths = list(file_paths)  # absolute paths
         self._file_idx = np.asarray(file_idx)
-        self._offsets = np.asarray(offsets, np.int64)
-        self._lengths = np.asarray(lengths, np.int64)
-        self._pos_offsets = (
-            np.asarray(pos_offsets, np.int64) if pos_offsets is not None
-            else None
-        )
-        self._pos_lengths = (
-            np.asarray(pos_lengths, np.int64) if pos_lengths is not None
-            else None
-        )
-        self._off_offsets = (
-            np.asarray(off_offsets, np.int64) if off_offsets is not None
-            else None
-        )
-        self._off_lengths = (
-            np.asarray(off_lengths, np.int64) if off_lengths is not None
-            else None
-        )
-        self._pay_offsets = (
-            np.asarray(pay_offsets, np.int64) if pay_offsets is not None
-            else None
-        )
-        self._pay_lengths = (
-            np.asarray(pay_lengths, np.int64) if pay_lengths is not None
-            else None
-        )
+        self._refs = {
+            name: (np.asarray(ref[0], np.int64), np.asarray(ref[1], np.int64))
+            for name, ref in streams.items() if ref is not None
+        }
         self._mmaps: list = [None] * len(self._file_paths)
 
     def _mmap(self, fi: int) -> memoryview:
@@ -471,47 +331,31 @@ class _BinPayloads:
             self._mmaps[fi] = mv
         return mv
 
-    def _payload(self, row: int) -> memoryview:
-        orig = int(self._row_order[row])
-        off = int(self._offsets[orig])
-        return self._mmap(int(self._file_idx[orig]))[
-            off : off + int(self._lengths[orig])
-        ]
-
-    def _pos_payload(self, row: int):
-        if self._pos_offsets is None:
+    def _stream(self, name: str, row: int):
+        ref = self._refs.get(name)
+        if ref is None:
             return b""
         orig = int(self._row_order[row])
-        off = int(self._pos_offsets[orig])
+        off = int(ref[0][orig])
         return self._mmap(int(self._file_idx[orig]))[
-            off : off + int(self._pos_lengths[orig])
-        ]
-
-    def _off_payload(self, row: int):
-        if self._off_offsets is None:
-            return b""
-        orig = int(self._row_order[row])
-        off = int(self._off_offsets[orig])
-        return self._mmap(int(self._file_idx[orig]))[
-            off : off + int(self._off_lengths[orig])
+            off : off + int(ref[1][orig])
         ]
 
     @property
     def has_offsets(self) -> bool:
-        return self._off_offsets is not None
-
-    def _pay_payload(self, row: int):
-        if self._pay_offsets is None:
-            return b""
-        orig = int(self._row_order[row])
-        off = int(self._pay_offsets[orig])
-        return self._mmap(int(self._file_idx[orig]))[
-            off : off + int(self._pay_lengths[orig])
-        ]
+        return "off" in self._refs
 
     @property
     def has_payloads(self) -> bool:
-        return self._pay_offsets is not None
+        return "pay" in self._refs
+
+
+def _refs(tbl, prefix: str):
+    """(offsets, lengths) columns of one stream, or None if not stored."""
+    if f"{prefix}_offset" not in tbl.schema.names:
+        return None
+    return (tbl[f"{prefix}_offset"].to_numpy(),
+            tbl[f"{prefix}_length"].to_numpy())
 
 
 class MergedReader(_BinPayloads, TermDictReader):
@@ -534,22 +378,10 @@ class MergedReader(_BinPayloads, TermDictReader):
         ]
         self._set_payload_refs(
             paths, fdict.indices.to_numpy(),
-            tbl["offset"].to_numpy(), tbl["length"].to_numpy(),
-            tbl["pos_offset"].to_numpy()
-            if "pos_offset" in tbl.schema.names else None,
-            tbl["pos_length"].to_numpy()
-            if "pos_offset" in tbl.schema.names else None,
+            doc=(tbl["offset"].to_numpy(), tbl["length"].to_numpy()),
+            pos=_refs(tbl, "pos"),
         )
-        self._finish_init(
-            tbl["term"].to_pylist(),
-            tbl["chunk_id"].to_numpy(),
-            tbl["df"].to_numpy(),
-            tbl["ttf"].to_numpy(),
-            tbl["start_doc"].to_numpy(),
-            tbl["block_last"],
-            tbl["block_max_tf"],
-            tbl["block_max_norm"],
-        )
+        self._finish_init(tbl, tbl["chunk_id"].to_numpy())
 
 
 class SegmentsReader(_BinPayloads, TermDictReader):
@@ -560,49 +392,32 @@ class SegmentsReader(_BinPayloads, TermDictReader):
     def __init__(self, index_dir: str, partition_ids: list[int] | None = None,
                  **kw):
         super().__init__(**kw)
+        from ..index.check import exorcised_pids
+
         d = os.path.join(index_dir, "segments")
-        files = sorted(
-            os.path.join(d, f) for f in os.listdir(d)
-            if f.endswith(".parquet")
-        )
+        # quarantined segments (CheckIndex -exorcise) are skipped
+        # entirely, whichever partitions are asked for — their files may
+        # be unreadable; their doc range is already masked by the
+        # exorcism delete generation
+        drop = {f"part-{p:05d}.parquet" for p in exorcised_pids(index_dir)}
+        live = sorted(f for f in os.listdir(d)
+                      if f.endswith(".parquet") and f not in drop)
+        files = live
         if partition_ids is not None:
             want = {f"part-{p:05d}.parquet" for p in partition_ids}
-            files = [f for f in files if os.path.basename(f) in want]
-        else:
-            # quarantined segments (CheckIndex -exorcise) are skipped
-            # entirely — their files may be unreadable; their doc range
-            # is already masked by the exorcism delete generation
-            from ..index.check import exorcised_pids
-
-            bad = exorcised_pids(index_dir)
-            if bad:
-                drop = {f"part-{p:05d}.parquet" for p in bad}
-                files = [f for f in files
-                         if os.path.basename(f) not in drop]
-        tbl = pads.dataset(files, format="parquet").to_table()
+            files = [f for f in live if f in want]
+        if files:
+            tbl = pads.dataset([os.path.join(d, f) for f in files],
+                               format="parquet").to_table()
+        else:  # e.g. a shard whose only partition is quarantined
+            tbl = pq.read_schema(os.path.join(d, live[0])).empty_table()
         pids = tbl["pid"].to_numpy()
         uq, inv = np.unique(pids, return_inverse=True)
         self._set_payload_refs(
             [os.path.join(d, f"part-{p:05d}.bin") for p in uq.tolist()],
             inv,
-            tbl["offset"].to_numpy(), tbl["length"].to_numpy(),
-            tbl["pos_offset"].to_numpy(), tbl["pos_length"].to_numpy(),
-            tbl["off_offset"].to_numpy()
-            if "off_offset" in tbl.schema.names else None,
-            tbl["off_length"].to_numpy()
-            if "off_offset" in tbl.schema.names else None,
-            tbl["pay_offset"].to_numpy()
-            if "pay_offset" in tbl.schema.names else None,
-            tbl["pay_length"].to_numpy()
-            if "pay_offset" in tbl.schema.names else None,
+            doc=(tbl["offset"].to_numpy(), tbl["length"].to_numpy()),
+            pos=_refs(tbl, "pos"), off=_refs(tbl, "off"),
+            pay=_refs(tbl, "pay"),
         )
-        self._finish_init(
-            tbl["term"].to_pylist(),
-            pids,
-            tbl["df"].to_numpy(),
-            tbl["ttf"].to_numpy(),
-            tbl["start_doc"].to_numpy(),
-            tbl["block_last"],
-            tbl["block_max_tf"],
-            tbl["block_max_norm"],
-        )
+        self._finish_init(tbl, pids)

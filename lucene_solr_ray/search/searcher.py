@@ -98,15 +98,8 @@ def fuzzy_candidates(reader, qterm: str, k: int,
     from .levenshtein import (DamerauLevenshteinDFA, LevenshteinDFA,
                               intersect_sorted)
 
-    ts = getattr(reader, "_ts", None)
-    if ts is not None and getattr(reader, "terms", None) is None:
-        # compact mode: leapfrog the front-coded blocks directly — no
-        # O(V) dictionary decode (duplicate rows deduped by intersect)
-        dictview = ts
-    else:
-        dictview = reader.unique_terms()
     cls = DamerauLevenshteinDFA if transpositions else LevenshteinDFA
-    return intersect_sorted(cls(qterm, k), dictview)
+    return intersect_sorted(cls(qterm, k), reader.unique_terms())
 
 
 def fuzzy_candidates_scan(reader, qterm: str, k: int) -> tuple[list[str], int]:
@@ -260,7 +253,7 @@ class IndexSearcher:
                  reader=None, norms=None, global_stats: dict | None = None,
                  apply_deletes: bool = True, similarity=None,
                  k1: float | None = None, b: float | None = None,
-                 compact_terms: bool = False, bloom: bool = False):
+                 bloom: bool = False):
         """``global_stats`` (optional): {"max_doc", "sum_ttf", "df": {term:
         df}} — injected by the doc-sharded distributed path so every shard
         scores with GLOBAL collection statistics (exactly what a single
@@ -298,11 +291,9 @@ class IndexSearcher:
         elif self.manifest.merged and os.path.isdir(
             os.path.join(index_dir, "merged")
         ):
-            self.reader = MergedReader(index_dir,
-                                       compact_terms=compact_terms)
+            self.reader = MergedReader(index_dir)
         else:
-            self.reader = SegmentsReader(index_dir,
-                                         compact_terms=compact_terms)
+            self.reader = SegmentsReader(index_dir)
         if bloom:
             from ..codec.bloom import ensure_bloom
 

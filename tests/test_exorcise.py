@@ -43,3 +43,19 @@ def test_exorcise_drops_only_corrupt(corrupt_index):
     assert (alive < 100).any() and (alive >= 200).any()
     t = s.search(TermQuery("return"), k=10)
     assert all(not (100 <= d < 200) for d in t["doc_id"].to_pylist())
+
+
+def test_sharded_search_skips_exorcised(corrupt_index):
+    """Every shard skips the quarantined segment, as the single-process
+    reader does: sharded top-k equals single-process top-k, including a
+    shard whose only partition is quarantined."""
+    from lucene_solr_ray.search import search_sharded
+
+    exorcise_index(corrupt_index, sample_terms=50)
+    want = IndexSearcher(corrupt_index).search(TermQuery("return"), k=10)
+    assert want.num_rows > 0
+    for n in (1, 3):
+        got = search_sharded(corrupt_index, [TermQuery("return")], k=10,
+                             num_shards=n)
+        assert (got["doc_id"].to_pylist(), got["score"].to_pylist()) == \
+            (want["doc_id"].to_pylist(), want["score"].to_pylist()), n

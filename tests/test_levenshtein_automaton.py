@@ -21,7 +21,6 @@ from lucene_solr_ray.search.searcher import (
     fuzzy_candidates,
     fuzzy_candidates_scan,
 )
-from lucene_solr_ray.search.termdict import FrontCodedTerms
 from lucene_solr_ray.sources import generate_table
 
 
@@ -72,13 +71,13 @@ def test_intersect_equals_bruteforce_random_vocab():
         assert probes < len(vocab)
 
 
-def test_intersect_unicode_and_front_coded_duplicates():
+def test_intersect_unicode_and_duplicate_rows():
     vocab = sorted(["héllo", "hello", "hallo", "hallo", "hullo", "çava",
                     "日本語", "日本語", "日本酒", "héllp"])
-    fct = FrontCodedTerms(vocab)
+    rows = np.array(vocab, dtype=object)
     uniq = sorted(set(vocab))
     for q, k in [("hello", 1), ("héllo", 1), ("日本語", 1), ("çava", 0)]:
-        got, _ = intersect_sorted(LevenshteinDFA(q, k), fct)
+        got, _ = intersect_sorted(LevenshteinDFA(q, k), rows)
         want = [t for t in uniq if _levenshtein_within(q, t, k)]
         assert got == want, (q, k)
 
@@ -109,18 +108,17 @@ def test_million_term_vocab_sublinear_probes():
 
 def test_reader_paths_agree_with_pruned_scan(tmp_path_factory, ray_session):
     """fuzzy_candidates (automaton) == fuzzy_candidates_scan (pruned
-    O(V) oracle) on a real index, in both term-dict representations."""
+    O(V) oracle) on a real index."""
     d = tmp_path_factory.mktemp("lev_corpus")
     pq.write_table(generate_table(500, seed=9), str(d / "c.parquet"))
     out = str(tmp_path_factory.mktemp("lev_index"))
     build_index(str(d), out, rows_per_partition=250)
-    for compact in (False, True):
-        s = IndexSearcher(out, compact_terms=compact)
-        for word, k in [("tabel", 2), ("return", 1), ("vlaue", 2),
-                        ("xyzzy", 1), ("", 1)]:
-            got, probes = fuzzy_candidates(s.reader, word, k)
-            want, _ = fuzzy_candidates_scan(s.reader, word, k)
-            assert got == want, (compact, word, k)
+    s = IndexSearcher(out)
+    for word, k in [("tabel", 2), ("return", 1), ("vlaue", 2),
+                    ("xyzzy", 1), ("", 1)]:
+        got, probes = fuzzy_candidates(s.reader, word, k)
+        want, _ = fuzzy_candidates_scan(s.reader, word, k)
+        assert got == want, (word, k)
 
 
 def test_damerau_osa_equivalence_bruteforce():

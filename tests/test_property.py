@@ -129,27 +129,7 @@ def test_tdigest_quantile_bounds_property(xs):
     assert all(a <= b + 1e-9 for a, b in zip(est, est[1:]))
 
 
-# ---- round 5: FST dict + phonetic encoder properties ----------------------
-
-@given(st.lists(st.text(
-    alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8),
-    max_size=60))
-@settings(max_examples=60, deadline=None)
-def test_fst_rank_identity_random_unicode(words):
-    from lucene_solr_ray.search.fst import FSTTerms
-    from lucene_solr_ray.search.termdict import NumpyTerms
-
-    terms = sorted(words)
-    fst = FSTTerms(terms)
-    ref = NumpyTerms(np.asarray(terms, object))
-    assert list(fst) == terms
-    for i in range(len(terms)):
-        assert fst[i] == terms[i]
-    probes = terms[:10] + ["", "m", "￿", "zz"]
-    for p in probes:
-        for side in ("left", "right"):
-            assert fst.searchsorted(p, side) == ref.searchsorted(p, side)
-
+# ---- round 5: phonetic encoder properties ----------------------------------
 
 @given(st.text(max_size=24))
 @settings(max_examples=120, deadline=None)
