@@ -11,19 +11,18 @@ Layout (little-endian):
 
     [num_docs: uint32]
     repeat per block of <=128 docs (last block may be short):
-        [doc_bpv: uint8][doc payload][tf_bpv: uint8][tf payload]
+        [doc_code: uint8][doc payload][tf_code: uint8][tf payload]
 
-    payload for bpv == 0   : uint32 value (all values in block equal)
-    payload for bpv == 255 : n * uint32 raw values           (byte-aligned fast path)
-    payload for bpv == 254 : n * uint16 raw values           (byte-aligned fast path)
-    payload for bpv == 253 : n * uint8  raw values           (byte-aligned fast path)
-    payload for 1<=bpv<=32 : ceil(n*bpv/8) bytes, values bit-packed big-endian
+    payload for code == 0   : uint32 value (all values in block equal)
+    payload for code == 253 : n * uint8  raw values
+    payload for code == 254 : n * uint16 raw values
+    payload for code == 255 : n * uint32 raw values
+
+Widths are byte-aligned (8/16/32 bits), so every decoder is a numpy view
+or gather; any other width code is rejected with ``ValueError``.
 
 Doc IDs are encoded as deltas: first = doc_id[0], then successive gaps
-(always >= 1). TFs are encoded as tf-1 (tf >= 1). ``byte_aligned=True``
-(default) rounds widths up to 8/16/32 bits — ~15% larger, much faster to
-encode/decode in numpy (the BEST_SPEED analogue of
-``Lucene50StoredFieldsFormat``'s speed/size modes).
+(always >= 1). TFs are encoded as tf-1 (tf >= 1).
 
 Block metadata for skipping + block-max scoring (the analogue of
 ``Lucene50SkipWriter.java:25-70`` plus Block-Max WAND metadata, Ding & Suel
@@ -39,80 +38,56 @@ import numpy as np
 BLOCK_SIZE = 128  # reference: Lucene50PostingsFormat.java:398
 
 
-def _bits_required(maxval: int) -> int:
-    return max(1, int(maxval).bit_length())
+# bytes per value -> width code (code 0, the all-equal block, stores one
+# uint32 instead)
+_CODE = {1: 253, 2: 254, 4: 255}
+_WIDTH = {c: w for w, c in _CODE.items()}
+_DTYPE = {w: np.dtype(t) for w, t in ((1, "u1"), (2, "<u2"), (4, "<u4"))}
 
 
-def _pack(vals: np.ndarray, bpv: int) -> bytes:
-    """Bit-pack uint32 values big-endian at bpv bits each."""
-    n = vals.size
-    bits = np.unpackbits(
-        vals.astype(">u4").view(np.uint8).reshape(n, 4), axis=1
-    )[:, 32 - bpv :]
-    return np.packbits(bits.ravel()).tobytes()
+def _width(code: int) -> int:
+    w = _WIDTH.get(int(code))
+    if w is None:
+        raise ValueError(f"unknown postings width code {int(code)}")
+    return w
 
 
-def _unpack(buf: memoryview, n: int, bpv: int) -> np.ndarray:
-    bits = np.unpackbits(
-        np.frombuffer(buf, np.uint8, count=(n * bpv + 7) // 8), count=n * bpv
-    )
-    out = np.zeros((n, 32), np.uint8)
-    out[:, 32 - bpv :] = bits.reshape(n, bpv)
-    return np.packbits(out, axis=1).view(">u4").ravel().astype(np.uint32)
+def _check_codes(codes: np.ndarray) -> None:
+    """The batch decoders' one vectorized width-code check per stream."""
+    bad = ~np.isin(codes, (0, *_WIDTH))
+    if bad.any():
+        raise ValueError(
+            f"unknown postings width code {int(codes[bad][0])}")
 
 
-def _encode_stream(out: list, vals: np.ndarray, byte_aligned: bool) -> None:
+def _encode_stream(out: list, vals: np.ndarray) -> None:
     mx = int(vals.max()) if vals.size else 0
     mn = int(vals.min()) if vals.size else 0
     if mx == mn:
         out.append(np.uint8(0).tobytes())
         out.append(np.uint32(mx).tobytes())
         return
-    bpv = _bits_required(mx)
-    if byte_aligned:
-        if bpv <= 8:
-            out.append(np.uint8(253).tobytes())
-            out.append(vals.astype(np.uint8).tobytes())
-        elif bpv <= 16:
-            out.append(np.uint8(254).tobytes())
-            out.append(vals.astype("<u2").tobytes())
-        else:
-            out.append(np.uint8(255).tobytes())
-            out.append(vals.astype("<u4").tobytes())
-    else:
-        out.append(np.uint8(bpv).tobytes())
-        out.append(_pack(vals, bpv))
+    w = 1 if mx < 0x100 else 2 if mx < 0x10000 else 4
+    out.append(bytes([_CODE[w]]))
+    out.append(vals.astype(_DTYPE[w]).tobytes())
 
 
 def _decode_stream(buf: memoryview, off: int, n: int) -> tuple[np.ndarray, int]:
-    bpv = buf[off]
+    code = buf[off]
     off += 1
-    if bpv == 0:
+    if code == 0:
         val = np.frombuffer(buf, "<u4", count=1, offset=off)[0]
         return np.full(n, val, np.uint32), off + 4
-    if bpv == 253:
-        return (
-            np.frombuffer(buf, np.uint8, count=n, offset=off).astype(np.uint32),
-            off + n,
-        )
-    if bpv == 254:
-        return (
-            np.frombuffer(buf, "<u2", count=n, offset=off).astype(np.uint32),
-            off + 2 * n,
-        )
-    if bpv == 255:
-        return (
-            np.frombuffer(buf, "<u4", count=n, offset=off).astype(np.uint32),
-            off + 4 * n,
-        )
-    nbytes = (n * bpv + 7) // 8
-    return _unpack(buf[off:], n, bpv), off + nbytes
+    w = _width(code)
+    return (
+        np.frombuffer(buf, _DTYPE[w], count=n, offset=off).astype(np.uint32),
+        off + w * n,
+    )
 
 
 def encode_postings(
     doc_ids: np.ndarray,
     tfs: np.ndarray,
-    byte_aligned: bool = True,
 ) -> tuple[bytes, np.ndarray, np.ndarray]:
     """Encode one term's postings.
 
@@ -133,89 +108,11 @@ def encode_postings(
     block_maxtf = np.empty(nblocks, np.int32)
     for b in range(nblocks):
         lo, hi = b * BLOCK_SIZE, min((b + 1) * BLOCK_SIZE, n)
-        _encode_stream(out, deltas[lo:hi], byte_aligned)
-        _encode_stream(out, tfm1[lo:hi], byte_aligned)
+        _encode_stream(out, deltas[lo:hi])
+        _encode_stream(out, tfm1[lo:hi])
         block_last[b] = doc_ids[hi - 1]
         block_maxtf[b] = tfs[lo:hi].max()
     return b"".join(out), block_last, block_maxtf
-
-
-_WIDTH_CODE = {1: 253, 2: 254, 4: 255}
-
-
-def encode_postings_batch(
-    docs_flat: np.ndarray,
-    tfs_flat: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-) -> list[bytes]:
-    """Vectorized encoder for many SINGLE-BLOCK terms at once (df <= 128,
-    byte-aligned widths) — the per-term payloads are assembled from three
-    width-class blobs, avoiding per-term numpy call overhead. Byte format
-    is identical to :func:`encode_postings` with ``byte_aligned=True``
-    except the all-equal (bpv=0) case is not used (BEST_SPEED tradeoff)."""
-    docs_flat = np.asarray(docs_flat, np.int64)
-    n_terms = starts.size
-    counts = ends - starts
-    # deltas: first of each term = absolute doc id
-    deltas = np.empty(docs_flat.size, np.uint32)
-    if docs_flat.size:
-        deltas[0] = docs_flat[0]
-        np.subtract(docs_flat[1:], docs_flat[:-1], out=deltas[1:],
-                    casting="unsafe")
-        deltas[starts] = docs_flat[starts]
-    tfm1 = (np.asarray(tfs_flat, np.int64) - 1).astype(np.uint32)
-
-    def widths(vals: np.ndarray) -> np.ndarray:
-        mx = np.maximum.reduceat(vals, starts)
-        w = np.full(n_terms, 4, np.int8)
-        w[mx < 0x10000] = 2
-        w[mx < 0x100] = 1
-        return w
-
-    dw = widths(deltas)
-    tw = widths(tfm1)
-
-    # per-width-class blobs + per-term byte offsets into them
-    def class_blobs(vals: np.ndarray, w: np.ndarray):
-        blobs, offs = {}, {}
-        for width, dtype in ((1, np.uint8), (2, "<u2"), (4, "<u4")):
-            m = w == width
-            if not m.any():
-                continue
-            sel_counts = counts[m]
-            # gather member values: build a take-index for member postings
-            idx = np.concatenate([
-                np.arange(s, e) for s, e in
-                zip(starts[m].tolist(), ends[m].tolist())
-            ]) if m.any() else np.empty(0, np.int64)
-            blobs[width] = vals[idx].astype(dtype).tobytes()
-            term_off = np.zeros(sel_counts.size + 1, np.int64)
-            np.cumsum(sel_counts * width, out=term_off[1:])
-            offs[width] = (np.flatnonzero(m), term_off)
-        return blobs, offs
-
-    d_blobs, d_offs = class_blobs(deltas, dw)
-    t_blobs, t_offs = class_blobs(tfm1, tw)
-    headers = counts.astype("<u4").tobytes()
-
-    d_slice = [None] * n_terms
-    for width, (members, term_off) in d_offs.items():
-        blob = d_blobs[width]
-        code = bytes([_WIDTH_CODE[width]])
-        for k, ti in enumerate(members.tolist()):
-            d_slice[ti] = code + blob[term_off[k]:term_off[k + 1]]
-    t_slice = [None] * n_terms
-    for width, (members, term_off) in t_offs.items():
-        blob = t_blobs[width]
-        code = bytes([_WIDTH_CODE[width]])
-        for k, ti in enumerate(members.tolist()):
-            t_slice[ti] = code + blob[term_off[k]:term_off[k + 1]]
-
-    return [
-        headers[4 * i : 4 * i + 4] + d_slice[i] + t_slice[i]
-        for i in range(n_terms)
-    ]
 
 
 def encode_postings_batch_packed(
@@ -224,9 +121,11 @@ def encode_postings_batch_packed(
     starts: np.ndarray,
     ends: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Like :func:`encode_postings_batch` but assembles ALL payloads into
-    one contiguous uint8 buffer (returned with per-term byte lengths) —
-    no per-term Python bytes objects (the build's emit hot path).
+    """Vectorized encoder for many SINGLE-BLOCK terms at once (df <= 128):
+    assembles ALL payloads into one contiguous uint8 buffer (returned with
+    per-term byte lengths) — no per-term Python bytes objects (the build's
+    emit hot path). Byte format is :func:`encode_postings`'s, except the
+    all-equal (code 0) case is not used.
 
     Payload i occupies ``[cum_lens[i], cum_lens[i+1])`` of the buffer.
     """
@@ -278,16 +177,15 @@ def encode_postings_batch_packed(
     buf[o + 1] = (counts >> 8) & 0xFF
     buf[o + 2] = (counts >> 16) & 0xFF
     buf[o + 3] = (counts >> 24) & 0xFF
-    code = {1: 253, 2: 254, 4: 255}
     d_start = o + 4
     t_start = d_start + 1 + counts * dw
     for w in (1, 2, 4):
         m = dw == w
         if m.any():
-            buf[d_start[m]] = code[w]
+            buf[d_start[m]] = _CODE[w]
         m = tw == w
         if m.any():
-            buf[t_start[m]] = code[w]
+            buf[t_start[m]] = _CODE[w]
 
     def scatter(vals, w_arr, data_start):
         for w in (1, 2, 4):
@@ -358,12 +256,11 @@ def encode_values_batch_packed(
     buf[o + 1] = (counts >> 8) & 0xFF
     buf[o + 2] = (counts >> 16) & 0xFF
     buf[o + 3] = (counts >> 24) & 0xFF
-    code = {1: 253, 2: 254, 4: 255}
     for width in (1, 2, 4):
         m = w == width
         if not m.any():
             continue
-        buf[o[m] + 4] = code[width]
+        buf[o[m] + 4] = _CODE[width]
         cnt = counts[m]
         if not cnt.sum():
             continue
@@ -399,65 +296,65 @@ def decode_postings(payload: bytes | memoryview) -> tuple[np.ndarray, np.ndarray
     return doc_ids, (tfm1 + 1).astype(np.int32)
 
 
+def _gather_stream(buf: np.ndarray, data_start: np.ndarray,
+                   counts: np.ndarray, out_starts: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """Decode one single-block stream per row (``data_start[i]`` is row
+    i's width-code byte, ``counts[i]`` its value count) into ``out`` at
+    ``out_starts``; returns each row's byte length (code + payload) so the
+    caller can locate the next stream."""
+    codes = buf[data_start]
+    _check_codes(codes)
+    stream_len = np.empty(data_start.size, np.int64)
+    for code, width in ((0, 0), *_WIDTH.items()):
+        m = codes == code
+        if not m.any():
+            continue
+        ds = data_start[m] + 1  # skip the code byte
+        cnt = counts[m]
+        intra = _intra(cnt)
+        dst = np.repeat(out_starts[m], cnt) + intra
+        if code == 0:  # all-equal: one little-endian u4 value per row
+            val = (buf[ds].astype(np.int64)
+                   | (buf[ds + 1].astype(np.int64) << 8)
+                   | (buf[ds + 2].astype(np.int64) << 16)
+                   | (buf[ds + 3].astype(np.int64) << 24))
+            stream_len[m] = 5
+            out[dst] = np.repeat(val, cnt)
+            continue
+        stream_len[m] = 1 + cnt * width
+        src = np.repeat(ds, cnt) + intra * width
+        v = buf[src].astype(np.int64)
+        for b in range(1, width):
+            v |= buf[src + b].astype(np.int64) << (8 * b)
+        out[dst] = v
+    return stream_len
+
+
 def decode_postings_batch(
     buf: np.ndarray,
     offs: np.ndarray,
     dfs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized decode of MANY single-block byte-aligned payloads packed
-    in one uint8 buffer (the merge-compaction hot path: the Zipf tail is
-    millions of tiny lists; per-list Python decode dominated merge wall
-    time). ``offs[i]`` is payload i's start, ``dfs[i]`` its posting count
-    (must equal the stored header; all rows must have df <= BLOCK_SIZE and
-    width codes in {0, 253, 254, 255} — the byte-aligned encoder's output).
+    """Vectorized decode of MANY single-block payloads packed in one uint8
+    buffer (the merge-compaction hot path: the Zipf tail is millions of
+    tiny lists; per-list Python decode dominated merge wall time).
+    ``offs[i]`` is payload i's start, ``dfs[i]`` its posting count (must
+    equal the stored header; all rows must have df <= BLOCK_SIZE).
 
     Returns ``(docs_flat:int64, tfs_flat:int32)`` concatenated in row
     order; row i occupies ``[cum_dfs[i], cum_dfs[i+1])``.
     """
     offs = np.asarray(offs, np.int64)
     dfs = np.asarray(dfs, np.int64)
-    n_rows = offs.size
     total = int(dfs.sum())
-    out_starts = np.zeros(n_rows, np.int64)
+    out_starts = np.zeros(offs.size, np.int64)
     np.cumsum(dfs[:-1], out=out_starts[1:])
     deltas = np.empty(total, np.int64)
     tfm1 = np.empty(total, np.int64)
-
-    def _gather_stream(data_start: np.ndarray, codes: np.ndarray,
-                       out: np.ndarray) -> np.ndarray:
-        """Decode one stream (deltas or tf-1) for all rows; returns each
-        row's byte length (header+payload) so the caller can locate the
-        next stream."""
-        stream_len = np.empty(n_rows, np.int64)
-        for code, width in ((0, 0), (253, 1), (254, 2), (255, 4)):
-            m = codes == code
-            if not m.any():
-                continue
-            ds = data_start[m] + 1  # skip the code byte
-            cnt = dfs[m]
-            if code == 0:  # all-equal: one little-endian u4 value per row
-                val = (buf[ds].astype(np.int64)
-                       | (buf[ds + 1].astype(np.int64) << 8)
-                       | (buf[ds + 2].astype(np.int64) << 16)
-                       | (buf[ds + 3].astype(np.int64) << 24))
-                stream_len[m] = 5
-                dst = np.repeat(out_starts[m], cnt) + _intra(cnt)
-                out[dst] = np.repeat(val, cnt)
-                continue
-            stream_len[m] = 1 + cnt * width
-            intra = _intra(cnt)
-            src = np.repeat(ds, cnt) + intra * width
-            dst = np.repeat(out_starts[m], cnt) + intra
-            v = buf[src].astype(np.int64)
-            for b in range(1, width):
-                v |= buf[src + b].astype(np.int64) << (8 * b)
-            out[dst] = v
-        return stream_len
-
     d_start = offs + 4
-    d_len = _gather_stream(d_start, buf[d_start], deltas)
-    t_start = d_start + d_len
-    _gather_stream(t_start, buf[t_start], tfm1)
+    d_len = _gather_stream(buf, d_start, dfs, out_starts, deltas)
+    _gather_stream(buf, d_start + d_len, dfs, out_starts, tfm1)
 
     # segmented cumsum: deltas -> absolute docs per row (first delta of a
     # row is its absolute first doc id)
@@ -472,39 +369,16 @@ def decode_values_batch(
     offs: np.ndarray,
     counts: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized :func:`decode_values` for MANY single-block byte-aligned
-    value streams packed in one uint8 buffer (``counts[i]`` must equal the
+    """Vectorized :func:`decode_values` for MANY single-block value
+    streams packed in one uint8 buffer (``counts[i]`` must equal the
     stored header and be <= BLOCK_SIZE). Returns the concatenated values
     (uint32-ranged int64) in row order."""
     offs = np.asarray(offs, np.int64)
     counts = np.asarray(counts, np.int64)
-    total = int(counts.sum())
     out_starts = np.zeros(offs.size, np.int64)
     np.cumsum(counts[:-1], out=out_starts[1:])
-    out = np.empty(total, np.int64)
-    data_start = offs + 4
-    codes = buf[data_start]
-    for code, width in ((0, 0), (253, 1), (254, 2), (255, 4)):
-        m = codes == code
-        if not m.any():
-            continue
-        ds = data_start[m] + 1
-        cnt = counts[m]
-        if code == 0:
-            val = (buf[ds].astype(np.int64)
-                   | (buf[ds + 1].astype(np.int64) << 8)
-                   | (buf[ds + 2].astype(np.int64) << 16)
-                   | (buf[ds + 3].astype(np.int64) << 24))
-            dst = np.repeat(out_starts[m], cnt) + _intra(cnt)
-            out[dst] = np.repeat(val, cnt)
-            continue
-        intra = _intra(cnt)
-        src = np.repeat(ds, cnt) + intra * width
-        dst = np.repeat(out_starts[m], cnt) + intra
-        v = buf[src].astype(np.int64)
-        for b in range(1, width):
-            v |= buf[src + b].astype(np.int64) << (8 * b)
-        out[dst] = v
+    out = np.empty(int(counts.sum()), np.int64)
+    _gather_stream(buf, offs + 4, counts, out_starts, out)
     return out
 
 
@@ -538,16 +412,14 @@ def decode_block(
     return doc_ids, (t + 1).astype(np.int32)
 
 
-def encode_values(vals: np.ndarray, byte_aligned: bool = True) -> bytes:
+def encode_values(vals: np.ndarray) -> bytes:
     """Generic block-compressed uint32 stream (the ``.pos`` file analogue:
     position deltas flattened across postings, 128-value FOR blocks —
     ``Lucene50PostingsWriter`` pos stream)."""
     vals = np.asarray(vals, dtype=np.uint32)
     out: list[bytes] = [np.uint32(vals.size).tobytes()]
     for b in range((vals.size + BLOCK_SIZE - 1) // BLOCK_SIZE):
-        _encode_stream(
-            out, vals[b * BLOCK_SIZE : (b + 1) * BLOCK_SIZE], byte_aligned
-        )
+        _encode_stream(out, vals[b * BLOCK_SIZE : (b + 1) * BLOCK_SIZE])
     return b"".join(out)
 
 
@@ -568,14 +440,8 @@ def decode_values(payload: bytes | memoryview) -> np.ndarray:
 def first_doc(payload: bytes | memoryview) -> int:
     """First doc id of a payload without decoding (header peek)."""
     buf = memoryview(payload).cast("B")
-    bpv = buf[4]
-    if bpv == 0 or bpv == 255:
-        return int(np.frombuffer(buf, "<u4", count=1, offset=5)[0])
-    if bpv == 253:
-        return int(buf[5])
-    if bpv == 254:
-        return int(np.frombuffer(buf, "<u2", count=1, offset=5)[0])
-    return int(_unpack(buf[5:], 1, bpv)[0])
+    w = 4 if buf[4] == 0 else _width(buf[4])
+    return int(np.frombuffer(buf, _DTYPE[w], count=1, offset=5)[0])
 
 
 def block_offsets(payload: bytes | memoryview, n_docs: int) -> np.ndarray:
@@ -590,17 +456,7 @@ def block_offsets(payload: bytes | memoryview, n_docs: int) -> np.ndarray:
         offs[b] = off
         cnt = min(BLOCK_SIZE, n_docs - pos)
         for _ in range(2):  # doc stream, tf stream
-            bpv = buf[off]
-            off += 1
-            if bpv == 0:
-                off += 4
-            elif bpv == 253:
-                off += cnt
-            elif bpv == 254:
-                off += 2 * cnt
-            elif bpv == 255:
-                off += 4 * cnt
-            else:
-                off += (cnt * bpv + 7) // 8
+            code = buf[off]
+            off += 1 + (4 if code == 0 else _width(code) * cnt)
         pos += cnt
     return offs

@@ -41,6 +41,12 @@ import pyarrow.parquet as pq
 
 from ..analysis import get_analyzer
 from ..codec import BLOCK_SIZE, encode_norm, encode_postings
+from ..codec.postings import (
+    _intra,
+    encode_postings_batch_packed,
+    encode_values,
+    encode_values_batch_packed,
+)
 
 MANIFEST = "manifest.json"
 
@@ -60,6 +66,9 @@ class IndexManifest:
     partitions: list = field(default_factory=list)
     merged: bool = False
     merged_shards: int = 0
+    # postings format marker, always True: byte-aligned FOR is the only
+    # encoding, and load() refuses an index built with the removed
+    # bit-packed one
     byte_aligned: bool = True
     store_positions: bool = False
     store_offsets: bool = False
@@ -88,6 +97,10 @@ class IndexManifest:
     def load(cls, index_dir: str) -> "IndexManifest":
         with open(os.path.join(index_dir, MANIFEST)) as f:
             d = json.load(f)
+        if not d.get("byte_aligned", True):
+            raise ValueError(
+                f"{index_dir} was built with the bit-packed postings "
+                "encoding, which was removed; rebuild the index")
         d["index_dir"] = index_dir
         return cls(**d)
 
@@ -270,26 +283,35 @@ def _invert(
         pos_flat, off_flat, pay_flat
 
 
+def _check_index_options(store_positions: bool, store_offsets: bool,
+                         store_payloads: bool) -> None:
+    if store_offsets and not store_positions:
+        raise ValueError("store_offsets requires store_positions=True "
+                         "(offsets ride the positional .pay layout)")
+    if store_payloads and not store_positions:
+        raise ValueError("store_payloads requires store_positions=True "
+                         "(payloads ride the positional .pay layout)")
+    if store_payloads and store_offsets:
+        raise ValueError("store_payloads and store_offsets are exclusive "
+                         "(one .pay sidecar stream per index)")
+
+
 def build_segment(part: dict, out_dir: str, *, text_field: str,
-                  analyzer_name: str, byte_aligned: bool,
+                  analyzer_name: str, byte_aligned: bool = True,
                   store_positions: bool = False,
                   store_offsets: bool = False,
                   store_payloads: bool = False,
                   docvalues_fields: list[str] | None = None,
                   tokenize_batch_rows: int = 2000) -> dict:
     """Build one partition's segment (one 'DWPT flush'). Pure function of
-    (part descriptor, config); writes atomically; returns manifest row."""
-    if store_offsets and not (store_positions and byte_aligned):
-        raise ValueError(
-            "store_offsets requires store_positions=True and "
-            "byte_aligned=True (offsets ride the positional .pay layout)")
-    if store_payloads and not (store_positions and byte_aligned):
-        raise ValueError(
-            "store_payloads requires store_positions=True and "
-            "byte_aligned=True (payloads ride the positional .pay layout)")
-    if store_payloads and store_offsets:
-        raise ValueError("store_payloads and store_offsets are exclusive "
-                         "(one .pay sidecar stream per index)")
+    (part descriptor, config); writes atomically; returns manifest row.
+
+    ``byte_aligned`` is accepted for callers that pass the manifest's
+    format marker; byte-aligned FOR is the only postings encoding."""
+    if not byte_aligned:
+        raise ValueError("the bit-packed postings encoding was removed; "
+                         "byte_aligned must be True")
+    _check_index_options(store_positions, store_offsets, store_payloads)
     pid = part["partition_id"]
     doc_base = part["doc_base"]
     seg_path = os.path.join(out_dir, "segments", f"part-{pid:05d}.parquet")
@@ -307,8 +329,8 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
         os.stat(part["file"]).st_mtime_ns,
         # codec config: a checkpoint built with different index options
         # must not validate (same input, different segment format)
-        [bool(byte_aligned), bool(store_positions), bool(store_offsets),
-         bool(store_payloads), sorted(docvalues_fields or [])],
+        [bool(store_positions), bool(store_offsets), bool(store_payloads),
+         sorted(docvalues_fields or [])],
     ]
     if os.path.exists(ckpt_path):
         with open(ckpt_path) as f:
@@ -388,10 +410,10 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
     order = np.array([vocab[t] for t in terms_sorted], np.int64)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    a_pos = a_off = a_pay = None
+    # no tokens: these empties make the emit below write an empty segment
+    starts = ends = a_doc = a_tf = np.empty(0, np.int64)
+    a_pos = a_off = a_pay = np.empty(0, np.uint32)
     if tids:
-        from ..codec.postings import _intra
-
         a_tid = rank[np.concatenate(tids)]
         a_doc = np.concatenate(docs)
         a_tf_pre = np.concatenate(tfs)
@@ -420,10 +442,8 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
             np.cumsum(a_tf_pre[:-1], out=src3[1:])
             idx3 = np.repeat(src3[srt], a_tf) + _intra(a_tf)
             a_pay = np.concatenate(pay_parts)[idx3]
-    else:
-        starts = ends = np.empty(0, np.int64)
 
-    a_doc_g = a_doc + doc_base if tids else None
+    a_doc_g = a_doc + doc_base
     os.makedirs(os.path.dirname(seg_path), exist_ok=True)
     os.makedirs(os.path.dirname(norm_path), exist_ok=True)
     os.makedirs(os.path.dirname(ckpt_path), exist_ok=True)
@@ -434,276 +454,152 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
     # file written once at flush, exactly Lucene's "segments are immutable,
     # merges mostly re-point" economics). Layout:
     #     [payload_0 .. payload_n][pos_0 .. pos_n]
-    if starts.size and byte_aligned:
-        # FULLY VECTORIZED emit (no per-term Python loop): single-block
-        # terms (the Zipf body, df <= 128) go through the packed batch
-        # encoder straight into one buffer; only multi-block terms loop.
-        # Positions and offsets take the same shape: single-block streams
-        # (ttf <= 128) via the packed values encoder, the rest per-term.
-        from ..codec.postings import (
-            _intra,
-            encode_postings_batch_packed,
-            encode_values,
-            encode_values_batch_packed,
-        )
+    # FULLY VECTORIZED emit (no per-term Python loop): single-block terms
+    # (the Zipf body, df <= 128) go through the packed batch encoder
+    # straight into one buffer; only multi-block terms loop. Positions and
+    # offsets take the same shape: single-block streams (ttf <= 128) via
+    # the packed values encoder, the rest per-term.
+    n_terms = starts.size
+    df_arr = (ends - starts).astype(np.int64)
+    ttf_arr = np.add.reduceat(a_tf, starts).astype(np.int64)
+    start_doc_arr = a_doc_g[starts]
+    maxtf_term = np.maximum.reduceat(a_tf, starts)
+    maxnorm_term = np.maximum.reduceat(norm_bytes[a_doc], starts)
+    small_m = df_arr <= BLOCK_SIZE
+    sm_idx = np.flatnonzero(small_m)
+    big_idx = np.flatnonzero(~small_m)
+    lens = np.empty(n_terms, np.int64)
+    sm_buf, sm_lens = encode_postings_batch_packed(
+        a_doc_g, a_tf, starts[sm_idx], ends[sm_idx]
+    )
+    lens[sm_idx] = sm_lens
+    big_payloads: list = []
+    big_meta: dict = {}
+    for bi in big_idx.tolist():
+        s, e = int(starts[bi]), int(ends[bi])
+        payload, last, maxtf = encode_postings(
+            a_doc_g[s:e], a_tf[s:e])
+        big_payloads.append(payload)
+        lens[bi] = len(payload)
+        nb = norm_bytes[a_doc[s:e]]
+        mx = np.maximum.reduceat(nb, np.arange(0, nb.size, BLOCK_SIZE))
+        big_meta[bi] = (last, maxtf, mx.astype(np.uint8))
+    offs = np.zeros(n_terms, np.int64)
+    np.cumsum(lens[:-1], out=offs[1:])
+    buf = np.empty(int(lens.sum()), np.uint8)
+    if sm_idx.size:
+        dst = np.repeat(offs[sm_idx], sm_lens) + _intra(sm_lens)
+        buf[dst] = sm_buf
+    for k2, bi in enumerate(big_idx.tolist()):
+        o = int(offs[bi])
+        buf[o : o + int(lens[bi])] = np.frombuffer(
+            big_payloads[k2], np.uint8)
 
-        n_terms = starts.size
-        df_arr = (ends - starts).astype(np.int64)
-        ttf_arr = np.add.reduceat(a_tf, starts).astype(np.int64)
-        start_doc_arr = a_doc_g[starts]
-        maxtf_term = np.maximum.reduceat(a_tf, starts)
-        maxnorm_term = np.maximum.reduceat(norm_bytes[a_doc], starts)
-        small_m = df_arr <= BLOCK_SIZE
-        sm_idx = np.flatnonzero(small_m)
-        big_idx = np.flatnonzero(~small_m)
-        lens = np.empty(n_terms, np.int64)
-        sm_buf, sm_lens = encode_postings_batch_packed(
-            a_doc_g, a_tf, starts[sm_idx], ends[sm_idx]
-        )
-        lens[sm_idx] = sm_lens
-        big_payloads: list = []
-        big_meta: dict = {}
-        for bi in big_idx.tolist():
-            s, e = int(starts[bi]), int(ends[bi])
-            payload, last, maxtf = encode_postings(
-                a_doc_g[s:e], a_tf[s:e], byte_aligned=True)
-            big_payloads.append(payload)
-            lens[bi] = len(payload)
-            nb = norm_bytes[a_doc[s:e]]
-            mx = np.maximum.reduceat(nb, np.arange(0, nb.size, BLOCK_SIZE))
-            big_meta[bi] = (last, maxtf, mx.astype(np.uint8))
-        offs = np.zeros(n_terms, np.int64)
-        np.cumsum(lens[:-1], out=offs[1:])
-        buf = np.empty(int(lens.sum()), np.uint8)
-        if sm_idx.size:
-            dst = np.repeat(offs[sm_idx], sm_lens) + _intra(sm_lens)
-            buf[dst] = sm_buf
-        for k2, bi in enumerate(big_idx.tolist()):
-            o = int(offs[bi])
-            buf[o : o + int(lens[bi])] = np.frombuffer(
-                big_payloads[k2], np.uint8)
+    def _values_section(flat, v_starts, v_ends):
+        """Encode per-term value streams into one section buffer:
+        packed batch for single-block streams, per-term for the
+        rest. Returns (section_buf, per-term lens)."""
+        cnts = v_ends - v_starts
+        sm = np.flatnonzero(cnts <= BLOCK_SIZE)
+        bg = np.flatnonzero(cnts > BLOCK_SIZE)
+        v_lens = np.empty(n_terms, np.int64)
+        vb, vl = encode_values_batch_packed(
+            flat, v_starts[sm], v_ends[sm])
+        v_lens[sm] = vl
+        bg_payloads = []
+        for bi2 in bg.tolist():
+            p = encode_values(flat[int(v_starts[bi2]):int(v_ends[bi2])])
+            bg_payloads.append(p)
+            v_lens[bi2] = len(p)
+        v_offs = np.zeros(n_terms, np.int64)
+        np.cumsum(v_lens[:-1], out=v_offs[1:])
+        sec = np.empty(int(v_lens.sum()), np.uint8)
+        if sm.size:
+            dst = np.repeat(v_offs[sm], vl) + _intra(vl)
+            sec[dst] = vb
+        for k3, bi2 in enumerate(bg.tolist()):
+            o2 = int(v_offs[bi2])
+            sec[o2 : o2 + int(v_lens[bi2])] = np.frombuffer(
+                bg_payloads[k3], np.uint8)
+        return sec, v_lens
 
-        def _values_section(flat, v_starts, v_ends):
-            """Encode per-term value streams into one section buffer:
-            packed batch for single-block streams, per-term for the
-            rest. Returns (section_buf, per-term lens)."""
-            cnts = v_ends - v_starts
-            sm = np.flatnonzero(cnts <= BLOCK_SIZE)
-            bg = np.flatnonzero(cnts > BLOCK_SIZE)
-            v_lens = np.empty(n_terms, np.int64)
-            vb, vl = encode_values_batch_packed(
-                flat, v_starts[sm], v_ends[sm])
-            v_lens[sm] = vl
-            bg_payloads = []
-            for bi2 in bg.tolist():
-                p = encode_values(
-                    flat[int(v_starts[bi2]):int(v_ends[bi2])], True)
-                bg_payloads.append(p)
-                v_lens[bi2] = len(p)
-            v_offs = np.zeros(n_terms, np.int64)
-            np.cumsum(v_lens[:-1], out=v_offs[1:])
-            sec = np.empty(int(v_lens.sum()), np.uint8)
-            if sm.size:
-                dst = np.repeat(v_offs[sm], vl) + _intra(vl)
-                sec[dst] = vb
-            for k3, bi2 in enumerate(bg.tolist()):
-                o2 = int(v_offs[bi2])
-                sec[o2 : o2 + int(v_lens[bi2])] = np.frombuffer(
-                    bg_payloads[k3], np.uint8)
-            return sec, v_lens
-
-        doc_total = int(lens.sum())
-        sections = [buf]
-        if store_positions:
-            tf_cum = np.zeros(a_tf.size + 1, np.int64)
-            np.cumsum(a_tf, out=tf_cum[1:])
-            pos_sec, pos_lens_v = _values_section(
-                a_pos, tf_cum[starts], tf_cum[ends])
-            pos_offs_v = np.full(n_terms, doc_total, np.int64)
-            pos_offs_v[1:] += np.cumsum(pos_lens_v[:-1])
-            sections.append(pos_sec)
-            if store_offsets:
-                off_sec, off_lens_v = _values_section(
-                    a_off, 2 * tf_cum[starts], 2 * tf_cum[ends])
-                base = doc_total + int(pos_lens_v.sum())
-                off_offs_v = np.full(n_terms, base, np.int64)
-                off_offs_v[1:] += np.cumsum(off_lens_v[:-1])
-                sections.append(off_sec)
-            if store_payloads:
-                pay_sec, pay_lens_v = _values_section(
-                    a_pay, tf_cum[starts], tf_cum[ends])
-                base = doc_total + int(pos_lens_v.sum())
-                pay_offs_v = np.full(n_terms, base, np.int64)
-                pay_offs_v[1:] += np.cumsum(pay_lens_v[:-1])
-                sections.append(pay_sec)
-        else:
-            pos_offs_v = np.zeros(n_terms, np.int64)
-            pos_lens_v = np.zeros(n_terms, np.int64)
-        with open(bin_path + ".tmp", "wb") as f:
-            for s_ in sections:
-                f.write(s_.tobytes())
-        os.replace(bin_path + ".tmp", bin_path)
-
-        # block-metadata list columns assembled flat (ListArray offsets)
-        nblocks = np.where(small_m, 1,
-                           (df_arr + BLOCK_SIZE - 1) // BLOCK_SIZE)
-        bl_off = np.zeros(n_terms + 1, np.int64)
-        np.cumsum(nblocks, out=bl_off[1:])
-        totb = int(bl_off[-1])
-        bl_last_v = np.empty(totb, np.int64)
-        bl_maxtf_v = np.empty(totb, np.int32)
-        bl_maxnorm_v = np.empty(totb, np.uint8)
-        sb_pos = bl_off[:-1][sm_idx]
-        bl_last_v[sb_pos] = a_doc_g[ends[sm_idx] - 1]
-        bl_maxtf_v[sb_pos] = maxtf_term[sm_idx]
-        bl_maxnorm_v[sb_pos] = maxnorm_term[sm_idx]
-        for bi, (last, maxtf, mnorm) in big_meta.items():
-            p0 = int(bl_off[bi])
-            bl_last_v[p0 : p0 + last.size] = last
-            bl_maxtf_v[p0 : p0 + maxtf.size] = maxtf
-            bl_maxnorm_v[p0 : p0 + mnorm.size] = mnorm
-
-        def _list_arr(vals, typ):
-            return pa.ListArray.from_arrays(
-                pa.array(bl_off, pa.int32()), pa.array(vals, typ))
-
-        num_postings = int(df_arr.sum())
-        cols = {
-            "term": pa.array(terms_sorted, pa.string()),
-            "pid": pa.array(np.full(n_terms, pid, np.int32)),
-            "df": pa.array(df_arr.astype(np.int32)),
-            "ttf": pa.array(ttf_arr),
-            "start_doc": pa.array(start_doc_arr.astype(np.int64)),
-            "offset": pa.array(offs),
-            "length": pa.array(lens),
-            "pos_offset": pa.array(pos_offs_v),
-            "pos_length": pa.array(pos_lens_v),
-            "block_last": _list_arr(bl_last_v, pa.int64()),
-            "block_max_tf": _list_arr(bl_maxtf_v, pa.int32()),
-            "block_max_norm": _list_arr(bl_maxnorm_v, pa.uint8()),
-        }
+    doc_total = int(lens.sum())
+    sections = [buf]
+    if store_positions:
+        tf_cum = np.zeros(a_tf.size + 1, np.int64)
+        np.cumsum(a_tf, out=tf_cum[1:])
+        pos_sec, pos_lens_v = _values_section(
+            a_pos, tf_cum[starts], tf_cum[ends])
+        pos_offs_v = np.full(n_terms, doc_total, np.int64)
+        pos_offs_v[1:] += np.cumsum(pos_lens_v[:-1])
+        sections.append(pos_sec)
         if store_offsets:
-            cols["off_offset"] = pa.array(off_offs_v)
-            cols["off_length"] = pa.array(off_lens_v)
+            off_sec, off_lens_v = _values_section(
+                a_off, 2 * tf_cum[starts], 2 * tf_cum[ends])
+            base = doc_total + int(pos_lens_v.sum())
+            off_offs_v = np.full(n_terms, base, np.int64)
+            off_offs_v[1:] += np.cumsum(off_lens_v[:-1])
+            sections.append(off_sec)
         if store_payloads:
-            cols["pay_offset"] = pa.array(pay_offs_v)
-            cols["pay_length"] = pa.array(pay_lens_v)
-        seg_tbl = pa.table(cols)
+            pay_sec, pay_lens_v = _values_section(
+                a_pay, tf_cum[starts], tf_cum[ends])
+            base = doc_total + int(pos_lens_v.sum())
+            pay_offs_v = np.full(n_terms, base, np.int64)
+            pay_offs_v[1:] += np.cumsum(pay_lens_v[:-1])
+            sections.append(pay_sec)
     else:
-        # bit-packed / empty builds: per-term loop with the
-        # singleton-struct and small-block fast paths
-        payloads, dfs, ttfs, start_docs = [], [], [], []
-        pos_payloads: list = []
-        bl_last, bl_maxtf, bl_maxnorm = [], [], []
-        if store_positions and tids:
-            tf_cum = np.zeros(a_tf.size + 1, np.int64)
-            np.cumsum(a_tf, out=tf_cum[1:])
-        from ..codec.postings import encode_values
+        pos_offs_v = np.zeros(n_terms, np.int64)
+        pos_lens_v = np.zeros(n_terms, np.int64)
+    with open(bin_path + ".tmp", "wb") as f:
+        for s_ in sections:
+            f.write(s_.tobytes())
+    os.replace(bin_path + ".tmp", bin_path)
 
-        if starts.size:
-            # df==1 fast path (the Zipf majority; singletonDocID analogue,
-            # Lucene50PostingsWriter.java:325-330): fixed 14-byte structs
-            # built in one vectorized pass
-            df_arr = ends - starts
-            single = df_arr == 1
-            sdt = np.dtype([("n", "<u4"), ("b1", "u1"), ("d", "<u4"),
-                            ("b2", "u1"), ("t", "<u4")])
-            s_idx = starts[single]
-            s_arr = np.empty(s_idx.size, sdt)
-            s_arr["n"] = 1
-            s_arr["b1"] = 0
-            s_arr["d"] = a_doc_g[s_idx]
-            s_arr["b2"] = 0
-            s_arr["t"] = a_tf[s_idx] - 1
-            singles_blob = s_arr.tobytes()
-        small_payloads: dict[int, bytes] = {}
-        if starts.size and byte_aligned:
-            small_mask = (df_arr >= 2) & (df_arr <= BLOCK_SIZE)
-            sm_idx2 = np.flatnonzero(small_mask)
-            if sm_idx2.size:
-                from ..codec.postings import encode_postings_batch
+    # block-metadata list columns assembled flat (ListArray offsets)
+    nblocks = np.where(small_m, 1,
+                       (df_arr + BLOCK_SIZE - 1) // BLOCK_SIZE)
+    bl_off = np.zeros(n_terms + 1, np.int64)
+    np.cumsum(nblocks, out=bl_off[1:])
+    totb = int(bl_off[-1])
+    bl_last_v = np.empty(totb, np.int64)
+    bl_maxtf_v = np.empty(totb, np.int32)
+    bl_maxnorm_v = np.empty(totb, np.uint8)
+    sb_pos = bl_off[:-1][sm_idx]
+    bl_last_v[sb_pos] = a_doc_g[ends[sm_idx] - 1]
+    bl_maxtf_v[sb_pos] = maxtf_term[sm_idx]
+    bl_maxnorm_v[sb_pos] = maxnorm_term[sm_idx]
+    for bi, (last, maxtf, mnorm) in big_meta.items():
+        p0 = int(bl_off[bi])
+        bl_last_v[p0 : p0 + last.size] = last
+        bl_maxtf_v[p0 : p0 + maxtf.size] = maxtf
+        bl_maxnorm_v[p0 : p0 + mnorm.size] = mnorm
 
-                plist = encode_postings_batch(
-                    a_doc_g, a_tf, starts[sm_idx2], ends[sm_idx2]
-                )
-                small_payloads = dict(zip(sm_idx2.tolist(), plist))
+    def _list_arr(vals, typ):
+        return pa.ListArray.from_arrays(
+            pa.array(bl_off, pa.int32()), pa.array(vals, typ))
 
-        j = 0  # index into singles
-        for ti, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
-            start_docs.append(int(a_doc_g[s]))
-            if store_positions:
-                flat = a_pos[tf_cum[s]:tf_cum[e]]
-                pos_payloads.append(encode_values(flat, byte_aligned))
-            if e - s == 1:
-                payloads.append(singles_blob[j * 14 : (j + 1) * 14])
-                j += 1
-                dfs.append(1)
-                ttfs.append(int(a_tf[s]))
-                bl_last.append([int(a_doc_g[s])])
-                bl_maxtf.append([int(a_tf[s])])
-                bl_maxnorm.append([int(norm_bytes[a_doc[s]])])
-                continue
-            t = a_tf[s:e]
-            sp = small_payloads.get(ti)
-            if sp is not None:
-                payloads.append(sp)
-                dfs.append(e - s)
-                ttfs.append(int(t.sum()))
-                bl_last.append([int(a_doc_g[e - 1])])
-                bl_maxtf.append([int(t.max())])
-                bl_maxnorm.append([int(norm_bytes[a_doc[s:e]].max())])
-                continue
-            d = a_doc_g[s:e]
-            payload, last, maxtf = encode_postings(
-                d, t, byte_aligned=byte_aligned)
-            payloads.append(payload)
-            dfs.append(e - s)
-            ttfs.append(int(t.sum()))
-            bl_last.append(last.tolist())
-            bl_maxtf.append(maxtf.tolist())
-            # per-block max norm byte (= smallest field length -> UB input)
-            nb = norm_bytes[(d - doc_base)]
-            mx = np.maximum.reduceat(nb, np.arange(0, nb.size, BLOCK_SIZE))
-            bl_maxnorm.append(mx.astype(np.uint8).tolist())
-
-        lens = np.fromiter((len(p) for p in payloads), np.int64,
-                           count=len(payloads))
-        offs = np.zeros(lens.size, np.int64)
-        if lens.size:
-            np.cumsum(lens[:-1], out=offs[1:])
-        pos_base = int(lens.sum())
-        if store_positions:
-            pos_lens = np.fromiter(
-                (len(p) for p in pos_payloads), np.int64,
-                count=len(pos_payloads))
-        else:
-            pos_lens = np.zeros(lens.size, np.int64)
-        pos_offs = np.full(lens.size, pos_base, np.int64)
-        if lens.size:
-            pos_offs[1:] += np.cumsum(pos_lens[:-1])
-        with open(bin_path + ".tmp", "wb") as f:
-            for p in payloads:
-                f.write(p)
-            if store_positions:
-                for p in pos_payloads:
-                    f.write(p)
-        os.replace(bin_path + ".tmp", bin_path)
-
-        num_postings = int(sum(dfs))
-        seg_tbl = pa.table({
-            "term": pa.array(terms_sorted, pa.string()),
-            "pid": pa.array(np.full(len(terms_sorted), pid, np.int32)),
-            "df": pa.array(np.asarray(dfs, np.int32)),
-            "ttf": pa.array(np.asarray(ttfs, np.int64)),
-            "start_doc": pa.array(np.asarray(start_docs, np.int64)),
-            "offset": pa.array(offs),
-            "length": pa.array(lens),
-            "pos_offset": pa.array(pos_offs),
-            "pos_length": pa.array(pos_lens),
-            "block_last": pa.array(bl_last, pa.list_(pa.int64())),
-            "block_max_tf": pa.array(bl_maxtf, pa.list_(pa.int32())),
-            "block_max_norm": pa.array(bl_maxnorm, pa.list_(pa.uint8())),
-        })
+    num_postings = int(df_arr.sum())
+    cols = {
+        "term": pa.array(terms_sorted, pa.string()),
+        "pid": pa.array(np.full(n_terms, pid, np.int32)),
+        "df": pa.array(df_arr.astype(np.int32)),
+        "ttf": pa.array(ttf_arr),
+        "start_doc": pa.array(start_doc_arr.astype(np.int64)),
+        "offset": pa.array(offs),
+        "length": pa.array(lens),
+        "pos_offset": pa.array(pos_offs_v),
+        "pos_length": pa.array(pos_lens_v),
+        "block_last": _list_arr(bl_last_v, pa.int64()),
+        "block_max_tf": _list_arr(bl_maxtf_v, pa.int32()),
+        "block_max_norm": _list_arr(bl_maxnorm_v, pa.uint8()),
+    }
+    if store_offsets:
+        cols["off_offset"] = pa.array(off_offs_v)
+        cols["off_length"] = pa.array(off_lens_v)
+    if store_payloads:
+        cols["pay_offset"] = pa.array(pay_offs_v)
+        cols["pay_length"] = pa.array(pay_lens_v)
+    seg_tbl = pa.table(cols)
     pq.write_table(seg_tbl, seg_path + ".tmp")
     os.replace(seg_path + ".tmp", seg_path)
 
@@ -739,7 +635,7 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
 
 
 def _segment_task(batch: dict, *, out_dir: str, text_field: str,
-                  analyzer_name: str, byte_aligned: bool,
+                  analyzer_name: str,
                   store_positions: bool = False,
                   store_offsets: bool = False,
                   store_payloads: bool = False,
@@ -761,7 +657,7 @@ def _segment_task(batch: dict, *, out_dir: str, text_field: str,
         }
         row = build_segment(
             part, out_dir, text_field=text_field,
-            analyzer_name=analyzer_name, byte_aligned=byte_aligned,
+            analyzer_name=analyzer_name,
             store_positions=store_positions, store_offsets=store_offsets,
             store_payloads=store_payloads,
             docvalues_fields=docvalues_fields,
@@ -777,7 +673,6 @@ def build_index(
     text_field: str = "content",
     analyzer: str = "standard",
     rows_per_partition: int = 20_000,
-    byte_aligned: bool = True,
     store_positions: bool = False,
     store_offsets: bool = False,
     store_payloads: bool = False,
@@ -789,20 +684,13 @@ def build_index(
 
     import ray.data as rd
 
-    if store_offsets and not (store_positions and byte_aligned):
-        raise ValueError(
-            "store_offsets requires store_positions=True and "
-            "byte_aligned=True (offsets ride the positional .pay layout)")
-    if store_payloads and not (store_positions and byte_aligned):
-        raise ValueError(
-            "store_payloads requires store_positions=True and "
-            "byte_aligned=True (payloads ride the positional .pay layout)")
+    _check_index_options(store_positions, store_offsets, store_payloads)
     os.makedirs(out_dir, exist_ok=True)
     parts = plan_partitions(source, rows_per_partition)
     ds = rd.from_items(parts)
     fn = functools.partial(
         _segment_task, out_dir=out_dir, text_field=text_field,
-        analyzer_name=analyzer, byte_aligned=byte_aligned,
+        analyzer_name=analyzer,
         store_positions=store_positions, store_offsets=store_offsets,
         store_payloads=store_payloads, docvalues_fields=docvalues_fields,
     )
@@ -834,7 +722,6 @@ def build_index(
         sum_total_term_freq=sum(r["sum_len"] for r in rows),
         num_partitions=len(rows),
         partitions=rows,
-        byte_aligned=byte_aligned,
         store_positions=store_positions,
         store_offsets=store_offsets,
         store_payloads=store_payloads,

@@ -112,8 +112,8 @@ def _mmap(path: str) -> memoryview:
 
 
 class _MetaView:
-    """Columnar view of a sorted term-metadata batch (numpy columns +
-    (offsets, values) pairs for the list columns — no per-row pylist)."""
+    """Columnar view of a sorted term-metadata batch (numpy columns + the
+    (offsets, values) pair of ``block_max_norm`` — no per-row pylist)."""
 
     def __init__(self, batch: pa.Table):
         self.term_col = batch["term"].combine_chunks()
@@ -126,18 +126,11 @@ class _MetaView:
         self.lengths = batch["length"].to_numpy()
         self.pos_offsets = batch["pos_offset"].to_numpy()
         self.pos_lengths = batch["pos_length"].to_numpy()
-        self._lists = {}
-        for name in ("block_last", "block_max_tf", "block_max_norm"):
-            arr = batch[name].combine_chunks()
-            self._lists[name] = (arr.offsets.to_numpy(),
-                                 arr.values.to_numpy())
+        arr = batch["block_max_norm"].combine_chunks()
+        self.max_norms = (arr.offsets.to_numpy(), arr.values.to_numpy())
 
     def term(self, i: int) -> str:
         return self.term_col[int(i)].as_py()
-
-    def lst(self, name: str, i: int) -> np.ndarray:
-        off, vals = self._lists[name]
-        return vals[off[i]:off[i + 1]]
 
 
 def _payload_slice(index_dir: str, pid: int, off: int, ln: int) -> memoryview:
@@ -145,69 +138,16 @@ def _payload_slice(index_dir: str, pid: int, off: int, ln: int) -> memoryview:
     return mv[off : off + ln]
 
 
-def _compact_group(
-    v: _MetaView, rows: np.ndarray, index_dir: str, byte_aligned: bool,
-    chunk_docs: int, use_positions: bool,
-) -> list[dict]:
-    """Decode a small fragmented group's payload slices from the segment
-    bins, concat in pid order, re-encode into compact chunk dicts."""
-    term = v.term(rows[0])
-    salt = int(v.salts[rows[0]])
-    order = rows[np.argsort(v.pids[rows], kind="stable")]
-    docs_l, tfs_l, pos_l = [], [], []
-    max_norm = 0
-    for i in order.tolist():
-        pl = _payload_slice(index_dir, int(v.pids[i]),
-                            int(v.offsets[i]), int(v.lengths[i]))
-        d, f = decode_postings(pl)
-        docs_l.append(d)
-        tfs_l.append(f)
-        if use_positions:
-            pp = _payload_slice(index_dir, int(v.pids[i]),
-                                int(v.pos_offsets[i]), int(v.pos_lengths[i]))
-            pos_l.append(decode_values(pp))
-        mn = v.lst("block_max_norm", i)
-        if mn.size:
-            max_norm = max(max_norm, int(mn.max()))
-    docs = np.concatenate(docs_l)
-    tfs = np.concatenate(tfs_l)
-    pos_flat = np.concatenate(pos_l) if pos_l else None
-    tf_cum = np.concatenate(([0], np.cumsum(tfs))) if pos_flat is not None \
-        else None
-    out = []
-    for c in range((docs.size + chunk_docs - 1) // chunk_docs):
-        lo, hi = c * chunk_docs, min((c + 1) * chunk_docs, docs.size)
-        payload, last, maxtf = encode_postings(
-            docs[lo:hi], tfs[lo:hi], byte_aligned=byte_aligned
-        )
-        out.append({
-            "term": term,
-            "chunk_id": salt * SALT_STRIDE + c,
-            "df": hi - lo,
-            "ttf": int(tfs[lo:hi].sum()),
-            "start_doc": int(docs[lo]),
-            "payload": payload,
-            "positions": (
-                encode_values(pos_flat[tf_cum[lo]:tf_cum[hi]], byte_aligned)
-                if pos_flat is not None else b""
-            ),
-            "block_last": last,
-            "block_max_tf": maxtf,
-            "block_max_norm": np.full(last.size, max_norm, np.uint8),
-        })
-    return out
-
-
 def _compact_groups_vectorized(
     v: _MetaView, group_id: np.ndarray, cp_group: np.ndarray,
     index_dir: str, chunk_docs: int, use_positions: bool = False,
 ) -> list[dict]:
     """Compact ALL small fragmented groups of a sorted batch in one
-    vectorized pass (byte-aligned, no-positions indexes): gather the
-    payload byte slices per source segment with fancy indexing, decode all
-    single-block rows at once (``decode_postings_batch``), then re-encode
-    per group. Replaces the per-row Python decode that dominated merge
-    wall time (the Zipf tail is ~98% of term-dict rows)."""
+    vectorized pass: gather the payload byte slices per source segment
+    with fancy indexing, decode all single-block rows at once
+    (``decode_postings_batch``), then re-encode per group. A per-row
+    Python decode would dominate merge wall time (the Zipf tail is ~98%
+    of term-dict rows)."""
     from ..codec.postings import _intra, decode_postings_batch
 
     rows = np.flatnonzero(cp_group[group_id])
@@ -293,7 +233,7 @@ def _compact_groups_vectorized(
 
     # per-row -> per-group max norm byte (upper bound; df>0 rows always
     # have at least one block entry, so reduceat segments are non-empty)
-    boff, bvals = v._lists["block_max_norm"]
+    boff, bvals = v.max_norms
     if boff[-1] > 0:
         row_max_all = np.maximum.reduceat(bvals, boff[:-1])
     else:
@@ -320,9 +260,7 @@ def _compact_groups_vectorized(
         max_norm = int(g_norm[k])
         for c in range((gd.size + chunk_docs - 1) // chunk_docs):
             lo, hi = c * chunk_docs, min((c + 1) * chunk_docs, gd.size)
-            payload, last, maxtf = encode_postings(
-                gd[lo:hi], gt[lo:hi], byte_aligned=True
-            )
+            payload, last, maxtf = encode_postings(gd[lo:hi], gt[lo:hi])
             out.append({
                 "term": term,
                 "chunk_id": salt * SALT_STRIDE + c,
@@ -332,7 +270,7 @@ def _compact_groups_vectorized(
                 "start_doc": int(gd[lo]),
                 "payload": payload,
                 "positions": (
-                    encode_values(gp[g_tf_cum[lo]:g_tf_cum[hi]], True)
+                    encode_values(gp[g_tf_cum[lo]:g_tf_cum[hi]])
                     if pos_flat is not None else b""
                 ),
                 "block_last": last,
@@ -431,9 +369,8 @@ def _write_terms_file(tables: list[pa.Table], out_dir: str,
 
 
 def _merge_batch(
-    batch: pa.Table, index_dir: str, out_dir: str, byte_aligned: bool,
-    chunk_docs: int, use_positions: bool,
-    reencode_max_docs: int = REENCODE_MAX_DOCS,
+    batch: pa.Table, index_dir: str, out_dir: str, chunk_docs: int,
+    use_positions: bool, reencode_max_docs: int = REENCODE_MAX_DOCS,
 ) -> pa.Table:
     """Merge all interior (term, salt) groups of a sorted metadata batch;
     return the boundary rows (first & last key of the block) unmerged."""
@@ -476,18 +413,10 @@ def _merge_batch(
     if pt_rows.size:
         tables.append(_passthrough_table(batch, v, pt_rows, rank_of))
 
-    if byte_aligned:
-        chunks = _compact_groups_vectorized(
-            v, group_id, cp_group, index_dir, chunk_docs,
-            use_positions=use_positions,
-        )
-    else:  # bit-packed indexes: per-group scalar path
-        chunks = []
-        for g in np.flatnonzero(cp_group).tolist():
-            chunks.extend(_compact_group(
-                v, np.arange(starts[g], ends[g]), index_dir, byte_aligned,
-                chunk_docs, use_positions,
-            ))
+    chunks = _compact_groups_vectorized(
+        v, group_id, cp_group, index_dir, chunk_docs,
+        use_positions=use_positions,
+    )
     name = hashlib.sha1(
         f"{v.term(0)}:{n}:{pt_rows.size}:{len(chunks)}".encode()
     ).hexdigest()[:16]
@@ -543,7 +472,6 @@ def merge_index(
         salt = np.where(dfs >= cut, pids // gsize, 0).astype(np.int32)
         return batch.append_column("salt", pa.array(salt))
 
-    byte_aligned = man.byte_aligned
     use_positions = man.store_positions
     tmp_out = out_dir + ".tmp"
     total_rows = sum(r.get("num_terms", 0) for r in man.partitions) or 1
@@ -564,9 +492,8 @@ def merge_index(
         .map_batches(add_salt, batch_format="pyarrow", batch_size=None)
         .sort(["term", "salt"])
         .map_batches(
-            lambda b: _merge_batch(b, index_dir, tmp_out, byte_aligned,
-                                   chunk_docs, use_positions,
-                                   reencode_max_docs),
+            lambda b: _merge_batch(b, index_dir, tmp_out, chunk_docs,
+                                   use_positions, reencode_max_docs),
             batch_format="pyarrow",
             batch_size=None,
         )
@@ -604,8 +531,7 @@ def merge_index(
                         max_norm = max(max_norm, int(bn.max()))
                 docs = np.concatenate(docs_l)
                 tfs = np.concatenate(tfs_l)
-                payload, last, maxtf = encode_postings(
-                    docs, tfs, byte_aligned=byte_aligned)
+                payload, last, maxtf = encode_postings(docs, tfs)
                 chunks.append({
                     "term": term,
                     "chunk_id": salt * SALT_STRIDE,
@@ -614,7 +540,7 @@ def merge_index(
                     "start_doc": int(docs[0]),
                     "payload": payload,
                     "positions": (
-                        encode_values(np.concatenate(pos_l), byte_aligned)
+                        encode_values(np.concatenate(pos_l))
                         if pos_l else b""
                     ),
                     "block_last": last,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
@@ -129,69 +129,6 @@ class TieredMergePolicy:
             eligible = [s for s in eligible if id(s) not in chosen]
 
 
-class LogMergePolicy:
-    """``index/LogMergePolicy.java`` (LogByteSize / LogDoc): segments
-    bucket into geometric LEVELS by log(size)/log(mergeFactor); within
-    a level, every run of ``merge_factor`` adjacent segments merges.
-    The level floor is the level's max log size minus LEVEL_LOG_SPAN
-    (0.75) — the reference's exact leveling rule.  ``by_docs=True`` is
-    LogDocMergePolicy (doc counts as the size measure); False is
-    LogByteSizeMergePolicy."""
-
-    LEVEL_LOG_SPAN = 0.75
-
-    def __init__(self, merge_factor: int = 10, *, by_docs: bool = False,
-                 min_merge_size: int = 1):
-        if merge_factor < 2:
-            raise ValueError("mergeFactor must be >= 2")
-        self.merge_factor = merge_factor
-        self.by_docs = by_docs
-        self.min_merge_size = min_merge_size
-
-    def find_merges(self, infos: list[SegmentSizeInfo]
-                    ) -> list[list[SegmentSizeInfo]]:
-        import math
-
-        if not infos:
-            return []
-        mf = float(self.merge_factor)
-        # floored log-level per segment, in the ON-DISK order (the
-        # reference merges only ADJACENT segments)
-        norm = math.log(mf)
-        # the size measure rides SegmentSizeInfo.bytes: on-disk bytes
-        # for LogByteSize, doc counts for LogDoc (caller fills it)
-        levels = [
-            math.log(max(info.bytes, self.min_merge_size)) / norm
-            for info in infos
-        ]
-        merges: list[list[SegmentSizeInfo]] = []
-        start = 0
-        n = len(infos)
-        while start < n:
-            # the current level = max over the unprocessed window,
-            # floored by LEVEL_LOG_SPAN
-            max_level = max(levels[start:])
-            bottom = max_level - self.LEVEL_LOG_SPAN
-            # find the rightmost segment still in this level; everything
-            # [start..upto] is one level window
-            upto = n - 1
-            while upto >= start and levels[upto] < bottom:
-                upto -= 1
-            # emit full mergeFactor runs inside the window
-            i = start
-            while i + self.merge_factor <= upto + 1:
-                merges.append(infos[i:i + self.merge_factor])
-                i += self.merge_factor
-            start = upto + 1
-        return merges
-
-
-class LogDocMergePolicy(LogMergePolicy):
-    def __init__(self, merge_factor: int = 10, min_merge_docs: int = 1):
-        super().__init__(merge_factor, by_docs=True,
-                         min_merge_size=min_merge_docs)
-
-
 def list_append_segments(index_dir: str) -> list[SegmentSizeInfo]:
     """Eligible segments = the NRT append terms files plus the delta bins
     they reference (size = terms parquet + referenced bins)."""
@@ -228,8 +165,7 @@ def _resolve_bin(index_dir: str, merged_dir: str, ref: str) -> str:
 
 
 def execute_merge(index_dir: str, terms_paths: list[str], *,
-                  reencode_max_docs: int = 4096,
-                  byte_aligned: bool = True) -> str:
+                  reencode_max_docs: int = 4096) -> str:
     """Compact the given append terms files into one tier terms file.
 
     Terms whose total df across the candidate is small are decoded from
@@ -333,8 +269,7 @@ def execute_merge(index_dir: str, terms_paths: list[str], *,
             pos_sorted = (np.concatenate(pieces) if pieces
                           else np.empty(0, np.int64))
         docs, tfs = docs[srt], tfs[srt]
-        payload, last, maxtf = encode_postings(
-            docs, tfs, byte_aligned=byte_aligned)
+        payload, last, maxtf = encode_postings(docs, tfs)
         chunks.append({
             "term": str(terms[starts[g]]),
             "chunk_id": 20_000_000 + g,
@@ -342,8 +277,7 @@ def execute_merge(index_dir: str, terms_paths: list[str], *,
             "ttf": int(tfs.sum()),
             "start_doc": int(docs[0]),
             "payload": payload,
-            "positions": (encode_values(pos_sorted, byte_aligned)
-                          if pos_l else b""),
+            "positions": encode_values(pos_sorted) if pos_l else b"",
             "block_last": last,
             "block_max_tf": maxtf,
             "block_max_norm": np.full(last.size, max_norm, np.uint8),

@@ -101,14 +101,13 @@ def build_multi_index(
         fdir = os.path.join(out_dir, "fields", fname)
         os.makedirs(fdir, exist_ok=True)
         # per-field codec granularity (PerFieldPostingsFormat.java):
-        # each field picks its own postings codec + index options
+        # each field picks its own analyzer + index options
         man = build_index(
             source, fdir, text_field=cfg.get("source_column", fname),
             analyzer=cfg.get("analyzer", "standard"),
             store_positions=cfg.get("positions", False),
             store_offsets=cfg.get("offsets", False),
             store_payloads=cfg.get("payloads", False),
-            byte_aligned=cfg.get("byte_aligned", True),
             rows_per_partition=rows_per_partition, **kw,
         )
         if merge:
@@ -121,8 +120,6 @@ def build_multi_index(
                             "k1": cfg.get("k1"),
                             "b": cfg.get("b"),
                             "codec": {
-                                "byte_aligned": cfg.get("byte_aligned",
-                                                        True),
                                 "positions": cfg.get("positions", False),
                                 "offsets": cfg.get("offsets", False),
                                 "payloads": cfg.get("payloads", False),

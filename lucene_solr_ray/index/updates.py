@@ -53,7 +53,7 @@ def append_segment(index_dir: str, table: pa.Table) -> dict:
     row = build_segment(
         part, index_dir, text_field=man.field,
         analyzer_name=man.resolve_analyzer(),
-        byte_aligned=man.byte_aligned, store_positions=man.store_positions,
+        store_positions=man.store_positions,
         store_offsets=getattr(man, "store_offsets", False),
         store_payloads=getattr(man, "store_payloads", False),
     )

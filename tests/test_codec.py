@@ -34,7 +34,6 @@ def seed_postings(seed: int, df: int, maxdoc: int):
     return docs, tfs
 
 
-@pytest.mark.parametrize("byte_aligned", [True, False])
 @pytest.mark.parametrize(
     "seed,df,maxdoc",
     [
@@ -47,11 +46,9 @@ def seed_postings(seed: int, df: int, maxdoc: int):
         (7, 777, 1 << 33),    # doc ids beyond int32
     ],
 )
-def test_roundtrip(seed, df, maxdoc, byte_aligned):
+def test_roundtrip(seed, df, maxdoc):
     docs, tfs = seed_postings(seed, df, maxdoc)
-    payload, block_last, block_maxtf = encode_postings(
-        docs, tfs, byte_aligned=byte_aligned
-    )
+    payload, block_last, block_maxtf = encode_postings(docs, tfs)
     got_docs, got_tfs = decode_postings(payload)
     np.testing.assert_array_equal(got_docs, docs)
     np.testing.assert_array_equal(got_tfs, tfs)
@@ -65,10 +62,9 @@ def test_roundtrip(seed, df, maxdoc, byte_aligned):
         assert block_last[b] == docs[hi - 1]
 
 
-@pytest.mark.parametrize("byte_aligned", [True, False])
-def test_block_skip_decode(byte_aligned):
+def test_block_skip_decode():
     docs, tfs = seed_postings(11, 1000, 500_000)
-    payload, block_last, _ = encode_postings(docs, tfs, byte_aligned=byte_aligned)
+    payload, block_last, _ = encode_postings(docs, tfs)
     offs = block_offsets(payload, len(docs))
     for b in range(len(offs)):
         prev = 0 if b == 0 else int(block_last[b - 1])
@@ -81,9 +77,42 @@ def test_block_skip_decode(byte_aligned):
 def test_compression_is_real():
     docs = np.arange(0, 100_000, 7, dtype=np.int64)  # deltas all 7
     tfs = np.ones(docs.size, np.int64)
-    payload, _, _ = encode_postings(docs, tfs, byte_aligned=False)
+    payload, _, _ = encode_postings(docs, tfs)
     # all-equal blocks: ~5 bytes per stream per block
     assert len(payload) < docs.size  # far smaller than 4 bytes/doc
+
+
+def test_unknown_width_code_rejected():
+    """Every decoder raises on a width code outside {0, 253, 254, 255}
+    instead of returning values it never read."""
+    from lucene_solr_ray.codec.postings import (
+        decode_postings_batch,
+        decode_values,
+        decode_values_batch,
+        first_doc,
+    )
+
+    pad = bytes(64)
+    u4 = np.uint32(3).tobytes()
+    bad_doc = u4 + bytes([7]) + pad                       # doc stream code 7
+    bad_tf = u4 + bytes([253, 1, 2, 3]) + bytes([7]) + pad  # tf stream code 7
+    for payload in (bad_doc, bad_tf):
+        buf = np.frombuffer(payload, np.uint8)
+        with pytest.raises(ValueError, match="width code 7"):
+            decode_postings(payload)
+        with pytest.raises(ValueError, match="width code 7"):
+            block_offsets(payload, 3)
+        with pytest.raises(ValueError, match="width code 7"):
+            decode_block(payload, np.array([4]), 0, 3, 0)
+        with pytest.raises(ValueError, match="width code 7"):
+            decode_postings_batch(buf, np.array([0]), np.array([3]))
+    buf = np.frombuffer(bad_doc, np.uint8)
+    with pytest.raises(ValueError, match="width code 7"):
+        first_doc(bad_doc)
+    with pytest.raises(ValueError, match="width code 7"):
+        decode_values(bad_doc)
+    with pytest.raises(ValueError, match="width code 7"):
+        decode_values_batch(buf, np.array([0]), np.array([3]))
 
 
 def test_smallfloat_golden():

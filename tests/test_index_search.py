@@ -392,3 +392,63 @@ def test_docvalues_queries_numeric_and_string(index_dir, corpus_dir):
                           np.flatnonzero(np.isin(vals, [5, 17, 400])))
     # open bounds
     assert s._docs_only(DocValuesRangeQuery("num")).size == s.max_doc
+
+
+def test_stopword_only_partition_builds_empty_segment(tmp_path_factory,
+                                                      ray_session):
+    """A partition whose text analyzes to no tokens writes an empty
+    segment, and search and merge over its neighbours stay correct — with
+    positions off, on, and on with offsets."""
+    import pyarrow as pa
+
+    from lucene_solr_ray.index.check import check_merged
+
+    d = tmp_path_factory.mktemp("stop_corpus")
+    tbl = generate_table(200, seed=17)
+    content = ["the and of a to in"] * 100 + [
+        f"foo row {i}" if i % 3 == 0 else f"bar row {i}"
+        for i in range(100, 200)]
+    tbl = tbl.set_column(tbl.schema.get_field_index("content"), "content",
+                         pa.array(content, pa.string()))
+    pq.write_table(tbl, str(d / "c.parquet"), row_group_size=100)
+    want = [i for i in range(100, 200) if i % 3 == 0]
+    for opts in ({}, {"store_positions": True},
+                 {"store_positions": True, "store_offsets": True}):
+        out = str(tmp_path_factory.mktemp("stop_idx"))
+        man = build_index(str(d), out, rows_per_partition=100, **opts)
+        assert man.num_partitions == 2
+        assert man.partitions[0]["num_terms"] == 0, opts
+        before = IndexSearcher(out).search(TermQuery("foo"), k=200)
+        assert sorted(before.to_pydict()["doc_id"]) == want, opts
+        merge_index(out)
+        after = IndexSearcher(out).search(TermQuery("foo"), k=200)
+        assert after.to_pydict() == before.to_pydict(), opts
+        assert check_merged(out)["ok"], opts
+
+
+def test_bit_packed_index_refused(tmp_path_factory, ray_session):
+    """An index whose manifest records the removed bit-packed encoding
+    (``byte_aligned: false``) is refused on open instead of decoded."""
+    import json
+
+    from lucene_solr_ray.index.build import build_segment, plan_partitions
+
+    d = tmp_path_factory.mktemp("bp_corpus")
+    pq.write_table(generate_table(100, seed=5), str(d / "c.parquet"))
+    out = str(tmp_path_factory.mktemp("bp_idx"))
+    build_index(str(d), out, rows_per_partition=100)
+    path = os.path.join(out, "manifest.json")
+    with open(path) as f:
+        man = json.load(f)
+    man["byte_aligned"] = False
+    with open(path, "w") as f:
+        json.dump(man, f)
+    with pytest.raises(ValueError, match="bit-packed"):
+        IndexSearcher(out)
+    with pytest.raises(ValueError, match="bit-packed"):
+        merge_index(out)
+    part = plan_partitions(str(d), 100)[0]
+    with pytest.raises(ValueError, match="byte_aligned"):
+        build_segment(part, str(tmp_path_factory.mktemp("bp_seg")),
+                      text_field="content", analyzer_name="standard",
+                      byte_aligned=False)

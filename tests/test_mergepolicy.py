@@ -157,36 +157,3 @@ def test_recover_interrupted_merge(tmp_path_factory, ray_session):
         f.write("stale")
     assert recover_interrupted_merges(out) == 0
     assert not os.path.exists(leftover)
-
-
-def test_log_merge_policy_levels():
-    from lucene_solr_ray.index.mergepolicy import (
-        LogDocMergePolicy,
-        LogMergePolicy,
-        SegmentSizeInfo,
-    )
-
-    def seg(i, size):
-        return SegmentSizeInfo(terms_path=f"s{i}", bytes=size)
-
-    # ten equal-size segments at mergeFactor 10 -> one full merge
-    infos = [seg(i, 1000) for i in range(10)]
-    p = LogMergePolicy(merge_factor=10)
-    merges = p.find_merges(infos)
-    assert len(merges) == 1 and len(merges[0]) == 10
-    # nine equal segments: no full run -> no merge
-    assert p.find_merges(infos[:9]) == []
-    # a big head segment sits in a HIGHER level: only the small tail
-    # (if it fills a run) merges
-    infos2 = [seg(0, 10**9)] + [seg(i, 100) for i in range(1, 5)]
-    p3 = LogMergePolicy(merge_factor=4)
-    merges2 = p3.find_merges(infos2)
-    assert len(merges2) == 1
-    assert [s.terms_path for s in merges2[0]] == ["s1", "s2", "s3", "s4"]
-    # adjacency: runs never span the level boundary
-    assert all(m[0].terms_path != "s0" for m in merges2)
-    # LogDoc variant + mergeFactor validation
-    assert LogDocMergePolicy(4).find_merges(infos2) == merges2
-    import pytest as _pytest
-    with _pytest.raises(ValueError):
-        LogMergePolicy(merge_factor=1)

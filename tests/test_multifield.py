@@ -133,8 +133,8 @@ def test_multifield_query_parser(midx):
 
 
 def test_per_field_codec_granularity(tmp_path_factory, ray_session):
-    """PerFieldPostingsFormat analogue: each field picks its own codec
-    + index options; queries over mixed-codec fields still compose."""
+    """PerFieldPostingsFormat analogue: each field picks its own analyzer
+    + index options; queries over mixed-option fields still compose."""
     import json
     import os
 
@@ -143,22 +143,20 @@ def test_per_field_codec_granularity(tmp_path_factory, ray_session):
     pq.write_table(tbl, str(d / "c.parquet"), row_group_size=100)
     out = str(tmp_path_factory.mktemp("pf_idx"))
     build_multi_index(str(d), out, {
-        "content": {"analyzer": "standard", "positions": True,
-                    "byte_aligned": True},
-        "path": {"analyzer": "simple_nostop", "byte_aligned": False},
+        "content": {"analyzer": "standard", "positions": True},
+        "path": {"analyzer": "simple_nostop"},
         "lang": {"analyzer": "keyword"},
     }, rows_per_partition=100)
     top = json.load(open(os.path.join(out, "multi_manifest.json")))
     assert top["fields"]["content"]["codec"]["positions"]
-    assert not top["fields"]["path"]["codec"]["byte_aligned"]
     s = MultiFieldSearcher(out)
-    # the bit-packed (byte_aligned=False) path sub-index must decode to
+    # the path sub-index (own analyzer, no positions) must decode to
     # exactly the same doc sets as the source column
     docs, _ = s._score(FieldedQuery("path", TermQuery("pkg3")))
     paths = tbl["path"].to_pylist()
     assert docs.tolist() == sorted(
         i for i, p in enumerate(paths) if "pkg3/" in p)
-    # cross-codec boolean: positional content field AND bit-packed path
+    # cross-field boolean: positional content field AND non-positional path
     both, _ = s._score(BooleanQuery.build(must=[
         FieldedQuery("content", TermQuery("return")),
         FieldedQuery("path", TermQuery("pkg3")),

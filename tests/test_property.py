@@ -32,10 +32,10 @@ def postings(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(p=postings(), aligned=st.booleans())
-def test_postings_roundtrip_property(p, aligned):
+@given(p=postings())
+def test_postings_roundtrip_property(p):
     docs, tfs = p
-    payload, last, maxtf = encode_postings(docs, tfs, byte_aligned=aligned)
+    payload, last, maxtf = encode_postings(docs, tfs)
     d, f = decode_postings(payload)
     np.testing.assert_array_equal(d, docs)
     np.testing.assert_array_equal(f, tfs)
@@ -44,13 +44,10 @@ def test_postings_roundtrip_property(p, aligned):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 1 << 30), min_size=0, max_size=500),
-       st.booleans())
-def test_values_stream_roundtrip(vals, aligned):
+@given(st.lists(st.integers(0, 1 << 30), min_size=0, max_size=500))
+def test_values_stream_roundtrip(vals):
     arr = np.asarray(vals, np.uint32)
-    np.testing.assert_array_equal(
-        decode_values(encode_values(arr, aligned)), arr
-    )
+    np.testing.assert_array_equal(decode_values(encode_values(arr)), arr)
 
 
 @settings(max_examples=40, deadline=None)
