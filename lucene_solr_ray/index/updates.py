@@ -6,14 +6,19 @@ batch granularity:
 
 - :func:`append_segment` — add a new delta segment at ``doc_base =
   max_doc`` (segments are immutable; growth happens by appending, exactly
-  Lucene's new-segment-per-flush model). The merged view is invalidated
-  (segments are the source of truth; re-merge is one cheap metadata pass).
+  Lucene's new-segment-per-flush model). A merged view gains one
+  ``terms-append-*`` file that points at the new segment in place
+  (``merge.merge_append``).
 - :func:`update_documents` — mark every live doc whose key matches an
   incoming row as deleted (``deletes/gen-N`` mask, ``index/deletes.py``)
   and append the incoming rows as a delta segment. Searchers see the new
   content immediately; space is reclaimed at the next full rebuild, and
   collection statistics retain deleted docs until then (Lucene's
   pre-merge behavior).
+
+Every keyed function resolves its keys with :func:`_matching_doc_ids`:
+the calling process reads each partition's key column and probes it
+with ``np.searchsorted`` against the sorted batch keys.
 
 Unchanged partitions are untouched — their checkpoints, segment parquet
 and payload bins keep their bytes (asserted by mtime in
@@ -74,55 +79,49 @@ def append_segment(index_dir: str, table: pa.Table) -> dict:
 
 
 def _matching_doc_ids(man: IndexManifest, key_col: str,
-                      new_keys: np.ndarray) -> np.ndarray:
-    """Global doc ids whose key matches ``new_keys`` — computed
-    DISTRIBUTED (one task per partition descriptor reads only its key
-    column and returns matching ids; the full key column never
-    materializes on the driver)."""
-    import ray
-    import ray.data as rd
+                      keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(doc_ids asc, pos): the global doc ids whose ``key_col`` value is
+    in ``keys`` (sorted, unique), and for each the index of its key in
+    ``keys``. Reads each partition's key column for its row groups on
+    the calling process and probes it with ``np.searchsorted``; no Ray
+    job is started."""
+    ids, pos = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for p in man.partitions if len(keys) else []:
+        with pq.ParquetFile(p["file"]) as pf:
+            col = pf.read_row_groups(list(p["row_groups"]),
+                                     columns=[key_col]) \
+                .column(key_col).to_numpy(zero_copy_only=False)
+        at = np.searchsorted(keys, col)
+        ok = (at < len(keys)) & (
+            keys[np.minimum(at, len(keys) - 1)] == col)
+        ids.append(p["doc_base"] + np.flatnonzero(ok))
+        pos.append(at[ok])
+    ids, pos = np.concatenate(ids), np.concatenate(pos)
+    order = np.argsort(ids, kind="stable")
+    return ids[order], pos[order]
 
-    keys_ref = ray.put(np.sort(new_keys))
 
-    def scan(batch: dict) -> dict:
-        want = ray.get(keys_ref)
-        out = []
-        for i in range(len(batch["partition_id"])):
-            pf = pq.ParquetFile(str(batch["file"][i]))
-            base = int(batch["doc_base"][i])
-            off = 0
-            for rg in [int(x) for x in batch["row_groups"][i]]:
-                col = pf.read_row_group(rg, columns=[key_col]) \
-                    .column(key_col).to_numpy(zero_copy_only=False)
-                pos = np.searchsorted(want, col)
-                ok = (pos < want.size) & (
-                    want[np.minimum(pos, want.size - 1)] == col)
-                out.append(base + off + np.flatnonzero(ok))
-                off += col.size
-        hits = np.concatenate(out) if out else np.empty(0, np.int64)
-        return {"doc_id": hits}
-
-    parts = [
-        {"partition_id": p["partition_id"], "file": p["file"],
-         "row_groups": list(p["row_groups"]), "doc_base": p["doc_base"]}
-        for p in man.partitions
-    ]
-    rows = (rd.from_items(parts)
-            .map_batches(scan, batch_size=1).take_all())
-    if not rows:
-        return np.empty(0, np.int64)
-    return np.sort(np.array([int(r["doc_id"]) for r in rows], np.int64))
+def _last_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted unique keys, index of each one's last row): a batch that
+    names one key twice resolves last-row-wins."""
+    uniq, rev = np.unique(keys[::-1], return_index=True)
+    return uniq, len(keys) - 1 - rev
 
 
 def update_documents(index_dir: str, table: pa.Table, key_col: str) -> dict:
-    """Delete-then-add by key: returns {"deleted": n, "added": m}."""
+    """Delete-then-add by key: returns {"deleted": n, "added": m}. A key
+    named twice in ``table`` keeps only its last row; an empty ``table``
+    changes nothing."""
     from .deletes import LiveDocs
 
+    keys = table.column(key_col).to_numpy(zero_copy_only=False)
+    if not len(keys):
+        return {"deleted": 0, "added": 0}
+    want, last = _last_rows(keys)
+    if len(last) < len(keys):
+        table = table.take(np.sort(last))
     man = IndexManifest.load(index_dir)
-    new_keys = np.asarray(
-        table.column(key_col).to_numpy(zero_copy_only=False)
-    )
-    doomed = _matching_doc_ids(man, key_col, new_keys)
+    doomed, _ = _matching_doc_ids(man, key_col, want)
     # only delete docs that are still live (repeated upserts of one key)
     if doomed.size and os.path.isdir(os.path.join(index_dir, "deletes")):
         doomed = doomed[LiveDocs(index_dir, man.max_doc).mask[doomed]]
@@ -150,12 +149,10 @@ def atomic_update(index_dir: str, key_col: str,
     the modifiers when provided, else raise.
     Returns update_documents' {"deleted", "added"}.
     """
-    from .build import IndexManifest
     from .check import fetch_docs
 
     man = IndexManifest.load(index_dir)
-    keys = np.asarray(sorted(ops), dtype=np.int64)
-    doc_ids = _matching_doc_ids(man, key_col, keys)
+    doc_ids, _ = _matching_doc_ids(man, key_col, np.asarray(sorted(ops)))
     cur = fetch_docs(index_dir, doc_ids=doc_ids.tolist()) \
         if doc_ids.size else None
     rows_by_key: dict = {}
@@ -209,12 +206,12 @@ def realtime_get(index_dir: str, key_col: str, keys) -> pa.Table:
 
     man = IndexManifest.load(index_dir)
     keys = np.asarray(keys)
-    ids = _matching_doc_ids(man, key_col, keys)
+    ids, _ = _matching_doc_ids(man, key_col, np.unique(keys))
     if ids.size and os.path.isdir(os.path.join(index_dir, "deletes")):
         ids = ids[LiveDocs(index_dir, man.max_doc).mask[ids]]
     if not ids.size:
         return pa.table({})
-    t = fetch_docs(index_dir, doc_ids=np.sort(ids).tolist())
+    t = fetch_docs(index_dir, doc_ids=ids.tolist())
     if t.column_names.count("doc_id") > 1:
         # key column is itself named doc_id: drop the synthetic global-id
         # column fetch_docs prepends (same convention as atomic_update)
@@ -234,69 +231,22 @@ def update_numeric_docvalues(index_dir: str, key_col: str, field: str,
     (Lucene's .dvd update generations) that readers overlay at open.
     ``updates`` has columns (key_col, field); duplicate keys in one
     batch resolve last-row-wins. Returns the number of docs updated.
-
-    The key scan is distributed (one task per partition reads only its
-    key column); the generation file holds (doc_id, value) pairs only —
-    update-sized, never corpus-sized."""
-    import ray
-    import ray.data as rd
-
-    man = IndexManifest.load(index_dir)
-    keys = np.asarray(updates.column(key_col).to_numpy(
-        zero_copy_only=False))
-    if keys.size == 0:  # empty 'want' would index [-1] in the scan
-        return 0
-    vals = np.asarray(updates.column(field).to_numpy(
-        zero_copy_only=False))
-    # last-row-wins dedupe, then sort for the searchsorted probe
-    _, last = np.unique(keys[::-1], return_index=True)
-    keep = keys.size - 1 - last
-    order = np.argsort(keys[keep], kind="stable")
-    keys_s = keys[keep][order]
-    vals_s = vals[keep][order]
-    lut_ref = ray.put((keys_s, vals_s))
-
-    def scan(batch: dict) -> dict:
-        want, wv = ray.get(lut_ref)
-        ids, out_v = [], []
-        for i in range(len(batch["partition_id"])):
-            pf = pq.ParquetFile(str(batch["file"][i]))
-            base = int(batch["doc_base"][i])
-            off = 0
-            for rg in [int(x) for x in batch["row_groups"][i]]:
-                col = pf.read_row_group(rg, columns=[key_col]) \
-                    .column(key_col).to_numpy(zero_copy_only=False)
-                pos = np.searchsorted(want, col)
-                ok = (pos < want.size) & (
-                    want[np.minimum(pos, want.size - 1)] == col)
-                ids.append(base + off + np.flatnonzero(ok))
-                out_v.append(wv[pos[ok]])
-                off += col.size
-        return {
-            "doc_id": np.concatenate(ids) if ids
-            else np.empty(0, np.int64),
-            "value": np.concatenate(out_v) if out_v
-            else np.empty(0, vals_s.dtype),
-        }
-
-    parts = [
-        {"partition_id": p["partition_id"], "file": p["file"],
-         "row_groups": list(p["row_groups"]), "doc_base": p["doc_base"]}
-        for p in man.partitions
-    ]
-    rows = rd.from_items(parts).map_batches(scan, batch_size=1).take_all()
-    doc_ids = np.array([int(r["doc_id"]) for r in rows], np.int64)
-    values = np.array([r["value"] for r in rows])
+    The generation file holds (doc_id, value) pairs only — update-sized,
+    never corpus-sized."""
+    keys = updates.column(key_col).to_numpy(zero_copy_only=False)
+    vals = updates.column(field).to_numpy(zero_copy_only=False)
+    want, last = _last_rows(keys)
+    doc_ids, pos = _matching_doc_ids(
+        IndexManifest.load(index_dir), key_col, want)
     if not doc_ids.size:
         return 0
     gen_dir = os.path.join(index_dir, "docvalues_updates", field)
     os.makedirs(gen_dir, exist_ok=True)
     gen = len([f for f in os.listdir(gen_dir) if f.endswith(".parquet")])
     path = os.path.join(gen_dir, f"gen-{gen:05d}.parquet")
-    srt = np.argsort(doc_ids)
     pq.write_table(pa.table({
-        "doc_id": pa.array(doc_ids[srt], pa.int64()),
-        "value": pa.array(values[srt]),
+        "doc_id": pa.array(doc_ids, pa.int64()),
+        "value": pa.array(vals[last[pos]]),
     }), path + ".tmp")
     os.replace(path + ".tmp", path)
     return int(doc_ids.size)

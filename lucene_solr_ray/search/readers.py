@@ -28,6 +28,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
@@ -43,9 +44,34 @@ def mmap_file(path: str) -> memoryview:
         return memoryview(mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ))
 
 
+def _file_ids(paths: list[str]) -> dict:
+    """path -> (st_ino, st_size, st_mtime_ns), in ``paths`` order: the
+    identity a reopen checks before it reuses what a reader loaded."""
+    out = {}
+    for p in paths:
+        st = os.stat(p)
+        out[p] = (st.st_ino, st.st_size, st.st_mtime_ns)
+    return out
+
+
+def _new_files(prev, files: dict) -> list[str] | None:
+    """The paths in ``files`` that ``prev`` did not load, if every file
+    it loaded is still there with the same identity (files are
+    immutable, so ``prev``'s data for them is still right); else None,
+    and nothing of ``prev`` may be reused."""
+    old = getattr(prev, "_files", None)
+    if old is None or any(files.get(p) != i for p, i in old.items()):
+        return None
+    return [p for p in files if p not in old]
+
+
 class NormsReader:
+    """Norm bytes and lengths by doc id. ``prev`` (the reader this one
+    replaces, or None) is reused when ``_new_files`` allows: its arrays
+    are copied and only the new partitions' norms files are read."""
+
     def __init__(self, index_dir: str, max_doc: int,
-                 partition_ids: list[int] | None = None):
+                 partition_ids: list[int] | None = None, prev=None):
         self.norm = np.empty(max_doc, np.uint8)
         self.length = np.empty(max_doc, np.int32)
         d = os.path.join(index_dir, "norms")
@@ -53,10 +79,18 @@ class NormsReader:
             None if partition_ids is None
             else {f"part-{p:05d}.parquet" for p in partition_ids}
         )
-        files = [
+        self._files = _file_ids([
             os.path.join(d, f) for f in sorted(os.listdir(d))
             if f.endswith(".parquet") and (want is None or f in want)
-        ]
+        ])
+        files = _new_files(prev, self._files)
+        if files is None:
+            files = list(self._files)
+        else:
+            self.norm[:prev.norm.size] = prev.norm
+            self.length[:prev.length.size] = prev.length
+        if not files:
+            return
         # one multi-threaded dataset read instead of per-file loops
         t = pads.dataset(files, format="parquet").to_table(
             columns=["doc_id", "length", "norm"]
@@ -172,25 +206,47 @@ class TermDictReader:
                 "index has no offsets (build with store_offsets=True)")
         return self._postings_with_stream(term, "off", 2)
 
-    def _finish_init(self, tbl, chunk_order):
-        """Sort the terms table ``tbl``'s rows by (term, chunk_order).
-        The block-max list columns are kept as (offsets, values) numpy
-        pairs — no per-row Python list materialization (5+ s at
-        10^6-row term dicts)."""
-        terms = np.asarray(tbl["term"].to_pylist(), dtype=object)
+    def _finish_init(self, tbl, chunk_order, prev=None):
+        """Sort the terms table ``tbl``'s rows by (term, chunk_order) and
+        fold them into ``prev``'s sorted rows (None: no rows), whose
+        chunk orders must not exceed any of ``tbl``'s: each row is
+        inserted at ``searchsorted(prev.terms, term, "right")``, which
+        is where a lexsort of all rows would put it. ``tbl``'s rows
+        number on after ``prev``'s. The block-max list columns are kept
+        as (offsets, values) numpy pairs — no per-row Python list
+        materialization (5+ s at 10^6-row term dicts)."""
+        terms = np.asarray(tbl["term"].to_numpy(zero_copy_only=False),
+                           dtype=object)
+        chunk_order = np.asarray(chunk_order)
         order = np.lexsort((chunk_order, terms))
-        self.terms = terms[order]
-        self.chunk_order = np.asarray(chunk_order)[order]
-        self.df = np.asarray(tbl["df"].to_numpy(), np.int64)[order]
-        self.ttf = np.asarray(tbl["ttf"].to_numpy(), np.int64)[order]
-        self.start_doc = np.asarray(tbl["start_doc"].to_numpy(),
-                                    np.int64)[order]
+        base = 0 if prev is None else prev.terms.size
+        new = {
+            "terms": terms[order],
+            "chunk_order": chunk_order[order],
+            "df": np.asarray(tbl["df"].to_numpy(), np.int64)[order],
+            "ttf": np.asarray(tbl["ttf"].to_numpy(), np.int64)[order],
+            "start_doc": np.asarray(tbl["start_doc"].to_numpy(),
+                                    np.int64)[order],
+            # maps sorted pos -> original row
+            "_row_order": order.astype(np.int64) + base,
+        }
+        if prev is not None:
+            at = np.searchsorted(prev.terms, new["terms"], side="right")
+            new = {name: np.insert(getattr(prev, name), at, vals)
+                   for name, vals in new.items()}
+        self.__dict__.update(new)
         self._blk = {}
         for name, col in (("last", "block_last"), ("maxtf", "block_max_tf"),
                           ("maxnorm", "block_max_norm")):
             arr = tbl[col].combine_chunks()
-            self._blk[name] = (arr.offsets.to_numpy(), arr.values.to_numpy())
-        self._row_order = order  # maps sorted pos -> original row
+            off = arr.offsets.to_numpy()
+            vals = arr.values.to_numpy()[off[0]:off[-1]]
+            off = off - off[0]
+            if prev is not None:
+                poff, pvals = prev._blk[name]
+                off = np.concatenate((poff[:-1], off + poff[-1]))
+                vals = np.concatenate((pvals, vals))
+            self._blk[name] = (off, vals)
 
     def blk(self, name: str, row: int) -> np.ndarray:
         off, vals = self._blk[name]
@@ -313,15 +369,30 @@ class _BinPayloads:
     merged and per-segment readers — payload bytes never live in RAM).
     Each stored stream keeps one (offsets, lengths) pair per row."""
 
-    def _set_payload_refs(self, file_paths, file_idx, **streams):
+    def _set_payload_refs(self, file_paths, file_idx, prev=None,
+                          **streams):
         """``streams``: name -> (offsets, lengths), or None when the
-        index does not store that stream."""
-        self._file_paths = list(file_paths)  # absolute paths
-        self._file_idx = np.asarray(file_idx)
+        index does not store that stream. With ``prev`` the rows number
+        on after ``prev``'s rows and ``file_paths`` extends its files."""
+        self._file_paths = [] if prev is None else list(prev._file_paths)
+        fi = {p: i for i, p in enumerate(self._file_paths)}
+        for p in file_paths:
+            if p not in fi:
+                fi[p] = len(self._file_paths)
+                self._file_paths.append(p)
+        remap = np.asarray([fi[p] for p in file_paths], np.int64)
+        self._file_idx = remap[np.asarray(file_idx, np.int64)]
         self._refs = {
             name: (np.asarray(ref[0], np.int64), np.asarray(ref[1], np.int64))
             for name, ref in streams.items() if ref is not None
         }
+        if prev is not None:
+            self._file_idx = np.concatenate((prev._file_idx, self._file_idx))
+            self._refs = {
+                name: tuple(np.concatenate((p, n))
+                            for p, n in zip(prev._refs[name], ref))
+                for name, ref in self._refs.items()
+            }
         self._mmaps: list = [None] * len(self._file_paths)
 
     def _mmap(self, fi: int) -> memoryview:
@@ -359,15 +430,31 @@ def _refs(tbl, prefix: str):
 
 
 class MergedReader(_BinPayloads, TermDictReader):
-    def __init__(self, index_dir: str, **kw):
+    """The merged index's ``terms-*.parquet`` files folded into one sorted
+    dictionary. ``prev`` (the reader this one replaces, or None) is
+    reused when ``_new_files`` allows and no new row's chunk id is
+    below its largest (``merge_append`` chunk ids sort after all
+    earlier ones): only the new files are read and folded into its
+    rows. Else every file is folded from empty — a full open. Either
+    way each sorted row holds what a fresh open's does."""
+
+    def __init__(self, index_dir: str, prev: "MergedReader | None" = None,
+                 **kw):
         super().__init__(**kw)
         d = os.path.join(index_dir, "merged")
         self.dir = d
-        tfiles = sorted(
+        self._files = _file_ids(sorted(
             os.path.join(d, f) for f in os.listdir(d)
             if f.startswith("terms-") and f.endswith(".parquet")
-        )
-        tbl = pads.dataset(tfiles, format="parquet").to_table()
+        ))
+        files = list(self._files)
+        new = _new_files(prev, self._files)
+        if new is None:
+            prev, new = None, files
+        tbl = _read_terms(new, files)
+        if prev is not None and tbl.num_rows and prev.terms.size and (
+                pc.min(tbl["chunk_id"]).as_py() < prev.chunk_order.max()):
+            prev, tbl = None, _read_terms(files, files)
         fdict = tbl["payload_file"].combine_chunks().dictionary_encode()
         # payload_file with a "/" is index_dir-relative (a segment .bin
         # referenced in place by the metadata-only merge); a bare name
@@ -377,11 +464,19 @@ class MergedReader(_BinPayloads, TermDictReader):
             for f in fdict.dictionary.to_pylist()
         ]
         self._set_payload_refs(
-            paths, fdict.indices.to_numpy(),
+            paths, fdict.indices.to_numpy(), prev,
             doc=(tbl["offset"].to_numpy(), tbl["length"].to_numpy()),
             pos=_refs(tbl, "pos"),
         )
-        self._finish_init(tbl, tbl["chunk_id"].to_numpy())
+        self._finish_init(tbl, tbl["chunk_id"].to_numpy(), prev)
+
+
+def _read_terms(files: list[str], all_files: list[str]):
+    """One table of ``files``' term rows (the schema of ``all_files``'
+    first when ``files`` is empty)."""
+    if not files:
+        return pq.read_schema(all_files[0]).empty_table()
+    return pads.dataset(files, format="parquet").to_table()
 
 
 class SegmentsReader(_BinPayloads, TermDictReader):

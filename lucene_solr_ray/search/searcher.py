@@ -253,12 +253,17 @@ class IndexSearcher:
                  reader=None, norms=None, global_stats: dict | None = None,
                  apply_deletes: bool = True, similarity=None,
                  k1: float | None = None, b: float | None = None,
-                 bloom: bool = False):
+                 bloom: bool = False, prev: "IndexSearcher | None" = None):
         """``global_stats`` (optional): {"max_doc", "sum_ttf", "df": {term:
         df}} — injected by the doc-sharded distributed path so every shard
         scores with GLOBAL collection statistics (exactly what a single
         Lucene index's Weight would see; Solr's distributed-IDF problem
-        solved by a stats pre-pass instead of per-shard stats)."""
+        solved by a stats pre-pass instead of per-shard stats).
+
+        ``prev`` (optional): the searcher this one replaces; its norms
+        and merged reader are reused for the files that did not change
+        (``NormsReader`` / ``MergedReader``), with results identical to
+        a fresh open."""
         self.manifest = IndexManifest.load(index_dir)
         self._stats = global_stats
         if global_stats is not None:
@@ -272,7 +277,7 @@ class IndexSearcher:
             self.max_doc = self.manifest.max_doc
             self.avgdl = self.manifest.avgdl
         self.norms = norms if norms is not None else NormsReader(
-            index_dir, self.manifest.max_doc
+            index_dir, self.manifest.max_doc, prev=getattr(prev, "norms", None)
         )
         from .readers import _LRU
 
@@ -291,7 +296,8 @@ class IndexSearcher:
         elif self.manifest.merged and os.path.isdir(
             os.path.join(index_dir, "merged")
         ):
-            self.reader = MergedReader(index_dir)
+            self.reader = MergedReader(index_dir,
+                                       prev=getattr(prev, "reader", None))
         else:
             self.reader = SegmentsReader(index_dir)
         if bloom:
@@ -1228,7 +1234,9 @@ class SearcherManager:
     (``search/SearcherManager.java``, ``index/DirectoryReader.java:122-202``):
     hands out the current searcher and swaps in a fresh one when the
     manifest generation (mtime + merged flag + delete generations) changed —
-    the batch-rebuild notion of near-real-time reopen."""
+    the batch-rebuild notion of near-real-time reopen. The new searcher
+    is opened from the current one (``IndexSearcher(prev=...)``), so a
+    publish that appended files reads only those."""
 
     def __init__(self, index_dir: str, **kw):
         self.index_dir = index_dir
@@ -1250,7 +1258,8 @@ class SearcherManager:
     def maybe_refresh(self) -> bool:
         v = self._current_version()
         if v != self._version:
-            self._searcher = IndexSearcher(self.index_dir, **self._kw)
+            self._searcher = IndexSearcher(self.index_dir,
+                                           prev=self._searcher, **self._kw)
             self._version = v
             return True
         return False

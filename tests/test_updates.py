@@ -236,3 +236,86 @@ def test_realtime_get(ray_session, tmp_path):
     got = realtime_get(d, "doc_id", [11, 99, 12])
     assert got.column("doc_id").to_pylist() == [11, 12]
     assert got.column("content").to_pylist()[0] == "gamma UPDATED"
+
+
+def _path_index(tmp_path_factory, n=40):
+    d = tmp_path_factory.mktemp("path_src")
+    pq.write_table(pa.table({
+        "path": pa.array([f"p{i}" for i in range(n)]),
+        "content": pa.array([f"doc {i} says originalword" for i in range(n)]),
+    }), str(d / "c.parquet"), row_group_size=10)
+    out = str(tmp_path_factory.mktemp("path_idx") / "idx")
+    build_index(str(d), out, text_field="content", rows_per_partition=20)
+    merge_index(out)
+    return out
+
+
+def test_duplicate_keys_in_one_batch_last_row_wins(tmp_path_factory,
+                                                   ray_session):
+    idx = _path_index(tmp_path_factory)
+    res = update_documents(idx, pa.table({
+        "path": pa.array(["p1", "p2", "p1"]),
+        "content": pa.array(["firstcopy", "othercopy", "secondcopy"]),
+    }), "path")
+    assert res == {"deleted": 2, "added": 2}
+    s = IndexSearcher(idx)
+    assert s._docs_only(TermQuery("firstcopy")).size == 0
+    assert s._docs_only(TermQuery("secondcopy")).size == 1
+    assert s._docs_only(TermQuery("othercopy")).size == 1
+    assert s._docs_only(TermQuery("originalword")).size == 38
+
+
+def test_empty_batches_change_nothing(tmp_path_factory, ray_session):
+    from lucene_solr_ray.index import IndexManifest
+    from lucene_solr_ray.index.updates import realtime_get
+
+    idx = _path_index(tmp_path_factory)
+    before = IndexManifest.load(idx).num_partitions
+    empty = pa.table({"path": pa.array([], pa.string()),
+                      "content": pa.array([], pa.string())})
+    assert update_documents(idx, empty, "path") == {"deleted": 0, "added": 0}
+    assert IndexManifest.load(idx).num_partitions == before
+    assert realtime_get(idx, "path", []).num_rows == 0
+
+
+def test_atomic_update_by_string_key(tmp_path_factory, ray_session):
+    from lucene_solr_ray.index.updates import atomic_update, realtime_get
+
+    idx = _path_index(tmp_path_factory)
+    r = atomic_update(idx, "path", {
+        "p3": {"content": ("add", "stringkeyed")},
+        "p7": {"content": ("set", "replacedtext")},
+    })
+    assert r == {"deleted": 2, "added": 2}
+    got = realtime_get(idx, "path", ["p7", "p3"])
+    assert got.column("content").to_pylist() == [
+        "replacedtext", "doc 3 says originalword stringkeyed"]
+    s = IndexSearcher(idx)
+    assert s._docs_only(TermQuery("stringkeyed")).size == 1
+    assert s._docs_only(TermQuery("originalword")).size == 39
+
+
+def test_keyed_functions_start_no_ray_data_job(tmp_path_factory,
+                                               ray_session, monkeypatch):
+    import ray.data
+
+    from lucene_solr_ray.index.updates import (
+        atomic_update, realtime_get, update_numeric_docvalues)
+
+    idx = _path_index(tmp_path_factory)
+
+    def no_job(*a, **k):
+        raise AssertionError("keyed update started a Ray Data job")
+
+    monkeypatch.setattr(ray.data, "from_items", no_job)
+    assert update_documents(idx, pa.table({
+        "path": pa.array(["p4"]), "content": pa.array(["fresh"]),
+    }), "path") == {"deleted": 1, "added": 1}
+    assert atomic_update(idx, "path", {"p5": {"content": ("add", "x")}}) \
+        == {"deleted": 1, "added": 1}
+    assert realtime_get(idx, "path", ["p4"]).column(
+        "content").to_pylist() == ["fresh"]
+    # no docvalues field is stored; the key lookup still runs
+    assert update_numeric_docvalues(idx, "path", "views", pa.table({
+        "path": pa.array(["p6"]), "views": pa.array([3], pa.int64()),
+    })) == 1
