@@ -20,10 +20,14 @@ dictionary:
 - **compaction** (small groups fragmented across several segments — the
   Zipf tail, e.g. a df=3 term spread over 3 partitions): the merge task
   reads just those payload slices from the mmap'd segment bins, decodes,
-  concatenates in pid order, re-encodes, and writes a compact
-  ``merged/payload-<name>.bin``. This bounds per-term chunk counts as the
-  partition count grows (10^7 partitions at 10^12 rows would otherwise give
-  every rare term 10^7 14-byte chunks).
+  concatenates in doc order, re-encodes into one chunk, and writes a
+  compact ``merged/payload-<name>.bin``. This bounds per-term chunk counts
+  as the partition count grows (10^7 partitions at 10^12 rows would
+  otherwise give every rare term 10^7 14-byte chunks).
+
+One kernel, :func:`compact_groups`, does both for the interior groups of
+every sort block, for the groups at block edges (collected on the driver)
+and for the tier merges of ``mergepolicy.execute_merge``.
 
 Output, per merge task: one ``merged/terms-<name>.parquet`` (the
 ``.tim/.tip`` analogue — small enough to hold in RAM per shard actor) and,
@@ -53,13 +57,14 @@ import shutil
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..codec import BLOCK_SIZE, decode_postings, encode_postings
-from ..codec.postings import decode_values, encode_values
+from ..codec.postings import (_intra, decode_postings_batch, decode_values,
+                              decode_values_batch, encode_values)
 from .build import IndexManifest
 
-DEFAULT_CHUNK_DOCS = BLOCK_SIZE * 512  # 64k postings per compacted chunk row
 SALT_STRIDE = 1 << 20  # chunk_id = salt * SALT_STRIDE + local chunk index
 
 # groups with more postings than this pass through as independent chunks
@@ -87,8 +92,8 @@ def _seg_bin_name(pid: int) -> str:
     return f"segments/part-{pid:05d}.bin"
 
 
-# per-process mmap cache for segment payload bins (merge tasks + the driver
-# boundary pass read compaction slices through this)
+# per-process mmap cache for payload bins (merge tasks, the driver
+# boundary pass and tier merges read compaction slices through this)
 _MMAPS: dict[str, memoryview] = {}
 
 
@@ -111,322 +116,235 @@ def _mmap(path: str) -> memoryview:
     return mv
 
 
-class _MetaView:
-    """Columnar view of a sorted term-metadata batch (numpy columns + the
-    (offsets, values) pair of ``block_max_norm`` — no per-row pylist)."""
-
-    def __init__(self, batch: pa.Table):
-        self.term_col = batch["term"].combine_chunks()
-        self.salts = batch["salt"].to_numpy()
-        self.pids = batch["pid"].to_numpy()
-        self.dfs = batch["df"].to_numpy()
-        self.ttfs = batch["ttf"].to_numpy()
-        self.start_docs = batch["start_doc"].to_numpy()
-        self.offsets = batch["offset"].to_numpy()
-        self.lengths = batch["length"].to_numpy()
-        self.pos_offsets = batch["pos_offset"].to_numpy()
-        self.pos_lengths = batch["pos_length"].to_numpy()
-        arr = batch["block_max_norm"].combine_chunks()
-        self.max_norms = (arr.offsets.to_numpy(), arr.values.to_numpy())
-
-    def term(self, i: int) -> str:
-        return self.term_col[int(i)].as_py()
-
-
-def _payload_slice(index_dir: str, pid: int, off: int, ln: int) -> memoryview:
-    mv = _mmap(os.path.join(index_dir, _seg_bin_name(pid)))
-    return mv[off : off + ln]
-
-
-def _compact_groups_vectorized(
-    v: _MetaView, group_id: np.ndarray, cp_group: np.ndarray,
-    index_dir: str, chunk_docs: int, use_positions: bool = False,
-) -> list[dict]:
-    """Compact ALL small fragmented groups of a sorted batch in one
-    vectorized pass: gather the payload byte slices per source segment
-    with fancy indexing, decode all single-block rows at once
-    (``decode_postings_batch``), then re-encode per group. A per-row
-    Python decode would dominate merge wall time (the Zipf tail is ~98%
-    of term-dict rows)."""
-    from ..codec.postings import _intra, decode_postings_batch
-
-    rows = np.flatnonzero(cp_group[group_id])
-    if rows.size == 0:
-        return []
-    order = np.lexsort((v.pids[rows], group_id[rows]))
-    rows = rows[order]
-    gids = group_id[rows]
-    lens = v.lengths[rows].astype(np.int64)
-    dfs = v.dfs[rows].astype(np.int64)
-    offs = v.offsets[rows].astype(np.int64)
-    pids = v.pids[rows]
-
-    # gather payload bytes (headers included) into one flat buffer laid
-    # out in (group, pid) order — one fancy-index per distinct source bin
-    flat = np.empty(int(lens.sum()), np.uint8)
-    dst0 = np.zeros(rows.size, np.int64)
-    np.cumsum(lens[:-1], out=dst0[1:])
-    for pid in np.unique(pids).tolist():
-        m = pids == pid
-        seg = np.frombuffer(
-            _mmap(os.path.join(index_dir, _seg_bin_name(int(pid)))),
-            np.uint8,
-        )
-        il = _intra(lens[m])
-        flat[np.repeat(dst0[m], lens[m]) + il] = \
-            seg[np.repeat(offs[m], lens[m]) + il]
-
-    # decode: single-block rows in one vectorized call, rare multi-block
-    # rows scalar
-    total_df = int(dfs.sum())
-    docs = np.empty(total_df, np.int64)
-    tfs = np.empty(total_df, np.int32)
-    out0 = np.zeros(rows.size, np.int64)
-    np.cumsum(dfs[:-1], out=out0[1:])
-    small = dfs <= BLOCK_SIZE
-    if small.any():
-        d_s, t_s = decode_postings_batch(flat, dst0[small], dfs[small])
-        dsti = np.repeat(out0[small], dfs[small]) + _intra(dfs[small])
-        docs[dsti] = d_s
-        tfs[dsti] = t_s
-    for i in np.flatnonzero(~small).tolist():
-        d, f = decode_postings(flat[dst0[i]:dst0[i] + int(lens[i])])
-        docs[out0[i]:out0[i] + dfs[i]] = d
-        tfs[out0[i]:out0[i] + dfs[i]] = f
-
-    # positions: same gather + batch-decode over the prox-delta streams
-    pos_flat = None
-    pos_out0 = None
-    ttfs_rows = None
-    if use_positions:
-        from ..codec.postings import decode_values_batch
-
-        plens = v.pos_lengths[rows].astype(np.int64)
-        pflat = np.empty(int(plens.sum()), np.uint8)
-        pdst0 = np.zeros(rows.size, np.int64)
-        np.cumsum(plens[:-1], out=pdst0[1:])
-        poffs = v.pos_offsets[rows].astype(np.int64)
-        for pid in np.unique(pids).tolist():
-            m = pids == pid
-            seg = np.frombuffer(
-                _mmap(os.path.join(index_dir, _seg_bin_name(int(pid)))),
-                np.uint8,
-            )
-            il = _intra(plens[m])
-            pflat[np.repeat(pdst0[m], plens[m]) + il] = \
-                seg[np.repeat(poffs[m], plens[m]) + il]
-        ttfs_rows = v.ttfs[rows].astype(np.int64)
-        total_ttf = int(ttfs_rows.sum())
-        pos_flat = np.empty(total_ttf, np.int64)
-        pos_out0 = np.zeros(rows.size, np.int64)
-        np.cumsum(ttfs_rows[:-1], out=pos_out0[1:])
-        psmall = ttfs_rows <= BLOCK_SIZE
-        if psmall.any():
-            vals = decode_values_batch(pflat, pdst0[psmall],
-                                       ttfs_rows[psmall])
-            dsti = np.repeat(pos_out0[psmall], ttfs_rows[psmall]) \
-                + _intra(ttfs_rows[psmall])
-            pos_flat[dsti] = vals
-        for i in np.flatnonzero(~psmall).tolist():
-            vals = decode_values(pflat[pdst0[i]:pdst0[i] + int(plens[i])])
-            pos_flat[pos_out0[i]:pos_out0[i] + ttfs_rows[i]] = vals
-
-    # per-row -> per-group max norm byte (upper bound; df>0 rows always
-    # have at least one block entry, so reduceat segments are non-empty)
-    boff, bvals = v.max_norms
-    if boff[-1] > 0:
-        row_max_all = np.maximum.reduceat(bvals, boff[:-1])
-    else:
-        row_max_all = np.zeros(boff.size - 1, bvals.dtype)
-    g_change = np.ones(rows.size, bool)
-    g_change[1:] = gids[1:] != gids[:-1]
-    g_starts = np.flatnonzero(g_change)
-    g_ends = np.append(g_starts[1:], rows.size)
-    g_norm = np.maximum.reduceat(row_max_all[rows], g_starts)
-    g_ttf = np.add.reduceat(v.ttfs[rows].astype(np.int64), g_starts)
-
-    out: list[dict] = []
-    for k, (s, e) in enumerate(zip(g_starts.tolist(), g_ends.tolist())):
-        term = v.term(rows[s])
-        salt = int(v.salts[rows[s]])
-        lo0 = int(out0[s])
-        hi0 = int(out0[e - 1] + dfs[e - 1])
-        gd = docs[lo0:hi0]
-        gt = tfs[lo0:hi0]
-        if pos_flat is not None:
-            gp = pos_flat[int(pos_out0[s]):
-                          int(pos_out0[e - 1] + ttfs_rows[e - 1])]
-            g_tf_cum = np.concatenate(([0], np.cumsum(gt)))
-        max_norm = int(g_norm[k])
-        for c in range((gd.size + chunk_docs - 1) // chunk_docs):
-            lo, hi = c * chunk_docs, min((c + 1) * chunk_docs, gd.size)
-            payload, last, maxtf = encode_postings(gd[lo:hi], gt[lo:hi])
-            out.append({
-                "term": term,
-                "chunk_id": salt * SALT_STRIDE + c,
-                "df": hi - lo,
-                "ttf": int(g_ttf[k]) if hi - lo == gd.size
-                else int(gt[lo:hi].sum()),
-                "start_doc": int(gd[lo]),
-                "payload": payload,
-                "positions": (
-                    encode_values(gp[g_tf_cum[lo]:g_tf_cum[hi]])
-                    if pos_flat is not None else b""
-                ),
-                "block_last": last,
-                "block_max_tf": maxtf,
-                "block_max_norm": np.full(last.size, max_norm, np.uint8),
-            })
+def _exclusive_cumsum(a: np.ndarray) -> np.ndarray:
+    out = np.zeros(a.size, np.int64)
+    np.cumsum(a[:-1], out=out[1:])
     return out
 
 
-def _chunks_to_table(chunks: list[dict], payload_name: str) -> pa.Table:
-    """Compacted chunk dicts -> terms sub-table; offsets are laid out
-    [payloads...][positions...] within the compact file."""
-    lens = np.array([len(c["payload"]) for c in chunks], np.int64)
-    offs = np.zeros(lens.size, np.int64)
-    np.cumsum(lens[:-1], out=offs[1:])
-    pos_base = int(lens.sum())
-    pos_lens = np.array([len(c["positions"]) for c in chunks], np.int64)
-    pos_offs = np.full(lens.size, pos_base, np.int64)
-    pos_offs[1:] += np.cumsum(pos_lens[:-1])
-    return pa.table({
-        "term": pa.array([c["term"] for c in chunks], pa.string()),
-        "chunk_id": pa.array([c["chunk_id"] for c in chunks], pa.int64()),
-        "df": pa.array([c["df"] for c in chunks], pa.int32()),
-        "ttf": pa.array([c["ttf"] for c in chunks], pa.int64()),
-        "start_doc": pa.array([c["start_doc"] for c in chunks], pa.int64()),
-        "payload_file": pa.array([payload_name] * len(chunks), pa.string()),
-        "offset": pa.array(offs),
-        "length": pa.array(lens),
-        "pos_offset": pa.array(pos_offs),
-        "pos_length": pa.array(pos_lens),
-        "block_last": pa.array([np.asarray(c["block_last"]).tolist()
-                                for c in chunks], pa.list_(pa.int64())),
-        "block_max_tf": pa.array([np.asarray(c["block_max_tf"]).tolist()
-                                  for c in chunks], pa.list_(pa.int32())),
-        "block_max_norm": pa.array([np.asarray(c["block_max_norm"]).tolist()
-                                    for c in chunks], pa.list_(pa.uint8())),
-    })
+def _group_ids(rows: pa.Table) -> np.ndarray:
+    """Dense id of each row's (term, salt) group; rows need not be
+    sorted."""
+    term_idx = pc.dictionary_encode(rows["term"].combine_chunks()).indices
+    salts = rows["salt"].to_numpy().astype(np.int64)
+    key = (term_idx.to_numpy().astype(np.int64) * (int(salts.max()) + 1)
+           + salts)
+    return np.unique(key, return_inverse=True)[1]
 
 
-def _write_compact_bin(chunks: list[dict], path: str) -> None:
+def _gather(bins: list[np.ndarray], file_idx: np.ndarray, offs: np.ndarray,
+            lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate each row's byte slice ``[offs, offs + lens)`` of its
+    bin into one buffer (one fancy-index per distinct bin); returns the
+    buffer and each row's start in it."""
+    starts = _exclusive_cumsum(lens)
+    flat = np.empty(int(lens.sum()), np.uint8)
+    for f in np.unique(file_idx).tolist():
+        m = file_idx == f
+        il = _intra(lens[m])
+        flat[np.repeat(starts[m], lens[m]) + il] = \
+            bins[f][np.repeat(offs[m], lens[m]) + il]
+    return flat, starts
+
+
+def compact_groups(rows: pa.Table, index_dir: str, out_dir: str,
+                   name: str) -> pa.Table:
+    """The merge kernel: full-merge interiors, boundary groups and tier
+    merges all compact through it (``SegmentMerger.merge``).
+
+    ``rows`` are term rows in ``_TERMS_SCHEMA`` plus a ``salt`` column;
+    rows sharing ``(term, salt)`` form a group. Single-row groups and
+    groups with more than ``REENCODE_MAX_DOCS`` postings pass through
+    unchanged, ``chunk_id`` included. Every other group is compacted into
+    ONE chunk: its rows' payload slices are gathered from the bins named
+    in ``payload_file`` (a name with a "/" is ``index_dir``-relative, a
+    bare one lives in ``merged/``, as in ``MergedReader``), decoded in
+    ``start_doc`` order — partition doc ranges are disjoint, so that is
+    doc order — and re-encoded into ``out_dir/payload-<name>.bin`` under
+    the group's smallest ``chunk_id``. Decoding the Zipf tail row by row
+    would dominate merge wall time, so single-block rows are decoded in
+    one vectorized call. Returns the output rows in ``_TERMS_SCHEMA``."""
+    gid = _group_ids(rows)
+    cp = ((np.bincount(gid) > 1)
+          & (np.bincount(gid, weights=rows["df"].to_numpy())
+             <= REENCODE_MAX_DOCS))[gid]
+    passthrough = rows.filter(pa.array(~cp)).select(_TERMS_SCHEMA.names) \
+        .cast(_TERMS_SCHEMA)
+    sel = np.flatnonzero(cp)
+    if sel.size == 0:
+        return passthrough
+    sel = sel[np.lexsort((rows["start_doc"].to_numpy()[sel], gid[sel]))]
+    sub = rows.take(pa.array(sel))
+    gids = gid[sel]
+    g_starts = np.flatnonzero(np.r_[True, gids[1:] != gids[:-1]])
+    ng = g_starts.size
+
+    files = sub["payload_file"].combine_chunks().dictionary_encode()
+    bins = [
+        np.frombuffer(_mmap(os.path.join(index_dir, f) if "/" in f
+                            else os.path.join(index_dir, "merged", f)),
+                      np.uint8)
+        for f in files.dictionary.to_pylist()
+    ]
+    file_idx = files.indices.to_numpy()
+    dfs = sub["df"].to_numpy().astype(np.int64)
+    ttfs = sub["ttf"].to_numpy().astype(np.int64)
+
+    # decode: single-block rows in one vectorized call, rare multi-block
+    # rows scalar
+    lens = sub["length"].to_numpy()
+    flat, at = _gather(bins, file_idx, sub["offset"].to_numpy(), lens)
+    docs = np.empty(int(dfs.sum()), np.int64)
+    tfs = np.empty(docs.size, np.int32)
+    out0 = _exclusive_cumsum(dfs)
+    small = dfs <= BLOCK_SIZE
+    if small.any():
+        d, t = decode_postings_batch(flat, at[small], dfs[small])
+        dst = np.repeat(out0[small], dfs[small]) + _intra(dfs[small])
+        docs[dst] = d
+        tfs[dst] = t
+    for i in np.flatnonzero(~small).tolist():
+        docs[out0[i]:out0[i] + dfs[i]], tfs[out0[i]:out0[i] + dfs[i]] = \
+            decode_postings(flat[at[i]:at[i] + lens[i]])
+
+    # positions: same gather + batch decode over the prox-delta streams
+    plens = sub["pos_length"].to_numpy()
+    pos = None
+    if plens.any():
+        pflat, pat = _gather(bins, file_idx, sub["pos_offset"].to_numpy(),
+                             plens)
+        pos = np.empty(int(ttfs.sum()), np.int64)
+        pout0 = _exclusive_cumsum(ttfs)
+        psmall = ttfs <= BLOCK_SIZE
+        if psmall.any():
+            dst = np.repeat(pout0[psmall], ttfs[psmall]) \
+                + _intra(ttfs[psmall])
+            pos[dst] = decode_values_batch(pflat, pat[psmall],
+                                           ttfs[psmall])
+        for i in np.flatnonzero(~psmall).tolist():
+            pos[pout0[i]:pout0[i] + ttfs[i]] = \
+                decode_values(pflat[pat[i]:pat[i] + plens[i]])
+
+    g_df = np.add.reduceat(dfs, g_starts)
+    g_ttf = np.add.reduceat(ttfs, g_starts)
+    gb = _exclusive_cumsum(g_df)
+    pb = _exclusive_cumsum(g_ttf)
+    increasing = np.diff(docs) > 0
+    increasing[gb[1:] - 1] = True  # a group may start below the last one
+    if not increasing.all():
+        raise ValueError("merge: a compacted group's docs do not strictly "
+                         "increase in start_doc order")
+
+    # per-group max norm byte (an upper bound; df>0 rows always have at
+    # least one block entry, so no group's value run is empty)
+    bmn = sub["block_max_norm"].combine_chunks()
+    vstart = _exclusive_cumsum(pc.list_value_length(bmn).to_numpy())
+    g_norm = np.maximum.reduceat(pc.list_flatten(bmn).to_numpy(),
+                                 vstart[g_starts])
+
+    payloads, positions, lasts, maxtfs = [], [], [], []
+    for k in range(ng):
+        lo, hi = gb[k], gb[k] + g_df[k]
+        payload, last, maxtf = encode_postings(docs[lo:hi], tfs[lo:hi])
+        payloads.append(payload)
+        lasts.append(last)
+        maxtfs.append(maxtf)
+        if pos is not None:
+            positions.append(encode_values(pos[pb[k]:pb[k] + g_ttf[k]]))
+    bin_name = f"payload-{name}.bin"
+    path = os.path.join(out_dir, bin_name)
     with open(path + ".tmp", "wb") as f:
-        for c in chunks:
-            f.write(c["payload"])
-        for c in chunks:
-            if len(c["positions"]):
-                f.write(c["positions"])
+        f.writelines(payloads)
+        f.writelines(positions)
     os.replace(path + ".tmp", path)
 
+    # layout within the compact bin: [payloads...][positions...]
+    p_lens = np.array([len(p) for p in payloads], np.int64)
+    pos_lens = (np.array([len(p) for p in positions], np.int64)
+                if positions else np.zeros(ng, np.int64))
+    nblk = np.array([b.size for b in lasts], np.int64)
+    boff = pa.array(np.r_[0, np.cumsum(nblk)], pa.int32())
+    compacted = pa.table({
+        "term": sub["term"].take(pa.array(g_starts)),
+        "chunk_id": np.minimum.reduceat(sub["chunk_id"].to_numpy(),
+                                        g_starts),
+        "df": g_df.astype(np.int32),
+        "ttf": g_ttf,
+        "start_doc": docs[gb],
+        "payload_file": pa.array([bin_name] * ng, pa.string()),
+        "offset": _exclusive_cumsum(p_lens),
+        "length": p_lens,
+        "pos_offset": int(p_lens.sum()) + _exclusive_cumsum(pos_lens),
+        "pos_length": pos_lens,
+        "block_last": pa.ListArray.from_arrays(
+            boff, pa.array(np.concatenate(lasts), pa.int64())),
+        "block_max_tf": pa.ListArray.from_arrays(
+            boff, pa.array(np.concatenate(maxtfs), pa.int32())),
+        "block_max_norm": pa.ListArray.from_arrays(
+            boff, pa.array(np.repeat(g_norm, nblk), pa.uint8())),
+    }).cast(_TERMS_SCHEMA)
+    return pa.concat_tables([passthrough, compacted])
 
-def _passthrough_table(batch: pa.Table, v: _MetaView, rows: np.ndarray,
-                       rank_of: np.ndarray) -> pa.Table:
-    """Vectorized reference rows: the output chunk points at the source
-    segment bin — term/df/ttf/offsets taken columnar, payload_file built
-    via a dictionary over the (few) distinct pids."""
-    idx = pa.array(rows)
-    uq, inv = np.unique(v.pids[rows], return_inverse=True)
+
+def _segment_terms_rows(seg: pa.Table) -> pa.Table:
+    """Salted segment term rows as kernel input: merged-terms rows that
+    point at their segment ``.bin`` in place, ``chunk_id`` = salt *
+    SALT_STRIDE + the row's rank by pid within its (term, salt) group."""
+    n = seg.num_rows
+    pids = seg["pid"].to_numpy()
+    gid = _group_ids(seg)
+    order = np.lexsort((pids, gid))
+    first = np.r_[True, gid[order][1:] != gid[order][:-1]]
+    seq = np.arange(n, dtype=np.int64)
+    rank = np.empty(n, np.int64)
+    rank[order] = seq - np.maximum.accumulate(np.where(first, seq, 0))
+    uq, inv = np.unique(pids, return_inverse=True)
     names = pa.array([_seg_bin_name(int(p)) for p in uq.tolist()],
                      pa.string())
-    payload_file = pa.DictionaryArray.from_arrays(
-        pa.array(inv.astype(np.int32)), names
-    ).cast(pa.string())
-    return pa.table({
-        "term": batch["term"].take(idx),
-        "chunk_id": pa.array(
-            v.salts[rows].astype(np.int64) * SALT_STRIDE + rank_of[rows]
-        ),
-        "df": pa.array(v.dfs[rows].astype(np.int32)),
-        "ttf": pa.array(v.ttfs[rows].astype(np.int64)),
-        "start_doc": pa.array(v.start_docs[rows].astype(np.int64)),
-        "payload_file": payload_file,
-        "offset": pa.array(v.offsets[rows].astype(np.int64)),
-        "length": pa.array(v.lengths[rows].astype(np.int64)),
-        "pos_offset": pa.array(v.pos_offsets[rows].astype(np.int64)),
-        "pos_length": pa.array(v.pos_lengths[rows].astype(np.int64)),
-        "block_last": batch["block_last"].take(idx).combine_chunks().cast(
-            pa.list_(pa.int64())),
-        "block_max_tf": batch["block_max_tf"].take(idx).combine_chunks()
-        .cast(pa.list_(pa.int32())),
-        "block_max_norm": batch["block_max_norm"].take(idx).combine_chunks()
-        .cast(pa.list_(pa.uint8())),
-    })
+    keep = [c for c in _TERMS_SCHEMA.names
+            if c not in ("chunk_id", "payload_file")]
+    return seg.select(keep + ["salt"]).append_column(
+        "chunk_id",
+        pa.array(seg["salt"].to_numpy().astype(np.int64) * SALT_STRIDE
+                 + rank),
+    ).append_column(
+        "payload_file",
+        pa.DictionaryArray.from_arrays(
+            pa.array(inv.astype(np.int32)), names).cast(pa.string()),
+    )
 
 
-def _write_terms_file(tables: list[pa.Table], out_dir: str,
-                      name: str) -> None:
-    tables = [
-        t.select(_TERMS_SCHEMA.names).cast(_TERMS_SCHEMA)
-        for t in tables if t.num_rows
-    ]
-    if not tables:
-        return
-    tbl = pa.concat_tables(tables)
+def _write_terms_file(tbl: pa.Table, out_dir: str, name: str) -> None:
     tpath = os.path.join(out_dir, f"terms-{name}.parquet")
     pq.write_table(tbl, tpath + ".tmp")
     os.replace(tpath + ".tmp", tpath)
 
 
-def _merge_batch(
-    batch: pa.Table, index_dir: str, out_dir: str, chunk_docs: int,
-    use_positions: bool, reencode_max_docs: int = REENCODE_MAX_DOCS,
-) -> pa.Table:
+def _merge_segment_rows(seg: pa.Table, index_dir: str, out_dir: str,
+                        name: str) -> None:
+    name = hashlib.sha1(name.encode()).hexdigest()[:16]
+    _write_terms_file(
+        compact_groups(_segment_terms_rows(seg), index_dir, out_dir, name),
+        out_dir, name)
+
+
+def _merge_batch(batch: pa.Table, index_dir: str, out_dir: str) -> pa.Table:
     """Merge all interior (term, salt) groups of a sorted metadata batch;
-    return the boundary rows (first & last key of the block) unmerged."""
+    return the boundary rows (first & last key of the block) unmerged —
+    their groups may continue in a neighbouring block."""
     n = batch.num_rows
     if n == 0:
         return batch
-    v = _MetaView(batch)
-    change = np.empty(n, bool)
-    change[0] = True
-    if n > 1:
-        import pyarrow.compute as pc
-
-        term_neq = pc.not_equal(
-            v.term_col.slice(1), v.term_col.slice(0, n - 1)
-        ).to_numpy(zero_copy_only=False)
-        change[1:] = term_neq | (v.salts[1:] != v.salts[:-1])
-    group_id = np.cumsum(change) - 1
-    starts = np.flatnonzero(change)
-    ends = np.append(starts[1:], n)
-    g_size = ends - starts
-    g_df = np.add.reduceat(v.dfs.astype(np.int64), starts)
-    interior = np.ones(starts.size, bool)
-    interior[0] = False
-    interior[-1] = False
-    pt_group = interior & ((g_size == 1) | (g_df > reencode_max_docs))
-    cp_group = interior & (g_size > 1) & (g_df <= reencode_max_docs)
-
-    # per-row rank by pid within its group (chunk_id sequencing)
-    order = np.lexsort((v.pids, group_id))
-    seq = np.arange(n, dtype=np.int64)
-    gs = group_id[order]
-    first = np.ones(n, bool)
-    first[1:] = gs[1:] != gs[:-1]
-    base = np.maximum.accumulate(np.where(first, seq, 0))
-    rank_of = np.empty(n, np.int64)
-    rank_of[order] = seq - base
-
-    tables = []
-    pt_rows = np.flatnonzero(pt_group[group_id])
-    if pt_rows.size:
-        tables.append(_passthrough_table(batch, v, pt_rows, rank_of))
-
-    chunks = _compact_groups_vectorized(
-        v, group_id, cp_group, index_dir, chunk_docs,
-        use_positions=use_positions,
-    )
-    name = hashlib.sha1(
-        f"{v.term(0)}:{n}:{pt_rows.size}:{len(chunks)}".encode()
-    ).hexdigest()[:16]
-    if chunks:
-        payload_name = f"payload-{name}.bin"
-        _write_compact_bin(chunks, os.path.join(out_dir, payload_name))
-        tables.append(_chunks_to_table(chunks, payload_name))
-    _write_terms_file(tables, out_dir, name)
-    boundary_idx = np.flatnonzero(~interior[group_id])
-    return batch.take(pa.array(boundary_idx))
+    salts = batch["salt"].to_numpy()
+    edge = np.zeros(n, bool)
+    for i in (0, n - 1):
+        edge |= (pc.equal(batch["term"], batch["term"][i])
+                 .to_numpy(zero_copy_only=False) & (salts == salts[i]))
+    if not edge.all():
+        _merge_segment_rows(
+            batch.filter(pa.array(~edge)), index_dir, out_dir,
+            f"{batch['term'][0].as_py()}:{salts[0]}:{n}")
+    return batch.filter(pa.array(edge))
 
 
 def merge_index(
@@ -434,15 +352,12 @@ def merge_index(
     *,
     hot_df_threshold: int = 100_000,
     salt_group_size: int = 64,
-    chunk_docs: int = DEFAULT_CHUNK_DOCS,
-    reencode_max_docs: int = REENCODE_MAX_DOCS,
 ) -> IndexManifest:
     """Metadata-shuffle-merge all segments into ``index_dir/merged``.
 
-    ``reencode_max_docs`` is the MergePolicy knob (TieredMergePolicy's
-    "rewrite small, re-point big" boundary): groups with more postings
-    pass through as independent chunks; smaller fragmented groups are
-    compacted into fresh payloads."""
+    Each sort block's interior groups go through :func:`compact_groups`
+    in a Ray task; the groups at block edges are collected as one table
+    and go through the same kernel on the driver."""
     import ray
     import ray.data as rd
 
@@ -472,7 +387,6 @@ def merge_index(
         salt = np.where(dfs >= cut, pids // gsize, 0).astype(np.int32)
         return batch.append_column("salt", pa.array(salt))
 
-    use_positions = man.store_positions
     tmp_out = out_dir + ".tmp"
     total_rows = sum(r.get("num_terms", 0) for r in man.partitions) or 1
     ncpu = int(ray.cluster_resources().get("CPU", 8))
@@ -484,7 +398,7 @@ def merge_index(
         os.path.join(seg_dir, f) for f in os.listdir(seg_dir)
         if f.endswith(".parquet")
     )
-    boundary = (
+    boundary = [t for t in ray.get(
         # read directly into ~nparts blocks: the sort's all-to-all then
         # exchanges nparts^2 objects instead of paying a separate
         # repartition pass first
@@ -492,117 +406,19 @@ def merge_index(
         .map_batches(add_salt, batch_format="pyarrow", batch_size=None)
         .sort(["term", "salt"])
         .map_batches(
-            lambda b: _merge_batch(b, index_dir, tmp_out, chunk_docs,
-                                   use_positions, reencode_max_docs),
+            lambda b: _merge_batch(b, index_dir, tmp_out),
             batch_format="pyarrow",
             batch_size=None,
         )
-        .take_all()
-    )
-    # final stage: merge the (small) boundary groups driver-side; big
-    # groups pass through row-per-chunk like interiors
+        # materialize first: to_arrow_refs() on a lazy dataset fetches
+        # the schema by running the pipeline again (limit 1), and that
+        # second run would write the first block's terms file twice
+        .materialize()
+        .to_arrow_refs()
+    ) if t.num_rows]
     if boundary:
-        groups: dict[tuple, list] = {}
-        for r in boundary:
-            groups.setdefault((r["term"], int(r["salt"])), []).append(r)
-        tables: list[pa.Table] = []
-        chunks: list[dict] = []
-        pt_rows: list[dict] = []
-        for (term, salt), grp in sorted(groups.items()):
-            grp.sort(key=lambda g: int(g["pid"]))
-            if len(grp) > 1 and sum(int(g["df"]) for g in grp) \
-                    <= reencode_max_docs:
-                # compact driver-side from the segment bins
-                docs_l, tfs_l, pos_l = [], [], []
-                max_norm = 0
-                for g in grp:
-                    pl = _payload_slice(index_dir, int(g["pid"]),
-                                        int(g["offset"]), int(g["length"]))
-                    d, f = decode_postings(pl)
-                    docs_l.append(d)
-                    tfs_l.append(f)
-                    if use_positions:
-                        pp = _payload_slice(
-                            index_dir, int(g["pid"]),
-                            int(g["pos_offset"]), int(g["pos_length"]))
-                        pos_l.append(decode_values(pp))
-                    bn = np.asarray(g["block_max_norm"])
-                    if bn.size:
-                        max_norm = max(max_norm, int(bn.max()))
-                docs = np.concatenate(docs_l)
-                tfs = np.concatenate(tfs_l)
-                payload, last, maxtf = encode_postings(docs, tfs)
-                chunks.append({
-                    "term": term,
-                    "chunk_id": salt * SALT_STRIDE,
-                    "df": int(docs.size),
-                    "ttf": int(tfs.sum()),
-                    "start_doc": int(docs[0]),
-                    "payload": payload,
-                    "positions": (
-                        encode_values(np.concatenate(pos_l))
-                        if pos_l else b""
-                    ),
-                    "block_last": last,
-                    "block_max_tf": maxtf,
-                    "block_max_norm": np.full(last.size, max_norm, np.uint8),
-                })
-            else:
-                for k, g in enumerate(grp):
-                    pt_rows.append({
-                        "term": term,
-                        "chunk_id": salt * SALT_STRIDE + k,
-                        "df": int(g["df"]),
-                        "ttf": int(g["ttf"]),
-                        "start_doc": int(g["start_doc"]),
-                        "payload_file": _seg_bin_name(int(g["pid"])),
-                        "offset": int(g["offset"]),
-                        "length": int(g["length"]),
-                        "pos_offset": int(g["pos_offset"]),
-                        "pos_length": int(g["pos_length"]),
-                        "block_last": np.asarray(g["block_last"]).tolist(),
-                        "block_max_tf": np.asarray(
-                            g["block_max_tf"]).tolist(),
-                        "block_max_norm": np.asarray(
-                            g["block_max_norm"]).tolist(),
-                    })
-        name = hashlib.sha1(
-            f"boundary:{len(pt_rows)}:{len(chunks)}".encode()
-        ).hexdigest()[:16]
-        if chunks:
-            payload_name = f"payload-{name}.bin"
-            _write_compact_bin(chunks, os.path.join(tmp_out, payload_name))
-            tables.append(_chunks_to_table(chunks, payload_name))
-        if pt_rows:
-            tables.append(pa.table({
-                "term": pa.array([r["term"] for r in pt_rows], pa.string()),
-                "chunk_id": pa.array([r["chunk_id"] for r in pt_rows],
-                                     pa.int64()),
-                "df": pa.array([r["df"] for r in pt_rows], pa.int32()),
-                "ttf": pa.array([r["ttf"] for r in pt_rows], pa.int64()),
-                "start_doc": pa.array([r["start_doc"] for r in pt_rows],
-                                      pa.int64()),
-                "payload_file": pa.array([r["payload_file"] for r in pt_rows],
-                                         pa.string()),
-                "offset": pa.array([r["offset"] for r in pt_rows],
-                                   pa.int64()),
-                "length": pa.array([r["length"] for r in pt_rows],
-                                   pa.int64()),
-                "pos_offset": pa.array([r["pos_offset"] for r in pt_rows],
-                                       pa.int64()),
-                "pos_length": pa.array([r["pos_length"] for r in pt_rows],
-                                       pa.int64()),
-                "block_last": pa.array([r["block_last"] for r in pt_rows],
-                                       pa.list_(pa.int64())),
-                "block_max_tf": pa.array(
-                    [r["block_max_tf"] for r in pt_rows],
-                    pa.list_(pa.int32())),
-                "block_max_norm": pa.array(
-                    [r["block_max_norm"] for r in pt_rows],
-                    pa.list_(pa.uint8())),
-            }))
-        if tables:
-            _write_terms_file(tables, tmp_out, name)
+        _merge_segment_rows(pa.concat_tables(boundary), index_dir, tmp_out,
+                            "boundary")
     os.replace(tmp_out, out_dir)
     man.merged = True
     man.save()

@@ -1,9 +1,8 @@
-"""TieredMergePolicy + ConcurrentMergeScheduler over NRT append segments.
+"""TieredMergePolicy over NRT append segments.
 
 Restates ``lucene/core/src/java/org/apache/lucene/index/
 TieredMergePolicy.java`` (findMerges: tier budget, candidate scoring by
-skew * size^0.05 * nonDelRatio^reclaim) and
-``ConcurrentMergeScheduler.java`` (bounded concurrent merge execution).
+skew * size^0.05 * nonDelRatio^reclaim).
 
 What a "merge" is here: the NRT path accumulates one
 ``merged/terms-append-*.parquet`` per flush (see ``merge.merge_append``),
@@ -11,15 +10,18 @@ each re-pointing at its own delta ``.bin``. Reads stay correct but chunk
 counts per term grow with flush count. The tiered policy watches those
 append segments and, when a tier overflows, compacts a selected set into
 ONE ``terms-tier-*.parquet`` (+ one compacted ``.bin`` for the small
-fragmented terms — big terms re-point, exactly the full merge's
-passthrough economics).
+fragmented terms — big terms re-point). It runs the full merge's kernel
+(``merge.compact_groups``), so a compacted chunk takes its group's
+smallest source chunk id and later appends still sort after it.
 
 Scale notes: selection is driver-side arithmetic over file sizes (one
 ``os.stat`` per append segment — thousands, not billions); each chosen
-merge reads only ITS OWN append files and is independent of the others,
-so the scheduler fans merges out as Ray tasks. Single writer assumed
-(Lucene's IndexWriter lock); readers opened mid-swap are protected by the
-rename-first protocol below plus :func:`recover_interrupted_merges`.
+merge reads only ITS OWN append files. Single writer assumed (Lucene's
+IndexWriter lock). The rename-first protocol below plus
+:func:`recover_interrupted_merges` keep a crash from losing documents,
+but NOT a reader opened between hide and publish: it sees none of the
+hidden sources' postings. Only a single commit point (ROADMAP item 1)
+closes that window.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .merge import _write_terms_file, compact_groups
 
 @dataclass
 class SegmentSizeInfo:
@@ -159,151 +162,40 @@ def list_append_segments(index_dir: str) -> list[SegmentSizeInfo]:
 # merge execution (one OneMerge = compact N append terms files into one)
 # ---------------------------------------------------------------------------
 
-def _resolve_bin(index_dir: str, merged_dir: str, ref: str) -> str:
-    return (os.path.join(index_dir, ref) if "/" in ref
-            else os.path.join(merged_dir, ref))
+def execute_merge(index_dir: str, terms_paths: list[str]) -> str:
+    """Compact the given append terms files into one tier terms file
+    through the full merge's kernel (:func:`merge.compact_groups`, every
+    row in one salt): terms with few postings across the candidate are
+    re-encoded into one fresh compact bin, everything else re-points.
 
-
-def execute_merge(index_dir: str, terms_paths: list[str], *,
-                  reencode_max_docs: int = 4096) -> str:
-    """Compact the given append terms files into one tier terms file.
-
-    Terms whose total df across the candidate is small are decoded from
-    their delta bins, concatenated and re-encoded into one fresh compact
-    bin; everything else re-points (passthrough rows copied verbatim).
     Publish protocol: sources are renamed out of the reader glob FIRST
     (``.merging`` suffix), the new file lands via tmp+rename, then the
-    sources are unlinked — a crash leaves either the renamed sources (
-    recoverable) or the finished merge.
+    sources are unlinked — a crash leaves either the renamed sources
+    (recoverable) or the finished merge. A merge that raises renames its
+    sources back before re-raising.
     """
-    from ..codec import decode_postings, encode_postings
-
     merged_dir = os.path.join(index_dir, "merged")
     gen = hashlib.sha1(
         ("|".join(sorted(os.path.basename(p) for p in terms_paths)))
         .encode()).hexdigest()[:12]
-
-    # 1) hide sources from new readers
-    hidden = []
-    for p in terms_paths:
-        h = p + f".merging-{gen}"
-        os.rename(p, h)
-        hidden.append(h)
-
-    tbl = pa.concat_tables([pq.read_table(h) for h in hidden])
-    order = pa.compute.sort_indices(
-        tbl, sort_keys=[("term", "ascending"), ("chunk_id", "ascending")])
-    tbl = tbl.take(order)
-    terms = tbl["term"].to_numpy(zero_copy_only=False)
-    n = len(terms)
-    change = np.ones(n, bool)
-    change[1:] = terms[1:] != terms[:-1]
-    group_id = np.cumsum(change) - 1
-    starts = np.flatnonzero(change)
-    ends = np.append(starts[1:], n)
-    dfs = tbl["df"].to_numpy()
-    g_df = np.add.reduceat(dfs.astype(np.int64), starts)
-    g_size = ends - starts
-    compact = (g_size > 1) & (g_df <= reencode_max_docs)
-
-    refs = tbl["payload_file"].to_pylist()
-    offs = tbl["offset"].to_numpy()
-    lens = tbl["length"].to_numpy()
-    pos_offs = tbl["pos_offset"].to_numpy()
-    pos_lens = tbl["pos_length"].to_numpy()
-    has_pos = bool(n and pos_lens.max() > 0)
-    if has_pos:
-        # only compact groups whose rows are uniformly positional
-        row_pos = pos_lens > 0
-        g_uniform = (np.minimum.reduceat(row_pos, starts)
-                     == np.maximum.reduceat(row_pos, starts))
-        compact &= g_uniform
-
-    import mmap as mmap_mod
-
-    mms: list = []
-    views: dict[str, memoryview] = {}
-
-    def view(ref: str) -> memoryview:
-        if ref not in views:
-            path = _resolve_bin(index_dir, merged_dir, ref)
-            fd = os.open(path, os.O_RDONLY)
-            try:
-                mm = mmap_mod.mmap(fd, 0, prot=mmap_mod.PROT_READ)
-            finally:
-                os.close(fd)
-            mms.append(mm)
-            views[ref] = memoryview(mm).cast("B")
-        return views[ref]
-    bmn = tbl["block_max_norm"]
-
-    from ..codec.postings import decode_values, encode_values
-    from .merge import _chunks_to_table, _write_compact_bin
-
-    chunks: list[dict] = []
-    for g in np.flatnonzero(compact).tolist():
-        rows = range(int(starts[g]), int(ends[g]))
-        docs_l, tfs_l, pos_l = [], [], []
-        max_norm = 0
-        for i in rows:
-            pl = view(refs[i])[int(offs[i]):int(offs[i]) + int(lens[i])]
-            d, f = decode_postings(pl)
-            docs_l.append(d)
-            tfs_l.append(f)
-            if has_pos and int(pos_lens[i]):
-                pp = view(refs[i])[int(pos_offs[i]):
-                                   int(pos_offs[i]) + int(pos_lens[i])]
-                pos_l.append(decode_values(pp))
-            mn = np.asarray(bmn[i].as_py() or [], np.int64)
-            if mn.size:
-                max_norm = max(max_norm, int(mn.max()))
-        docs = np.concatenate(docs_l)
-        tfs = np.concatenate(tfs_l)
-        srt = np.argsort(docs, kind="stable")
-        if pos_l:
-            # positions are per-occurrence; reorder occurrence runs with
-            # their docs
-            tf_cum = np.concatenate(([0], np.cumsum(tfs)))
-            pos_flat = np.concatenate(pos_l)
-            pieces = [pos_flat[tf_cum[j]:tf_cum[j + 1]] for j in srt]
-            pos_sorted = (np.concatenate(pieces) if pieces
-                          else np.empty(0, np.int64))
-        docs, tfs = docs[srt], tfs[srt]
-        payload, last, maxtf = encode_postings(docs, tfs)
-        chunks.append({
-            "term": str(terms[starts[g]]),
-            "chunk_id": 20_000_000 + g,
-            "df": int(docs.size),
-            "ttf": int(tfs.sum()),
-            "start_doc": int(docs[0]),
-            "payload": payload,
-            "positions": encode_values(pos_sorted) if pos_l else b"",
-            "block_last": last,
-            "block_max_tf": maxtf,
-            "block_max_norm": np.full(last.size, max_norm, np.uint8),
-        })
-
-    tables = []
-    pt_rows = np.flatnonzero(~compact[group_id])
-    if pt_rows.size:
-        tables.append(tbl.take(pa.array(pt_rows)))
-    if chunks:
-        payload_name = f"payload-tier-{gen}.bin"
-        _write_compact_bin(chunks, os.path.join(merged_dir, payload_name))
-        ct = _chunks_to_table(chunks, payload_name)
-        tables.append(ct.cast(tbl.schema) if tables else ct)
-    out = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
-    out_name = f"terms-tier-{gen}.parquet"
-    out_path = os.path.join(merged_dir, out_name)
-    pq.write_table(out, out_path + ".tmp")
-    os.replace(out_path + ".tmp", out_path)
-
-    # mmaps close when the function-scoped views are collected; closing
-    # explicitly here races with still-live decode slice views
-    del views, mms
+    name = f"tier-{gen}"
+    hidden: list[str] = []
+    try:
+        for p in terms_paths:  # hide sources from new readers
+            os.rename(p, p + f".merging-{gen}")
+            hidden.append(p + f".merging-{gen}")
+        tbl = pa.concat_tables([pq.read_table(h) for h in hidden])
+        tbl = tbl.append_column(
+            "salt", pa.array(np.zeros(tbl.num_rows, np.int32)))
+        _write_terms_file(compact_groups(tbl, index_dir, merged_dir, name),
+                          merged_dir, name)
+    except BaseException:
+        for p, h in zip(terms_paths, hidden):
+            os.rename(h, p)
+        raise
     for h in hidden:
         os.unlink(h)
-    return out_name
+    return f"terms-{name}.parquet"
 
 
 def recover_interrupted_merges(index_dir: str) -> int:
@@ -325,46 +217,14 @@ def recover_interrupted_merges(index_dir: str) -> int:
     return restored
 
 
-@dataclass
-class ConcurrentMergeScheduler:
-    """Run selected merges as parallel Ray tasks (bounded, like
-    ConcurrentMergeScheduler.maxMergeCount/maxThreadCount)."""
-
-    max_concurrent: int = 4
-
-    def run(self, index_dir: str, merges: list[list[SegmentSizeInfo]],
-            **merge_kw) -> list[str]:
-        if not merges:
-            return []
-        if len(merges) == 1:
-            return [execute_merge(
-                index_dir, [s.terms_path for s in merges[0]], **merge_kw)]
-        import ray
-
-        @ray.remote
-        def _one(paths: list[str]) -> str:
-            return execute_merge(index_dir, paths, **merge_kw)
-
-        refs, out = [], []
-        pending = [[s.terms_path for s in m] for m in merges]
-        while pending or refs:
-            while pending and len(refs) < self.max_concurrent:
-                refs.append(_one.remote(pending.pop()))
-            done, refs = ray.wait(refs, num_returns=1)
-            refs = list(refs)
-            out.append(ray.get(done[0]))
-        return out
-
-
 def maybe_merge(index_dir: str,
-                policy: TieredMergePolicy | None = None,
-                scheduler: ConcurrentMergeScheduler | None = None,
-                **merge_kw) -> list[str]:
+                policy: TieredMergePolicy | None = None) -> list[str]:
     """IndexWriter.maybeMerge analogue: ask the policy for overdue merges
-    over the current append segments and run them. Returns the new tier
-    terms files (empty when the tiers are within budget)."""
+    over the current append segments and run them one after another.
+    Returns the new tier terms files (empty when the tiers are within
+    budget)."""
     policy = policy or TieredMergePolicy()
-    scheduler = scheduler or ConcurrentMergeScheduler()
     recover_interrupted_merges(index_dir)
     merges = policy.find_merges(list_append_segments(index_dir))
-    return scheduler.run(index_dir, merges, **merge_kw)
+    return [execute_merge(index_dir, [s.terms_path for s in m])
+            for m in merges]

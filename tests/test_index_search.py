@@ -181,8 +181,7 @@ def test_searchafter_paging(searcher):
 def test_merged_index_identical_results(index_dir, searcher, oracle,
                                         ray_session):
     # merge with aggressive salting so the salted path is exercised
-    merge_index(index_dir, hot_df_threshold=50, salt_group_size=2,
-                chunk_docs=256)
+    merge_index(index_dir, hot_df_threshold=50, salt_group_size=2)
     merged = IndexSearcher(index_dir)
     from lucene_solr_ray.search.readers import MergedReader
 

@@ -8,8 +8,8 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from lucene_solr_ray.index.mergepolicy import (ConcurrentMergeScheduler,
-                                               SegmentSizeInfo,
+from lucene_solr_ray.index import check_merged
+from lucene_solr_ray.index.mergepolicy import (SegmentSizeInfo,
                                                TieredMergePolicy,
                                                execute_merge,
                                                list_append_segments,
@@ -106,8 +106,7 @@ def test_tiered_merge_compacts_and_preserves_results(nrt_index):
     policy = TieredMergePolicy(segs_per_tier=2.0, max_merge_at_once=4,
                                floor_segment_bytes=1,
                                max_merged_segment_bytes=1 << 30)
-    new_files = maybe_merge(nrt_index, policy,
-                            ConcurrentMergeScheduler(max_concurrent=2))
+    new_files = maybe_merge(nrt_index, policy)
     assert new_files
     after_segs = list_append_segments(nrt_index)
     assert len(after_segs) < 6  # appends were consumed
@@ -115,6 +114,9 @@ def test_tiered_merge_compacts_and_preserves_results(nrt_index):
     assert any(f.startswith("terms-tier-") for f in os.listdir(merged_dir))
     assert not any(".merging-" in f for f in os.listdir(merged_dir))
     assert _search_all(nrt_index) == before  # scores + ranks identical
+    # df, ttf, postings and positions equal the segments', as after a
+    # full merge
+    check_merged(nrt_index)
 
 
 def test_within_budget_is_a_noop(nrt_index):
@@ -122,18 +124,19 @@ def test_within_budget_is_a_noop(nrt_index):
     assert maybe_merge(nrt_index, TieredMergePolicy()) == []
 
 
-def test_recover_interrupted_merge(tmp_path_factory, ray_session):
+def _two_appends(tmp_path_factory, name: str) -> str:
+    """A merged two-doc index plus two one-doc appends sharing "delta"."""
     import pyarrow.parquet as pq
 
     from lucene_solr_ray.index import build_index, merge_index
     from lucene_solr_ray.index.updates import append_segment
 
-    d = tmp_path_factory.mktemp("rec_src")
+    d = tmp_path_factory.mktemp(f"{name}_src")
     pq.write_table(pa.table({
         "doc_key": pa.array([1, 2], pa.int64()),
         "content": pa.array(["alpha beta", "beta gamma"]),
     }), str(d / "docs.parquet"))
-    out = str(tmp_path_factory.mktemp("rec_idx") / "idx")
+    out = str(tmp_path_factory.mktemp(f"{name}_idx") / "idx")
     build_index(str(d), out, text_field="content", rows_per_partition=2)
     merge_index(out)
     for i in range(2):
@@ -141,6 +144,11 @@ def test_recover_interrupted_merge(tmp_path_factory, ray_session):
             "doc_key": pa.array([10 + i], pa.int64()),
             "content": pa.array([f"delta run{i}"]),
         }))
+    return out
+
+
+def test_recover_interrupted_merge(tmp_path_factory, ray_session):
+    out = _two_appends(tmp_path_factory, "rec")
     segs = list_append_segments(out)
     # simulate a crash: sources hidden, merge never finished
     for s in segs:
@@ -157,3 +165,24 @@ def test_recover_interrupted_merge(tmp_path_factory, ray_session):
         f.write("stale")
     assert recover_interrupted_merges(out) == 0
     assert not os.path.exists(leftover)
+
+
+def test_failed_merge_restores_sources(tmp_path_factory, ray_session,
+                                       monkeypatch):
+    from lucene_solr_ray.index import merge
+    from lucene_solr_ray.search import IndexSearcher
+
+    out = _two_appends(tmp_path_factory, "fail")
+    segs = list_append_segments(out)
+    dfs = {t: IndexSearcher(out).doc_freq(t) for t in ("delta", "run0")}
+    assert dfs == {"delta": 2, "run0": 1}
+
+    def boom(*a, **kw):
+        raise RuntimeError("injected encode failure")
+
+    # "delta" spans both appends, so the merge re-encodes it
+    monkeypatch.setattr(merge, "encode_postings", boom)
+    with pytest.raises(RuntimeError, match="injected"):
+        execute_merge(out, [s.terms_path for s in segs])
+    assert list_append_segments(out) == segs
+    assert {t: IndexSearcher(out).doc_freq(t) for t in dfs} == dfs

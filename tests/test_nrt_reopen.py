@@ -1,9 +1,10 @@
 """NRT reopen: a SearcherManager reopen that reads only the files a publish
 added must leave the searcher exactly as a fresh open of the same index —
 term arrays, block-max lists, payload bytes, norms and top-10 results —
-through keyed upserts, a full merge and a replication into the same
-directory."""
+through keyed upserts, a full merge, a tier merge and a replication into
+the same directory."""
 
+import os
 import shutil
 
 import numpy as np
@@ -11,6 +12,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from lucene_solr_ray.index import build_index, merge_index
+from lucene_solr_ray.index.mergepolicy import (execute_merge,
+                                               list_append_segments)
 from lucene_solr_ray.index.updates import update_documents
 from lucene_solr_ray.search import (
     BooleanQuery, IndexSearcher, PhraseQuery, SearcherManager, TermQuery)
@@ -95,3 +98,48 @@ def test_reopen_equals_fresh_open(tmp_path_factory, ray_session,
     replicate(other, idx)
     assert mgr.maybe_refresh()
     _assert_fresh(mgr.acquire(), idx)
+
+
+def test_reopen_after_tier_merge_reads_only_new_file(tmp_path_factory,
+                                                     ray_session,
+                                                     monkeypatch):
+    """A tier merge's compacted chunks keep their sources' smallest chunk
+    id, so the upserts after it still reopen incrementally."""
+    rng = np.random.default_rng(9)
+    src = tmp_path_factory.mktemp("tier_reopen_src")
+    pq.write_table(_docs(rng, [f"p{i}" for i in range(100)]),
+                   str(src / "c.parquet"), row_group_size=50)
+    idx = str(tmp_path_factory.mktemp("tier_reopen_idx") / "idx")
+    build_index(str(src), idx, text_field="content", rows_per_partition=50,
+                store_positions=True)
+    merge_index(idx)
+    mgr = SearcherManager(idx)
+
+    def upsert(i):
+        keys = [f"p{k}" for k in rng.choice(100, 5, replace=False)]
+        keys += [f"n{i}_{j}" for j in range(2)]
+        update_documents(idx, _docs(rng, keys, " fresh"), "path")
+
+    for i in range(4):
+        upsert(i)
+        assert mgr.maybe_refresh()
+    appends = list_append_segments(idx)
+    assert len(appends) == 4
+    execute_merge(idx, [s.terms_path for s in appends])
+    assert any(f.startswith("payload-tier-")  # some groups were compacted
+               for f in os.listdir(os.path.join(idx, "merged")))
+
+    read = []  # terms files each reader open reads
+    real = readers._read_terms
+    monkeypatch.setattr(readers, "_read_terms",
+                        lambda files, all_files: read.append(len(files))
+                        or real(files, all_files))
+    for i in range(4, 8):
+        upsert(i)
+        read.clear()
+        assert mgr.maybe_refresh()
+        if i == 4:  # the merged-away append files are gone: full open
+            assert len(read) == 1 and read[0] > 1
+        else:
+            assert read == [1]  # only the new append file
+        _assert_fresh(mgr.acquire(), idx)

@@ -131,11 +131,11 @@ def test_phrase_identical_after_merge(pos_index, ray_session):
     before = IndexSearcher(idx)
     q = PhraseQuery(("quick", "brown"))
     want = before.search(q, k=50).to_pydict()
-    merge_index(idx, hot_df_threshold=40, salt_group_size=2, chunk_docs=128)
+    merge_index(idx, hot_df_threshold=40, salt_group_size=2)
     after = IndexSearcher(idx)
     got = after.search(q, k=50).to_pydict()
     assert got == want
-    # multi-term positional data survives chunk splitting + salting
+    # multi-term positional data survives compaction + salting
     q2 = PhraseQuery(("brown", "fox"))
     assert (after.search(q2, k=50).to_pydict()
             == before.search(q2, k=50).to_pydict())
@@ -157,8 +157,7 @@ def test_merged_positions_identical_to_segments(tmp_path_factory,
                    row_group_size=50)
     out = str(tmp_path_factory.mktemp("pm_index"))
     build_index(str(d), out, rows_per_partition=50, store_positions=True)
-    merge_index(out, hot_df_threshold=50, salt_group_size=2,
-                chunk_docs=512)
+    merge_index(out, hot_df_threshold=50, salt_group_size=2)
     seg = SegmentsReader(out)
     mrg = MergedReader(out)
     terms = seg.unique_terms()

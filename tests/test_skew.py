@@ -43,7 +43,6 @@ def _build(corpus, out, salt: bool):
         # threshold below hot-term df -> salted; huge -> unsalted
         hot_df_threshold=200 if salt else 10_000_000,
         salt_group_size=3,
-        chunk_docs=512,
     )
     return IndexSearcher(out)
 

@@ -18,8 +18,7 @@ def widx(tmp_path_factory, ray_session):
     pq.write_table(tbl, str(d / "c.parquet"), row_group_size=100)
     out = str(tmp_path_factory.mktemp("windex"))
     build_index(str(d), out, rows_per_partition=100)
-    merge_index(out, hot_df_threshold=100, salt_group_size=2,
-                chunk_docs=256)
+    merge_index(out, hot_df_threshold=100, salt_group_size=2)
     return out
 
 
@@ -81,7 +80,7 @@ def test_wand_respects_deletes(tmp_path_factory, ray_session):
     pq.write_table(tbl, str(d / "c.parquet"), row_group_size=100)
     out = str(tmp_path_factory.mktemp("wdel_index"))
     build_index(str(d), out, rows_per_partition=100)
-    merge_index(out, hot_df_threshold=100, salt_group_size=2, chunk_docs=256)
+    merge_index(out, hot_df_threshold=100, salt_group_size=2)
 
     s0 = IndexSearcher(out)
     q = BooleanQuery.build(should=[TermQuery("return"), TermQuery("def")])
