@@ -76,9 +76,9 @@ def open_reader(index_dir: str, **kw):
     from .build import IndexManifest
 
     man = IndexManifest.load(index_dir)
-    if man.merged and os.path.isdir(os.path.join(index_dir, "merged")):
-        return MergedReader(index_dir, **kw)
-    return SegmentsReader(index_dir, **kw)
+    if man.merged:
+        return MergedReader(man, **kw)
+    return SegmentsReader(man, **kw)
 
 
 class _PrefixUnion:

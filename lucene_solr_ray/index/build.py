@@ -11,7 +11,8 @@ The Ray Data restatement of the reference write path (SURVEY.md §3.1/§3.3):
   block encode) as Parquet, atomically (tmp + rename);
 - commit == the driver writing ``manifest.json`` last, after all partitions
   checkpointed (the ``segments_N`` two-phase publish,
-  ``IndexWriter.java:2662-2667``).
+  ``IndexWriter.java:2662-2667``). :class:`IndexManifest` is the commit
+  point of every writer, not only the build: see :meth:`IndexManifest.commit`.
 
 Partition planning is driver-side and metadata-only: parquet row counts give
 a prefix sum of deterministic ``doc_base`` values, so
@@ -52,11 +53,35 @@ MANIFEST = "manifest.json"
 
 # bump when the on-disk segment/merged layout changes (cache-key component
 # for /tmp index caches; readers of one version never see another's files)
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+# the directories whose files a commit names; a commit unlinks every file
+# under them that it does not name
+_FILE_DIRS = ("segments", "norms", "docvalues", "_appends", "merged",
+              "deletes", "docvalues_updates")
+
+
+def segment_bin(part: dict) -> str:
+    """Index-relative path of a partition's payload ``.bin``."""
+    return part["segment"][:-len(".parquet")] + ".bin"
+
+
+def _part_files(part: dict) -> list[str]:
+    """Index-relative paths of a partition's segment, ``.bin``, norms and
+    (when built) docvalues files."""
+    return [part["segment"], segment_bin(part), part["norms"]] + (
+        [part["docvalues"]] if "docvalues" in part else [])
 
 
 @dataclass
 class IndexManifest:
+    """The commit point (Lucene's ``segments_N``): the only list of what
+    the index contains. A reader opens exactly the files it names — the
+    partitions' segment, ``.bin``, norms and docvalues files, and the
+    merged, delete and docvalues-update files listed below — and never
+    lists a directory. Every writer writes its new files under names no
+    earlier commit used, then publishes with :meth:`commit`."""
+
     index_dir: str
     field: str
     analyzer: str
@@ -75,6 +100,17 @@ class IndexManifest:
     store_payloads: bool = False
     docvalues_fields: list = field(default_factory=list)
     sort_by: str | None = None
+    # +1 per commit; a reader compares it to see whether the index changed
+    generation: int = 0
+    # merged/ file names of the merged view: terms-*.parquet files and the
+    # payload-*.bin files their rows compact into
+    merged_files: list = field(default_factory=list)
+    # deletes/ file names, oldest first
+    deletes: list = field(default_factory=list)
+    # field -> docvalues_updates/<field>/ file names, oldest first
+    docvalues_updates: dict = field(default_factory=dict)
+    # partition ids quarantined by exorcise_index: readers skip them
+    exorcised: list = field(default_factory=list)
 
     @property
     def avgdl(self) -> float:
@@ -86,12 +122,55 @@ class IndexManifest:
             np.float32(self.sum_total_term_freq / float(self.max_doc))
         )
 
-    def save(self) -> None:
-        d = self.__dict__.copy()
+    def files(self) -> set[str]:
+        """Index-relative paths of every file this commit names."""
+        root = os.path.abspath(self.index_dir)
+        out = set()
+        for p in self.partitions:
+            out.update(_part_files(p))
+            src = os.path.relpath(os.path.abspath(p["file"]), root)
+            if not src.startswith(os.pardir):  # an append's own file
+                out.add(src)
+        out.update(os.path.join("merged", f) for f in self.merged_files)
+        out.update(os.path.join("deletes", f) for f in self.deletes)
+        for fld, names in self.docvalues_updates.items():
+            out.update(os.path.join("docvalues_updates", fld, f)
+                       for f in names)
+        return out
+
+    def write(self) -> None:
+        """Publish this manifest as it is: one ``os.replace``."""
         tmp = os.path.join(self.index_dir, MANIFEST + ".tmp")
         with open(tmp, "w") as f:
-            json.dump(d, f, indent=1)
+            json.dump(self.__dict__, f, indent=1)
         os.replace(tmp, os.path.join(self.index_dir, MANIFEST))
+
+    def sweep(self) -> int:
+        """Unlink every file under the index's file directories that this
+        commit does not name — files an older commit dropped and a
+        crashed writer's leftovers (Lucene's ``IndexFileDeleter``).
+        Returns the number unlinked."""
+        named = self.files()
+        n = 0
+        for top in _FILE_DIRS:
+            for d, _, names in os.walk(os.path.join(self.index_dir, top)):
+                for f in names:
+                    path = os.path.join(d, f)
+                    if os.path.relpath(path, self.index_dir) not in named:
+                        os.unlink(path)
+                        n += 1
+        return n
+
+    def commit(self) -> None:
+        """Publish this manifest as the next generation, then unlink the
+        files it no longer names. The writer has already written every
+        file it names, under names no earlier commit used (the
+        generation number or the input fingerprint is part of each new
+        name), so a reader sees the whole change or none of it, and a
+        crash before the ``os.replace`` leaves only unnamed files."""
+        self.generation += 1
+        self.write()
+        self.sweep()
 
     @classmethod
     def load(cls, index_dir: str) -> "IndexManifest":
@@ -101,6 +180,11 @@ class IndexManifest:
             raise ValueError(
                 f"{index_dir} was built with the bit-packed postings "
                 "encoding, which was removed; rebuild the index")
+        if "generation" not in d:
+            raise ValueError(
+                f"{index_dir} has no commit generation: it was written by "
+                "a version whose readers listed directories; rebuild the "
+                "index")
         d["index_dir"] = index_dir
         return cls(**d)
 
@@ -314,9 +398,6 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
     _check_index_options(store_positions, store_offsets, store_payloads)
     pid = part["partition_id"]
     doc_base = part["doc_base"]
-    seg_path = os.path.join(out_dir, "segments", f"part-{pid:05d}.parquet")
-    bin_path = os.path.join(out_dir, "segments", f"part-{pid:05d}.bin")
-    norm_path = os.path.join(out_dir, "norms", f"part-{pid:05d}.parquet")
     ckpt_path = os.path.join(out_dir, "_checkpoints", f"part-{pid:05d}.json")
     # input fingerprint: a checkpoint is valid only for the SAME input
     # slice at the same doc_base — a changed/grown corpus file invalidates
@@ -332,11 +413,25 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
         [bool(store_positions), bool(store_offsets), bool(store_payloads),
          sorted(docvalues_fields or [])],
     ]
+    stem = f"part-{pid:05d}"
     if os.path.exists(ckpt_path):
         with open(ckpt_path) as f:
             row = json.load(f)
-        if row.get("input_fingerprint") == fingerprint:
+        # a checkpoint from before sidecars were named in the row does
+        # not name its docvalues file: rebuild it rather than lose it
+        if row.get("input_fingerprint") == fingerprint and (
+                not docvalues_fields or "docvalues" in row) and all(
+                os.path.exists(os.path.join(out_dir, f))
+                for f in _part_files(row)):
             return row
+        # a rebuild of this partition: its files take a name no earlier
+        # build of it used, as a commit may still name the old ones
+        stem += "-" + hashlib.sha1(
+            json.dumps(fingerprint).encode()).hexdigest()[:8]
+    seg_path = os.path.join(out_dir, "segments", f"{stem}.parquet")
+    bin_path = os.path.join(out_dir, "segments", f"{stem}.bin")
+    norm_path = os.path.join(out_dir, "norms", f"{stem}.parquet")
+    dv_path = None
 
     pf = pq.ParquetFile(part["file"])
     if docvalues_fields:
@@ -345,8 +440,7 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
         # segment so field sorts / function queries / facets read the
         # index's own column store instead of going back to (possibly
         # cold) source storage
-        dv_path = os.path.join(out_dir, "docvalues",
-                               f"part-{pid:05d}.parquet")
+        dv_path = os.path.join(out_dir, "docvalues", f"{stem}.parquet")
         os.makedirs(os.path.dirname(dv_path), exist_ok=True)
         dv_tbl = pa.concat_tables([
             pf.read_row_group(rg, columns=list(docvalues_fields))
@@ -628,6 +722,8 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
         "segment": os.path.relpath(seg_path, out_dir),
         "norms": os.path.relpath(norm_path, out_dir),
     }
+    if dv_path is not None:
+        row["docvalues"] = os.path.relpath(dv_path, out_dir)
     with open(ckpt_path + ".tmp", "w") as f:
         json.dump(row, f)
     os.replace(ckpt_path + ".tmp", ckpt_path)
@@ -698,14 +794,6 @@ def build_index(
     out = ds.map_batches(fn, batch_size=1, **kw)
     rows = [json.loads(r["manifest_row"]) for r in out.take_all()]
     rows.sort(key=lambda r: r["partition_id"])
-    # a (re)build invalidates any previously merged view: segments are the
-    # source of truth; merged must be rebuilt from them (merge_index)
-    merged_dir = os.path.join(out_dir, "merged")
-    stale_merged = os.path.isdir(merged_dir)
-    if stale_merged:
-        import shutil as _shutil
-
-        _shutil.rmtree(merged_dir)
     if not isinstance(analyzer, str):
         # persist the analyzer object: its name is typically not in the
         # registry, and append_segment / query parsing must reuse the
@@ -714,6 +802,13 @@ def build_index(
 
         with open(os.path.join(out_dir, "analyzer.pkl"), "wb") as f:
             pickle.dump(analyzer, f)
+    # a (re)build commits a fresh view: segments are the source of truth,
+    # so an earlier commit's merged view, deletes and docvalues updates
+    # are dropped (merge_index rebuilds the merged view from the segments)
+    generation = 0
+    if os.path.exists(os.path.join(out_dir, MANIFEST)):
+        with open(os.path.join(out_dir, MANIFEST)) as f:
+            generation = json.load(f).get("generation", 0)
     man = IndexManifest(
         index_dir=out_dir,
         field=text_field,
@@ -727,6 +822,7 @@ def build_index(
         store_payloads=store_payloads,
         docvalues_fields=sorted(docvalues_fields) if docvalues_fields
         else [],
+        generation=generation,
     )
-    man.save()
+    man.commit()
     return man

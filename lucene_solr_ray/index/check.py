@@ -29,7 +29,7 @@ import numpy as np
 import pyarrow.parquet as pq
 
 from ..codec import BLOCK_SIZE, decode_postings, encode_norm
-from .build import IndexManifest
+from .build import IndexManifest, segment_bin
 
 
 def check_index(index_dir: str, *, sample_terms: int | None = None,
@@ -78,8 +78,7 @@ def _check_partition_body(index_dir: str, man: IndexManifest, part: dict,
     # payloads live in the .bin sidecar, referenced by (offset, length)
     from ..search.readers import mmap_file
 
-    bin_mv = mmap_file(os.path.join(
-        index_dir, "segments", f"part-{pid:05d}.bin"))
+    bin_mv = mmap_file(os.path.join(index_dir, segment_bin(part)))
     p_off = seg["offset"].to_numpy()
     p_len = seg["length"].to_numpy()
     q_off = seg["pos_offset"].to_numpy()
@@ -325,17 +324,10 @@ def index_info(index_dir: str) -> dict:
     metadata, bytes per file family."""
     import pyarrow.parquet as pq
 
+    from .deletes import LiveDocs
+
     man = IndexManifest.load(index_dir)
-    deleted = 0
-    ddir = os.path.join(index_dir, "deletes")
-    if os.path.isdir(ddir):
-        seen: set[int] = set()
-        for f in sorted(os.listdir(ddir)):
-            if f.endswith(".parquet"):
-                seen.update(
-                    pq.read_table(os.path.join(ddir, f))["doc_id"]
-                    .to_pylist())
-        deleted = len(seen)
+    deleted = LiveDocs(man).num_deleted
     sizes: dict[str, int] = {}
     term_rows = 0
     for root, _dirs, files in os.walk(index_dir):
@@ -370,18 +362,17 @@ def exorcise_index(index_dir: str, *,
     exorciseIndex: "removes any segments that are corrupt... LOSES
     DATA"): partitions failing the invariant checks are quarantined —
     their doc ranges are deleted in one live-docs generation and their
-    pids recorded in ``exorcised.json`` so segment readers skip their
-    files entirely.  Doc ids are a deterministic prefix sum here, so
-    exorcism must never renumber: masking loses exactly the corrupt
-    partitions' docs and nothing else (the reference's semantics —
-    dropped segments' docs disappear, survivors keep their ids).
+    pids recorded in the manifest's ``exorcised`` list, in one commit, so
+    segment readers skip their files entirely.  Doc ids are a
+    deterministic prefix sum here, so exorcism must never renumber:
+    masking loses exactly the corrupt partitions' docs and nothing else
+    (the reference's semantics — dropped segments' docs disappear,
+    survivors keep their ids).
     Returns {"dropped": pids, "docs_deleted": n, "errors": [...]}."""
-    import json as _json
-
-    from .deletes import delete_docs
+    from .deletes import write_deletes
 
     man = IndexManifest.load(index_dir)
-    already = exorcised_pids(index_dir)
+    already = set(man.exorcised)
     bad: list[int] = []
     errors: list[str] = []
     for part in man.partitions:
@@ -404,23 +395,8 @@ def exorcise_index(index_dir: str, *,
         for p in man.partitions if int(p["partition_id"]) in bad
     ]) if bad else np.empty(0, np.int64)
     if bad:
-        delete_docs(index_dir, dropped_docs)
-        path = os.path.join(index_dir, "exorcised.json")
-        prev = []
-        if os.path.exists(path):
-            with open(path) as f:
-                prev = _json.load(f).get("pids", [])
-        with open(path, "w") as f:
-            _json.dump({"pids": sorted(set(prev) | set(bad))}, f)
+        write_deletes(man, dropped_docs)
+        man.exorcised = sorted(already | set(bad))
+        man.commit()
     return {"dropped": bad, "docs_deleted": int(dropped_docs.size),
             "errors": errors}
-
-
-def exorcised_pids(index_dir: str) -> set:
-    import json as _json
-
-    path = os.path.join(index_dir, "exorcised.json")
-    if not os.path.exists(path):
-        return set()
-    with open(path) as f:
-        return set(_json.load(f).get("pids", []))

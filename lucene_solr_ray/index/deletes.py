@@ -4,10 +4,11 @@ Lucene deletes are per-segment bitsets written per delete generation
 (``Lucene50LiveDocsFormat.java:43-74``) and applied by every scorer; docs
 vanish from results immediately, space is reclaimed at merge. Here:
 
-- :func:`delete_by_query` — run a query, mark its docs deleted in
-  ``index_dir/deletes/gen-N.parquet`` (doc_id list, append-only
-  generations — the delete-generation files);
-- :class:`LiveDocs` — the union mask, loaded by searchers;
+- :func:`delete_by_query` — run a query, mark its docs deleted in a new
+  ``index_dir/deletes/gen-N.parquet`` (doc_id list, N = the commit's
+  generation) named by the commit's ``deletes`` list;
+- :class:`LiveDocs` — the union mask of a commit's delete files, loaded by
+  searchers;
 - ``IndexSearcher(apply_deletes=True)`` filters every scorer's doc arrays
   through the mask (``ReqExclScorer``-style), so ranks/scores equal an
   index where those docs never matched. Collection statistics (maxDoc,
@@ -23,36 +24,50 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .build import IndexManifest
+
 
 class LiveDocs:
-    def __init__(self, index_dir: str, max_doc: int):
-        self.mask = np.ones(max_doc, bool)
-        d = os.path.join(index_dir, "deletes")
-        self.generations = 0
-        if os.path.isdir(d):
-            for f in sorted(os.listdir(d)):
-                if not f.endswith(".parquet"):
-                    continue
-                ids = pq.read_table(f := os.path.join(d, f))["doc_id"]
-                self.mask[ids.to_numpy()] = False
-                self.generations += 1
+    """The live mask of commit ``man``: every doc not in one of its delete
+    files."""
+
+    def __init__(self, man: IndexManifest):
+        self.files = list(man.deletes)
+        self.mask = np.ones(man.max_doc, bool)
+        for f in self.files:
+            ids = pq.read_table(os.path.join(man.index_dir, "deletes", f))
+            self.mask[ids["doc_id"].to_numpy()] = False
+
+    @property
+    def generations(self) -> int:
+        return len(self.files)
 
     @property
     def num_deleted(self) -> int:
         return int((~self.mask).sum())
 
 
-def delete_docs(index_dir: str, doc_ids: np.ndarray) -> str:
-    """Append a delete generation (atomic write)."""
-    d = os.path.join(index_dir, "deletes")
+def write_deletes(man: IndexManifest, doc_ids: np.ndarray) -> str:
+    """Write ``doc_ids`` as a new delete file and add it to ``man``'s
+    ``deletes``; the caller commits ``man``."""
+    d = os.path.join(man.index_dir, "deletes")
     os.makedirs(d, exist_ok=True)
-    gen = len([f for f in os.listdir(d) if f.endswith(".parquet")])
-    path = os.path.join(d, f"gen-{gen:05d}.parquet")
+    name = f"gen-{man.generation + 1:05d}.parquet"
+    path = os.path.join(d, name)
     tbl = pa.table({
         "doc_id": pa.array(np.unique(np.asarray(doc_ids, np.int64)))
     })
     pq.write_table(tbl, path + ".tmp")
     os.replace(path + ".tmp", path)
+    man.deletes.append(name)
+    return path
+
+
+def delete_docs(index_dir: str, doc_ids: np.ndarray) -> str:
+    """Append a delete generation: one new file, one commit."""
+    man = IndexManifest.load(index_dir)
+    path = write_deletes(man, doc_ids)
+    man.commit()
     return path
 
 

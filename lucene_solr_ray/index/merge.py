@@ -32,6 +32,7 @@ and for the tier merges of ``mergepolicy.execute_merge``.
 Output, per merge task: one ``merged/terms-<name>.parquet`` (the
 ``.tim/.tip`` analogue — small enough to hold in RAM per shard actor) and,
 only if the task compacted anything, one ``merged/payload-<name>.bin``.
+The commit's ``merged_files`` lists them; readers open nothing else.
 
 Skew handling (north rule): a stopword-like term's metadata rows are salted
 (``salt = pid // salt_group_size``) so one reducer never collects all of a
@@ -42,18 +43,18 @@ lists, first delta absolute, so readers decode chunks independently and in
 parallel; ``chunk_id`` carries the salt in its high bits and readers restore
 global doc order at read time).
 
-File names are deterministic functions of content (first term + row counts),
-so task retries are idempotent (write tmp + rename). Restart semantics: the
+File names are deterministic functions of the commit generation and the
+block's content (first term + row counts), so task retries are idempotent
+(write tmp + rename) and no earlier commit used them. Restart semantics: the
 segment BUILD is the checkpointed long phase; the merge is one bounded
-metadata shuffle written to ``merged.tmp`` and published atomically — a
-crash mid-merge restarts the merge only, never the build.
+metadata shuffle whose files one commit publishes — a crash mid-merge
+leaves only unnamed files and restarts the merge only, never the build.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -63,7 +64,7 @@ import pyarrow.parquet as pq
 from ..codec import BLOCK_SIZE, decode_postings, encode_postings
 from ..codec.postings import (_intra, decode_postings_batch, decode_values,
                               decode_values_batch, encode_values)
-from .build import IndexManifest
+from .build import IndexManifest, segment_bin
 
 SALT_STRIDE = 1 << 20  # chunk_id = salt * SALT_STRIDE + local chunk index
 
@@ -86,10 +87,6 @@ _TERMS_SCHEMA = pa.schema({
     "block_max_tf": pa.list_(pa.int32()),
     "block_max_norm": pa.list_(pa.uint8()),
 })
-
-
-def _seg_bin_name(pid: int) -> str:
-    return f"segments/part-{pid:05d}.bin"
 
 
 # per-process mmap cache for payload bins (merge tasks, the driver
@@ -286,10 +283,11 @@ def compact_groups(rows: pa.Table, index_dir: str, out_dir: str,
     return pa.concat_tables([passthrough, compacted])
 
 
-def _segment_terms_rows(seg: pa.Table) -> pa.Table:
+def _segment_terms_rows(seg: pa.Table, bins: dict) -> pa.Table:
     """Salted segment term rows as kernel input: merged-terms rows that
-    point at their segment ``.bin`` in place, ``chunk_id`` = salt *
-    SALT_STRIDE + the row's rank by pid within its (term, salt) group."""
+    point at their segment ``.bin`` (``bins``: pid -> index-relative
+    path) in place, ``chunk_id`` = salt * SALT_STRIDE + the row's rank by
+    pid within its (term, salt) group."""
     n = seg.num_rows
     pids = seg["pid"].to_numpy()
     gid = _group_ids(seg)
@@ -299,8 +297,7 @@ def _segment_terms_rows(seg: pa.Table) -> pa.Table:
     rank = np.empty(n, np.int64)
     rank[order] = seq - np.maximum.accumulate(np.where(first, seq, 0))
     uq, inv = np.unique(pids, return_inverse=True)
-    names = pa.array([_seg_bin_name(int(p)) for p in uq.tolist()],
-                     pa.string())
+    names = pa.array([bins[int(p)] for p in uq.tolist()], pa.string())
     keep = [c for c in _TERMS_SCHEMA.names
             if c not in ("chunk_id", "payload_file")]
     return seg.select(keep + ["salt"]).append_column(
@@ -314,37 +311,46 @@ def _segment_terms_rows(seg: pa.Table) -> pa.Table:
     )
 
 
-def _write_terms_file(tbl: pa.Table, out_dir: str, name: str) -> None:
+def _write_terms_file(tbl: pa.Table, out_dir: str, name: str) -> list[str]:
+    """Write ``terms-<name>.parquet``; returns the merged/ files it names:
+    itself and the merged/ payload bins its rows point at."""
     tpath = os.path.join(out_dir, f"terms-{name}.parquet")
     pq.write_table(tbl, tpath + ".tmp")
     os.replace(tpath + ".tmp", tpath)
+    bins = pc.unique(tbl["payload_file"]).to_pylist()
+    return [f"terms-{name}.parquet"] + sorted(b for b in bins if "/" not in b)
 
 
 def _merge_segment_rows(seg: pa.Table, index_dir: str, out_dir: str,
-                        name: str) -> None:
+                        name: str, bins: dict) -> list[str]:
     name = hashlib.sha1(name.encode()).hexdigest()[:16]
-    _write_terms_file(
-        compact_groups(_segment_terms_rows(seg), index_dir, out_dir, name),
+    return _write_terms_file(
+        compact_groups(_segment_terms_rows(seg, bins), index_dir, out_dir,
+                       name),
         out_dir, name)
 
 
-def _merge_batch(batch: pa.Table, index_dir: str, out_dir: str) -> pa.Table:
+def _merge_batch(batch: pa.Table, index_dir: str, out_dir: str, gen: int,
+                 bins: dict) -> pa.Table:
     """Merge all interior (term, salt) groups of a sorted metadata batch;
     return the boundary rows (first & last key of the block) unmerged —
-    their groups may continue in a neighbouring block."""
+    their groups may continue in a neighbouring block — each carrying in
+    ``written`` the merged/ files this batch wrote."""
     n = batch.num_rows
-    if n == 0:
-        return batch
-    salts = batch["salt"].to_numpy()
+    written: list[str] = []
     edge = np.zeros(n, bool)
-    for i in (0, n - 1):
-        edge |= (pc.equal(batch["term"], batch["term"][i])
-                 .to_numpy(zero_copy_only=False) & (salts == salts[i]))
+    if n:
+        salts = batch["salt"].to_numpy()
+        for i in (0, n - 1):
+            edge |= (pc.equal(batch["term"], batch["term"][i])
+                     .to_numpy(zero_copy_only=False) & (salts == salts[i]))
     if not edge.all():
-        _merge_segment_rows(
+        written = _merge_segment_rows(
             batch.filter(pa.array(~edge)), index_dir, out_dir,
-            f"{batch['term'][0].as_py()}:{salts[0]}:{n}")
-    return batch.filter(pa.array(edge))
+            f"{gen}:{batch['term'][0].as_py()}:{salts[0]}:{n}", bins)
+    out = batch.filter(pa.array(edge))
+    return out.append_column("written", pa.array(
+        [written] * out.num_rows, pa.list_(pa.string())))
 
 
 def merge_index(
@@ -357,19 +363,20 @@ def merge_index(
 
     Each sort block's interior groups go through :func:`compact_groups`
     in a Ray task; the groups at block edges are collected as one table
-    and go through the same kernel on the driver."""
+    and go through the same kernel on the driver. One commit then names
+    the new files as the merged view; the old view's files stay until
+    that commit unlinks them."""
     import ray
     import ray.data as rd
 
     man = IndexManifest.load(index_dir)
-    seg_dir = os.path.join(index_dir, "segments")
+    gen = man.generation + 1
     out_dir = os.path.join(index_dir, "merged")
-    if os.path.isdir(out_dir):
-        shutil.rmtree(out_dir)
-    # clear any stale staging dir from a crashed/differently-parameterized
-    # prior merge — leftover terms files would double-count postings
-    shutil.rmtree(out_dir + ".tmp", ignore_errors=True)
-    os.makedirs(out_dir + ".tmp")
+    os.makedirs(out_dir, exist_ok=True)
+    # quarantined partitions (exorcise_index) stay out, as in every reader
+    drop = set(man.exorcised)
+    parts = [p for p in man.partitions if p["partition_id"] not in drop]
+    bins = {p["partition_id"]: segment_bin(p) for p in parts}
 
     # Local salting — NO global pre-pass: a row salts itself when its own
     # per-partition df meets the necessary condition for the term to be
@@ -387,18 +394,14 @@ def merge_index(
         salt = np.where(dfs >= cut, pids // gsize, 0).astype(np.int32)
         return batch.append_column("salt", pa.array(salt))
 
-    tmp_out = out_dir + ".tmp"
     total_rows = sum(r.get("num_terms", 0) for r in man.partitions) or 1
     ncpu = int(ray.cluster_resources().get("CPU", 8))
     # metadata rows are small (~100 B each); size tasks at ~100k rows,
     # capped at 2/CPU — the all-to-all exchange cost grows ~quadratically
     # in partition count (object count)
     nparts = max(8, min(total_rows // 100_000 + 1, ncpu * 2))
-    seg_files = sorted(
-        os.path.join(seg_dir, f) for f in os.listdir(seg_dir)
-        if f.endswith(".parquet")
-    )
-    boundary = [t for t in ray.get(
+    seg_files = [os.path.join(index_dir, p["segment"]) for p in parts]
+    edges = [t for t in ray.get(
         # read directly into ~nparts blocks: the sort's all-to-all then
         # exchanges nparts^2 objects instead of paying a separate
         # repartition pass first
@@ -406,7 +409,7 @@ def merge_index(
         .map_batches(add_salt, batch_format="pyarrow", batch_size=None)
         .sort(["term", "salt"])
         .map_batches(
-            lambda b: _merge_batch(b, index_dir, tmp_out),
+            lambda b: _merge_batch(b, index_dir, out_dir, gen, bins),
             batch_format="pyarrow",
             batch_size=None,
         )
@@ -416,18 +419,21 @@ def merge_index(
         .materialize()
         .to_arrow_refs()
     ) if t.num_rows]
-    if boundary:
-        _merge_segment_rows(pa.concat_tables(boundary), index_dir, tmp_out,
-                            "boundary")
-    os.replace(tmp_out, out_dir)
+    files = {f for t in edges for fs in t["written"].to_pylist() for f in fs}
+    if edges:
+        files.update(_merge_segment_rows(
+            pa.concat_tables([t.drop_columns(["written"]) for t in edges]),
+            index_dir, out_dir, f"{gen}:boundary", bins))
     man.merged = True
-    man.save()
+    man.merged_files = sorted(files)
+    man.commit()
     return man
 
 
-def merge_append(index_dir: str, seg_row: dict) -> None:
-    """Incremental NRT publish: add ONE freshly-flushed segment to an
-    existing merged view WITHOUT re-shuffling the term dictionary.
+def merge_append(man: IndexManifest, seg_row: dict) -> None:
+    """Incremental NRT publish: add ONE freshly-flushed segment to
+    ``man``'s merged view WITHOUT re-shuffling the term dictionary (the
+    caller commits ``man``).
 
     The merged format already supports multi-chunk terms whose payloads
     are referenced in place (``payload_file`` with a "/" resolves
@@ -442,12 +448,8 @@ def merge_append(index_dir: str, seg_row: dict) -> None:
     At 100 TB this turns an NRT publish from an all-segments shuffle
     into a driver-side metadata write proportional to ONE flush.
     """
-    import pyarrow.parquet as pq_
-
-    seg_path = os.path.join(index_dir, seg_row["segment"])
-    tbl = pq_.read_table(seg_path)
+    tbl = pq.read_table(os.path.join(man.index_dir, seg_row["segment"]))
     pid = int(seg_row["partition_id"])
-    rel_bin = seg_row["segment"].replace(".parquet", ".bin")
     n = tbl.num_rows
     out = pa.table({
         "term": tbl["term"],
@@ -457,7 +459,7 @@ def merge_append(index_dir: str, seg_row: dict) -> None:
         "df": tbl["df"],
         "ttf": tbl["ttf"],
         "start_doc": tbl["start_doc"],
-        "payload_file": pa.array([rel_bin] * n, pa.string()),
+        "payload_file": pa.array([segment_bin(seg_row)] * n, pa.string()),
         "offset": tbl["offset"],
         "length": tbl["length"],
         "pos_offset": tbl["pos_offset"],
@@ -466,7 +468,7 @@ def merge_append(index_dir: str, seg_row: dict) -> None:
         "block_max_tf": tbl["block_max_tf"],
         "block_max_norm": tbl["block_max_norm"],
     }).cast(_TERMS_SCHEMA)
-    out_dir = os.path.join(index_dir, "merged")
-    path = os.path.join(out_dir, f"terms-append-{pid:05d}.parquet")
-    pq_.write_table(out, path + ".tmp")
-    os.replace(path + ".tmp", path)
+    # named after the segment, whose name no earlier commit used
+    stem = os.path.basename(seg_row["segment"])[:-len(".parquet")]
+    man.merged_files += _write_terms_file(
+        out, os.path.join(man.index_dir, "merged"), f"append-{stem}")

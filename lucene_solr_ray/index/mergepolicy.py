@@ -17,11 +17,10 @@ smallest source chunk id and later appends still sort after it.
 Scale notes: selection is driver-side arithmetic over file sizes (one
 ``os.stat`` per append segment — thousands, not billions); each chosen
 merge reads only ITS OWN append files. Single writer assumed (Lucene's
-IndexWriter lock). The rename-first protocol below plus
-:func:`recover_interrupted_merges` keep a crash from losing documents,
-but NOT a reader opened between hide and publish: it sees none of the
-hidden sources' postings. Only a single commit point (ROADMAP item 1)
-closes that window.
+IndexWriter lock). A merge publishes by one commit that swaps its sources
+for its output in the manifest's ``merged_files``: a reader opened at any
+moment sees the sources or the output, and a crashed merge leaves only
+unnamed files, which the next commit unlinks.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .build import IndexManifest
 from .merge import _write_terms_file, compact_groups
 
 @dataclass
@@ -133,27 +133,19 @@ class TieredMergePolicy:
 
 
 def list_append_segments(index_dir: str) -> list[SegmentSizeInfo]:
-    """Eligible segments = the NRT append terms files plus the delta bins
-    they reference (size = terms parquet + referenced bins)."""
+    """Eligible segments = the commit's NRT append terms files plus the
+    delta bins they reference (size = terms parquet + referenced bins)."""
     d = os.path.join(index_dir, "merged")
     out = []
-    if not os.path.isdir(d):
-        return out
-    for f in sorted(os.listdir(d)):
-        if not (f.startswith("terms-append-") and f.endswith(".parquet")):
+    for f in IndexManifest.load(index_dir).merged_files:
+        if not f.startswith("terms-append-"):
             continue
         p = os.path.join(d, f)
         size = os.path.getsize(p)
-        try:
-            refs = set(pq.read_table(p, columns=["payload_file"])
-                       ["payload_file"].to_pylist())
-            for r in refs:
-                rp = (os.path.join(index_dir, r) if "/" in r
-                      else os.path.join(d, r))
-                if os.path.exists(rp):
-                    size += os.path.getsize(rp)
-        except Exception:
-            pass
+        for r in set(pq.read_table(p, columns=["payload_file"])
+                     ["payload_file"].to_pylist()):
+            size += os.path.getsize(os.path.join(index_dir, r) if "/" in r
+                                    else os.path.join(d, r))
         out.append(SegmentSizeInfo(terms_path=p, bytes=size))
     return out
 
@@ -168,53 +160,29 @@ def execute_merge(index_dir: str, terms_paths: list[str]) -> str:
     row in one salt): terms with few postings across the candidate are
     re-encoded into one fresh compact bin, everything else re-points.
 
-    Publish protocol: sources are renamed out of the reader glob FIRST
-    (``.merging`` suffix), the new file lands via tmp+rename, then the
-    sources are unlinked — a crash leaves either the renamed sources
-    (recoverable) or the finished merge. A merge that raises renames its
-    sources back before re-raising.
-    """
+    The output is written under a name no earlier commit used, then one
+    commit swaps the sources for it in ``merged_files``; the sources are
+    unlinked only after that. A merge that raises leaves the commit as it
+    was."""
+    man = IndexManifest.load(index_dir)
     merged_dir = os.path.join(index_dir, "merged")
-    gen = hashlib.sha1(
-        ("|".join(sorted(os.path.basename(p) for p in terms_paths)))
+    names = [os.path.basename(p) for p in terms_paths]
+    if not set(names) <= set(man.merged_files):
+        raise ValueError(f"not in the current commit: "
+                         f"{sorted(set(names) - set(man.merged_files))}")
+    digest = hashlib.sha1(
+        ("|".join([str(man.generation + 1)] + sorted(names)))
         .encode()).hexdigest()[:12]
-    name = f"tier-{gen}"
-    hidden: list[str] = []
-    try:
-        for p in terms_paths:  # hide sources from new readers
-            os.rename(p, p + f".merging-{gen}")
-            hidden.append(p + f".merging-{gen}")
-        tbl = pa.concat_tables([pq.read_table(h) for h in hidden])
-        tbl = tbl.append_column(
-            "salt", pa.array(np.zeros(tbl.num_rows, np.int32)))
-        _write_terms_file(compact_groups(tbl, index_dir, merged_dir, name),
-                          merged_dir, name)
-    except BaseException:
-        for p, h in zip(terms_paths, hidden):
-            os.rename(h, p)
-        raise
-    for h in hidden:
-        os.unlink(h)
+    name = f"tier-{digest}"
+    tbl = pa.concat_tables([pq.read_table(p) for p in terms_paths])
+    tbl = tbl.append_column(
+        "salt", pa.array(np.zeros(tbl.num_rows, np.int32)))
+    written = _write_terms_file(
+        compact_groups(tbl, index_dir, merged_dir, name), merged_dir, name)
+    man.merged_files = [f for f in man.merged_files
+                        if f not in names] + written
+    man.commit()
     return f"terms-{name}.parquet"
-
-
-def recover_interrupted_merges(index_dir: str) -> int:
-    """Restore ``.merging-*`` sources whose tier output never landed
-    (crash between hide and publish). Returns restored count."""
-    d = os.path.join(index_dir, "merged")
-    restored = 0
-    if not os.path.isdir(d):
-        return 0
-    for f in sorted(os.listdir(d)):
-        if ".merging-" not in f:
-            continue
-        src, gen = f.rsplit(".merging-", 1)
-        if os.path.exists(os.path.join(d, f"terms-tier-{gen}.parquet")):
-            os.unlink(os.path.join(d, f))  # merge finished; drop leftover
-        else:
-            os.rename(os.path.join(d, f), os.path.join(d, src))
-            restored += 1
-    return restored
 
 
 def maybe_merge(index_dir: str,
@@ -224,7 +192,6 @@ def maybe_merge(index_dir: str,
     Returns the new tier terms files (empty when the tiers are within
     budget)."""
     policy = policy or TieredMergePolicy()
-    recover_interrupted_merges(index_dir)
     merges = policy.find_merges(list_append_segments(index_dir))
     return [execute_merge(index_dir, [s.terms_path for s in m])
             for m in merges]

@@ -40,7 +40,7 @@ def build_sorted_index(
         os.replace(tmp, sorted_dir)
     man = build_index(sorted_dir, out_dir, **kw)
     man.sort_by = f"{sort_by}:{'desc' if descending else 'asc'}"
-    man.save()
+    man.commit()
     return man
 
 

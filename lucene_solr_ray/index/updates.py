@@ -10,11 +10,11 @@ batch granularity:
   ``terms-append-*`` file that points at the new segment in place
   (``merge.merge_append``).
 - :func:`update_documents` — mark every live doc whose key matches an
-  incoming row as deleted (``deletes/gen-N`` mask, ``index/deletes.py``)
-  and append the incoming rows as a delta segment. Searchers see the new
-  content immediately; space is reclaimed at the next full rebuild, and
-  collection statistics retain deleted docs until then (Lucene's
-  pre-merge behavior).
+  incoming row as deleted (a ``deletes/gen-N`` file, ``index/deletes.py``)
+  and append the incoming rows as a delta segment, in ONE commit: a
+  reader sees both or neither. Space is reclaimed at the next full
+  rebuild, and collection statistics retain deleted docs until then
+  (Lucene's pre-merge behavior).
 
 Every keyed function resolves its keys with :func:`_matching_doc_ids`:
 the calling process reads each partition's key column and probes it
@@ -34,18 +34,18 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .build import IndexManifest, build_segment
-from .deletes import delete_docs
+from .deletes import LiveDocs, write_deletes
 
 
-def append_segment(index_dir: str, table: pa.Table) -> dict:
-    """Append ``table`` (same schema as the corpus) as a new segment;
-    if the index has a merged view, the segment is published into it
-    incrementally (merge_append) instead of invalidating it."""
-    man = IndexManifest.load(index_dir)
+def _append(man: IndexManifest, table: pa.Table) -> dict:
+    """Write ``table`` (same schema as the corpus) as a new segment and
+    add it to ``man`` — and to its merged view, if it has one
+    (merge_append) — without committing. Returns the partition row."""
     pid = len(man.partitions)
-    app_dir = os.path.join(index_dir, "_appends")
+    app_dir = os.path.join(man.index_dir, "_appends")
     os.makedirs(app_dir, exist_ok=True)
-    path = os.path.join(app_dir, f"append-{pid:05d}.parquet")
+    path = os.path.join(
+        app_dir, f"append-{pid:05d}-{man.generation + 1:05d}.parquet")
     pq.write_table(table, path + ".tmp")
     os.replace(path + ".tmp", path)
     part = {
@@ -56,25 +56,33 @@ def append_segment(index_dir: str, table: pa.Table) -> dict:
         "doc_base": man.max_doc,
     }
     row = build_segment(
-        part, index_dir, text_field=man.field,
+        part, man.index_dir, text_field=man.field,
         analyzer_name=man.resolve_analyzer(),
         store_positions=man.store_positions,
-        store_offsets=getattr(man, "store_offsets", False),
-        store_payloads=getattr(man, "store_payloads", False),
+        store_offsets=man.store_offsets,
+        store_payloads=man.store_payloads,
     )
     man.partitions.append(row)
     man.max_doc += table.num_rows
     man.sum_total_term_freq += row["sum_len"]
     man.num_partitions += 1
-    merged_dir = os.path.join(index_dir, "merged")
-    if os.path.isdir(merged_dir) and man.merged:
+    if man.merged:
         # incremental NRT publish: the merged view gains ONE metadata
         # file referencing the delta segment's bin in place — no
         # re-shuffle, no invalidation (merge.merge_append)
         from .merge import merge_append
 
-        merge_append(index_dir, row)
-    man.save()
+        merge_append(man, row)
+    return row
+
+
+def append_segment(index_dir: str, table: pa.Table) -> dict:
+    """Append ``table`` (same schema as the corpus) as a new segment in
+    one commit; if the index has a merged view, the segment is published
+    into it incrementally (merge_append) instead of invalidating it."""
+    man = IndexManifest.load(index_dir)
+    row = _append(man, table)
+    man.commit()
     return row
 
 
@@ -109,11 +117,9 @@ def _last_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def update_documents(index_dir: str, table: pa.Table, key_col: str) -> dict:
-    """Delete-then-add by key: returns {"deleted": n, "added": m}. A key
-    named twice in ``table`` keeps only its last row; an empty ``table``
-    changes nothing."""
-    from .deletes import LiveDocs
-
+    """Delete-then-add by key, in one commit: returns {"deleted": n,
+    "added": m}. A key named twice in ``table`` keeps only its last row;
+    an empty ``table`` changes nothing."""
     keys = table.column(key_col).to_numpy(zero_copy_only=False)
     if not len(keys):
         return {"deleted": 0, "added": 0}
@@ -123,11 +129,12 @@ def update_documents(index_dir: str, table: pa.Table, key_col: str) -> dict:
     man = IndexManifest.load(index_dir)
     doomed, _ = _matching_doc_ids(man, key_col, want)
     # only delete docs that are still live (repeated upserts of one key)
-    if doomed.size and os.path.isdir(os.path.join(index_dir, "deletes")):
-        doomed = doomed[LiveDocs(index_dir, man.max_doc).mask[doomed]]
+    if doomed.size and man.deletes:
+        doomed = doomed[LiveDocs(man).mask[doomed]]
     if doomed.size:
-        delete_docs(index_dir, doomed)
-    append_segment(index_dir, table)
+        write_deletes(man, doomed)
+    _append(man, table)
+    man.commit()
     return {"deleted": int(doomed.size), "added": table.num_rows}
 
 
@@ -202,13 +209,12 @@ def realtime_get(index_dir: str, key_col: str, keys) -> pa.Table:
     delete gen). Returns stored fields, one row per found key, in input
     key order; missing / deleted keys are simply absent."""
     from .check import fetch_docs
-    from .deletes import LiveDocs
 
     man = IndexManifest.load(index_dir)
     keys = np.asarray(keys)
     ids, _ = _matching_doc_ids(man, key_col, np.unique(keys))
-    if ids.size and os.path.isdir(os.path.join(index_dir, "deletes")):
-        ids = ids[LiveDocs(index_dir, man.max_doc).mask[ids]]
+    if ids.size and man.deletes:
+        ids = ids[LiveDocs(man).mask[ids]]
     if not ids.size:
         return pa.table({})
     t = fetch_docs(index_dir, doc_ids=ids.tolist())
@@ -228,25 +234,27 @@ def update_numeric_docvalues(index_dir: str, key_col: str, field: str,
     """``IndexWriter.updateNumericDocValues(Term, field, value)``: set a
     numeric docvalues field for every doc whose key matches, WITHOUT
     reindexing — written as a docvalues-update generation file
-    (Lucene's .dvd update generations) that readers overlay at open.
-    ``updates`` has columns (key_col, field); duplicate keys in one
-    batch resolve last-row-wins. Returns the number of docs updated.
-    The generation file holds (doc_id, value) pairs only — update-sized,
-    never corpus-sized."""
+    (Lucene's .dvd update generations) that the commit names and readers
+    overlay at open. ``updates`` has columns (key_col, field); duplicate
+    keys in one batch resolve last-row-wins. Returns the number of docs
+    updated. The generation file holds (doc_id, value) pairs only —
+    update-sized, never corpus-sized."""
     keys = updates.column(key_col).to_numpy(zero_copy_only=False)
     vals = updates.column(field).to_numpy(zero_copy_only=False)
     want, last = _last_rows(keys)
-    doc_ids, pos = _matching_doc_ids(
-        IndexManifest.load(index_dir), key_col, want)
+    man = IndexManifest.load(index_dir)
+    doc_ids, pos = _matching_doc_ids(man, key_col, want)
     if not doc_ids.size:
         return 0
     gen_dir = os.path.join(index_dir, "docvalues_updates", field)
     os.makedirs(gen_dir, exist_ok=True)
-    gen = len([f for f in os.listdir(gen_dir) if f.endswith(".parquet")])
-    path = os.path.join(gen_dir, f"gen-{gen:05d}.parquet")
+    name = f"gen-{man.generation + 1:05d}.parquet"
+    path = os.path.join(gen_dir, name)
     pq.write_table(pa.table({
         "doc_id": pa.array(doc_ids, pa.int64()),
         "value": pa.array(vals[last[pos]]),
     }), path + ".tmp")
     os.replace(path + ".tmp", path)
+    man.docvalues_updates.setdefault(field, []).append(name)
+    man.commit()
     return int(doc_ids.size)

@@ -17,7 +17,7 @@ import pyarrow as pa
 
 from ..analysis import get_analyzer
 from ..index import build_index, merge_index
-from ..index.build import FORMAT_VERSION
+from ..index.build import FORMAT_VERSION, IndexManifest
 from ..search import IndexSearcher, parse_query
 
 FLAGSHIP_QUERIES = [
@@ -36,7 +36,7 @@ def _flagship_index(sf_dir: str, merged: bool = True) -> str:
         os.makedirs(out, exist_ok=True)
         build_index(src, out, text_field="text", analyzer="standard",
                     rows_per_partition=50_000)
-    if merged and not os.path.isdir(os.path.join(out, "merged")):
+    if merged and not IndexManifest.load(out).merged:
         merge_index(out)
     return out
 

@@ -130,8 +130,8 @@ def _shard_searcher(index_dir: str, pids: list[int], stats: dict):
     hi = max(r["doc_base"] + r["rows"] for r in rows)
     return IndexSearcher(
         index_dir,
-        reader=SegmentsReader(index_dir, partition_ids=pids),
-        norms=NormsReader(index_dir, man.max_doc, partition_ids=pids),
+        reader=SegmentsReader(man, partition_ids=pids),
+        norms=NormsReader(man, partition_ids=pids),
         global_stats=dict(stats, doc_range=(lo, hi)),
     )
 

@@ -18,6 +18,12 @@ The term dictionary is one sorted array of term strings per reader. Its
 RAM cost is ~60 B/term + the term bytes; at web scale the dictionary is
 sharded across scorer actors (each actor mounts a range of ``terms-*``
 files).
+
+Every reader opens exactly the files one commit (``IndexManifest``)
+names, and maps every payload file when it opens, so a later commit that
+unlinks them cannot break it. A reopen reuses the reader it replaces when
+every file that one loaded is still named: files are never rewritten
+under a name a commit used.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import pyarrow.parquet as pq
 
 from ..codec import decode_postings
 from ..codec.postings import decode_values
+from ..index.build import IndexManifest, segment_bin
 
 
 def mmap_file(path: str) -> memoryview:
@@ -44,48 +51,43 @@ def mmap_file(path: str) -> memoryview:
         return memoryview(mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ))
 
 
-def _file_ids(paths: list[str]) -> dict:
-    """path -> (st_ino, st_size, st_mtime_ns), in ``paths`` order: the
-    identity a reopen checks before it reuses what a reader loaded."""
-    out = {}
-    for p in paths:
-        st = os.stat(p)
-        out[p] = (st.st_ino, st.st_size, st.st_mtime_ns)
-    return out
+def _commit(src: "str | IndexManifest") -> IndexManifest:
+    """``src`` itself, or the current commit of index dir ``src``."""
+    return src if isinstance(src, IndexManifest) else IndexManifest.load(src)
 
 
-def _new_files(prev, files: dict) -> list[str] | None:
-    """The paths in ``files`` that ``prev`` did not load, if every file
-    it loaded is still there with the same identity (files are
-    immutable, so ``prev``'s data for them is still right); else None,
-    and nothing of ``prev`` may be reused."""
+def _unloaded(prev, files: list[str]) -> list[str] | None:
+    """The ``files`` that ``prev`` did not load, if every file it loaded
+    is still among them (a commit never reuses a name, so ``prev``'s data
+    for them is still right); else None, and nothing of ``prev`` may be
+    reused."""
     old = getattr(prev, "_files", None)
-    if old is None or any(files.get(p) != i for p, i in old.items()):
+    if old is None or not set(old) <= set(files):
         return None
-    return [p for p in files if p not in old]
+    old = set(old)
+    return [f for f in files if f not in old]
 
 
 class NormsReader:
-    """Norm bytes and lengths by doc id. ``prev`` (the reader this one
-    replaces, or None) is reused when ``_new_files`` allows: its arrays
-    are copied and only the new partitions' norms files are read."""
+    """Norm bytes and lengths by doc id, from the norms files of commit
+    ``src``'s partitions (``partition_ids``: only those). ``prev`` (the
+    reader this one replaces, or None) is reused when every norms file it
+    loaded is still named: its arrays are copied and only the other
+    partitions' norms files are read."""
 
-    def __init__(self, index_dir: str, max_doc: int,
+    def __init__(self, src: "str | IndexManifest",
                  partition_ids: list[int] | None = None, prev=None):
-        self.norm = np.empty(max_doc, np.uint8)
-        self.length = np.empty(max_doc, np.int32)
-        d = os.path.join(index_dir, "norms")
-        want = (
-            None if partition_ids is None
-            else {f"part-{p:05d}.parquet" for p in partition_ids}
-        )
-        self._files = _file_ids([
-            os.path.join(d, f) for f in sorted(os.listdir(d))
-            if f.endswith(".parquet") and (want is None or f in want)
-        ])
-        files = _new_files(prev, self._files)
+        man = _commit(src)
+        self.norm = np.empty(man.max_doc, np.uint8)
+        self.length = np.empty(man.max_doc, np.int32)
+        want = None if partition_ids is None else set(partition_ids)
+        self._files = [
+            os.path.join(man.index_dir, p["norms"]) for p in man.partitions
+            if want is None or p["partition_id"] in want
+        ]
+        files = _unloaded(prev, self._files)
         if files is None:
-            files = list(self._files)
+            files = self._files
         else:
             self.norm[:prev.norm.size] = prev.norm
             self.length[:prev.length.size] = prev.length
@@ -386,6 +388,7 @@ class _BinPayloads:
             name: (np.asarray(ref[0], np.int64), np.asarray(ref[1], np.int64))
             for name, ref in streams.items() if ref is not None
         }
+        self._mmaps = [] if prev is None else list(prev._mmaps)
         if prev is not None:
             self._file_idx = np.concatenate((prev._file_idx, self._file_idx))
             self._refs = {
@@ -393,14 +396,10 @@ class _BinPayloads:
                             for p, n in zip(prev._refs[name], ref))
                 for name, ref in self._refs.items()
             }
-        self._mmaps: list = [None] * len(self._file_paths)
-
-    def _mmap(self, fi: int) -> memoryview:
-        mv = self._mmaps[fi]
-        if mv is None:
-            mv = mmap_file(self._file_paths[fi])
-            self._mmaps[fi] = mv
-        return mv
+        # mapped now, not at first use: a mapping outlives the unlink of
+        # its file by a later commit
+        self._mmaps += [mmap_file(p)
+                        for p in self._file_paths[len(self._mmaps):]]
 
     def _stream(self, name: str, row: int):
         ref = self._refs.get(name)
@@ -408,7 +407,7 @@ class _BinPayloads:
             return b""
         orig = int(self._row_order[row])
         off = int(ref[0][orig])
-        return self._mmap(int(self._file_idx[orig]))[
+        return self._mmaps[int(self._file_idx[orig])][
             off : off + int(ref[1][orig])
         ]
 
@@ -430,25 +429,24 @@ def _refs(tbl, prefix: str):
 
 
 class MergedReader(_BinPayloads, TermDictReader):
-    """The merged index's ``terms-*.parquet`` files folded into one sorted
-    dictionary. ``prev`` (the reader this one replaces, or None) is
-    reused when ``_new_files`` allows and no new row's chunk id is
-    below its largest (``merge_append`` chunk ids sort after all
-    earlier ones): only the new files are read and folded into its
-    rows. Else every file is folded from empty — a full open. Either
-    way each sorted row holds what a fresh open's does."""
+    """The merged view's ``terms-*.parquet`` files, as named by commit
+    ``src``, folded into one sorted dictionary. ``prev`` (the reader this
+    one replaces, or None) is reused when every file it loaded is still
+    named and no new row's chunk id is below its largest
+    (``merge_append`` chunk ids sort after all earlier ones): only the
+    newly named files are read and folded into its rows. Else every file
+    is folded from empty — a full open. Either way each sorted row holds
+    what a fresh open's does."""
 
-    def __init__(self, index_dir: str, prev: "MergedReader | None" = None,
-                 **kw):
+    def __init__(self, src: "str | IndexManifest",
+                 prev: "MergedReader | None" = None, **kw):
         super().__init__(**kw)
-        d = os.path.join(index_dir, "merged")
+        man = _commit(src)
+        d = os.path.join(man.index_dir, "merged")
         self.dir = d
-        self._files = _file_ids(sorted(
-            os.path.join(d, f) for f in os.listdir(d)
-            if f.startswith("terms-") and f.endswith(".parquet")
-        ))
-        files = list(self._files)
-        new = _new_files(prev, self._files)
+        self._files = files = [os.path.join(d, f) for f in man.merged_files
+                               if f.startswith("terms-")]
+        new = _unloaded(prev, files)
         if new is None:
             prev, new = None, files
         tbl = _read_terms(new, files)
@@ -460,7 +458,8 @@ class MergedReader(_BinPayloads, TermDictReader):
         # referenced in place by the metadata-only merge); a bare name
         # lives in merged/ (a compacted chunk file)
         paths = [
-            os.path.join(index_dir, f) if "/" in f else os.path.join(d, f)
+            os.path.join(man.index_dir, f) if "/" in f
+            else os.path.join(d, f)
             for f in fdict.dictionary.to_pylist()
         ]
         self._set_payload_refs(
@@ -480,36 +479,36 @@ def _read_terms(files: list[str], all_files: list[str]):
 
 
 class SegmentsReader(_BinPayloads, TermDictReader):
-    """Pre-merge view over per-partition segment term dicts; payloads are
-    mmap'd from the per-partition .bin sidecars (a MultiReader over
-    leaves)."""
+    """Pre-merge view over the segment term dicts of commit ``src``'s
+    partitions (``partition_ids``: only those); payloads are mmap'd from
+    the per-partition .bin sidecars (a MultiReader over leaves)."""
 
-    def __init__(self, index_dir: str, partition_ids: list[int] | None = None,
-                 **kw):
+    def __init__(self, src: "str | IndexManifest",
+                 partition_ids: list[int] | None = None, **kw):
         super().__init__(**kw)
-        from ..index.check import exorcised_pids
-
-        d = os.path.join(index_dir, "segments")
+        man = _commit(src)
         # quarantined segments (CheckIndex -exorcise) are skipped
         # entirely, whichever partitions are asked for — their files may
         # be unreadable; their doc range is already masked by the
         # exorcism delete generation
-        drop = {f"part-{p:05d}.parquet" for p in exorcised_pids(index_dir)}
-        live = sorted(f for f in os.listdir(d)
-                      if f.endswith(".parquet") and f not in drop)
-        files = live
-        if partition_ids is not None:
-            want = {f"part-{p:05d}.parquet" for p in partition_ids}
-            files = [f for f in live if f in want]
-        if files:
-            tbl = pads.dataset([os.path.join(d, f) for f in files],
-                               format="parquet").to_table()
+        drop = set(man.exorcised)
+        live = [p for p in man.partitions if p["partition_id"] not in drop]
+        want = None if partition_ids is None else set(partition_ids)
+        parts = [p for p in live
+                 if want is None or p["partition_id"] in want]
+        root = man.index_dir
+        if parts:
+            tbl = pads.dataset([os.path.join(root, p["segment"])
+                                for p in parts], format="parquet").to_table()
         else:  # e.g. a shard whose only partition is quarantined
-            tbl = pq.read_schema(os.path.join(d, live[0])).empty_table()
+            tbl = pq.read_schema(
+                os.path.join(root, live[0]["segment"])).empty_table()
         pids = tbl["pid"].to_numpy()
         uq, inv = np.unique(pids, return_inverse=True)
+        bins = {p["partition_id"]: os.path.join(root, segment_bin(p))
+                for p in parts}
         self._set_payload_refs(
-            [os.path.join(d, f"part-{p:05d}.bin") for p in uq.tolist()],
+            [bins[p] for p in uq.tolist()],
             inv,
             doc=(tbl["offset"].to_numpy(), tbl["length"].to_numpy()),
             pos=_refs(tbl, "pos"), off=_refs(tbl, "off"),

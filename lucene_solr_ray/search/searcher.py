@@ -248,6 +248,42 @@ def _sloppy_freq2_flat(searcher, cand, datas, slop: int) -> np.ndarray:
     return freqs
 
 
+# how many newer commits an open may chase before it gives up
+OPEN_ATTEMPTS = 10
+
+
+def _open_commit(index_dir: str, reader, norms, apply_deletes: bool, prev):
+    """(manifest, norms, live docs or None, term reader) of the index's
+    current commit, each opened from exactly the files it names;
+    ``reader`` / ``norms`` are used as given when not None. A named file
+    can vanish while it opens only because a newer commit dropped it:
+    then the manifest is reloaded and the open retried, up to
+    ``OPEN_ATTEMPTS`` times (Lucene's ``SegmentInfos.FindSegmentsFile``).
+    A file missing from the newest commit is an error."""
+    from ..index.deletes import LiveDocs
+
+    man = IndexManifest.load(index_dir)
+    for attempt in range(OPEN_ATTEMPTS):
+        if prev is not None and prev.manifest.generation >= man.generation:
+            prev = None  # not an older commit of this index: no reuse
+        try:
+            live = None
+            if apply_deletes and man.deletes:
+                live = LiveDocs(man)
+            terms = reader
+            if terms is None:
+                terms = (MergedReader(man, prev=getattr(prev, "reader", None))
+                         if man.merged else SegmentsReader(man))
+            return man, (norms if norms is not None else NormsReader(
+                man, prev=getattr(prev, "norms", None))), live, terms
+        except FileNotFoundError:
+            newer = IndexManifest.load(index_dir)
+            if newer.generation == man.generation \
+                    or attempt + 1 == OPEN_ATTEMPTS:
+                raise
+            man = newer
+
+
 class IndexSearcher:
     def __init__(self, index_dir: str, precise: bool = False, *,
                  reader=None, norms=None, global_stats: dict | None = None,
@@ -260,11 +296,12 @@ class IndexSearcher:
         Lucene index's Weight would see; Solr's distributed-IDF problem
         solved by a stats pre-pass instead of per-shard stats).
 
-        ``prev`` (optional): the searcher this one replaces; its norms
-        and merged reader are reused for the files that did not change
-        (``NormsReader`` / ``MergedReader``), with results identical to
-        a fresh open."""
-        self.manifest = IndexManifest.load(index_dir)
+        ``prev`` (optional): the searcher this one replaces; when it is
+        an older commit of this index, its norms and merged reader are
+        reused for the files still named (``NormsReader`` /
+        ``MergedReader``), with results identical to a fresh open."""
+        self.manifest, self.norms, self.live_docs, self.reader = \
+            _open_commit(index_dir, reader, norms, apply_deletes, prev)
         self._stats = global_stats
         if global_stats is not None:
             self.max_doc = int(global_stats["max_doc"])
@@ -276,30 +313,10 @@ class IndexSearcher:
         else:
             self.max_doc = self.manifest.max_doc
             self.avgdl = self.manifest.avgdl
-        self.norms = norms if norms is not None else NormsReader(
-            index_dir, self.manifest.max_doc, prev=getattr(prev, "norms", None)
-        )
         from .readers import _LRU
 
         self._result_cache = _LRU(256)
         self._rev_wildcard: bool | None = None  # lazily probed
-        self.live_docs = None
-        if apply_deletes:
-            import os as _os
-
-            if _os.path.isdir(_os.path.join(index_dir, "deletes")):
-                from ..index.deletes import LiveDocs
-
-                self.live_docs = LiveDocs(index_dir, self.manifest.max_doc)
-        if reader is not None:
-            self.reader = reader
-        elif self.manifest.merged and os.path.isdir(
-            os.path.join(index_dir, "merged")
-        ):
-            self.reader = MergedReader(index_dir,
-                                       prev=getattr(prev, "reader", None))
-        else:
-            self.reader = SegmentsReader(index_dir)
         if bloom:
             from ..codec.bloom import ensure_bloom
 
@@ -1121,43 +1138,32 @@ class IndexSearcher:
         if v is None:
             import pyarrow.parquet as pq
 
-            dv_dir = os.path.join(self.manifest.index_dir, "docvalues")
-            if field in getattr(self.manifest, "docvalues_fields", []) \
-                    and os.path.isdir(dv_dir):
-                # index-resident column store (the .dvd analogue): built
-                # per segment at index time, read in partition order
-                files = sorted(
-                    os.path.join(dv_dir, f)
-                    for f in os.listdir(dv_dir) if f.endswith(".parquet"))
-                v = np.concatenate([
-                    pq.read_table(f, columns=[field])
-                    .column(field).to_numpy(zero_copy_only=False)
-                    for f in files
-                ])
-            else:
-                parts = []
-                for p in self.manifest.partitions:
+            # per partition in doc order: its index-resident column (the
+            # .dvd analogue, built when the field was declared at index
+            # time), else its source parquet rows
+            man = self.manifest
+            parts = []
+            for p in man.partitions:
+                if field in man.docvalues_fields and "docvalues" in p:
+                    tables = [pq.read_table(
+                        os.path.join(man.index_dir, p["docvalues"]),
+                        columns=[field])]
+                else:
                     pf = pq.ParquetFile(p["file"])
-                    for rg in p["row_groups"]:
-                        parts.append(
-                            pf.read_row_group(rg, columns=[field])
-                            .column(field).to_numpy(zero_copy_only=False)
-                        )
-                v = np.concatenate(parts)
-            # overlay docvalues-update generations in order (the .dvd
-            # update-gen files of IndexWriter.updateNumericDocValues;
-            # a reopened searcher sees them — NRT semantics)
-            ud = os.path.join(self.manifest.index_dir,
-                              "docvalues_updates", field)
-            if os.path.isdir(ud):
-                v = v.copy()
-                for f in sorted(os.listdir(ud)):
-                    if not f.endswith(".parquet"):
-                        continue
-                    t = pq.read_table(os.path.join(ud, f))
-                    ids = t.column("doc_id").to_numpy()
-                    v[ids[ids < v.size]] = \
-                        t.column("value").to_numpy()[ids < v.size]
+                    tables = [pf.read_row_group(rg, columns=[field])
+                              for rg in p["row_groups"]]
+                parts += [t.column(field).to_numpy() for t in tables]
+            v = np.concatenate(parts)
+            # overlay the commit's docvalues-update generations in order
+            # (the .dvd update-gen files of
+            # IndexWriter.updateNumericDocValues; a reopened searcher sees
+            # them — NRT semantics)
+            for f in man.docvalues_updates.get(field, []):
+                t = pq.read_table(os.path.join(
+                    man.index_dir, "docvalues_updates", field, f))
+                ids = t.column("doc_id").to_numpy()
+                v[ids[ids < v.size]] = \
+                    t.column("value").to_numpy()[ids < v.size]
             cache[field] = v
         return v
 
@@ -1232,37 +1238,25 @@ class IndexSearcher:
 class SearcherManager:
     """SearcherManager / DirectoryReader.openIfChanged analogue
     (``search/SearcherManager.java``, ``index/DirectoryReader.java:122-202``):
-    hands out the current searcher and swaps in a fresh one when the
-    manifest generation (mtime + merged flag + delete generations) changed —
-    the batch-rebuild notion of near-real-time reopen. The new searcher
-    is opened from the current one (``IndexSearcher(prev=...)``), so a
-    publish that appended files reads only those."""
+    hands out the current searcher and swaps in a new one when the index's
+    commit generation differs from the searcher's. Every writer publishes
+    by one manifest replace, so the new searcher sees whole commits only.
+    It is opened from the current one (``IndexSearcher(prev=...)``), so a
+    publish that added files reads only those."""
 
     def __init__(self, index_dir: str, **kw):
         self.index_dir = index_dir
         self._kw = kw
-        self._version = None
         self._searcher = None
         self.maybe_refresh()
 
-    def _current_version(self):
-        import os as _os
-
-        man = _os.path.join(self.index_dir, "manifest.json")
-        v = [_os.path.getmtime(man)]
-        deld = _os.path.join(self.index_dir, "deletes")
-        if _os.path.isdir(deld):
-            v.append(tuple(sorted(_os.listdir(deld))))
-        return tuple(v)
-
     def maybe_refresh(self) -> bool:
-        v = self._current_version()
-        if v != self._version:
-            self._searcher = IndexSearcher(self.index_dir,
-                                           prev=self._searcher, **self._kw)
-            self._version = v
-            return True
-        return False
+        s = self._searcher
+        if s is not None and IndexManifest.load(
+                self.index_dir).generation == s.manifest.generation:
+            return False
+        self._searcher = IndexSearcher(self.index_dir, prev=s, **self._kw)
+        return True
 
     def acquire(self) -> "IndexSearcher":
         return self._searcher

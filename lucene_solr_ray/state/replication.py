@@ -4,14 +4,19 @@ The ReplicationHandler/SnapPuller pair (``solr/core/src/java/org/apache/
 solr/handler/ReplicationHandler.java``, ``SnapPuller.java``) restated for
 an immutable-file index on a shared/posix filesystem:
 
-- the MASTER's commit point is its ``manifest.json`` (written last,
-  atomically — the ``segments_N`` analogue); its generation is the
-  manifest content hash;
-- a REPLICA pulls by comparing file lists: segment/merged/norms/delete
-  files are immutable and content-named, so sync = copy only the files
-  the replica lacks, delete the ones the master dropped, then publish the
-  new manifest LAST (same ordering as the reference: searchers reopen
-  only after a complete, consistent file set exists).
+- the MASTER's commit point is its ``manifest.json`` (the ``segments_N``
+  analogue): it names every file of the index and carries the commit
+  ``generation``; :func:`index_generation` is its content hash;
+- a REPLICA pulls by comparing names: a commit never reuses a name an
+  earlier commit used, so sync = copy the files the master's commit names
+  and the replica's does not, publish the new manifest with one
+  ``os.replace``, and only then delete the files the replica's old commit
+  named and the new one does not (same ordering as the reference:
+  searchers reopen only after a complete, consistent file set exists, and
+  a sync that fails before its publish leaves the replica's commit
+  whole). A replica follows one master: a master whose generation is not
+  above the replica's was rebuilt or is another index, so every file is
+  copied (SnapPuller's ``isFullCopyNeeded``).
 
 ``SearcherManager.maybe_refresh`` on the replica picks up the new
 generation exactly like a local commit.
@@ -24,37 +29,24 @@ import json
 import os
 import shutil
 
-_SYNC_DIRS = ("segments", "norms", "merged", "deletes", "_checkpoints",
-              "_appends", "docvalues", "docvalues_updates")
+from ..index.build import MANIFEST, IndexManifest
 
 
 def index_generation(index_dir: str) -> str:
     """Content hash of the commit point (manifest.json)."""
-    with open(os.path.join(index_dir, "manifest.json"), "rb") as f:
+    with open(os.path.join(index_dir, MANIFEST), "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()[:16]
 
 
-def _file_set(index_dir: str) -> dict[str, int]:
-    out = {}
-    for d in _SYNC_DIRS:
-        full = os.path.join(index_dir, d)
-        if not os.path.isdir(full):
-            continue
-        # recursive: docvalues_updates/<field>/gen-*.parquet nests
-        for root, _dirs, files in os.walk(full):
-            for name in files:
-                if name.endswith(".tmp"):
-                    continue
-                p = os.path.join(root, name)
-                rel = os.path.relpath(p, index_dir)
-                out[rel] = os.path.getsize(p)
-    # root-level commit companions: the pickled analyzer and
-    # ExternalFileField key=value files travel with the index
+def _file_set(index_dir: str) -> set[str]:
+    """Index-relative paths of the files the commit names, plus the
+    root-level commit companions: the pickled analyzer and
+    ExternalFileField key=value files travel with the index."""
+    out = IndexManifest.load(index_dir).files()
     for name in os.listdir(index_dir):
-        p = os.path.join(index_dir, name)
-        if os.path.isfile(p) and (
+        if os.path.isfile(os.path.join(index_dir, name)) and (
                 name == "analyzer.pkl" or name.startswith("external_")):
-            out[name] = os.path.getsize(p)
+            out.add(name)
     return out
 
 
@@ -62,7 +54,7 @@ def replicate(master_dir: str, replica_dir: str) -> dict:
     """One sync pass; returns {"generation", "copied", "deleted",
     "up_to_date"}. Safe to call repeatedly (idempotent)."""
     gen = index_generation(master_dir)
-    man_path = os.path.join(replica_dir, "manifest.json")
+    man_path = os.path.join(replica_dir, MANIFEST)
     gen_path = os.path.join(replica_dir, "_replication.json")
     if os.path.exists(man_path) and os.path.exists(gen_path):
         with open(gen_path) as f:
@@ -70,39 +62,33 @@ def replicate(master_dir: str, replica_dir: str) -> dict:
                 return {"generation": gen, "copied": 0, "deleted": 0,
                         "up_to_date": True}
     os.makedirs(replica_dir, exist_ok=True)
+    man = IndexManifest.load(master_dir)
     want = _file_set(master_dir)
-    have = _file_set(replica_dir)
+    have: set[str] = set()
+    if os.path.exists(man_path):
+        old = IndexManifest.load(replica_dir)
+        if man.generation > old.generation:
+            have = old.files()
     copied = 0
-    for rel, size in want.items():
+    for rel in sorted(want - have):
         dst = os.path.join(replica_dir, rel)
-        if rel in have and have[rel] == size:
-            continue  # immutable content-named files: size match = same
         os.makedirs(os.path.dirname(dst), exist_ok=True)
         shutil.copyfile(os.path.join(master_dir, rel), dst + ".tmp")
         os.replace(dst + ".tmp", dst)
         copied += 1
-    deleted = 0
-    for rel in set(have) - set(want):
-        os.remove(os.path.join(replica_dir, rel))
-        deleted += 1
-    # manifest LAST (the commit publish); file paths inside are relative
-    # to index_dir except the source-corpus references, which stay shared
-    with open(os.path.join(master_dir, "manifest.json")) as f:
-        man = json.load(f)
-    man["index_dir"] = replica_dir
-    # partitions referencing files INSIDE the master dir (delta-append
-    # segments) re-point at the replica's synced copies; shared corpus
-    # paths outside the index dir stay as-is
+    # the publish; file paths inside are relative to index_dir except the
+    # source-corpus references: partitions whose file lies INSIDE the
+    # master dir (delta-append segments) re-point at the replica's synced
+    # copies, shared corpus paths outside the index dir stay as-is
+    man.index_dir = replica_dir
     mabs = os.path.abspath(master_dir)
-    for p in man.get("partitions", []):
-        fabs = os.path.abspath(p.get("file", ""))
+    for p in man.partitions:
+        fabs = os.path.abspath(p["file"])
         if fabs.startswith(mabs + os.sep):
             p["file"] = os.path.join(
                 replica_dir, os.path.relpath(fabs, mabs))
-    tmp = man_path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(man, f, indent=1)
-    os.replace(tmp, man_path)
+    man.write()
+    deleted = man.sweep()
     with open(gen_path + ".tmp", "w") as f:
         json.dump({"generation": gen}, f)
     os.replace(gen_path + ".tmp", gen_path)
@@ -139,8 +125,8 @@ def backup_index(index_dir: str, backup_root: str, *,
         dst = os.path.join(tmp, extra)
         if os.path.exists(p) and not os.path.exists(dst):
             shutil.copy2(p, dst)  # _file_set may have linked it already
-    shutil.copy2(os.path.join(index_dir, "manifest.json"),
-                 os.path.join(tmp, "manifest.json"))
+    shutil.copy2(os.path.join(index_dir, MANIFEST),
+                 os.path.join(tmp, MANIFEST))
     os.replace(tmp, snap)
     return snap
 
@@ -165,8 +151,8 @@ def restore_index(snapshot_dir: str, index_dir: str) -> str:
         dst = os.path.join(tmp, extra)
         if os.path.exists(p) and not os.path.exists(dst):
             shutil.copy2(p, dst)
-    shutil.copy2(os.path.join(snapshot_dir, "manifest.json"),
-                 os.path.join(tmp, "manifest.json"))
+    shutil.copy2(os.path.join(snapshot_dir, MANIFEST),
+                 os.path.join(tmp, MANIFEST))
     if os.path.isdir(index_dir):
         shutil.rmtree(index_dir)
     os.replace(tmp, index_dir)

@@ -193,17 +193,23 @@ def test_check_merged_green_and_detects_corruption(tmp_path_factory,
     rep = check_merged(out, sample_terms=300)
     assert rep["ok"] and rep["terms_checked"] > 0
 
-    # corruption: duplicate a merged terms file (double-counted postings)
+    # corruption: a commit that names a merged terms file twice, under
+    # two names (double-counted postings)
     import os
     import shutil
 
+    from lucene_solr_ray.index import IndexManifest
+
     md = os.path.join(out, "merged")
+    man = IndexManifest.load(out)
     # duplicate the LARGEST terms file and check ALL terms so detection
     # is deterministic (a tiny boundary file could slip past a sample)
-    tf = max((f for f in os.listdir(md) if f.startswith("terms-")),
+    tf = max((f for f in man.merged_files if f.startswith("terms-")),
              key=lambda f: os.path.getsize(os.path.join(md, f)))
     shutil.copyfile(os.path.join(md, tf),
                     os.path.join(md, "terms-zzduplicate.parquet"))
+    man.merged_files.append("terms-zzduplicate.parquet")
+    man.commit()
     with pytest.raises(AssertionError):
         check_merged(out, sample_terms=10_000_000)
 

@@ -85,3 +85,29 @@ def test_update_numeric_docvalues_empty(dv_idx):
     upd = pa.table({"path": pa.array([], pa.string()),
                     "n_lines": pa.array([], pa.int64())})
     assert update_numeric_docvalues(out, "path", "n_lines", upd) == 0
+
+
+def test_docvalues_update_refreshes_searcher_manager(tmp_path_factory,
+                                                     ray_session):
+    """update_numeric_docvalues commits a generation: the managed
+    searcher refreshes to it and sees the docvalues a fresh searcher
+    sees."""
+    from lucene_solr_ray.search import SearcherManager
+
+    d = tmp_path_factory.mktemp("dv_mgr_src")
+    pq.write_table(pa.table({
+        "doc_key": pa.array([1, 2, 3], pa.int64()),
+        "rank": pa.array([1, 2, 3], pa.int64()),
+        "content": pa.array(["alpha beta", "beta gamma", "gamma delta"]),
+    }), str(d / "docs.parquet"))
+    out = str(tmp_path_factory.mktemp("dv_mgr_idx") / "idx")
+    build_index(str(d), out, text_field="content",
+                docvalues_fields=["rank"], rows_per_partition=10)
+    mgr = SearcherManager(out)
+    assert mgr.acquire().docvalues("rank").tolist() == [1, 2, 3]
+    update_numeric_docvalues(out, "doc_key", "rank", pa.table({
+        "doc_key": pa.array([2], pa.int64()),
+        "rank": pa.array([20], pa.int64())}))
+    assert mgr.maybe_refresh()
+    assert mgr.acquire().docvalues("rank").tolist() == \
+        IndexSearcher(out).docvalues("rank").tolist() == [1, 20, 3]

@@ -59,3 +59,24 @@ def test_sharded_search_skips_exorcised(corrupt_index):
                              num_shards=n)
         assert (got["doc_id"].to_pylist(), got["score"].to_pylist()) == \
             (want["doc_id"].to_pylist(), want["score"].to_pylist()), n
+
+
+def test_replica_of_exorcised_index_searches_like_master(corrupt_index,
+                                                         tmp_path_factory):
+    """The quarantined partition ids live in the manifest, so a replica
+    skips the same segments: sharded top-k on the replica equals the
+    master's."""
+    from lucene_solr_ray.search import search_sharded
+    from lucene_solr_ray.state.replication import replicate
+
+    exorcise_index(corrupt_index, sample_terms=50)
+    rep = str(tmp_path_factory.mktemp("exo_replica") / "rep")
+    replicate(corrupt_index, rep)
+    for n in (1, 3):
+        want = search_sharded(corrupt_index, [TermQuery("return")], k=10,
+                              num_shards=n)
+        got = search_sharded(rep, [TermQuery("return")], k=10,
+                             num_shards=n)
+        assert want.num_rows > 0
+        assert (got["doc_id"].to_pylist(), got["score"].to_pylist()) == \
+            (want["doc_id"].to_pylist(), want["score"].to_pylist()), n

@@ -344,15 +344,15 @@ def test_roll_forward_ingest_new_files(tmp_path_factory, ray_session):
 
 def test_merge_ignores_stale_staging_dir(corpus_dir, tmp_path_factory,
                                          ray_session):
-    """A crashed prior merge's merged.tmp must not leak files into the
+    """A crashed prior merge's files in merged/ must not leak into the
     published view (ADVICE r1 medium: duplicated chunk rows would
-    double-count postings)."""
+    double-count postings): no commit names them, and the merge's commit
+    unlinks them."""
     out = str(tmp_path_factory.mktemp("stale_idx"))
     build_index(corpus_dir, out, rows_per_partition=100)
-    stale = os.path.join(out, "merged.tmp")
+    stale = os.path.join(out, "merged")
     os.makedirs(stale, exist_ok=True)
     # plant junk that WOULD double postings if carried over
-    seg = sorted(os.listdir(os.path.join(out, "segments")))[0]
     with open(os.path.join(stale, "terms-stalejunk.parquet"), "wb") as f:
         f.write(b"not a real parquet")
     merge_index(out)
@@ -451,3 +451,68 @@ def test_bit_packed_index_refused(tmp_path_factory, ray_session):
         build_segment(part, str(tmp_path_factory.mktemp("bp_seg")),
                       text_field="content", analyzer_name="standard",
                       byte_aligned=False)
+
+
+def test_index_without_generation_refused(tmp_path_factory, ray_session):
+    """A manifest with no commit ``generation`` comes from a version whose
+    readers listed directories instead of opening the files the manifest
+    names: it is refused on open with a rebuild message, and a rebuild in
+    place opens."""
+    import json
+
+    d = tmp_path_factory.mktemp("nogen_corpus")
+    pq.write_table(generate_table(100, seed=6), str(d / "c.parquet"))
+    out = str(tmp_path_factory.mktemp("nogen_idx"))
+    build_index(str(d), out, rows_per_partition=50)
+    want = IndexSearcher(out).search(TermQuery("return"), k=10).to_pydict()
+    path = os.path.join(out, "manifest.json")
+    with open(path) as f:
+        man = json.load(f)
+    del man["generation"]
+    with open(path, "w") as f:
+        json.dump(man, f)
+    with pytest.raises(ValueError, match="rebuild the index"):
+        IndexSearcher(out)
+    with pytest.raises(ValueError, match="rebuild the index"):
+        merge_index(out)
+    build_index(str(d), out, rows_per_partition=50)
+    got = IndexSearcher(out).search(TermQuery("return"), k=10).to_pydict()
+    assert got == want
+
+
+def test_rebuild_over_old_checkpoints_keeps_docvalues(tmp_path_factory,
+                                                      ray_session):
+    """Checkpoints written before a partition row named its docvalues
+    sidecar do not name it: the in-place rebuild that a refused manifest
+    asks for must rebuild those partitions, not reuse them and let the
+    commit sweep their sidecars."""
+    import json
+
+    import pyarrow as pa
+
+    d = tmp_path_factory.mktemp("olddv_corpus")
+    pq.write_table(generate_table(100, seed=6).append_column(
+        "rank", pa.array(np.arange(100) * 3)), str(d / "c.parquet"))
+    out = str(tmp_path_factory.mktemp("olddv_idx"))
+    build_index(str(d), out, rows_per_partition=50,
+                docvalues_fields=["rank"])
+    want = IndexSearcher(out).docvalues("rank").tolist()
+    ck = os.path.join(out, "_checkpoints")
+    for f in os.listdir(ck):
+        with open(os.path.join(ck, f)) as fh:
+            row = json.load(fh)
+        del row["docvalues"]
+        with open(os.path.join(ck, f), "w") as fh:
+            json.dump(row, fh)
+    path = os.path.join(out, "manifest.json")
+    with open(path) as f:
+        man = json.load(f)
+    del man["generation"]
+    with open(path, "w") as f:
+        json.dump(man, f)
+    build_index(str(d), out, rows_per_partition=50,
+                docvalues_fields=["rank"])
+    man = IndexManifest.load(out)
+    assert all(os.path.exists(os.path.join(out, p["docvalues"]))
+               for p in man.partitions)
+    assert IndexSearcher(out).docvalues("rank").tolist() == want

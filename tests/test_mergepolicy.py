@@ -1,6 +1,6 @@
 """TieredMergePolicy selection + tiered compaction of NRT append segments
 (index/mergepolicy.py): policy arithmetic, merge execution equivalence,
-crash recovery."""
+a failed merge leaving the commit as it was."""
 
 import os
 
@@ -8,13 +8,12 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from lucene_solr_ray.index import check_merged
+from lucene_solr_ray.index import IndexManifest, check_merged
 from lucene_solr_ray.index.mergepolicy import (SegmentSizeInfo,
                                                TieredMergePolicy,
                                                execute_merge,
                                                list_append_segments,
-                                               maybe_merge,
-                                               recover_interrupted_merges)
+                                               maybe_merge)
 
 MB = 1 << 20
 
@@ -112,7 +111,10 @@ def test_tiered_merge_compacts_and_preserves_results(nrt_index):
     assert len(after_segs) < 6  # appends were consumed
     merged_dir = os.path.join(nrt_index, "merged")
     assert any(f.startswith("terms-tier-") for f in os.listdir(merged_dir))
-    assert not any(".merging-" in f for f in os.listdir(merged_dir))
+    # the merge's commit unlinked its sources: merged/ holds exactly the
+    # files the commit names
+    assert sorted(os.listdir(merged_dir)) == sorted(
+        IndexManifest.load(nrt_index).merged_files)
     assert _search_all(nrt_index) == before  # scores + ranks identical
     # df, ttf, postings and positions equal the segments', as after a
     # full merge
@@ -145,26 +147,6 @@ def _two_appends(tmp_path_factory, name: str) -> str:
             "content": pa.array([f"delta run{i}"]),
         }))
     return out
-
-
-def test_recover_interrupted_merge(tmp_path_factory, ray_session):
-    out = _two_appends(tmp_path_factory, "rec")
-    segs = list_append_segments(out)
-    # simulate a crash: sources hidden, merge never finished
-    for s in segs:
-        os.rename(s.terms_path, s.terms_path + ".merging-deadbeef0000")
-    assert list_append_segments(out) == []
-    assert recover_interrupted_merges(out) == 2
-    assert len(list_append_segments(out)) == 2
-    # and a finished merge's leftovers are dropped, not restored
-    name = execute_merge(out, [s.terms_path for s in segs])
-    assert name.startswith("terms-tier-")
-    gen = name[len("terms-tier-"):-len(".parquet")]
-    leftover = segs[0].terms_path + f".merging-{gen}"
-    with open(leftover, "w") as f:
-        f.write("stale")
-    assert recover_interrupted_merges(out) == 0
-    assert not os.path.exists(leftover)
 
 
 def test_failed_merge_restores_sources(tmp_path_factory, ray_session,

@@ -103,7 +103,8 @@ def test_reopen_equals_fresh_open(tmp_path_factory, ray_session,
 def test_reopen_after_tier_merge_reads_only_new_file(tmp_path_factory,
                                                      ray_session,
                                                      monkeypatch):
-    """A tier merge's compacted chunks keep their sources' smallest chunk
+    """A tier merge commits, so the manager's refresh after it is the one
+    full open; its compacted chunks keep their sources' smallest chunk
     id, so the upserts after it still reopen incrementally."""
     rng = np.random.default_rng(9)
     src = tmp_path_factory.mktemp("tier_reopen_src")
@@ -125,21 +126,22 @@ def test_reopen_after_tier_merge_reads_only_new_file(tmp_path_factory,
         assert mgr.maybe_refresh()
     appends = list_append_segments(idx)
     assert len(appends) == 4
-    execute_merge(idx, [s.terms_path for s in appends])
-    assert any(f.startswith("payload-tier-")  # some groups were compacted
-               for f in os.listdir(os.path.join(idx, "merged")))
-
     read = []  # terms files each reader open reads
     real = readers._read_terms
     monkeypatch.setattr(readers, "_read_terms",
                         lambda files, all_files: read.append(len(files))
                         or real(files, all_files))
+    execute_merge(idx, [s.terms_path for s in appends])
+    assert any(f.startswith("payload-tier-")  # some groups were compacted
+               for f in os.listdir(os.path.join(idx, "merged")))
+    # the merged-away append files are no longer named: full open
+    assert mgr.maybe_refresh()
+    assert len(read) == 1 and read[0] > 1
+    _assert_fresh(mgr.acquire(), idx)
+
     for i in range(4, 8):
         upsert(i)
         read.clear()
         assert mgr.maybe_refresh()
-        if i == 4:  # the merged-away append files are gone: full open
-            assert len(read) == 1 and read[0] > 1
-        else:
-            assert read == [1]  # only the new append file
+        assert read == [1]  # only the new append file
         _assert_fresh(mgr.acquire(), idx)

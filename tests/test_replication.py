@@ -230,3 +230,59 @@ def test_replication_carries_analyzer_and_external_files(
     assert type(rman.resolve_analyzer()).__name__ == "WhitespaceAnalyzer"
     assert IndexSearcher(restored).docvalues("external_boost").tolist() \
         == [7.5, 2.5]
+
+
+def test_failed_publish_leaves_replica_as_after_last_sync(
+        tmp_path_factory, ray_session, monkeypatch):
+    """replicate deletes the files the master dropped only after it
+    publishes the replica's manifest: a sync whose publish raises leaves
+    the replica opening and answering exactly as after the sync before."""
+    from lucene_solr_ray.index.mergepolicy import (execute_merge,
+                                                   list_append_segments)
+    from lucene_solr_ray.index.updates import update_documents
+
+    rng = np.random.default_rng(4)
+    vocab = [f"w{i}" for i in range(30)]
+
+    def docs(keys, tag=""):
+        words = rng.choice(vocab, size=(len(keys), 8))
+        return pa.table({
+            "path": pa.array(keys),
+            "content": pa.array([" ".join(w) + tag for w in words]),
+        })
+
+    d = tmp_path_factory.mktemp("rep_fail_src")
+    pq.write_table(docs([f"p{i}" for i in range(60)]), str(d / "c.parquet"),
+                   row_group_size=30)
+    master = str(tmp_path_factory.mktemp("rep_fail_master") / "idx")
+    build_index(str(d), master, text_field="content", rows_per_partition=30)
+    merge_index(master)
+    for i in range(2):
+        update_documents(master, docs(["p1", "p2", f"n{i}"], " fresh"),
+                         "path")
+    rep = str(tmp_path_factory.mktemp("rep_fail_replica") / "rep")
+    replicate(master, rep)
+    queries = [TermQuery("w0"), TermQuery("w5"), TermQuery("fresh")]
+
+    def answers():
+        s = IndexSearcher(rep)
+        return [s.search(q, k=10).to_pydict() for q in queries]
+
+    before = answers()
+    update_documents(master, docs(["p3", "n9"], " fresh"), "path")
+    execute_merge(master, [s.terms_path
+                           for s in list_append_segments(master)])
+
+    real = os.replace
+    man_path = os.path.abspath(os.path.join(rep, "manifest.json"))
+
+    def replace(src, dst, *a, **kw):
+        if os.path.abspath(dst) == man_path:
+            raise OSError("injected publish failure")
+        return real(src, dst, *a, **kw)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="injected"):
+        replicate(master, rep)
+    monkeypatch.undo()
+    assert answers() == before
