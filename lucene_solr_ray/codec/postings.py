@@ -19,7 +19,12 @@ Layout (little-endian):
     payload for code == 255 : n * uint32 raw values
 
 Widths are byte-aligned (8/16/32 bits), so every decoder is a numpy view
-or gather; any other width code is rejected with ``ValueError``.
+or gather; any other width code is rejected with ``ValueError``. A block
+of n values takes the smallest width that holds its maximum, and code 0
+only when it is strictly smaller: all n values equal and ``n * width > 4``.
+Every writer (``encode_postings``, ``encode_values`` and the batch
+encoders) applies this one rule, so the same list always encodes to the
+same bytes.
 
 Doc IDs are encoded as deltas: first = doc_id[0], then successive gaps
 (always >= 1). TFs are encoded as tf-1 (tf >= 1).
@@ -61,13 +66,11 @@ def _check_codes(codes: np.ndarray) -> None:
 
 
 def _encode_stream(out: list, vals: np.ndarray) -> None:
-    mx = int(vals.max()) if vals.size else 0
-    mn = int(vals.min()) if vals.size else 0
-    if mx == mn:
-        out.append(np.uint8(0).tobytes())
-        out.append(np.uint32(mx).tobytes())
-        return
+    mx = int(vals.max())
     w = 1 if mx < 0x100 else 2 if mx < 0x10000 else 4
+    if mx == int(vals.min()) and vals.size * w > 4:  # code 0 is smaller
+        out.append(b"\x00" + np.uint32(mx).tobytes())
+        return
     out.append(bytes([_CODE[w]]))
     out.append(vals.astype(_DTYPE[w]).tobytes())
 
@@ -115,6 +118,62 @@ def encode_postings(
     return b"".join(out), block_last, block_maxtf
 
 
+def _plan_streams(vals: np.ndarray, starts: np.ndarray,
+                  ends: np.ndarray):
+    """Gather the single-block streams ``vals[starts[i]:ends[i]]`` end to
+    end and apply :func:`_encode_stream`'s width rule to each. Returns
+    the plan :func:`_put_streams` writes and each stream's encoded byte
+    length (code byte included).
+
+    Widths come from each stream's TRUE ``[start, end)`` range: for a
+    non-contiguous subset (``build_segment`` interleaves big terms),
+    ``reduceat`` over the original starts would run each stream into the
+    next subset start and fold foreign values in."""
+    counts = ends - starts
+    if counts.size and (starts[0] != 0 or not np.array_equal(
+            starts[1:], ends[:-1])):
+        v = vals[np.repeat(starts, counts) + _intra(counts)]
+        at = _exclusive_cumsum(counts)
+    else:
+        v = vals[:int(ends[-1]) if counts.size else 0]
+        at = starts
+    mx = np.zeros(counts.size, v.dtype)
+    mn = np.zeros(counts.size, v.dtype)
+    nz = counts > 0
+    if v.size:
+        mx[nz] = np.maximum.reduceat(v, at[nz])
+        mn[nz] = np.minimum.reduceat(v, at[nz])
+    w = np.where(mx < 0x100, 1, np.where(mx < 0x10000, 2, 4))
+    eq = (mx == mn) & (counts * w > 4)
+    nbytes = np.where(eq, 5, 1 + counts * w)
+    nbytes[~nz] = 0  # an empty list writes no block
+    return (v, at, counts, w, eq, mx), nbytes
+
+
+def _put_u4(buf: np.ndarray, at: np.ndarray, vals: np.ndarray) -> None:
+    vals = vals.astype(np.int64)
+    for b in range(4):
+        buf[at + b] = (vals >> (8 * b)) & 0xFF
+
+
+def _put_streams(buf: np.ndarray, at: np.ndarray, plan) -> None:
+    """Write each planned stream (code byte, then payload) at ``at``."""
+    v, src0, counts, w, eq, mx = plan
+    buf[at[eq]] = 0
+    _put_u4(buf, at[eq] + 1, mx[eq])
+    for width in (1, 2, 4):
+        m = (w == width) & ~eq & (counts > 0)
+        if not m.any():
+            continue
+        buf[at[m]] = _CODE[width]
+        cnt = counts[m]
+        intra = _intra(cnt)
+        x = v[np.repeat(src0[m], cnt) + intra]
+        dst = np.repeat(at[m] + 1, cnt) + intra * width
+        for b in range(width):
+            buf[dst + b] = (x >> np.uint32(8 * b)) & 0xFF
+
+
 def encode_postings_batch_packed(
     docs_flat: np.ndarray,
     tfs_flat: np.ndarray,
@@ -123,89 +182,27 @@ def encode_postings_batch_packed(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized encoder for many SINGLE-BLOCK terms at once (df <= 128):
     assembles ALL payloads into one contiguous uint8 buffer (returned with
-    per-term byte lengths) — no per-term Python bytes objects (the build's
-    emit hot path). Byte format is :func:`encode_postings`'s, except the
-    all-equal (code 0) case is not used.
-
-    Payload i occupies ``[cum_lens[i], cum_lens[i+1])`` of the buffer.
-    """
+    per-term byte lengths) — no per-term Python bytes objects. Payload i
+    is byte-identical to ``encode_postings`` of term i's list and occupies
+    ``[cum_lens[i], cum_lens[i+1])`` of the buffer."""
     docs_flat = np.asarray(docs_flat, np.int64)
-    tfs_flat = np.asarray(tfs_flat, np.int64)
-    n_terms = starts.size
-    counts = (ends - starts).astype(np.int64)
+    starts = np.asarray(starts, np.int64)
+    ends = np.asarray(ends, np.int64)
     deltas = np.empty(docs_flat.size, np.uint32)
     if docs_flat.size:
         deltas[0] = docs_flat[0]
         np.subtract(docs_flat[1:], docs_flat[:-1], out=deltas[1:],
                     casting="unsafe")
         deltas[starts] = docs_flat[starts]
-    tfm1 = (tfs_flat - 1).astype(np.uint32)
-
-    # width selection needs per-term maxima over the TRUE [start, end)
-    # ranges. reduceat(vals, starts) runs each segment to the NEXT subset
-    # start, so for a non-contiguous subset (build_segment interleaves big
-    # terms) it would fold foreign values in and inflate widths (decode
-    # stays correct — payloads were just larger than needed). Gather the
-    # subset stream once and reduce over contiguous segments instead.
-    if n_terms and (starts[0] != 0 or not np.array_equal(starts[1:],
-                                                         ends[:-1])):
-        sub_idx = np.repeat(starts, counts) + _intra(counts)
-        red_starts = np.zeros(n_terms, np.int64)
-        np.cumsum(counts[:-1], out=red_starts[1:])
-    else:
-        sub_idx = None
-        red_starts = starts
-
-    def widths(vals):
-        v = vals if sub_idx is None else vals[sub_idx]
-        mx = np.maximum.reduceat(v, red_starts)
-        w = np.full(n_terms, 4, np.int64)
-        w[mx < 0x10000] = 2
-        w[mx < 0x100] = 1
-        return w
-
-    dw = widths(deltas)
-    tw = widths(tfm1)
-    lens = 4 + 1 + counts * dw + 1 + counts * tw
-    offs = np.zeros(n_terms + 1, np.int64)
-    np.cumsum(lens, out=offs[1:])
-    buf = np.empty(int(offs[-1]), np.uint8)
-
-    # headers: count as u4 at offs, then code bytes
-    o = offs[:-1]
-    buf[o] = counts & 0xFF
-    buf[o + 1] = (counts >> 8) & 0xFF
-    buf[o + 2] = (counts >> 16) & 0xFF
-    buf[o + 3] = (counts >> 24) & 0xFF
-    d_start = o + 4
-    t_start = d_start + 1 + counts * dw
-    for w in (1, 2, 4):
-        m = dw == w
-        if m.any():
-            buf[d_start[m]] = _CODE[w]
-        m = tw == w
-        if m.any():
-            buf[t_start[m]] = _CODE[w]
-
-    def scatter(vals, w_arr, data_start):
-        for w in (1, 2, 4):
-            m = w_arr == w
-            if not m.any():
-                continue
-            cnt = counts[m]
-            intra = _intra(cnt)
-            src = np.repeat(starts[m], cnt) + intra
-            dst = np.repeat(data_start[m] + 1, cnt) + intra * w
-            v = vals[src]
-            buf[dst] = v & 0xFF
-            if w >= 2:
-                buf[dst + 1] = (v >> np.uint32(8)) & 0xFF
-            if w == 4:
-                buf[dst + 2] = (v >> np.uint32(16)) & 0xFF
-                buf[dst + 3] = (v >> np.uint32(24)) & 0xFF
-
-    scatter(deltas, dw, d_start)
-    scatter(tfm1, tw, t_start)
+    tfm1 = (np.asarray(tfs_flat, np.int64) - 1).astype(np.uint32)
+    dp, d_len = _plan_streams(deltas, starts, ends)
+    tp, t_len = _plan_streams(tfm1, starts, ends)
+    lens = 4 + d_len + t_len
+    o = _exclusive_cumsum(lens)
+    buf = np.empty(int(lens.sum()), np.uint8)
+    _put_u4(buf, o, ends - starts)
+    _put_streams(buf, o + 4, dp)
+    _put_streams(buf, o + 4 + d_len, tp)
     return buf, lens
 
 
@@ -218,63 +215,91 @@ def encode_values_batch_packed(
     (positions / offsets) into one contiguous uint8 buffer — the
     ``.pos``/``.pay`` analogue of :func:`encode_postings_batch_packed`.
     Each stream must fit one block (``ends - starts <= BLOCK_SIZE``);
-    payload format matches :func:`encode_values` byte-aligned output
-    (n:u4, code:u1, n fixed-width values), so :func:`decode_values`
-    reads it back unchanged. Handles non-contiguous subsets.
-    Returns (buffer, per-stream byte lengths)."""
-    vals_flat = np.asarray(vals_flat, np.uint32)
+    payload i is byte-identical to :func:`encode_values` of stream i.
+    Handles non-contiguous subsets. Returns (buffer, per-stream byte
+    lengths)."""
     starts = np.asarray(starts, np.int64)
     ends = np.asarray(ends, np.int64)
-    n = starts.size
-    counts = (ends - starts).astype(np.int64)
-    if n and (starts[0] != 0 or not np.array_equal(starts[1:], ends[:-1])):
-        sub_idx = np.repeat(starts, counts) + _intra(counts)
-        red_starts = np.zeros(n, np.int64)
-        np.cumsum(counts[:-1], out=red_starts[1:])
-        vals = vals_flat[sub_idx]
-    else:
-        red_starts = starts
-        vals = vals_flat[int(starts[0]) if n else 0:
-                         int(ends[-1]) if n else 0]
-    safe_starts = red_starts.copy()
-    if n:
-        safe_starts[counts == 0] = 0  # reduceat needs valid indices
-    mx = np.maximum.reduceat(vals, np.minimum(
-        safe_starts, max(vals.size - 1, 0))) if vals.size else \
-        np.zeros(n, np.uint32)
-    if n:
-        mx = np.where(counts > 0, mx, 0)
-    w = np.full(n, 4, np.int64)
-    w[mx < 0x10000] = 2
-    w[mx < 0x100] = 1
-    lens = 4 + 1 + counts * w
-    offs = np.zeros(n + 1, np.int64)
-    np.cumsum(lens, out=offs[1:])
-    buf = np.empty(int(offs[-1]), np.uint8)
-    o = offs[:-1]
-    buf[o] = counts & 0xFF
-    buf[o + 1] = (counts >> 8) & 0xFF
-    buf[o + 2] = (counts >> 16) & 0xFF
-    buf[o + 3] = (counts >> 24) & 0xFF
-    for width in (1, 2, 4):
-        m = w == width
-        if not m.any():
-            continue
-        buf[o[m] + 4] = _CODE[width]
-        cnt = counts[m]
-        if not cnt.sum():
-            continue
-        intra = _intra(cnt)
-        src = np.repeat(red_starts[m], cnt) + intra
-        dst = np.repeat(o[m] + 5, cnt) + intra * width
-        v = vals[src]
-        buf[dst] = v & 0xFF
-        if width >= 2:
-            buf[dst + 1] = (v >> np.uint32(8)) & 0xFF
-        if width == 4:
-            buf[dst + 2] = (v >> np.uint32(16)) & 0xFF
-            buf[dst + 3] = (v >> np.uint32(24)) & 0xFF
+    plan, v_len = _plan_streams(np.asarray(vals_flat, np.uint32), starts,
+                                ends)
+    lens = 4 + v_len
+    o = _exclusive_cumsum(lens)
+    buf = np.empty(int(lens.sum()), np.uint8)
+    _put_u4(buf, o, ends - starts)
+    _put_streams(buf, o + 4, plan)
     return buf, lens
+
+
+def _lay_out(small: np.ndarray, sm_buf: np.ndarray, sm_lens: np.ndarray,
+             big: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """One buffer holding every list's payload in list order: the packed
+    single-block payloads (``small`` lists) and the ``big`` ones."""
+    if not big:
+        return sm_buf, sm_lens
+    lens = np.empty(small.size, np.int64)
+    lens[small] = sm_lens
+    lens[~small] = [len(p) for p in big]
+    offs = _exclusive_cumsum(lens)
+    buf = np.empty(int(lens.sum()), np.uint8)
+    buf[np.repeat(offs[small], sm_lens) + _intra(sm_lens)] = sm_buf
+    for o, p in zip(offs[~small].tolist(), big):
+        buf[o:o + len(p)] = np.frombuffer(p, np.uint8)
+    return buf, lens
+
+
+def encode_postings_lists(
+    docs: np.ndarray,
+    tfs: np.ndarray,
+    counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode the posting lists laid end to end in ``docs``/``tfs`` (list
+    i holds ``counts[i]`` postings) into one buffer, in list order, with
+    each list's byte length. Single-block lists go through one
+    :func:`encode_postings_batch_packed` call, longer ones through
+    :func:`encode_postings`; either way the bytes are ``encode_postings``'
+    (the segment build and the merge write through this one function)."""
+    counts = np.asarray(counts, np.int64)
+    starts = _exclusive_cumsum(counts)
+    small = counts <= BLOCK_SIZE
+    sm_buf, sm_lens = encode_postings_batch_packed(
+        docs, tfs, starts[small], starts[small] + counts[small])
+    big = [encode_postings(docs[s:s + c], tfs[s:s + c])[0]
+           for s, c in zip(starts[~small].tolist(),
+                           counts[~small].tolist())]
+    return _lay_out(small, sm_buf, sm_lens, big)
+
+
+def encode_values_lists(
+    vals: np.ndarray,
+    counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`encode_postings_lists` for value streams (positions,
+    offsets, payload bytes): bytes equal per-stream :func:`encode_values`."""
+    counts = np.asarray(counts, np.int64)
+    starts = _exclusive_cumsum(counts)
+    small = counts <= BLOCK_SIZE
+    sm_buf, sm_lens = encode_values_batch_packed(
+        vals, starts[small], starts[small] + counts[small])
+    big = [encode_values(vals[s:s + c])
+           for s, c in zip(starts[~small].tolist(),
+                           counts[~small].tolist())]
+    return _lay_out(small, sm_buf, sm_lens, big)
+
+
+def block_bounds(
+    counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For lists of ``counts`` values laid end to end: each list's number
+    of ``BLOCK_SIZE`` blocks, and the flat index of every block's first
+    and last value (per-block metadata is a gather or ``reduceat`` over
+    these)."""
+    counts = np.asarray(counts, np.int64)
+    nblocks = (counts + BLOCK_SIZE - 1) // BLOCK_SIZE
+    starts = np.repeat(_exclusive_cumsum(counts), nblocks)
+    first = starts + _intra(nblocks) * BLOCK_SIZE
+    last = np.minimum(first + BLOCK_SIZE,
+                      starts + np.repeat(counts, nblocks)) - 1
+    return nblocks, first, last
 
 
 def decode_postings(payload: bytes | memoryview) -> tuple[np.ndarray, np.ndarray]:
@@ -379,6 +404,12 @@ def decode_values_batch(
     np.cumsum(counts[:-1], out=out_starts[1:])
     out = np.empty(int(counts.sum()), np.int64)
     _gather_stream(buf, offs + 4, counts, out_starts, out)
+    return out
+
+
+def _exclusive_cumsum(a: np.ndarray) -> np.ndarray:
+    out = np.zeros(a.size, np.int64)
+    np.cumsum(a[:-1], out=out[1:])
     return out
 
 

@@ -41,12 +41,12 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..analysis import get_analyzer
-from ..codec import BLOCK_SIZE, encode_norm, encode_postings
+from ..codec import encode_norm
 from ..codec.postings import (
     _intra,
-    encode_postings_batch_packed,
-    encode_values,
-    encode_values_batch_packed,
+    block_bounds,
+    encode_postings_lists,
+    encode_values_lists,
 )
 
 MANIFEST = "manifest.json"
@@ -548,95 +548,32 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
     # file written once at flush, exactly Lucene's "segments are immutable,
     # merges mostly re-point" economics). Layout:
     #     [payload_0 .. payload_n][pos_0 .. pos_n]
-    # FULLY VECTORIZED emit (no per-term Python loop): single-block terms
-    # (the Zipf body, df <= 128) go through the packed batch encoder
-    # straight into one buffer; only multi-block terms loop. Positions and
-    # offsets take the same shape: single-block streams (ttf <= 128) via
-    # the packed values encoder, the rest per-term.
+    # Emit through the codec's list encoders: single-block terms (the
+    # Zipf body, df <= 128) and single-block position/offset streams go
+    # through one packed batch call each, only longer lists per term.
     n_terms = starts.size
     df_arr = (ends - starts).astype(np.int64)
     ttf_arr = np.add.reduceat(a_tf, starts).astype(np.int64)
     start_doc_arr = a_doc_g[starts]
-    maxtf_term = np.maximum.reduceat(a_tf, starts)
-    maxnorm_term = np.maximum.reduceat(norm_bytes[a_doc], starts)
-    small_m = df_arr <= BLOCK_SIZE
-    sm_idx = np.flatnonzero(small_m)
-    big_idx = np.flatnonzero(~small_m)
-    lens = np.empty(n_terms, np.int64)
-    sm_buf, sm_lens = encode_postings_batch_packed(
-        a_doc_g, a_tf, starts[sm_idx], ends[sm_idx]
-    )
-    lens[sm_idx] = sm_lens
-    big_payloads: list = []
-    big_meta: dict = {}
-    for bi in big_idx.tolist():
-        s, e = int(starts[bi]), int(ends[bi])
-        payload, last, maxtf = encode_postings(
-            a_doc_g[s:e], a_tf[s:e])
-        big_payloads.append(payload)
-        lens[bi] = len(payload)
-        nb = norm_bytes[a_doc[s:e]]
-        mx = np.maximum.reduceat(nb, np.arange(0, nb.size, BLOCK_SIZE))
-        big_meta[bi] = (last, maxtf, mx.astype(np.uint8))
+    buf, lens = encode_postings_lists(a_doc_g, a_tf, df_arr)
     offs = np.zeros(n_terms, np.int64)
     np.cumsum(lens[:-1], out=offs[1:])
-    buf = np.empty(int(lens.sum()), np.uint8)
-    if sm_idx.size:
-        dst = np.repeat(offs[sm_idx], sm_lens) + _intra(sm_lens)
-        buf[dst] = sm_buf
-    for k2, bi in enumerate(big_idx.tolist()):
-        o = int(offs[bi])
-        buf[o : o + int(lens[bi])] = np.frombuffer(
-            big_payloads[k2], np.uint8)
-
-    def _values_section(flat, v_starts, v_ends):
-        """Encode per-term value streams into one section buffer:
-        packed batch for single-block streams, per-term for the
-        rest. Returns (section_buf, per-term lens)."""
-        cnts = v_ends - v_starts
-        sm = np.flatnonzero(cnts <= BLOCK_SIZE)
-        bg = np.flatnonzero(cnts > BLOCK_SIZE)
-        v_lens = np.empty(n_terms, np.int64)
-        vb, vl = encode_values_batch_packed(
-            flat, v_starts[sm], v_ends[sm])
-        v_lens[sm] = vl
-        bg_payloads = []
-        for bi2 in bg.tolist():
-            p = encode_values(flat[int(v_starts[bi2]):int(v_ends[bi2])])
-            bg_payloads.append(p)
-            v_lens[bi2] = len(p)
-        v_offs = np.zeros(n_terms, np.int64)
-        np.cumsum(v_lens[:-1], out=v_offs[1:])
-        sec = np.empty(int(v_lens.sum()), np.uint8)
-        if sm.size:
-            dst = np.repeat(v_offs[sm], vl) + _intra(vl)
-            sec[dst] = vb
-        for k3, bi2 in enumerate(bg.tolist()):
-            o2 = int(v_offs[bi2])
-            sec[o2 : o2 + int(v_lens[bi2])] = np.frombuffer(
-                bg_payloads[k3], np.uint8)
-        return sec, v_lens
 
     doc_total = int(lens.sum())
     sections = [buf]
     if store_positions:
-        tf_cum = np.zeros(a_tf.size + 1, np.int64)
-        np.cumsum(a_tf, out=tf_cum[1:])
-        pos_sec, pos_lens_v = _values_section(
-            a_pos, tf_cum[starts], tf_cum[ends])
+        pos_sec, pos_lens_v = encode_values_lists(a_pos, ttf_arr)
         pos_offs_v = np.full(n_terms, doc_total, np.int64)
         pos_offs_v[1:] += np.cumsum(pos_lens_v[:-1])
         sections.append(pos_sec)
         if store_offsets:
-            off_sec, off_lens_v = _values_section(
-                a_off, 2 * tf_cum[starts], 2 * tf_cum[ends])
+            off_sec, off_lens_v = encode_values_lists(a_off, 2 * ttf_arr)
             base = doc_total + int(pos_lens_v.sum())
             off_offs_v = np.full(n_terms, base, np.int64)
             off_offs_v[1:] += np.cumsum(off_lens_v[:-1])
             sections.append(off_sec)
         if store_payloads:
-            pay_sec, pay_lens_v = _values_section(
-                a_pay, tf_cum[starts], tf_cum[ends])
+            pay_sec, pay_lens_v = encode_values_lists(a_pay, ttf_arr)
             base = doc_total + int(pos_lens_v.sum())
             pay_offs_v = np.full(n_terms, base, np.int64)
             pay_offs_v[1:] += np.cumsum(pay_lens_v[:-1])
@@ -650,23 +587,12 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
     os.replace(bin_path + ".tmp", bin_path)
 
     # block-metadata list columns assembled flat (ListArray offsets)
-    nblocks = np.where(small_m, 1,
-                       (df_arr + BLOCK_SIZE - 1) // BLOCK_SIZE)
+    nblocks, first, last = block_bounds(df_arr)
     bl_off = np.zeros(n_terms + 1, np.int64)
     np.cumsum(nblocks, out=bl_off[1:])
-    totb = int(bl_off[-1])
-    bl_last_v = np.empty(totb, np.int64)
-    bl_maxtf_v = np.empty(totb, np.int32)
-    bl_maxnorm_v = np.empty(totb, np.uint8)
-    sb_pos = bl_off[:-1][sm_idx]
-    bl_last_v[sb_pos] = a_doc_g[ends[sm_idx] - 1]
-    bl_maxtf_v[sb_pos] = maxtf_term[sm_idx]
-    bl_maxnorm_v[sb_pos] = maxnorm_term[sm_idx]
-    for bi, (last, maxtf, mnorm) in big_meta.items():
-        p0 = int(bl_off[bi])
-        bl_last_v[p0 : p0 + last.size] = last
-        bl_maxtf_v[p0 : p0 + maxtf.size] = maxtf
-        bl_maxnorm_v[p0 : p0 + mnorm.size] = mnorm
+    bl_last_v = a_doc_g[last]
+    bl_maxtf_v = np.maximum.reduceat(a_tf, first)
+    bl_maxnorm_v = np.maximum.reduceat(norm_bytes[a_doc], first)
 
     def _list_arr(vals, typ):
         return pa.ListArray.from_arrays(

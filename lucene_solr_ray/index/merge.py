@@ -54,6 +54,7 @@ leaves only unnamed files and restarts the merge only, never the build.
 from __future__ import annotations
 
 import hashlib
+import mmap
 import os
 
 import numpy as np
@@ -61,9 +62,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..codec import BLOCK_SIZE, decode_postings, encode_postings
-from ..codec.postings import (_intra, decode_postings_batch, decode_values,
-                              decode_values_batch, encode_values)
+from ..codec import BLOCK_SIZE, decode_postings
+from ..codec.postings import (_exclusive_cumsum, _intra, block_bounds,
+                              decode_postings_batch, decode_values,
+                              decode_values_batch, encode_postings_lists,
+                              encode_values_lists)
 from .build import IndexManifest, segment_bin
 
 SALT_STRIDE = 1 << 20  # chunk_id = salt * SALT_STRIDE + local chunk index
@@ -89,36 +92,6 @@ _TERMS_SCHEMA = pa.schema({
 })
 
 
-# per-process mmap cache for payload bins (merge tasks, the driver
-# boundary pass and tier merges read compaction slices through this)
-_MMAPS: dict[str, memoryview] = {}
-
-
-def _mmap(path: str) -> memoryview:
-    # key on file identity, not just path: a rebuild os.replace()s the bin,
-    # and long-lived worker processes must not serve the old inode's bytes.
-    # At most ONE generation per path stays cached — a replaced file's
-    # stale mmap (and its fd) is dropped, so repeated build/merge cycles
-    # in long-lived Ray workers don't accumulate descriptors.
-    st = os.stat(path)
-    key = (path, st.st_ino, st.st_size, st.st_mtime_ns)
-    mv = _MMAPS.get(key)
-    if mv is None:
-        from ..search.readers import mmap_file
-
-        for stale in [k for k in _MMAPS if k[0] == path]:
-            del _MMAPS[stale]
-        mv = mmap_file(path)
-        _MMAPS[key] = mv
-    return mv
-
-
-def _exclusive_cumsum(a: np.ndarray) -> np.ndarray:
-    out = np.zeros(a.size, np.int64)
-    np.cumsum(a[:-1], out=out[1:])
-    return out
-
-
 def _group_ids(rows: pa.Table) -> np.ndarray:
     """Dense id of each row's (term, salt) group; rows need not be
     sorted."""
@@ -129,19 +102,29 @@ def _group_ids(rows: pa.Table) -> np.ndarray:
     return np.unique(key, return_inverse=True)[1]
 
 
-def _gather(bins: list[np.ndarray], file_idx: np.ndarray, offs: np.ndarray,
-            lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate each row's byte slice ``[offs, offs + lens)`` of its
-    bin into one buffer (one fancy-index per distinct bin); returns the
-    buffer and each row's start in it."""
-    starts = _exclusive_cumsum(lens)
-    flat = np.empty(int(lens.sum()), np.uint8)
-    for f in np.unique(file_idx).tolist():
+def _gather(paths: list[str], file_idx: np.ndarray,
+            spans: list[tuple[np.ndarray, np.ndarray]]):
+    """For each ``(offs, lens)`` in ``spans``, concatenate every row's
+    byte slice ``[offs, offs + lens)`` of its bin (``paths[file_idx]``)
+    into one buffer; returns ``(buffer, each row's start in it)`` per
+    span. Each bin is mapped only while its rows are copied out, so no
+    mapping outlives the call (a long-lived process would otherwise pin
+    the disk space of every index it ever merged)."""
+    out = [(np.empty(int(lens.sum()), np.uint8), _exclusive_cumsum(lens))
+           for _, lens in spans]
+    for f, path in enumerate(paths):
         m = file_idx == f
-        il = _intra(lens[m])
-        flat[np.repeat(starts[m], lens[m]) + il] = \
-            bins[f][np.repeat(offs[m], lens[m]) + il]
-    return flat, starts
+        with open(path, "rb") as fh, mmap.mmap(
+                fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            b = np.frombuffer(mm, np.uint8)
+            try:
+                for (offs, lens), (flat, starts) in zip(spans, out):
+                    il = _intra(lens[m])
+                    flat[np.repeat(starts[m], lens[m]) + il] = \
+                        b[np.repeat(offs[m], lens[m]) + il]
+            finally:
+                del b  # drop the buffer export so the map can close
+    return out
 
 
 def compact_groups(rows: pa.Table, index_dir: str, out_dir: str,
@@ -158,9 +141,14 @@ def compact_groups(rows: pa.Table, index_dir: str, out_dir: str,
     bare one lives in ``merged/``, as in ``MergedReader``), decoded in
     ``start_doc`` order — partition doc ranges are disjoint, so that is
     doc order — and re-encoded into ``out_dir/payload-<name>.bin`` under
-    the group's smallest ``chunk_id``. Decoding the Zipf tail row by row
-    would dominate merge wall time, so single-block rows are decoded in
-    one vectorized call. Returns the output rows in ``_TERMS_SCHEMA``."""
+    the group's smallest ``chunk_id``. The Zipf tail is most of the
+    groups, so single-block rows are decoded, and single-block groups
+    (and their position streams) encoded, in one vectorized call each;
+    only lists longer than ``BLOCK_SIZE`` take a per-list call. The
+    encoder is the build's (``encode_postings_lists``), so a group's
+    bytes are what ``encode_postings`` writes for its list: code 0 only
+    where it is strictly smaller (see ``codec.postings``). Returns the
+    output rows in ``_TERMS_SCHEMA``."""
     gid = _group_ids(rows)
     cp = ((np.bincount(gid) > 1)
           & (np.bincount(gid, weights=rows["df"].to_numpy())
@@ -174,23 +162,23 @@ def compact_groups(rows: pa.Table, index_dir: str, out_dir: str,
     sub = rows.take(pa.array(sel))
     gids = gid[sel]
     g_starts = np.flatnonzero(np.r_[True, gids[1:] != gids[:-1]])
-    ng = g_starts.size
 
     files = sub["payload_file"].combine_chunks().dictionary_encode()
-    bins = [
-        np.frombuffer(_mmap(os.path.join(index_dir, f) if "/" in f
-                            else os.path.join(index_dir, "merged", f)),
-                      np.uint8)
-        for f in files.dictionary.to_pylist()
-    ]
-    file_idx = files.indices.to_numpy()
+    paths = [os.path.join(index_dir, f) if "/" in f
+             else os.path.join(index_dir, "merged", f)
+             for f in files.dictionary.to_pylist()]
     dfs = sub["df"].to_numpy().astype(np.int64)
     ttfs = sub["ttf"].to_numpy().astype(np.int64)
+    lens = sub["length"].to_numpy()
+    plens = sub["pos_length"].to_numpy()
+    spans = [(sub["offset"].to_numpy(), lens)]
+    if plens.any():
+        spans.append((sub["pos_offset"].to_numpy(), plens))
+    gathered = _gather(paths, files.indices.to_numpy(), spans)
 
     # decode: single-block rows in one vectorized call, rare multi-block
     # rows scalar
-    lens = sub["length"].to_numpy()
-    flat, at = _gather(bins, file_idx, sub["offset"].to_numpy(), lens)
+    flat, at = gathered[0]
     docs = np.empty(int(dfs.sum()), np.int64)
     tfs = np.empty(docs.size, np.int32)
     out0 = _exclusive_cumsum(dfs)
@@ -204,12 +192,10 @@ def compact_groups(rows: pa.Table, index_dir: str, out_dir: str,
         docs[out0[i]:out0[i] + dfs[i]], tfs[out0[i]:out0[i] + dfs[i]] = \
             decode_postings(flat[at[i]:at[i] + lens[i]])
 
-    # positions: same gather + batch decode over the prox-delta streams
-    plens = sub["pos_length"].to_numpy()
+    # positions: same batch decode over the prox-delta streams
     pos = None
     if plens.any():
-        pflat, pat = _gather(bins, file_idx, sub["pos_offset"].to_numpy(),
-                             plens)
+        pflat, pat = gathered[1]
         pos = np.empty(int(ttfs.sum()), np.int64)
         pout0 = _exclusive_cumsum(ttfs)
         psmall = ttfs <= BLOCK_SIZE
@@ -225,7 +211,6 @@ def compact_groups(rows: pa.Table, index_dir: str, out_dir: str,
     g_df = np.add.reduceat(dfs, g_starts)
     g_ttf = np.add.reduceat(ttfs, g_starts)
     gb = _exclusive_cumsum(g_df)
-    pb = _exclusive_cumsum(g_ttf)
     increasing = np.diff(docs) > 0
     increasing[gb[1:] - 1] = True  # a group may start below the last one
     if not increasing.all():
@@ -239,27 +224,21 @@ def compact_groups(rows: pa.Table, index_dir: str, out_dir: str,
     g_norm = np.maximum.reduceat(pc.list_flatten(bmn).to_numpy(),
                                  vstart[g_starts])
 
-    payloads, positions, lasts, maxtfs = [], [], [], []
-    for k in range(ng):
-        lo, hi = gb[k], gb[k] + g_df[k]
-        payload, last, maxtf = encode_postings(docs[lo:hi], tfs[lo:hi])
-        payloads.append(payload)
-        lasts.append(last)
-        maxtfs.append(maxtf)
-        if pos is not None:
-            positions.append(encode_values(pos[pb[k]:pb[k] + g_ttf[k]]))
+    # layout within the compact bin: [payloads...][positions...]
+    payload, p_lens = encode_postings_lists(docs, tfs, g_df)
+    sections = [payload]
+    pos_lens = np.zeros(g_starts.size, np.int64)
+    if pos is not None:
+        positions, pos_lens = encode_values_lists(pos, g_ttf)
+        sections.append(positions)
     bin_name = f"payload-{name}.bin"
     path = os.path.join(out_dir, bin_name)
     with open(path + ".tmp", "wb") as f:
-        f.writelines(payloads)
-        f.writelines(positions)
+        for sec in sections:
+            f.write(sec.tobytes())
     os.replace(path + ".tmp", path)
 
-    # layout within the compact bin: [payloads...][positions...]
-    p_lens = np.array([len(p) for p in payloads], np.int64)
-    pos_lens = (np.array([len(p) for p in positions], np.int64)
-                if positions else np.zeros(ng, np.int64))
-    nblk = np.array([b.size for b in lasts], np.int64)
+    nblk, first, last = block_bounds(g_df)
     boff = pa.array(np.r_[0, np.cumsum(nblk)], pa.int32())
     compacted = pa.table({
         "term": sub["term"].take(pa.array(g_starts)),
@@ -268,15 +247,15 @@ def compact_groups(rows: pa.Table, index_dir: str, out_dir: str,
         "df": g_df.astype(np.int32),
         "ttf": g_ttf,
         "start_doc": docs[gb],
-        "payload_file": pa.array([bin_name] * ng, pa.string()),
+        "payload_file": pa.array([bin_name] * g_starts.size, pa.string()),
         "offset": _exclusive_cumsum(p_lens),
         "length": p_lens,
         "pos_offset": int(p_lens.sum()) + _exclusive_cumsum(pos_lens),
         "pos_length": pos_lens,
         "block_last": pa.ListArray.from_arrays(
-            boff, pa.array(np.concatenate(lasts), pa.int64())),
+            boff, pa.array(docs[last])),
         "block_max_tf": pa.ListArray.from_arrays(
-            boff, pa.array(np.concatenate(maxtfs), pa.int32())),
+            boff, pa.array(np.maximum.reduceat(tfs, first))),
         "block_max_norm": pa.ListArray.from_arrays(
             boff, pa.array(np.repeat(g_norm, nblk), pa.uint8())),
     }).cast(_TERMS_SCHEMA)
@@ -353,6 +332,14 @@ def _merge_batch(batch: pa.Table, index_dir: str, out_dir: str, gen: int,
         [written] * out.num_rows, pa.list_(pa.string())))
 
 
+def _exchange_blocks(rows: int, ncpu: int) -> int:
+    """Sort blocks for a merge of ``rows`` segment term rows: one per
+    ~100k rows (metadata rows are ~100 B each), capped at 2 per CPU —
+    the all-to-all exchange moves blocks^2 objects, so a small index on
+    a small host sorts in one block."""
+    return max(1, min(rows // 100_000 + 1, 2 * ncpu))
+
+
 def merge_index(
     index_dir: str,
     *,
@@ -361,11 +348,16 @@ def merge_index(
 ) -> IndexManifest:
     """Metadata-shuffle-merge all segments into ``index_dir/merged``.
 
-    Each sort block's interior groups go through :func:`compact_groups`
-    in a Ray task; the groups at block edges are collected as one table
-    and go through the same kernel on the driver. One commit then names
-    the new files as the merged view; the old view's files stay until
-    that commit unlinks them."""
+    The segment term rows are sorted on ``(term, salt)`` in
+    :func:`_exchange_blocks` blocks (one per ~100k rows, at most 2 per
+    CPU). Each sort block's interior groups go through
+    :func:`compact_groups` in a Ray task; the groups at block edges are
+    collected as one table and go through the same kernel on the driver.
+    A compacted chunk holds exactly the bytes the build writes for the
+    same list (one width rule: code 0 only where it is strictly smaller),
+    so the block split changes file names, never decoded postings. One
+    commit then names the new files as the merged view; the old view's
+    files stay until that commit unlinks them."""
     import ray
     import ray.data as rd
 
@@ -394,12 +386,9 @@ def merge_index(
         salt = np.where(dfs >= cut, pids // gsize, 0).astype(np.int32)
         return batch.append_column("salt", pa.array(salt))
 
-    total_rows = sum(r.get("num_terms", 0) for r in man.partitions) or 1
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
-    # metadata rows are small (~100 B each); size tasks at ~100k rows,
-    # capped at 2/CPU — the all-to-all exchange cost grows ~quadratically
-    # in partition count (object count)
-    nparts = max(8, min(total_rows // 100_000 + 1, ncpu * 2))
+    nparts = _exchange_blocks(
+        sum(r.get("num_terms", 0) for r in man.partitions),
+        int(ray.cluster_resources().get("CPU", 8)))
     seg_files = [os.path.join(index_dir, p["segment"]) for p in parts]
     edges = [t for t in ray.get(
         # read directly into ~nparts blocks: the sort's all-to-all then

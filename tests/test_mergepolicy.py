@@ -162,8 +162,9 @@ def test_failed_merge_restores_sources(tmp_path_factory, ray_session,
     def boom(*a, **kw):
         raise RuntimeError("injected encode failure")
 
-    # "delta" spans both appends, so the merge re-encodes it
-    monkeypatch.setattr(merge, "encode_postings", boom)
+    # "delta" spans both appends, so the merge re-encodes it (through
+    # the list encoder the kernel calls for every compacted group)
+    monkeypatch.setattr(merge, "encode_postings_lists", boom)
     with pytest.raises(RuntimeError, match="injected"):
         execute_merge(out, [s.terms_path for s in segs])
     assert list_append_segments(out) == segs

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lucene_solr_ray.codec import (
+    BLOCK_SIZE,
     decode_postings,
     encode_postings,
     float_to_byte315,
@@ -79,35 +80,104 @@ def test_tokenizer_never_crashes_and_tokens_nonempty(s):
         assert t and len(t) <= 255
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    counts=st.lists(st.integers(min_value=1, max_value=128), min_size=1,
-                    max_size=30),
-    max_val=st.sampled_from([200, 70_000, 1 << 20]),
-    subset_stride=st.integers(min_value=1, max_value=3),
-)
-def test_values_batch_packed_roundtrip_property(counts, max_val,
-                                                subset_stride):
-    """encode_values_batch_packed == per-stream decode_values for
-    random widths, contiguous AND non-contiguous subsets."""
-    from lucene_solr_ray.codec.postings import (
-        decode_values,
-        encode_values_batch_packed,
-    )
-
-    rng = np.random.default_rng(0)
+@st.composite
+def single_block_lists(draw):
+    """1-30 lists of 1-128 values each, drawn so that every width (1, 2
+    and 4 bytes) and all-equal runs occur; returns the lists laid end to
+    end as (docs, tfs, starts, ends) with docs ascending per list."""
+    counts = draw(st.lists(st.integers(1, BLOCK_SIZE), min_size=1,
+                           max_size=30))
+    docs, tfs = [], []
+    for n in counts:
+        gap = draw(st.sampled_from([1, 200, 70_000, 1 << 20]))
+        tf = draw(st.sampled_from([1, 2, 300, 70_000]))
+        if draw(st.booleans()):  # all-equal deltas and tfs
+            docs.append(gap * np.arange(1, n + 1, dtype=np.int64))
+            tfs.append(np.full(n, tf, np.int64))
+        else:
+            seed = draw(st.integers(0, 1 << 16))
+            rng = np.random.default_rng(seed)
+            docs.append(np.cumsum(rng.integers(1, gap + 1, n)))
+            tfs.append(rng.integers(1, tf + 1, n))
     counts = np.asarray(counts, np.int64)
     starts = np.zeros(counts.size, np.int64)
     np.cumsum(counts[:-1], out=starts[1:])
-    ends = starts + counts
-    vals = rng.integers(0, max_val, counts.sum()).astype(np.uint32)
-    sub = np.arange(0, counts.size, subset_stride)
+    return np.concatenate(docs), np.concatenate(tfs), starts, starts + counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(lists=single_block_lists(), subset_stride=st.integers(1, 3))
+def test_postings_batch_packed_equals_per_term(lists, subset_stride):
+    """encode_postings_batch_packed writes, for contiguous AND
+    non-contiguous subsets, exactly the concatenated encode_postings
+    payloads (one width rule for every writer)."""
+    from lucene_solr_ray.codec.postings import encode_postings_batch_packed
+
+    docs, tfs, starts, ends = lists
+    sub = np.arange(0, starts.size, subset_stride)
+    buf, lens = encode_postings_batch_packed(docs, tfs, starts[sub],
+                                             ends[sub])
+    want = [encode_postings(docs[s:e], tfs[s:e])[0]
+            for s, e in zip(starts[sub], ends[sub])]
+    assert buf.tobytes() == b"".join(want)
+    assert lens.tolist() == [len(p) for p in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(lists=single_block_lists(), subset_stride=st.integers(1, 3))
+def test_values_batch_packed_roundtrip_property(lists, subset_stride):
+    """encode_values_batch_packed writes, for contiguous AND
+    non-contiguous subsets, exactly the concatenated encode_values
+    payloads, and each decodes back to its stream."""
+    from lucene_solr_ray.codec.postings import encode_values_batch_packed
+
+    _, tfs, starts, ends = lists
+    vals = (tfs - 1).astype(np.uint32)
+    sub = np.arange(0, starts.size, subset_stride)
     buf, lens = encode_values_batch_packed(vals, starts[sub], ends[sub])
+    want = [encode_values(vals[s:e]) for s, e in zip(starts[sub], ends[sub])]
+    assert buf.tobytes() == b"".join(want)
+    assert lens.tolist() == [len(p) for p in want]
     offs = np.zeros(sub.size + 1, np.int64)
     np.cumsum(lens, out=offs[1:])
     for k, ti in enumerate(sub.tolist()):
         got = decode_values(buf[offs[k]:offs[k + 1]].tobytes())
         assert np.array_equal(got, vals[starts[ti]:ends[ti]])
+
+
+def test_code0_only_when_strictly_smaller():
+    """A block is written as code 0 (one u4) if and only if its values
+    are all equal and the raw block (n * width bytes) is larger than 4
+    bytes — in encode_values, encode_postings and both batch encoders."""
+    from lucene_solr_ray.codec.postings import (
+        encode_postings_batch_packed,
+        encode_values_batch_packed,
+    )
+
+    for width, v in ((1, 7), (2, 300), (4, 70_000)):
+        for n in range(1, 9):
+            for equal in (True, False):
+                vals = np.full(n, v, np.uint32)
+                if not equal:
+                    if n == 1:
+                        continue
+                    vals[0] = v - 1
+                want = equal and n * width > 4
+                one = encode_values(vals)
+                assert (one[4] == 0) == want, (width, n, equal)
+                assert len(one) == 4 + (5 if want else 1 + n * width)
+                buf, _ = encode_values_batch_packed(vals, np.array([0]),
+                                                    np.array([n]))
+                assert buf.tobytes() == one
+                # the tf stream of a postings list (tf - 1 = vals)
+                docs = np.arange(n, dtype=np.int64) * 1000 + 1000
+                pay = encode_postings(docs, vals.astype(np.int64) + 1)[0]
+                t_code = 4 + (5 if n * 2 > 4 else 1 + n * 2)
+                assert (pay[t_code] == 0) == want, (width, n, equal)
+                buf, _ = encode_postings_batch_packed(
+                    docs, vals.astype(np.int64) + 1, np.array([0]),
+                    np.array([n]))
+                assert buf.tobytes() == pay
 
 
 @settings(max_examples=40, deadline=None)
