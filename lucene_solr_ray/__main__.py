@@ -195,9 +195,9 @@ def main(argv=None) -> int:
         print(json.dumps(index_info(args.index)))
     elif args.cmd == "bloom":
         from .codec.bloom import ensure_bloom
-        from .index.autoprefix import open_reader
+        from .search.readers import MergedReader
 
-        fs = ensure_bloom(args.index, open_reader(args.index))
+        fs = ensure_bloom(args.index, MergedReader(args.index))
         print(json.dumps({
             "written": fs is not None,
             "bloom_size": fs.bloom_size if fs else None,
@@ -212,9 +212,9 @@ def main(argv=None) -> int:
         print(json.dumps({"stored_prefixes": n}))
     elif args.cmd == "dump-simpletext":
         from .codec.simpletext import write_simpletext
-        from .index.autoprefix import open_reader
+        from .search.readers import MergedReader
 
-        n = write_simpletext(open_reader(args.index), args.out)
+        n = write_simpletext(MergedReader(args.index), args.out)
         print(json.dumps({"out": args.out, "terms": n}))
     elif args.cmd == "select":
         from .search import IndexSearcher

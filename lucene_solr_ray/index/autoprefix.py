@@ -71,16 +71,6 @@ def _plan(unique_terms: np.ndarray, min_terms: int,
     return out
 
 
-def open_reader(index_dir: str, **kw):
-    from ..search.readers import MergedReader, SegmentsReader
-    from .build import IndexManifest
-
-    man = IndexManifest.load(index_dir)
-    if man.merged:
-        return MergedReader(man, **kw)
-    return SegmentsReader(man, **kw)
-
-
 class _PrefixUnion:
     """Actor-pool stage: reader opened once per actor; each batch
     gathers EVERY member term-row's payload bytes for all its prefixes
@@ -92,7 +82,9 @@ class _PrefixUnion:
     vocabulary."""
 
     def __init__(self, index_dir: str):
-        self.reader = open_reader(index_dir)
+        from ..search.readers import MergedReader
+
+        self.reader = MergedReader(index_dir)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..codec.postings import (
@@ -172,7 +164,9 @@ def build_autoprefix(index_dir: str, *, min_terms: int = 25,
 
     import pyarrow.parquet as pq
 
-    reader = open_reader(index_dir)
+    from ..search.readers import MergedReader
+
+    reader = MergedReader(index_dir)
     plan = _plan(reader.unique_terms(), min_terms, max_len)
     out_dir = os.path.join(index_dir, _DIR)
     if not plan:

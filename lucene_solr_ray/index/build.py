@@ -53,7 +53,7 @@ MANIFEST = "manifest.json"
 
 # bump when the on-disk segment/merged layout changes (cache-key component
 # for /tmp index caches; readers of one version never see another's files)
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # the directories whose files a commit names; a commit unlinks every file
 # under them that it does not name
@@ -61,15 +61,50 @@ _FILE_DIRS = ("segments", "norms", "docvalues", "_appends", "merged",
               "deletes", "docvalues_updates")
 
 
-def segment_bin(part: dict) -> str:
-    """Index-relative path of a partition's payload ``.bin``."""
-    return part["segment"][:-len(".parquet")] + ".bin"
+# The one terms-file schema: a segment's terms file and a merge's output
+# alike hold one row per (term, chunk). Within a term, chunks partition the
+# doc set, so ``start_doc`` orders them. ``payload_file`` is the
+# index-relative ``.bin`` holding the row's streams: postings at
+# (offset, length), positions at (pos_offset, pos_length), and, when the
+# index stores them, char offsets and payloads (see :func:`terms_schema`).
+TERMS_SCHEMA = pa.schema({
+    "term": pa.string(),
+    "df": pa.int32(),
+    "ttf": pa.int64(),
+    "start_doc": pa.int64(),
+    "payload_file": pa.string(),
+    "offset": pa.int64(),
+    "length": pa.int64(),
+    "pos_offset": pa.int64(),
+    "pos_length": pa.int64(),
+    "block_last": pa.list_(pa.int64()),
+    "block_max_tf": pa.list_(pa.int32()),
+    "block_max_norm": pa.list_(pa.uint8()),
+})
+
+
+def terms_schema(store_offsets: bool, store_payloads: bool) -> pa.Schema:
+    """:data:`TERMS_SCHEMA` plus the ``off_*`` / ``pay_*`` stream columns
+    of an index that stores offsets / payloads."""
+    schema = TERMS_SCHEMA
+    for name, on in (("off", store_offsets), ("pay", store_payloads)):
+        if on:
+            schema = schema.append(pa.field(f"{name}_offset", pa.int64())) \
+                .append(pa.field(f"{name}_length", pa.int64()))
+    return schema
+
+
+def own_bin(terms_file: str) -> str:
+    """The ``.bin`` that terms file ``terms_file`` writes its streams to
+    (same path, ``.bin`` for ``.parquet``); a merge's output rows may
+    also point at other files' bins."""
+    return terms_file[:-len(".parquet")] + ".bin"
 
 
 def _part_files(part: dict) -> list[str]:
     """Index-relative paths of a partition's segment, ``.bin``, norms and
     (when built) docvalues files."""
-    return [part["segment"], segment_bin(part), part["norms"]] + (
+    return [part["segment"], own_bin(part["segment"]), part["norms"]] + (
         [part["docvalues"]] if "docvalues" in part else [])
 
 
@@ -78,9 +113,17 @@ class IndexManifest:
     """The commit point (Lucene's ``segments_N``): the only list of what
     the index contains. A reader opens exactly the files it names — the
     partitions' segment, ``.bin``, norms and docvalues files, and the
-    merged, delete and docvalues-update files listed below — and never
+    terms, delete and docvalues-update files listed below — and never
     lists a directory. Every writer writes its new files under names no
-    earlier commit used, then publishes with :meth:`commit`."""
+    earlier commit used, then publishes with :meth:`commit`.
+
+    ``terms_files`` is the term dictionary: the index-relative terms
+    files a reader folds into one sorted dictionary. A build lists its
+    partitions' own terms files, an NRT append adds its segment's, and a
+    merge swaps the files it compacted for its output (Lucene's
+    ``SegmentInfos`` list). The partitions' own terms files stay named
+    after a merge drops them from the list: they are the reference
+    ``check_merged`` compares against and what a doc shard reads."""
 
     index_dir: str
     field: str
@@ -89,7 +132,6 @@ class IndexManifest:
     sum_total_term_freq: int
     num_partitions: int
     partitions: list = field(default_factory=list)
-    merged: bool = False
     merged_shards: int = 0
     # postings format marker, always True: byte-aligned FOR is the only
     # encoding, and load() refuses an index built with the removed
@@ -102,9 +144,9 @@ class IndexManifest:
     sort_by: str | None = None
     # +1 per commit; a reader compares it to see whether the index changed
     generation: int = 0
-    # merged/ file names of the merged view: terms-*.parquet files and the
-    # payload-*.bin files their rows compact into
-    merged_files: list = field(default_factory=list)
+    # index-relative terms files of the term dictionary, each with its own
+    # .bin (own_bin)
+    terms_files: list = field(default_factory=list)
     # deletes/ file names, oldest first
     deletes: list = field(default_factory=list)
     # field -> docvalues_updates/<field>/ file names, oldest first
@@ -122,6 +164,22 @@ class IndexManifest:
             np.float32(self.sum_total_term_freq / float(self.max_doc))
         )
 
+    @property
+    def merged(self) -> bool:
+        """Whether a merge has compacted the dictionary: the list is no
+        longer exactly the live partitions' own terms files."""
+        return set(self.terms_files) != set(self.segment_terms())
+
+    def segment_terms(self, partition_ids=None) -> list[str]:
+        """The live partitions' own terms files (``partition_ids``: only
+        those partitions'); quarantined partitions (exorcise_index) are
+        left out, as their files may be unreadable."""
+        drop = set(self.exorcised)
+        return [p["segment"] for p in self.partitions
+                if p["partition_id"] not in drop and (
+                    partition_ids is None
+                    or p["partition_id"] in partition_ids)]
+
     def files(self) -> set[str]:
         """Index-relative paths of every file this commit names."""
         root = os.path.abspath(self.index_dir)
@@ -131,7 +189,8 @@ class IndexManifest:
             src = os.path.relpath(os.path.abspath(p["file"]), root)
             if not src.startswith(os.pardir):  # an append's own file
                 out.add(src)
-        out.update(os.path.join("merged", f) for f in self.merged_files)
+        for f in self.terms_files:
+            out.update((f, own_bin(f)))
         out.update(os.path.join("deletes", f) for f in self.deletes)
         for fld, names in self.docvalues_updates.items():
             out.update(os.path.join("docvalues_updates", fld, f)
@@ -185,6 +244,10 @@ class IndexManifest:
                 f"{index_dir} has no commit generation: it was written by "
                 "a version whose readers listed directories; rebuild the "
                 "index")
+        if "merged_files" in d:
+            raise ValueError(
+                f"{index_dir} keeps its merged view apart from its "
+                "segments (format 3): rebuild the index")
         d["index_dir"] = index_dir
         return cls(**d)
 
@@ -409,9 +472,10 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
         # size/row-count signals miss (ADVICE r1)
         os.stat(part["file"]).st_mtime_ns,
         # codec config: a checkpoint built with different index options
-        # must not validate (same input, different segment format)
+        # or an older on-disk format must not validate (same input,
+        # different segment format)
         [bool(store_positions), bool(store_offsets), bool(store_payloads),
-         sorted(docvalues_fields or [])],
+         sorted(docvalues_fields or []), FORMAT_VERSION],
     ]
     stem = f"part-{pid:05d}"
     if os.path.exists(ckpt_path):
@@ -601,10 +665,11 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
     num_postings = int(df_arr.sum())
     cols = {
         "term": pa.array(terms_sorted, pa.string()),
-        "pid": pa.array(np.full(n_terms, pid, np.int32)),
         "df": pa.array(df_arr.astype(np.int32)),
         "ttf": pa.array(ttf_arr),
         "start_doc": pa.array(start_doc_arr.astype(np.int64)),
+        "payload_file": pa.repeat(os.path.relpath(bin_path, out_dir),
+                                  n_terms),
         "offset": pa.array(offs),
         "length": pa.array(lens),
         "pos_offset": pa.array(pos_offs_v),
@@ -619,7 +684,8 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
     if store_payloads:
         cols["pay_offset"] = pa.array(pay_offs_v)
         cols["pay_length"] = pa.array(pay_lens_v)
-    seg_tbl = pa.table(cols)
+    seg_tbl = pa.table(cols).cast(terms_schema(store_offsets,
+                                                store_payloads))
     pq.write_table(seg_tbl, seg_path + ".tmp")
     os.replace(seg_path + ".tmp", seg_path)
 
@@ -729,8 +795,9 @@ def build_index(
         with open(os.path.join(out_dir, "analyzer.pkl"), "wb") as f:
             pickle.dump(analyzer, f)
     # a (re)build commits a fresh view: segments are the source of truth,
-    # so an earlier commit's merged view, deletes and docvalues updates
-    # are dropped (merge_index rebuilds the merged view from the segments)
+    # so an earlier commit's merged terms files, deletes and docvalues
+    # updates are dropped; the dictionary is the partitions' own terms
+    # files until merge_index compacts them
     generation = 0
     if os.path.exists(os.path.join(out_dir, MANIFEST)):
         with open(os.path.join(out_dir, MANIFEST)) as f:
@@ -743,6 +810,7 @@ def build_index(
         sum_total_term_freq=sum(r["sum_len"] for r in rows),
         num_partitions=len(rows),
         partitions=rows,
+        terms_files=[r["segment"] for r in rows],
         store_positions=store_positions,
         store_offsets=store_offsets,
         store_payloads=store_payloads,

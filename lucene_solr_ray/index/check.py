@@ -4,7 +4,7 @@ The ``org.apache.lucene.index.CheckIndex`` analogue
 (``CheckIndex.java:464-476,695-713,1110,1688-1712``): re-reads every segment
 and verifies
 
-- term order: strictly sorted (term, pid/chunk) within each table
+- term order: sorted terms within each segment's terms file
 - postings consistency: stored df == decoded doc count, ttf == sum(tf),
   doc ids strictly ascending and inside [0, maxDoc)
 - block metadata: block_last matches decoded block boundaries, block_max_tf
@@ -29,7 +29,7 @@ import numpy as np
 import pyarrow.parquet as pq
 
 from ..codec import BLOCK_SIZE, decode_postings, encode_norm
-from .build import IndexManifest, segment_bin
+from .build import IndexManifest, own_bin
 
 
 def check_index(index_dir: str, *, sample_terms: int | None = None,
@@ -78,7 +78,7 @@ def _check_partition_body(index_dir: str, man: IndexManifest, part: dict,
     # payloads live in the .bin sidecar, referenced by (offset, length)
     from ..search.readers import mmap_file
 
-    bin_mv = mmap_file(os.path.join(index_dir, segment_bin(part)))
+    bin_mv = mmap_file(os.path.join(index_dir, own_bin(part["segment"])))
     p_off = seg["offset"].to_numpy()
     p_len = seg["length"].to_numpy()
     q_off = seg["pos_offset"].to_numpy()
@@ -242,12 +242,15 @@ def _check_partition(index_dir: str, man: IndexManifest, pid: int, *,
 
 def check_merged(index_dir: str, *, sample_terms: int = 500,
                  strict: bool = True) -> dict:
-    """Merged-view consistency vs the segment source of truth: same term
-    set, per-term df/ttf totals equal, and sampled postings (and
-    positions, when stored) decode identically — CheckIndex extended to
-    the post-merge index (catches chunk-loss / double-count corruption,
-    e.g. a stale staging dir)."""
-    from ..search.readers import MergedReader, SegmentsReader
+    """The commit's term dictionary vs the segment source of truth (the
+    live partitions' own terms files, which every commit names): same
+    term set, per-term df/ttf totals equal, and sampled postings (and
+    positions, offsets and payloads, when stored) decode identically —
+    CheckIndex extended to the post-merge index (catches chunk-loss /
+    double-count corruption, e.g. a stale staging dir)."""
+    from dataclasses import replace
+
+    from ..search.readers import MergedReader
 
     report = {"terms": 0, "terms_checked": 0, "errors": []}
 
@@ -257,8 +260,8 @@ def check_merged(index_dir: str, *, sample_terms: int = 500,
         report["errors"].append(msg)
 
     man = IndexManifest.load(index_dir)
-    seg = SegmentsReader(index_dir)
-    mrg = MergedReader(index_dir)
+    seg = MergedReader(replace(man, terms_files=man.segment_terms()))
+    mrg = MergedReader(man)
     ts = seg.unique_terms()
     tm = mrg.unique_terms()
     if not np.array_equal(ts, tm):
@@ -278,11 +281,14 @@ def check_merged(index_dir: str, *, sample_terms: int = 500,
         b = mrg.postings(t)
         if not (np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])):
             err(f"term {t!r}: postings differ")
-        if man.store_positions:
-            pa_ = seg.postings_with_positions(t)
-            pb_ = mrg.postings_with_positions(t)
-            if not np.array_equal(pa_[2], pb_[2]):
-                err(f"term {t!r}: positions differ")
+        for name, on, read in (
+                ("positions", man.store_positions,
+                 lambda r: r.postings_with_positions(t)),
+                ("offsets", man.store_offsets, lambda r: r.term_offsets(t)),
+                ("payloads", man.store_payloads,
+                 lambda r: r.term_payloads(t))):
+            if on and not np.array_equal(read(seg)[2], read(mrg)[2]):
+                err(f"term {t!r}: {name} differ")
         report["terms_checked"] += 1
     report["ok"] = not report["errors"]
     return report
@@ -329,15 +335,14 @@ def index_info(index_dir: str) -> dict:
     man = IndexManifest.load(index_dir)
     deleted = LiveDocs(man).num_deleted
     sizes: dict[str, int] = {}
-    term_rows = 0
     for root, _dirs, files in os.walk(index_dir):
         for f in files:
             p = os.path.join(root, f)
             fam = os.path.relpath(root, index_dir).split(os.sep)[0]
             fam = fam if fam != "." else "root"
             sizes[fam] = sizes.get(fam, 0) + os.path.getsize(p)
-            if f.endswith(".parquet") and fam in ("segments", "merged"):
-                term_rows += pq.read_metadata(p).num_rows
+    term_rows = sum(pq.read_metadata(os.path.join(index_dir, f)).num_rows
+                    for f in man.terms_files)
     return {
         "max_doc": man.max_doc,
         "num_docs": man.max_doc - deleted,
@@ -396,6 +401,11 @@ def exorcise_index(index_dir: str, *,
     ]) if bad else np.empty(0, np.int64)
     if bad:
         write_deletes(man, dropped_docs)
+        # the dictionary stops listing their own terms files
+        quarantined = {p["segment"] for p in man.partitions
+                       if int(p["partition_id"]) in bad}
+        man.terms_files = [f for f in man.terms_files
+                           if f not in quarantined]
         man.exorcised = sorted(already | set(bad))
         man.commit()
     return {"dropped": bad, "docs_deleted": int(dropped_docs.size),

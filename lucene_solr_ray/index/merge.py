@@ -6,33 +6,34 @@ tree merge (``SegmentMerger.java:83-127``,
 the economics Lucene actually has: segment payload files are immutable and
 the merge mostly RE-POINTS at them instead of rewriting bytes.
 
-Input: per-partition term-dict rows ``(term, pid, df, ttf, start_doc,
-offset, length, pos_offset, pos_length, block metadata)`` referencing the
-build's ``segments/part-N.bin`` payload sidecars. The merge range-shuffles
-ONLY these small metadata rows on ``(term, salt)`` (``Dataset.sort`` — the
-groupby-term exchange expressed as one sort pass) and emits the global term
-dictionary:
+Input: the live partitions' own terms files, rows in the one terms schema
+(``build.TERMS_SCHEMA``) whose ``payload_file`` is the segment's own
+``segments/part-N.bin``. The merge range-shuffles ONLY these small metadata
+rows on ``(term, salt)`` (``Dataset.sort`` — the groupby-term exchange
+expressed as one sort pass) and emits the global term dictionary:
 
 - **passthrough** (single-source terms + any group whose total df exceeds
-  ``REENCODE_MAX_DOCS``): the output row references the segment ``.bin``
-  in place (``payload_file = "segments/part-N.bin"``) — zero payload bytes
-  move. This is the TieredMergePolicy "don't rewrite big segments" analogue.
+  ``REENCODE_MAX_DOCS``): the output row keeps its ``payload_file``, so it
+  references the segment ``.bin`` in place — zero payload bytes move. This
+  is the TieredMergePolicy "don't rewrite big segments" analogue.
 - **compaction** (small groups fragmented across several segments — the
   Zipf tail, e.g. a df=3 term spread over 3 partitions): the merge task
   reads just those payload slices from the mmap'd segment bins, decodes,
-  concatenates in doc order, re-encodes into one chunk, and writes a
-  compact ``merged/payload-<name>.bin``. This bounds per-term chunk counts
-  as the partition count grows (10^7 partitions at 10^12 rows would
-  otherwise give every rare term 10^7 14-byte chunks).
+  concatenates in doc order, re-encodes into one chunk, and writes it to
+  the output's own ``.bin``. Every stored stream (positions, char
+  offsets, payloads) is compacted alongside the postings. This bounds
+  per-term chunk counts as the partition count grows (10^7 partitions at
+  10^12 rows would otherwise give every rare term 10^7 14-byte chunks).
 
 One kernel, :func:`compact_groups`, does both for the interior groups of
 every sort block, for the groups at block edges (collected on the driver)
 and for the tier merges of ``mergepolicy.execute_merge``.
 
 Output, per merge task: one ``merged/terms-<name>.parquet`` (the
-``.tim/.tip`` analogue — small enough to hold in RAM per shard actor) and,
-only if the task compacted anything, one ``merged/payload-<name>.bin``.
-The commit's ``merged_files`` lists them; readers open nothing else.
+``.tim/.tip`` analogue — small enough to hold in RAM per shard actor) and
+its own ``merged/terms-<name>.bin``, empty when the task compacted
+nothing. One commit swaps them for the files the merge read in the
+manifest's ``terms_files``; readers open nothing else.
 
 Skew handling (north rule): a stopword-like term's metadata rows are salted
 (``salt = pid // salt_group_size``) so one reducer never collects all of a
@@ -40,8 +41,8 @@ hot term's rows; big groups pass through per-row as independent chunks, so
 no reducer ever materializes a hot term's full posting list either way —
 posting-list *splitting* is inherited from the build (chunks = per-partition
 lists, first delta absolute, so readers decode chunks independently and in
-parallel; ``chunk_id`` carries the salt in its high bits and readers restore
-global doc order at read time).
+parallel; chunks partition a term's doc set, readers order them by
+``start_doc`` and restore global doc order at read time).
 
 File names are deterministic functions of the commit generation and the
 block's content (first term + row counts), so task retries are idempotent
@@ -67,29 +68,16 @@ from ..codec.postings import (_exclusive_cumsum, _intra, block_bounds,
                               decode_postings_batch, decode_values,
                               decode_values_batch, encode_postings_lists,
                               encode_values_lists)
-from .build import IndexManifest, segment_bin
-
-SALT_STRIDE = 1 << 20  # chunk_id = salt * SALT_STRIDE + local chunk index
+from .build import IndexManifest, terms_schema
 
 # groups with more postings than this pass through as independent chunks
 # instead of decode+re-encode (readers merge chunks at read time)
 REENCODE_MAX_DOCS = 4096
 
-_TERMS_SCHEMA = pa.schema({
-    "term": pa.string(),
-    "chunk_id": pa.int64(),
-    "df": pa.int32(),
-    "ttf": pa.int64(),
-    "start_doc": pa.int64(),
-    "payload_file": pa.string(),
-    "offset": pa.int64(),
-    "length": pa.int64(),
-    "pos_offset": pa.int64(),
-    "pos_length": pa.int64(),
-    "block_last": pa.list_(pa.int64()),
-    "block_max_tf": pa.list_(pa.int32()),
-    "block_max_norm": pa.list_(pa.uint8()),
-})
+# the value streams a terms row may carry after its postings, with the
+# number of values each occurrence holds (a char offset is a
+# (start_delta, length) pair)
+_STREAMS = (("pos", 1), ("off", 2), ("pay", 1))
 
 
 def _group_ids(rows: pa.Table) -> np.ndarray:
@@ -97,8 +85,8 @@ def _group_ids(rows: pa.Table) -> np.ndarray:
     sorted."""
     term_idx = pc.dictionary_encode(rows["term"].combine_chunks()).indices
     salts = rows["salt"].to_numpy().astype(np.int64)
-    key = (term_idx.to_numpy().astype(np.int64) * (int(salts.max()) + 1)
-           + salts)
+    key = (term_idx.to_numpy().astype(np.int64)
+           * (int(salts.max(initial=0)) + 1) + salts)
     return np.unique(key, return_inverse=True)[1]
 
 
@@ -127,54 +115,85 @@ def _gather(paths: list[str], file_idx: np.ndarray,
     return out
 
 
-def compact_groups(rows: pa.Table, index_dir: str, out_dir: str,
-                   name: str) -> pa.Table:
+def _decode_values_lists(flat: np.ndarray, at: np.ndarray,
+                         lens: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The value streams at ``flat[at[i]:at[i] + lens[i]]`` (``counts[i]``
+    values each), decoded and laid end to end: single-block streams in
+    one vectorized call, the rare longer ones one by one."""
+    out = np.empty(int(counts.sum()), np.int64)
+    out0 = _exclusive_cumsum(counts)
+    small = counts <= BLOCK_SIZE
+    if small.any():
+        out[np.repeat(out0[small], counts[small]) + _intra(counts[small])] \
+            = decode_values_batch(flat, at[small], counts[small])
+    for i in np.flatnonzero(~small).tolist():
+        out[out0[i]:out0[i] + counts[i]] = \
+            decode_values(flat[at[i]:at[i] + lens[i]])
+    return out
+
+
+def _write_bin(path: str, sections: list[np.ndarray]) -> None:
+    with open(path + ".tmp", "wb") as f:
+        for sec in sections:
+            f.write(sec.tobytes())
+    os.replace(path + ".tmp", path)
+
+
+def compact_groups(rows: pa.Table, index_dir: str, stem: str) -> pa.Table:
     """The merge kernel: full-merge interiors, boundary groups and tier
     merges all compact through it (``SegmentMerger.merge``).
 
-    ``rows`` are term rows in ``_TERMS_SCHEMA`` plus a ``salt`` column;
-    rows sharing ``(term, salt)`` form a group. Single-row groups and
-    groups with more than ``REENCODE_MAX_DOCS`` postings pass through
-    unchanged, ``chunk_id`` included. Every other group is compacted into
-    ONE chunk: its rows' payload slices are gathered from the bins named
-    in ``payload_file`` (a name with a "/" is ``index_dir``-relative, a
-    bare one lives in ``merged/``, as in ``MergedReader``), decoded in
-    ``start_doc`` order — partition doc ranges are disjoint, so that is
-    doc order — and re-encoded into ``out_dir/payload-<name>.bin`` under
-    the group's smallest ``chunk_id``. The Zipf tail is most of the
-    groups, so single-block rows are decoded, and single-block groups
-    (and their position streams) encoded, in one vectorized call each;
-    only lists longer than ``BLOCK_SIZE`` take a per-list call. The
-    encoder is the build's (``encode_postings_lists``), so a group's
-    bytes are what ``encode_postings`` writes for its list: code 0 only
-    where it is strictly smaller (see ``codec.postings``). Returns the
-    output rows in ``_TERMS_SCHEMA``."""
+    ``rows`` are terms rows (``build.terms_schema``) plus a ``salt``
+    column; rows sharing ``(term, salt)`` form a group. Single-row groups
+    and groups with more than ``REENCODE_MAX_DOCS`` postings pass through
+    unchanged. Every other group is compacted into ONE chunk: its rows'
+    stream slices are gathered from the index-relative bins named in
+    ``payload_file``, decoded in ``start_doc`` order — a term's chunks
+    partition its docs, so that is doc order — and re-encoded into
+    ``index_dir/<stem>.bin`` (written, possibly empty, by every call).
+    Every stored stream is carried: positions, char offsets (two values
+    per occurrence) and payloads, laid out after the postings as the
+    build lays them out. The Zipf tail is most of the groups, so
+    single-block rows are decoded, and single-block groups encoded, in
+    one vectorized call per stream; only lists longer than ``BLOCK_SIZE``
+    take a per-list call. The encoder is the build's
+    (``encode_postings_lists``), so a group's bytes are what
+    ``encode_postings`` writes for its list: code 0 only where it is
+    strictly smaller (see ``codec.postings``). Returns the output rows
+    in the input's terms schema."""
+    names = rows.schema.names
+    schema = terms_schema("off_offset" in names, "pay_offset" in names)
+    bin_rel = stem + ".bin"
     gid = _group_ids(rows)
     cp = ((np.bincount(gid) > 1)
           & (np.bincount(gid, weights=rows["df"].to_numpy())
              <= REENCODE_MAX_DOCS))[gid]
-    passthrough = rows.filter(pa.array(~cp)).select(_TERMS_SCHEMA.names) \
-        .cast(_TERMS_SCHEMA)
+    passthrough = rows.filter(pa.array(~cp)).select(schema.names) \
+        .cast(schema)
     sel = np.flatnonzero(cp)
     if sel.size == 0:
+        _write_bin(os.path.join(index_dir, bin_rel), [])
         return passthrough
     sel = sel[np.lexsort((rows["start_doc"].to_numpy()[sel], gid[sel]))]
     sub = rows.take(pa.array(sel))
     gids = gid[sel]
     g_starts = np.flatnonzero(np.r_[True, gids[1:] != gids[:-1]])
 
+    # stored value streams: positions when any row has them, offsets and
+    # payloads when the schema carries them
+    stored = {"pos": sub["pos_length"].to_numpy().any(),
+              "off": "off_offset" in names, "pay": "pay_offset" in names}
+    streams = [(n, k) for n, k in _STREAMS if stored[n]]
     files = sub["payload_file"].combine_chunks().dictionary_encode()
-    paths = [os.path.join(index_dir, f) if "/" in f
-             else os.path.join(index_dir, "merged", f)
+    paths = [os.path.join(index_dir, f)
              for f in files.dictionary.to_pylist()]
     dfs = sub["df"].to_numpy().astype(np.int64)
     ttfs = sub["ttf"].to_numpy().astype(np.int64)
     lens = sub["length"].to_numpy()
-    plens = sub["pos_length"].to_numpy()
-    spans = [(sub["offset"].to_numpy(), lens)]
-    if plens.any():
-        spans.append((sub["pos_offset"].to_numpy(), plens))
-    gathered = _gather(paths, files.indices.to_numpy(), spans)
+    cols = [("offset", "length")] + [(f"{n}_offset", f"{n}_length")
+                                     for n, _ in streams]
+    gathered = _gather(paths, files.indices.to_numpy(), [
+        (sub[o].to_numpy(), sub[ln].to_numpy()) for o, ln in cols])
 
     # decode: single-block rows in one vectorized call, rare multi-block
     # rows scalar
@@ -192,22 +211,6 @@ def compact_groups(rows: pa.Table, index_dir: str, out_dir: str,
         docs[out0[i]:out0[i] + dfs[i]], tfs[out0[i]:out0[i] + dfs[i]] = \
             decode_postings(flat[at[i]:at[i] + lens[i]])
 
-    # positions: same batch decode over the prox-delta streams
-    pos = None
-    if plens.any():
-        pflat, pat = gathered[1]
-        pos = np.empty(int(ttfs.sum()), np.int64)
-        pout0 = _exclusive_cumsum(ttfs)
-        psmall = ttfs <= BLOCK_SIZE
-        if psmall.any():
-            dst = np.repeat(pout0[psmall], ttfs[psmall]) \
-                + _intra(ttfs[psmall])
-            pos[dst] = decode_values_batch(pflat, pat[psmall],
-                                           ttfs[psmall])
-        for i in np.flatnonzero(~psmall).tolist():
-            pos[pout0[i]:pout0[i] + ttfs[i]] = \
-                decode_values(pflat[pat[i]:pat[i] + plens[i]])
-
     g_df = np.add.reduceat(dfs, g_starts)
     g_ttf = np.add.reduceat(ttfs, g_starts)
     gb = _exclusive_cumsum(g_df)
@@ -224,97 +227,69 @@ def compact_groups(rows: pa.Table, index_dir: str, out_dir: str,
     g_norm = np.maximum.reduceat(pc.list_flatten(bmn).to_numpy(),
                                  vstart[g_starts])
 
-    # layout within the compact bin: [payloads...][positions...]
+    # layout within the bin: [postings...][positions...][offsets or
+    # payloads...], as the build writes a segment's
     payload, p_lens = encode_postings_lists(docs, tfs, g_df)
     sections = [payload]
-    pos_lens = np.zeros(g_starts.size, np.int64)
-    if pos is not None:
-        positions, pos_lens = encode_values_lists(pos, g_ttf)
-        sections.append(positions)
-    bin_name = f"payload-{name}.bin"
-    path = os.path.join(out_dir, bin_name)
-    with open(path + ".tmp", "wb") as f:
-        for sec in sections:
-            f.write(sec.tobytes())
-    os.replace(path + ".tmp", path)
+    end = int(p_lens.sum())
+    none = np.zeros(g_df.size, np.int64)
+    # an index without positions keeps empty position refs
+    refs = {"pos": (end + none, none)}
+    for (n, k), (vflat, vat) in zip(streams, gathered[1:]):
+        vals = _decode_values_lists(vflat, vat,
+                                    sub[f"{n}_length"].to_numpy(), k * ttfs)
+        enc, enc_lens = encode_values_lists(vals, k * g_ttf)
+        sections.append(enc)
+        refs[n] = (end + _exclusive_cumsum(enc_lens), enc_lens)
+        end += int(enc_lens.sum())
+    _write_bin(os.path.join(index_dir, bin_rel), sections)
 
     nblk, first, last = block_bounds(g_df)
     boff = pa.array(np.r_[0, np.cumsum(nblk)], pa.int32())
-    compacted = pa.table({
+    out = {
         "term": sub["term"].take(pa.array(g_starts)),
-        "chunk_id": np.minimum.reduceat(sub["chunk_id"].to_numpy(),
-                                        g_starts),
         "df": g_df.astype(np.int32),
         "ttf": g_ttf,
         "start_doc": docs[gb],
-        "payload_file": pa.array([bin_name] * g_starts.size, pa.string()),
+        "payload_file": pa.repeat(bin_rel, g_starts.size),
         "offset": _exclusive_cumsum(p_lens),
         "length": p_lens,
-        "pos_offset": int(p_lens.sum()) + _exclusive_cumsum(pos_lens),
-        "pos_length": pos_lens,
+        "pos_offset": refs["pos"][0],
+        "pos_length": refs["pos"][1],
         "block_last": pa.ListArray.from_arrays(
             boff, pa.array(docs[last])),
         "block_max_tf": pa.ListArray.from_arrays(
             boff, pa.array(np.maximum.reduceat(tfs, first))),
         "block_max_norm": pa.ListArray.from_arrays(
             boff, pa.array(np.repeat(g_norm, nblk), pa.uint8())),
-    }).cast(_TERMS_SCHEMA)
-    return pa.concat_tables([passthrough, compacted])
+    }
+    for n in ("off", "pay"):
+        if stored[n]:
+            out[f"{n}_offset"], out[f"{n}_length"] = refs[n]
+    return pa.concat_tables([passthrough, pa.table(out).cast(schema)])
 
 
-def _segment_terms_rows(seg: pa.Table, bins: dict) -> pa.Table:
-    """Salted segment term rows as kernel input: merged-terms rows that
-    point at their segment ``.bin`` (``bins``: pid -> index-relative
-    path) in place, ``chunk_id`` = salt * SALT_STRIDE + the row's rank by
-    pid within its (term, salt) group."""
-    n = seg.num_rows
-    pids = seg["pid"].to_numpy()
-    gid = _group_ids(seg)
-    order = np.lexsort((pids, gid))
-    first = np.r_[True, gid[order][1:] != gid[order][:-1]]
-    seq = np.arange(n, dtype=np.int64)
-    rank = np.empty(n, np.int64)
-    rank[order] = seq - np.maximum.accumulate(np.where(first, seq, 0))
-    uq, inv = np.unique(pids, return_inverse=True)
-    names = pa.array([bins[int(p)] for p in uq.tolist()], pa.string())
-    keep = [c for c in _TERMS_SCHEMA.names
-            if c not in ("chunk_id", "payload_file")]
-    return seg.select(keep + ["salt"]).append_column(
-        "chunk_id",
-        pa.array(seg["salt"].to_numpy().astype(np.int64) * SALT_STRIDE
-                 + rank),
-    ).append_column(
-        "payload_file",
-        pa.DictionaryArray.from_arrays(
-            pa.array(inv.astype(np.int32)), names).cast(pa.string()),
-    )
+def compact_to_file(rows: pa.Table, index_dir: str, stem: str) -> str:
+    """Compact ``rows`` (:func:`compact_groups`) into the terms file
+    ``<stem>.parquet`` and its own ``<stem>.bin``, both index-relative;
+    returns the terms file's index-relative path."""
+    tbl = compact_groups(rows, index_dir, stem)
+    rel = stem + ".parquet"
+    path = os.path.join(index_dir, rel)
+    pq.write_table(tbl, path + ".tmp")
+    os.replace(path + ".tmp", path)
+    return rel
 
 
-def _write_terms_file(tbl: pa.Table, out_dir: str, name: str) -> list[str]:
-    """Write ``terms-<name>.parquet``; returns the merged/ files it names:
-    itself and the merged/ payload bins its rows point at."""
-    tpath = os.path.join(out_dir, f"terms-{name}.parquet")
-    pq.write_table(tbl, tpath + ".tmp")
-    os.replace(tpath + ".tmp", tpath)
-    bins = pc.unique(tbl["payload_file"]).to_pylist()
-    return [f"terms-{name}.parquet"] + sorted(b for b in bins if "/" not in b)
+def _merged_stem(key: str) -> str:
+    return "merged/terms-" + hashlib.sha1(key.encode()).hexdigest()[:16]
 
 
-def _merge_segment_rows(seg: pa.Table, index_dir: str, out_dir: str,
-                        name: str, bins: dict) -> list[str]:
-    name = hashlib.sha1(name.encode()).hexdigest()[:16]
-    return _write_terms_file(
-        compact_groups(_segment_terms_rows(seg, bins), index_dir, out_dir,
-                       name),
-        out_dir, name)
-
-
-def _merge_batch(batch: pa.Table, index_dir: str, out_dir: str, gen: int,
-                 bins: dict) -> pa.Table:
+def _merge_batch(batch: pa.Table, index_dir: str, gen: int) -> pa.Table:
     """Merge all interior (term, salt) groups of a sorted metadata batch;
     return the boundary rows (first & last key of the block) unmerged —
     their groups may continue in a neighbouring block — each carrying in
-    ``written`` the merged/ files this batch wrote."""
+    ``written`` the terms file this batch wrote, if any."""
     n = batch.num_rows
     written: list[str] = []
     edge = np.zeros(n, bool)
@@ -324,9 +299,9 @@ def _merge_batch(batch: pa.Table, index_dir: str, out_dir: str, gen: int,
             edge |= (pc.equal(batch["term"], batch["term"][i])
                      .to_numpy(zero_copy_only=False) & (salts == salts[i]))
     if not edge.all():
-        written = _merge_segment_rows(
-            batch.filter(pa.array(~edge)), index_dir, out_dir,
-            f"{gen}:{batch['term'][0].as_py()}:{salts[0]}:{n}", bins)
+        written = [compact_to_file(
+            batch.filter(pa.array(~edge)), index_dir, _merged_stem(
+                f"{gen}:{batch['term'][0].as_py()}:{salts[0]}:{n}"))]
     out = batch.filter(pa.array(edge))
     return out.append_column("written", pa.array(
         [written] * out.num_rows, pa.list_(pa.string())))
@@ -346,7 +321,8 @@ def merge_index(
     hot_df_threshold: int = 100_000,
     salt_group_size: int = 64,
 ) -> IndexManifest:
-    """Metadata-shuffle-merge all segments into ``index_dir/merged``.
+    """Metadata-shuffle-merge the live partitions' own terms files into
+    ``index_dir/merged``.
 
     The segment term rows are sorted on ``(term, salt)`` in
     :func:`_exchange_blocks` blocks (one per ~100k rows, at most 2 per
@@ -356,19 +332,14 @@ def merge_index(
     A compacted chunk holds exactly the bytes the build writes for the
     same list (one width rule: code 0 only where it is strictly smaller),
     so the block split changes file names, never decoded postings. One
-    commit then names the new files as the merged view; the old view's
-    files stay until that commit unlinks them."""
+    commit then swaps the new terms files for the whole list; the files
+    only the old list named stay until that commit unlinks them."""
     import ray
     import ray.data as rd
 
     man = IndexManifest.load(index_dir)
     gen = man.generation + 1
-    out_dir = os.path.join(index_dir, "merged")
-    os.makedirs(out_dir, exist_ok=True)
-    # quarantined partitions (exorcise_index) stay out, as in every reader
-    drop = set(man.exorcised)
-    parts = [p for p in man.partitions if p["partition_id"] not in drop]
-    bins = {p["partition_id"]: segment_bin(p) for p in parts}
+    os.makedirs(os.path.join(index_dir, "merged"), exist_ok=True)
 
     # Local salting — NO global pre-pass: a row salts itself when its own
     # per-partition df meets the necessary condition for the term to be
@@ -376,20 +347,26 @@ def merge_index(
     # cut, sum(df) < threshold). Rows of one term may disagree (some salt 0,
     # some pid//G); that's safe because readers restore doc order after
     # concatenating chunks — chunks always partition the term's doc set.
+    # A row's partition is the one whose doc range holds its start_doc.
     nparts_src = max(1, man.num_partitions)
     cut = max(1, hot_df_threshold // nparts_src)
     gsize = salt_group_size
+    bases = np.asarray([p["doc_base"] for p in man.partitions], np.int64)
+    pids = np.asarray([p["partition_id"] for p in man.partitions], np.int64)
+    by_base = np.argsort(bases, kind="stable")
+    bases, pids = bases[by_base], pids[by_base]
 
     def add_salt(batch: pa.Table) -> pa.Table:
-        pids = batch["pid"].to_numpy()
+        pid = pids[np.searchsorted(bases, batch["start_doc"].to_numpy(),
+                                   "right") - 1]
         dfs = batch["df"].to_numpy()
-        salt = np.where(dfs >= cut, pids // gsize, 0).astype(np.int32)
+        salt = np.where(dfs >= cut, pid // gsize, 0).astype(np.int32)
         return batch.append_column("salt", pa.array(salt))
 
     nparts = _exchange_blocks(
         sum(r.get("num_terms", 0) for r in man.partitions),
         int(ray.cluster_resources().get("CPU", 8)))
-    seg_files = [os.path.join(index_dir, p["segment"]) for p in parts]
+    seg_files = [os.path.join(index_dir, f) for f in man.segment_terms()]
     edges = [t for t in ray.get(
         # read directly into ~nparts blocks: the sort's all-to-all then
         # exchanges nparts^2 objects instead of paying a separate
@@ -398,7 +375,7 @@ def merge_index(
         .map_batches(add_salt, batch_format="pyarrow", batch_size=None)
         .sort(["term", "salt"])
         .map_batches(
-            lambda b: _merge_batch(b, index_dir, out_dir, gen, bins),
+            lambda b: _merge_batch(b, index_dir, gen),
             batch_format="pyarrow",
             batch_size=None,
         )
@@ -410,54 +387,9 @@ def merge_index(
     ) if t.num_rows]
     files = {f for t in edges for fs in t["written"].to_pylist() for f in fs}
     if edges:
-        files.update(_merge_segment_rows(
+        files.add(compact_to_file(
             pa.concat_tables([t.drop_columns(["written"]) for t in edges]),
-            index_dir, out_dir, f"{gen}:boundary", bins))
-    man.merged = True
-    man.merged_files = sorted(files)
+            index_dir, _merged_stem(f"{gen}:boundary")))
+    man.terms_files = sorted(files)
     man.commit()
     return man
-
-
-def merge_append(man: IndexManifest, seg_row: dict) -> None:
-    """Incremental NRT publish: add ONE freshly-flushed segment to
-    ``man``'s merged view WITHOUT re-shuffling the term dictionary (the
-    caller commits ``man``).
-
-    The merged format already supports multi-chunk terms whose payloads
-    are referenced in place (``payload_file`` with a "/" resolves
-    index_dir-relative — the metadata-only merge's passthrough path), so
-    an append is just one more ``terms-append-*.parquet`` whose rows
-    point at the new segment's own ``.bin``. Readers concatenate chunks
-    per term and restore doc order; nothing existing is rewritten —
-    exactly the "merges mostly re-point" economics
-    (``index/TieredMergePolicy.java``: small flushes accumulate, the
-    next FULL merge compacts the accumulated tail).
-
-    At 100 TB this turns an NRT publish from an all-segments shuffle
-    into a driver-side metadata write proportional to ONE flush.
-    """
-    tbl = pq.read_table(os.path.join(man.index_dir, seg_row["segment"]))
-    pid = int(seg_row["partition_id"])
-    n = tbl.num_rows
-    out = pa.table({
-        "term": tbl["term"],
-        # high chunk ids keep append chunks ordered after full-merge ones
-        "chunk_id": pa.array(
-            np.full(n, 10_000_000 + pid, np.int64)),
-        "df": tbl["df"],
-        "ttf": tbl["ttf"],
-        "start_doc": tbl["start_doc"],
-        "payload_file": pa.array([segment_bin(seg_row)] * n, pa.string()),
-        "offset": tbl["offset"],
-        "length": tbl["length"],
-        "pos_offset": tbl["pos_offset"],
-        "pos_length": tbl["pos_length"],
-        "block_last": tbl["block_last"],
-        "block_max_tf": tbl["block_max_tf"],
-        "block_max_norm": tbl["block_max_norm"],
-    }).cast(_TERMS_SCHEMA)
-    # named after the segment, whose name no earlier commit used
-    stem = os.path.basename(seg_row["segment"])[:-len(".parquet")]
-    man.merged_files += _write_terms_file(
-        out, os.path.join(man.index_dir, "merged"), f"append-{stem}")

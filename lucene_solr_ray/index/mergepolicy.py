@@ -4,21 +4,21 @@ Restates ``lucene/core/src/java/org/apache/lucene/index/
 TieredMergePolicy.java`` (findMerges: tier budget, candidate scoring by
 skew * size^0.05 * nonDelRatio^reclaim).
 
-What a "merge" is here: the NRT path accumulates one
-``merged/terms-append-*.parquet`` per flush (see ``merge.merge_append``),
-each re-pointing at its own delta ``.bin``. Reads stay correct but chunk
-counts per term grow with flush count. The tiered policy watches those
-append segments and, when a tier overflows, compacts a selected set into
-ONE ``terms-tier-*.parquet`` (+ one compacted ``.bin`` for the small
-fragmented terms — big terms re-point). It runs the full merge's kernel
-(``merge.compact_groups``), so a compacted chunk takes its group's
-smallest source chunk id and later appends still sort after it.
+What a "merge" is here: each NRT flush adds its segment's own terms file
+to the commit's ``terms_files`` (see ``updates.append_segment``), so reads
+stay correct but chunk counts per term grow with flush count. The tiered
+policy watches the listed segment files and, when a tier overflows,
+compacts a selected set into ONE ``merged/terms-tier-*.parquet`` (+ its
+own ``.bin`` for the small fragmented terms — big terms re-point). It runs
+the full merge's kernel (``merge.compact_groups``); a term's chunks keep
+partitioning its docs, so ``start_doc`` still orders them and later
+appends, whose docs come after every earlier one, still sort last.
 
-Scale notes: selection is driver-side arithmetic over file sizes (one
-``os.stat`` per append segment — thousands, not billions); each chosen
-merge reads only ITS OWN append files. Single writer assumed (Lucene's
-IndexWriter lock). A merge publishes by one commit that swaps its sources
-for its output in the manifest's ``merged_files``: a reader opened at any
+Scale notes: selection is driver-side arithmetic over file sizes (two
+``os.stat`` calls per listed segment — thousands, not billions); each
+chosen merge reads only ITS OWN terms files. Single writer assumed
+(Lucene's IndexWriter lock). A merge publishes by one commit that swaps
+its sources for its output in ``terms_files``: a reader opened at any
 moment sees the sources or the output, and a crashed merge leaves only
 unnamed files, which the next commit unlinks.
 """
@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
+import pyarrow.dataset as pads
 
-from .build import IndexManifest
-from .merge import _write_terms_file, compact_groups
+from .build import IndexManifest, own_bin, terms_schema
+from .merge import compact_to_file
 
 @dataclass
 class SegmentSizeInfo:
@@ -133,21 +133,16 @@ class TieredMergePolicy:
 
 
 def list_append_segments(index_dir: str) -> list[SegmentSizeInfo]:
-    """Eligible segments = the commit's NRT append terms files plus the
-    delta bins they reference (size = terms parquet + referenced bins)."""
-    d = os.path.join(index_dir, "merged")
-    out = []
-    for f in IndexManifest.load(index_dir).merged_files:
-        if not f.startswith("terms-append-"):
-            continue
-        p = os.path.join(d, f)
-        size = os.path.getsize(p)
-        for r in set(pq.read_table(p, columns=["payload_file"])
-                     ["payload_file"].to_pylist()):
-            size += os.path.getsize(os.path.join(index_dir, r) if "/" in r
-                                    else os.path.join(d, r))
-        out.append(SegmentSizeInfo(terms_path=p, bytes=size))
-    return out
+    """Eligible segments = the listed terms files that are a partition's
+    own (a flush no merge has compacted yet), sized as the terms file
+    plus its own ``.bin``."""
+    man = IndexManifest.load(index_dir)
+    segs = set(man.segment_terms())
+    return [SegmentSizeInfo(
+        terms_path=os.path.join(index_dir, f),
+        bytes=sum(os.path.getsize(os.path.join(index_dir, x))
+                  for x in (f, own_bin(f))))
+        for f in man.terms_files if f in segs]
 
 
 # ---------------------------------------------------------------------------
@@ -155,34 +150,31 @@ def list_append_segments(index_dir: str) -> list[SegmentSizeInfo]:
 # ---------------------------------------------------------------------------
 
 def execute_merge(index_dir: str, terms_paths: list[str]) -> str:
-    """Compact the given append terms files into one tier terms file
+    """Compact the given listed terms files into one tier terms file
     through the full merge's kernel (:func:`merge.compact_groups`, every
     row in one salt): terms with few postings across the candidate are
-    re-encoded into one fresh compact bin, everything else re-points.
+    re-encoded into the output's own bin, everything else re-points.
 
     The output is written under a name no earlier commit used, then one
-    commit swaps the sources for it in ``merged_files``; the sources are
-    unlinked only after that. A merge that raises leaves the commit as it
-    was."""
+    commit swaps the sources for it in ``terms_files``; files no commit
+    names any more are unlinked only after that. A merge that raises
+    leaves the commit as it was. Returns the output's path."""
     man = IndexManifest.load(index_dir)
-    merged_dir = os.path.join(index_dir, "merged")
-    names = [os.path.basename(p) for p in terms_paths]
-    if not set(names) <= set(man.merged_files):
-        raise ValueError(f"not in the current commit: "
-                         f"{sorted(set(names) - set(man.merged_files))}")
+    names = [os.path.relpath(p, index_dir) for p in terms_paths]
+    missing = set(names) - set(man.terms_files)
+    if missing:
+        raise ValueError(f"not in the current commit: {sorted(missing)}")
     digest = hashlib.sha1(
         ("|".join([str(man.generation + 1)] + sorted(names)))
         .encode()).hexdigest()[:12]
-    name = f"tier-{digest}"
-    tbl = pa.concat_tables([pq.read_table(p) for p in terms_paths])
+    tbl = pads.dataset(terms_paths, format="parquet", schema=terms_schema(
+        man.store_offsets, man.store_payloads)).to_table()
     tbl = tbl.append_column(
         "salt", pa.array(np.zeros(tbl.num_rows, np.int32)))
-    written = _write_terms_file(
-        compact_groups(tbl, index_dir, merged_dir, name), merged_dir, name)
-    man.merged_files = [f for f in man.merged_files
-                        if f not in names] + written
+    out = compact_to_file(tbl, index_dir, f"merged/terms-tier-{digest}")
+    man.terms_files = [f for f in man.terms_files if f not in names] + [out]
     man.commit()
-    return f"terms-{name}.parquet"
+    return os.path.join(index_dir, out)
 
 
 def maybe_merge(index_dir: str,

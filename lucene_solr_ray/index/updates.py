@@ -6,9 +6,8 @@ batch granularity:
 
 - :func:`append_segment` — add a new delta segment at ``doc_base =
   max_doc`` (segments are immutable; growth happens by appending, exactly
-  Lucene's new-segment-per-flush model). A merged view gains one
-  ``terms-append-*`` file that points at the new segment in place
-  (``merge.merge_append``).
+  Lucene's new-segment-per-flush model). The commit's ``terms_files``
+  gains the segment's own terms file; nothing is rewritten.
 - :func:`update_documents` — mark every live doc whose key matches an
   incoming row as deleted (a ``deletes/gen-N`` file, ``index/deletes.py``)
   and append the incoming rows as a delta segment, in ONE commit: a
@@ -39,8 +38,9 @@ from .deletes import LiveDocs, write_deletes
 
 def _append(man: IndexManifest, table: pa.Table) -> dict:
     """Write ``table`` (same schema as the corpus) as a new segment and
-    add it to ``man`` — and to its merged view, if it has one
-    (merge_append) — without committing. Returns the partition row."""
+    add it, and its terms file, to ``man`` without committing. Its docs
+    follow every earlier doc, so its rows order after every loaded row
+    of the same term. Returns the partition row."""
     pid = len(man.partitions)
     app_dir = os.path.join(man.index_dir, "_appends")
     os.makedirs(app_dir, exist_ok=True)
@@ -66,20 +66,14 @@ def _append(man: IndexManifest, table: pa.Table) -> dict:
     man.max_doc += table.num_rows
     man.sum_total_term_freq += row["sum_len"]
     man.num_partitions += 1
-    if man.merged:
-        # incremental NRT publish: the merged view gains ONE metadata
-        # file referencing the delta segment's bin in place — no
-        # re-shuffle, no invalidation (merge.merge_append)
-        from .merge import merge_append
-
-        merge_append(man, row)
+    man.terms_files.append(row["segment"])
     return row
 
 
 def append_segment(index_dir: str, table: pa.Table) -> dict:
     """Append ``table`` (same schema as the corpus) as a new segment in
-    one commit; if the index has a merged view, the segment is published
-    into it incrementally (merge_append) instead of invalidating it."""
+    one commit: the dictionary gains the segment's own terms file, and a
+    merged index stays merged."""
     man = IndexManifest.load(index_dir)
     row = _append(man, table)
     man.commit()

@@ -117,10 +117,12 @@ def _global_stats(man: IndexManifest, terms, scatter) -> dict:
 
 
 def _shard_searcher(index_dir: str, pids: list[int], stats: dict):
-    """IndexSearcher over one shard's partitions (their segments + norms
-    only) scoring with the injected global ``stats``; ``doc_range`` is the
-    shard's slice of the global doc-id space."""
-    from .readers import NormsReader, SegmentsReader
+    """IndexSearcher over one shard's partitions (their own terms files +
+    norms only) scoring with the injected global ``stats``; ``doc_range``
+    is the shard's slice of the global doc-id space."""
+    from dataclasses import replace
+
+    from .readers import MergedReader, NormsReader
     from .searcher import IndexSearcher
 
     man = IndexManifest.load(index_dir)
@@ -130,7 +132,8 @@ def _shard_searcher(index_dir: str, pids: list[int], stats: dict):
     hi = max(r["doc_base"] + r["rows"] for r in rows)
     return IndexSearcher(
         index_dir,
-        reader=SegmentsReader(man, partition_ids=pids),
+        reader=MergedReader(replace(
+            man, terms_files=man.segment_terms(want))),
         norms=NormsReader(man, partition_ids=pids),
         global_stats=dict(stats, doc_range=(lo, hi)),
     )

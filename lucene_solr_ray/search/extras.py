@@ -218,9 +218,7 @@ def offsets_for_docs(searcher: IndexSearcher, terms: list[str],
     reader = searcher.reader
     if not getattr(reader, "has_offsets", False):
         raise ValueError(
-            "index has no offsets (build with store_offsets=True); "
-            "note the merged view strips offsets — open the segment "
-            "view (IndexSearcher(dir, reader=SegmentsReader(dir)))")
+            "index has no offsets (build with store_offsets=True)")
     want = np.asarray(sorted(set(int(d) for d in doc_ids)), np.int64)
     out: dict[int, list[tuple]] = {int(d): [] for d in want}
     for t in terms:

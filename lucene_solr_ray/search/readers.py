@@ -4,19 +4,20 @@ The DirectoryReader analogue (``index/DirectoryReader.java:62-202``):
 
 - :class:`NormsReader` — dense uint8 norm bytes + int32 lengths per doc_id
   (the ``.nvd`` analogue); loaded once per searcher/actor.
-- :class:`MergedReader` — the post-merge global index: loads the term
-  dictionary (``merged/terms-*.parquet`` — the ``.tim/.tip`` analogue,
-  sorted in RAM, binary-searched) and memory-maps the posting payload files
-  (``merged/payload-*.bin`` — the ``.doc`` analogue, decoded lazily per
-  term with an LRU cache, the ``LRUQueryCache`` analogue).
-- :class:`SegmentsReader` — pre-merge view over per-partition segment
-  tables (a MultiReader over leaves); loads the segment tables into memory —
-  used by tests and by doc-sharded scorer actors that each own a small
-  shard set, never for a giant corpus in one process.
+- :class:`MergedReader` — the term dictionary of one commit: it folds the
+  terms files the commit lists (``IndexManifest.terms_files`` — the
+  ``.tim/.tip`` analogue: the partitions' own terms files after a build,
+  merge output after a merge, plus one file per NRT append) into one
+  sorted array held in RAM and binary-searched, and memory-maps the
+  ``.bin`` files their rows point at (the ``.doc``/``.pos``/``.pay``
+  analogue, decoded lazily per term with an LRU cache, the
+  ``LRUQueryCache`` analogue). A doc shard or a reference view opens the
+  same reader over a commit whose list is a subset of the partitions'
+  own terms files.
 
 The term dictionary is one sorted array of term strings per reader. Its
 RAM cost is ~60 B/term + the term bytes; at web scale the dictionary is
-sharded across scorer actors (each actor mounts a range of ``terms-*``
+sharded across scorer actors (each actor mounts a subset of the terms
 files).
 
 Every reader opens exactly the files one commit (``IndexManifest``)
@@ -36,11 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
-import pyarrow.parquet as pq
 
 from ..codec import decode_postings
 from ..codec.postings import decode_values
-from ..index.build import IndexManifest, segment_bin
+from ..index.build import IndexManifest, terms_schema
 
 
 def mmap_file(path: str) -> memoryview:
@@ -147,10 +147,14 @@ class TermDictReader:
         self._bloom = None  # optional FuzzySet (codec.bloom sidecar)
         # subclasses fill:
         self.terms: np.ndarray  # sorted object array (with duplicates)
-        self.chunk_order: np.ndarray  # secondary order within a term
         self.df: np.ndarray
         self.ttf: np.ndarray
-        self.start_doc: np.ndarray
+        self.start_doc: np.ndarray  # a term's rows are in start_doc order
+
+    @property
+    def chunk_order(self) -> np.ndarray:
+        """The order of a term's rows: their ``start_doc``."""
+        return self.start_doc
 
     def _stream(self, name: str, row: int):
         """One row's bytes of stream ``name``: "doc" postings, "pos"
@@ -208,23 +212,24 @@ class TermDictReader:
                 "index has no offsets (build with store_offsets=True)")
         return self._postings_with_stream(term, "off", 2)
 
-    def _finish_init(self, tbl, chunk_order, prev=None):
-        """Sort the terms table ``tbl``'s rows by (term, chunk_order) and
-        fold them into ``prev``'s sorted rows (None: no rows), whose
-        chunk orders must not exceed any of ``tbl``'s: each row is
+    def _finish_init(self, tbl, prev=None):
+        """Sort the terms table ``tbl``'s rows by (term, start_doc) and
+        fold them into ``prev``'s sorted rows (None: no rows), none of
+        whose start docs may exceed any of ``tbl``'s: each row is
         inserted at ``searchsorted(prev.terms, term, "right")``, which
-        is where a lexsort of all rows would put it. ``tbl``'s rows
-        number on after ``prev``'s. The block-max list columns are kept
-        as (offsets, values) numpy pairs — no per-row Python list
+        is where a sort of all rows would put it. ``tbl``'s rows number
+        on after ``prev``'s. The block-max list columns are kept as
+        (offsets, values) numpy pairs — no per-row Python list
         materialization (5+ s at 10^6-row term dicts)."""
+        # Arrow's stable sort compares UTF-8 bytes, which is code point
+        # order: the order np.searchsorted sees on the str array
+        order = pc.sort_indices(tbl, sort_keys=[
+            ("term", "ascending"), ("start_doc", "ascending")]).to_numpy()
         terms = np.asarray(tbl["term"].to_numpy(zero_copy_only=False),
                            dtype=object)
-        chunk_order = np.asarray(chunk_order)
-        order = np.lexsort((chunk_order, terms))
         base = 0 if prev is None else prev.terms.size
         new = {
             "terms": terms[order],
-            "chunk_order": chunk_order[order],
             "df": np.asarray(tbl["df"].to_numpy(), np.int64)[order],
             "ttf": np.asarray(tbl["ttf"].to_numpy(), np.int64)[order],
             "start_doc": np.asarray(tbl["start_doc"].to_numpy(),
@@ -366,10 +371,60 @@ class TermDictReader:
         return list(u[lo:hi])
 
 
-class _BinPayloads:
-    """Per-row payload refs into lazily-mmap'd .bin files (shared by the
-    merged and per-segment readers — payload bytes never live in RAM).
-    Each stored stream keeps one (offsets, lengths) pair per row."""
+def _refs(tbl, prefix: str):
+    """(offsets, lengths) columns of one stream, or None if not stored."""
+    if f"{prefix}_offset" not in tbl.schema.names:
+        return None
+    return (tbl[f"{prefix}_offset"].to_numpy(),
+            tbl[f"{prefix}_length"].to_numpy())
+
+
+def _read_terms(files: list[str], schema):
+    """One table of ``files``' term rows in ``schema`` (empty when there
+    are none)."""
+    if not files:
+        return schema.empty_table()
+    return pads.dataset(files, format="parquet", schema=schema).to_table()
+
+
+class MergedReader(TermDictReader):
+    """The terms files commit ``src`` lists, folded into one sorted
+    dictionary; rows of one term order by ``start_doc`` (a term's chunks
+    partition its docs). ``prev`` (the reader this one replaces, or None)
+    is reused when every file it loaded is still named and every new
+    row starts above its rows (an NRT append's docs follow every earlier
+    doc): only the newly named files are read and folded into its rows.
+    Else every file is folded from empty — a full open. Either way each
+    sorted row holds what a fresh open's does.
+
+    Row payloads stay in the mmap'd ``.bin`` files their ``payload_file``
+    (index-relative) names: each stored stream keeps one (offsets,
+    lengths) pair per row."""
+
+    def __init__(self, src: "str | IndexManifest",
+                 prev: "MergedReader | None" = None, **kw):
+        super().__init__(**kw)
+        man = _commit(src)
+        root = man.index_dir
+        schema = terms_schema(man.store_offsets, man.store_payloads)
+        self._files = files = [os.path.join(root, f)
+                               for f in man.terms_files]
+        new = _unloaded(prev, files)
+        if new is None:
+            prev, new = None, files
+        tbl = _read_terms(new, schema)
+        if prev is not None and tbl.num_rows and prev.terms.size and (
+                pc.min(tbl["start_doc"]).as_py() <= prev.chunk_order.max()):
+            prev, tbl = None, _read_terms(files, schema)
+        fdict = tbl["payload_file"].combine_chunks().dictionary_encode()
+        self._set_payload_refs(
+            [os.path.join(root, f) for f in fdict.dictionary.to_pylist()],
+            fdict.indices.to_numpy(), prev,
+            doc=(tbl["offset"].to_numpy(), tbl["length"].to_numpy()),
+            pos=_refs(tbl, "pos"), off=_refs(tbl, "off"),
+            pay=_refs(tbl, "pay"),
+        )
+        self._finish_init(tbl, prev)
 
     def _set_payload_refs(self, file_paths, file_idx, prev=None,
                           **streams):
@@ -418,100 +473,3 @@ class _BinPayloads:
     @property
     def has_payloads(self) -> bool:
         return "pay" in self._refs
-
-
-def _refs(tbl, prefix: str):
-    """(offsets, lengths) columns of one stream, or None if not stored."""
-    if f"{prefix}_offset" not in tbl.schema.names:
-        return None
-    return (tbl[f"{prefix}_offset"].to_numpy(),
-            tbl[f"{prefix}_length"].to_numpy())
-
-
-class MergedReader(_BinPayloads, TermDictReader):
-    """The merged view's ``terms-*.parquet`` files, as named by commit
-    ``src``, folded into one sorted dictionary. ``prev`` (the reader this
-    one replaces, or None) is reused when every file it loaded is still
-    named and no new row's chunk id is below its largest
-    (``merge_append`` chunk ids sort after all earlier ones): only the
-    newly named files are read and folded into its rows. Else every file
-    is folded from empty — a full open. Either way each sorted row holds
-    what a fresh open's does."""
-
-    def __init__(self, src: "str | IndexManifest",
-                 prev: "MergedReader | None" = None, **kw):
-        super().__init__(**kw)
-        man = _commit(src)
-        d = os.path.join(man.index_dir, "merged")
-        self.dir = d
-        self._files = files = [os.path.join(d, f) for f in man.merged_files
-                               if f.startswith("terms-")]
-        new = _unloaded(prev, files)
-        if new is None:
-            prev, new = None, files
-        tbl = _read_terms(new, files)
-        if prev is not None and tbl.num_rows and prev.terms.size and (
-                pc.min(tbl["chunk_id"]).as_py() < prev.chunk_order.max()):
-            prev, tbl = None, _read_terms(files, files)
-        fdict = tbl["payload_file"].combine_chunks().dictionary_encode()
-        # payload_file with a "/" is index_dir-relative (a segment .bin
-        # referenced in place by the metadata-only merge); a bare name
-        # lives in merged/ (a compacted chunk file)
-        paths = [
-            os.path.join(man.index_dir, f) if "/" in f
-            else os.path.join(d, f)
-            for f in fdict.dictionary.to_pylist()
-        ]
-        self._set_payload_refs(
-            paths, fdict.indices.to_numpy(), prev,
-            doc=(tbl["offset"].to_numpy(), tbl["length"].to_numpy()),
-            pos=_refs(tbl, "pos"),
-        )
-        self._finish_init(tbl, tbl["chunk_id"].to_numpy(), prev)
-
-
-def _read_terms(files: list[str], all_files: list[str]):
-    """One table of ``files``' term rows (the schema of ``all_files``'
-    first when ``files`` is empty)."""
-    if not files:
-        return pq.read_schema(all_files[0]).empty_table()
-    return pads.dataset(files, format="parquet").to_table()
-
-
-class SegmentsReader(_BinPayloads, TermDictReader):
-    """Pre-merge view over the segment term dicts of commit ``src``'s
-    partitions (``partition_ids``: only those); payloads are mmap'd from
-    the per-partition .bin sidecars (a MultiReader over leaves)."""
-
-    def __init__(self, src: "str | IndexManifest",
-                 partition_ids: list[int] | None = None, **kw):
-        super().__init__(**kw)
-        man = _commit(src)
-        # quarantined segments (CheckIndex -exorcise) are skipped
-        # entirely, whichever partitions are asked for — their files may
-        # be unreadable; their doc range is already masked by the
-        # exorcism delete generation
-        drop = set(man.exorcised)
-        live = [p for p in man.partitions if p["partition_id"] not in drop]
-        want = None if partition_ids is None else set(partition_ids)
-        parts = [p for p in live
-                 if want is None or p["partition_id"] in want]
-        root = man.index_dir
-        if parts:
-            tbl = pads.dataset([os.path.join(root, p["segment"])
-                                for p in parts], format="parquet").to_table()
-        else:  # e.g. a shard whose only partition is quarantined
-            tbl = pq.read_schema(
-                os.path.join(root, live[0]["segment"])).empty_table()
-        pids = tbl["pid"].to_numpy()
-        uq, inv = np.unique(pids, return_inverse=True)
-        bins = {p["partition_id"]: os.path.join(root, segment_bin(p))
-                for p in parts}
-        self._set_payload_refs(
-            [bins[p] for p in uq.tolist()],
-            inv,
-            doc=(tbl["offset"].to_numpy(), tbl["length"].to_numpy()),
-            pos=_refs(tbl, "pos"), off=_refs(tbl, "off"),
-            pay=_refs(tbl, "pay"),
-        )
-        self._finish_init(tbl, pids)

@@ -43,7 +43,7 @@ from .query import (
     TermRangeQuery,
     WildcardQuery,
 )
-from .readers import MergedReader, NormsReader, SegmentsReader
+from .readers import MergedReader, NormsReader
 from .topk import top_k
 
 
@@ -272,8 +272,7 @@ def _open_commit(index_dir: str, reader, norms, apply_deletes: bool, prev):
                 live = LiveDocs(man)
             terms = reader
             if terms is None:
-                terms = (MergedReader(man, prev=getattr(prev, "reader", None))
-                         if man.merged else SegmentsReader(man))
+                terms = MergedReader(man, prev=getattr(prev, "reader", None))
             return man, (norms if norms is not None else NormsReader(
                 man, prev=getattr(prev, "norms", None))), live, terms
         except FileNotFoundError:
@@ -297,7 +296,7 @@ class IndexSearcher:
         solved by a stats pre-pass instead of per-shard stats).
 
         ``prev`` (optional): the searcher this one replaces; when it is
-        an older commit of this index, its norms and merged reader are
+        an older commit of this index, its norms and term dictionary are
         reused for the files still named (``NormsReader`` /
         ``MergedReader``), with results identical to a fresh open."""
         self.manifest, self.norms, self.live_docs, self.reader = \

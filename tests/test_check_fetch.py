@@ -200,15 +200,17 @@ def test_check_merged_green_and_detects_corruption(tmp_path_factory,
 
     from lucene_solr_ray.index import IndexManifest
 
-    md = os.path.join(out, "merged")
+    from lucene_solr_ray.index.build import own_bin
+
     man = IndexManifest.load(out)
     # duplicate the LARGEST terms file and check ALL terms so detection
     # is deterministic (a tiny boundary file could slip past a sample)
-    tf = max((f for f in man.merged_files if f.startswith("terms-")),
-             key=lambda f: os.path.getsize(os.path.join(md, f)))
-    shutil.copyfile(os.path.join(md, tf),
-                    os.path.join(md, "terms-zzduplicate.parquet"))
-    man.merged_files.append("terms-zzduplicate.parquet")
+    tf = max(man.terms_files,
+             key=lambda f: os.path.getsize(os.path.join(out, f)))
+    dup = "merged/terms-zzduplicate.parquet"
+    for src, dst in ((tf, dup), (own_bin(tf), own_bin(dup))):
+        shutil.copyfile(os.path.join(out, src), os.path.join(out, dst))
+    man.terms_files.append(dup)
     man.commit()
     with pytest.raises(AssertionError):
         check_merged(out, sample_terms=10_000_000)
@@ -297,8 +299,9 @@ def test_index_info_luke(tmp_path_factory, ray_session):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from lucene_solr_ray.index import build_index, delete_docs
+    from lucene_solr_ray.index import build_index, delete_docs, merge_index
     from lucene_solr_ray.index.check import index_info
+    from lucene_solr_ray.search import IndexSearcher
 
     d = tmp_path_factory.mktemp("luke_src")
     pq.write_table(pa.table({
@@ -316,3 +319,9 @@ def test_index_info_luke(tmp_path_factory, ray_session):
     assert info["bytes_by_family"]["segments"] > 0
     assert info["analyzer"] == "standard"
     assert not info["positions"]
+    # the dictionary's rows are the listed terms files' rows, before and
+    # after a merge (the partitions' own files stay on disk after it)
+    for _ in range(2):
+        rows = IndexSearcher(out).reader.terms.size
+        assert index_info(out)["term_dict_rows"] == rows
+        merge_index(out)

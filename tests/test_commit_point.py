@@ -14,7 +14,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-import lucene_solr_ray.index.merge as merge_mod
+import lucene_solr_ray.index.updates as updates_mod
 from lucene_solr_ray.index import (IndexManifest, build_index,
                                    delete_by_query, merge_index)
 from lucene_solr_ray.index.build import _FILE_DIRS
@@ -206,13 +206,14 @@ def test_reader_between_append_and_commit_sees_before_state(
     replicate(base, idx)
     before = _tops(IndexSearcher(idx))
     seen = []
-    real = merge_mod.merge_append
+    real = updates_mod.build_segment
 
     def probe(*a, **kw):
-        real(*a, **kw)
+        row = real(*a, **kw)  # the append's segment files are written
         seen.append(_tops(IndexSearcher(idx)))
+        return row
 
-    monkeypatch.setattr(merge_mod, "merge_append", probe)
+    monkeypatch.setattr(updates_mod, "build_segment", probe)
     update_documents(idx, _upsert_batch(30), "path")
     assert seen == [before]
     assert _tops(IndexSearcher(idx)) != before
@@ -221,11 +222,12 @@ def test_reader_between_append_and_commit_sees_before_state(
 def test_open_retries_when_a_newer_commit_dropped_a_file(base, tmp_path,
                                                         monkeypatch):
     """An open that starts from a manifest whose files a newer commit has
-    since unlinked reloads the manifest and opens the newer commit."""
+    since unlinked (a full merge replaces every merged terms file)
+    reloads the manifest and opens the newer commit."""
     idx = str(tmp_path / "idx")
     replicate(base, idx)
     stale = IndexManifest.load(idx)
-    execute_merge(idx, [s.terms_path for s in list_append_segments(idx)])
+    merge_index(idx)
     real = IndexManifest.load.__func__
     loads = []
 

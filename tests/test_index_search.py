@@ -235,8 +235,9 @@ def test_resume_skips_and_is_deterministic(corpus_dir, index_dir,
     build_index(corpus_dir, out2, rows_per_partition=100)
     a = _seg_table(os.path.join(index_dir, "segments"))
     b = _seg_table(os.path.join(out2, "segments"))
-    assert a.sort_by([("term", "ascending"), ("pid", "ascending")]).equals(
-        b.sort_by([("term", "ascending"), ("pid", "ascending")]))
+    assert a.sort_by([("term", "ascending"),
+                      ("start_doc", "ascending")]).equals(
+        b.sort_by([("term", "ascending"), ("start_doc", "ascending")]))
     # delete half the outputs+checkpoints, rebuild, byte-identical content
     ckpts = sorted(os.listdir(os.path.join(out2, "_checkpoints")))
     for c in ckpts[::2]:
@@ -245,8 +246,9 @@ def test_resume_skips_and_is_deterministic(corpus_dir, index_dir,
         os.remove(os.path.join(out2, "segments", f"part-{pid}.parquet"))
     build_index(corpus_dir, out2, rows_per_partition=100)
     b2 = _seg_table(os.path.join(out2, "segments"))
-    assert b.sort_by([("term", "ascending"), ("pid", "ascending")]).equals(
-        b2.sort_by([("term", "ascending"), ("pid", "ascending")]))
+    assert b.sort_by([("term", "ascending"),
+                      ("start_doc", "ascending")]).equals(
+        b2.sort_by([("term", "ascending"), ("start_doc", "ascending")]))
 
 
 def test_build_deterministic_across_parallelism(corpus_dir,
@@ -263,7 +265,7 @@ def test_build_deterministic_across_parallelism(corpus_dir,
     build_index(corpus_dir, out2, rows_per_partition=100, concurrency=8)
     a = _seg_table(os.path.join(out1, "segments"))
     b = _seg_table(os.path.join(out2, "segments"))
-    key = [("term", "ascending"), ("pid", "ascending")]
+    key = [("term", "ascending"), ("start_doc", "ascending")]
     assert a.sort_by(key).equals(b.sort_by(key))
 
 
@@ -297,26 +299,27 @@ def test_checkpoint_invalidated_by_changed_input(tmp_path_factory,
 def test_rebuild_invalidates_merged_view(tmp_path_factory, ray_session):
     import pyarrow.dataset as pads
 
-    from lucene_solr_ray.search.readers import MergedReader, SegmentsReader
-
     d = tmp_path_factory.mktemp("remcorpus")
     pq.write_table(generate_table(150, seed=44), str(d / "c.parquet"),
                    row_group_size=50)
     out = str(tmp_path_factory.mktemp("remidx"))
     build_index(str(d), out, rows_per_partition=50)
     merge_index(out)
-    assert isinstance(IndexSearcher(out).reader, MergedReader)
-    # corpus grows -> rebuild drops the stale merged view
+    assert IndexSearcher(out).manifest.merged
+    # corpus grows -> rebuild drops the stale merged view: the
+    # dictionary is the new partitions' own terms files again
     pq.write_table(generate_table(250, seed=44), str(d / "c.parquet"),
                    row_group_size=50)
     build_index(str(d), out, rows_per_partition=50)
     s = IndexSearcher(out)
-    assert isinstance(s.reader, SegmentsReader)
+    assert not s.manifest.merged
+    assert s.manifest.terms_files == s.manifest.segment_terms()
     assert s.count(MatchAllDocsQuery()) == 250
     # re-merge restores the merged view over the new contents
     merge_index(out)
     s2 = IndexSearcher(out)
-    assert isinstance(s2.reader, MergedReader)
+    assert s2.manifest.merged
+    assert all(f.startswith("merged/") for f in s2.manifest.terms_files)
     assert s2.count(MatchAllDocsQuery()) == 250
 
 
@@ -469,6 +472,36 @@ def test_index_without_generation_refused(tmp_path_factory, ray_session):
     with open(path) as f:
         man = json.load(f)
     del man["generation"]
+    with open(path, "w") as f:
+        json.dump(man, f)
+    with pytest.raises(ValueError, match="rebuild the index"):
+        IndexSearcher(out)
+    with pytest.raises(ValueError, match="rebuild the index"):
+        merge_index(out)
+    build_index(str(d), out, rows_per_partition=50)
+    got = IndexSearcher(out).search(TermQuery("return"), k=10).to_pydict()
+    assert got == want
+
+
+def test_index_with_separate_merged_view_refused(tmp_path_factory,
+                                                 ray_session):
+    """A format-3 manifest kept its merged view in ``merged_files``, apart
+    from the partitions: it is refused on open with a rebuild message,
+    and a rebuild in place opens."""
+    import json
+
+    d = tmp_path_factory.mktemp("fmt3_corpus")
+    pq.write_table(generate_table(100, seed=6), str(d / "c.parquet"))
+    out = str(tmp_path_factory.mktemp("fmt3_idx"))
+    build_index(str(d), out, rows_per_partition=50)
+    merge_index(out)
+    want = IndexSearcher(out).search(TermQuery("return"), k=10).to_pydict()
+    path = os.path.join(out, "manifest.json")
+    with open(path) as f:
+        man = json.load(f)
+    man["merged"] = True
+    man["merged_files"] = [os.path.basename(f)
+                           for f in man.pop("terms_files")]
     with open(path, "w") as f:
         json.dump(man, f)
     with pytest.raises(ValueError, match="rebuild the index"):

@@ -1,20 +1,28 @@
 """Full merge (``merge_index``): the sort-block split never changes the
-merged view, and a merge keeps no mapping of the payload bins it read."""
+merged view, every stored stream survives every compaction, an empty
+dictionary opens, and a merge keeps no mapping of the payload bins it
+read."""
 
 import glob
 import os
 import shutil
+from dataclasses import replace
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from lucene_solr_ray.index import IndexManifest, build_index, merge, merge_index
+from lucene_solr_ray.index import (IndexManifest, append_segment,
+                                   build_index, merge, merge_index)
 from lucene_solr_ray.index.check import check_merged
+from lucene_solr_ray.index.mergepolicy import (execute_merge,
+                                               list_append_segments)
+from lucene_solr_ray.search import IndexSearcher, TermQuery
+from lucene_solr_ray.search.extras import offsets_for_docs
 from lucene_solr_ray.search.readers import MergedReader
 from lucene_solr_ray.sources import generate_table
 
-ROW_COLS = ["term", "chunk_id", "df", "ttf", "start_doc", "block_last",
+ROW_COLS = ["term", "df", "ttf", "start_doc", "block_last",
             "block_max_tf", "block_max_norm"]
 
 
@@ -29,8 +37,8 @@ def corpus(tmp_path_factory):
 def _merged_rows(idx: str) -> list:
     man = IndexManifest.load(idx)
     tbl = pa.concat_tables([
-        pq.read_table(os.path.join(idx, "merged", f), columns=ROW_COLS)
-        for f in man.merged_files if f.startswith("terms-")])
+        pq.read_table(os.path.join(idx, f), columns=ROW_COLS)
+        for f in man.terms_files])
     return sorted(
         tuple(tuple(v) if isinstance(v, list) else v for v in row)
         for row in zip(*(tbl[c].to_pylist() for c in ROW_COLS)))
@@ -56,9 +64,8 @@ def test_four_sort_blocks_merge_like_one_block(
                             lambda rows, ncpu, b=blocks: b)
         man = merge_index(idx, hot_df_threshold=50, salt_group_size=2)
         check_merged(idx)
-        terms_files = [f for f in man.merged_files
-                       if f.startswith("terms-")]
-        views[blocks] = (len(terms_files), _merged_rows(idx), _decoded(idx))
+        views[blocks] = (len(man.terms_files), _merged_rows(idx),
+                         _decoded(idx))
     # one block: its interior file plus the boundary file; four blocks
     # write one interior file each
     assert views[1][0] == 2 and views[4][0] > 2
@@ -70,6 +77,82 @@ def test_four_sort_blocks_merge_like_one_block(
         chunks[row[0]] = chunks.get(row[0], 0) + 1
     assert max(chunks.values()) > 1
     assert views[1][2] == views[4][2]
+
+
+def test_empty_dictionary_opens(tmp_path, ray_session):
+    """Documents that give no terms build an index whose dictionary is
+    empty; it opens, searches and checks before and after a merge."""
+    pq.write_table(pa.table({"content": pa.array(["the a an", "",
+                                                  "of the"])}),
+                   str(tmp_path / "c.parquet"), row_group_size=1)
+    idx = str(tmp_path / "idx")
+    build_index(str(tmp_path / "c.parquet"), idx, rows_per_partition=1)
+    for _ in range(2):
+        assert check_merged(idx)["ok"]
+        s = IndexSearcher(idx)
+        assert s.reader.num_terms() == 0
+        assert s.search(TermQuery("the"), k=10).num_rows == 0
+        merge_index(idx)
+    assert IndexManifest.load(idx).terms_files == []
+
+
+# analyzer and documents of one index per stream stored beside positions;
+# the fourth document's long stream spans several blocks
+STREAM_DOCS = {
+    "offsets": ("standard", [
+        "the quick brown fox", "a fox and another fox", "lazy dog fox",
+        "fox " * 200, "quick dog", "brown quick fox"]),
+    "payloads": ("delimited_payload", [
+        "alpha|2.0 beta|1.0 alpha|4.0", "alpha|10.0 fox", "beta|0.5 fox",
+        "fox|3.0 " * 150, "alpha beta|7.5", "gamma|1.5 alpha"]),
+}
+
+
+def _stream_view(idx: str, kind: str, segments: bool = False) -> dict:
+    """Every term's stored stream, and (offsets) every doc's match spans,
+    as a fresh searcher over the commit's dictionary sees them — or,
+    with ``segments``, over the partitions' own terms files."""
+    reader = None
+    if segments:
+        man = IndexManifest.load(idx)
+        reader = MergedReader(replace(man, terms_files=man.segment_terms()))
+    s = IndexSearcher(idx, reader=reader)
+    terms = s.reader.unique_terms().tolist()
+    read = (s.reader.term_offsets if kind == "offsets"
+            else s.reader.term_payloads)
+    view = {t: tuple(a.tolist() for a in read(t)) for t in terms}
+    if kind == "offsets":
+        view["spans"] = offsets_for_docs(s, terms, range(s.max_doc))
+    return view
+
+
+@pytest.mark.parametrize("kind", sorted(STREAM_DOCS))
+def test_streams_survive_every_compaction(kind, tmp_path, ray_session):
+    """Offsets and payloads read after ``merge_index``, after NRT appends
+    and after a tier merge of those appends exactly as the partitions'
+    own terms files give them."""
+    analyzer, docs = STREAM_DOCS[kind]
+    pq.write_table(pa.table({"content": pa.array(docs)}),
+                   str(tmp_path / "c.parquet"), row_group_size=1)
+    idx = str(tmp_path / "idx")
+    build_index(str(tmp_path / "c.parquet"), idx, analyzer=analyzer,
+                rows_per_partition=1, store_positions=True,
+                **{f"store_{kind}": True})
+    before = _stream_view(idx, kind)
+    # salt pairs of partitions: every pair's shared terms are compacted
+    merge_index(idx, hot_df_threshold=4, salt_group_size=2)
+    assert _stream_view(idx, kind) == before
+    for text in docs[:2]:
+        append_segment(idx, pa.table({"content": pa.array([text])}))
+    want = _stream_view(idx, kind, segments=True)
+    assert _stream_view(idx, kind) == want
+    execute_merge(idx, [s.terms_path for s in list_append_segments(idx)])
+    from lucene_solr_ray.index.build import own_bin
+
+    tier = IndexManifest.load(idx).terms_files[-1]
+    assert os.path.getsize(os.path.join(idx, own_bin(tier))) > 0
+    assert _stream_view(idx, kind) == want
+    assert check_merged(idx)["ok"]
 
 
 def _deleted_mappings(root: str) -> list[str]:

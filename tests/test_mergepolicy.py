@@ -111,10 +111,12 @@ def test_tiered_merge_compacts_and_preserves_results(nrt_index):
     assert len(after_segs) < 6  # appends were consumed
     merged_dir = os.path.join(nrt_index, "merged")
     assert any(f.startswith("terms-tier-") for f in os.listdir(merged_dir))
-    # the merge's commit unlinked its sources: merged/ holds exactly the
-    # files the commit names
-    assert sorted(os.listdir(merged_dir)) == sorted(
-        IndexManifest.load(nrt_index).merged_files)
+    # the merge's commit unlinked what no commit names: merged/ holds
+    # exactly the files the commit names there
+    assert sorted(os.path.join("merged", f)
+                  for f in os.listdir(merged_dir)) == sorted(
+        f for f in IndexManifest.load(nrt_index).files()
+        if f.startswith("merged" + os.sep))
     assert _search_all(nrt_index) == before  # scores + ranks identical
     # df, ttf, postings and positions equal the segments', as after a
     # full merge
@@ -169,3 +171,29 @@ def test_failed_merge_restores_sources(tmp_path_factory, ray_session,
         execute_merge(out, [s.terms_path for s in segs])
     assert list_append_segments(out) == segs
     assert {t: IndexSearcher(out).doc_freq(t) for t in dfs} == dfs
+
+
+def test_tier_merge_of_empty_segments(tmp_path_factory, ray_session):
+    """Appends whose docs give no terms (stopwords only, empty) list
+    empty terms files; a tier merge over them commits an empty tier file
+    and the index still opens and searches."""
+    from lucene_solr_ray.index.updates import append_segment
+    from lucene_solr_ray.search import IndexSearcher, TermQuery
+
+    out = _two_appends(tmp_path_factory, "empty")
+    for i, text in enumerate(["the a an", ""]):
+        append_segment(out, pa.table({
+            "doc_key": pa.array([20 + i], pa.int64()),
+            "content": pa.array([text]),
+        }))
+    empty = list_append_segments(out)[-2:]
+    before = IndexSearcher(out).search(TermQuery("delta"), k=10).to_pydict()
+    tier = execute_merge(out, [s.terms_path for s in empty])
+    man = IndexManifest.load(out)
+    assert os.path.relpath(tier, out) in man.terms_files
+    assert not {s.terms_path for s in empty} & {
+        os.path.join(out, f) for f in man.terms_files}
+    s = IndexSearcher(out)
+    assert s.manifest.max_doc == 6
+    assert s.search(TermQuery("delta"), k=10).to_pydict() == before
+    check_merged(out)

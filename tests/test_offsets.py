@@ -32,10 +32,10 @@ def off_idx(tmp_path_factory, ray_session):
 
 def test_offsets_match_retokenization(off_idx):
     from lucene_solr_ray.analysis import get_analyzer
-    from lucene_solr_ray.search.readers import SegmentsReader
+    from lucene_solr_ray.search.readers import MergedReader
 
     out, docs = off_idx
-    r = SegmentsReader(out)
+    r = MergedReader(out)
     assert r.has_offsets
     ana = get_analyzer("standard")
     for term in ("fox", "quick", "road"):
@@ -90,7 +90,7 @@ def test_positions_still_correct_with_offsets(off_idx):
 
 def test_offsets_error_without_flag(tmp_path_factory, ray_session):
     from lucene_solr_ray.index import build_index
-    from lucene_solr_ray.search.readers import SegmentsReader
+    from lucene_solr_ray.search.readers import MergedReader
 
     d = tmp_path_factory.mktemp("nooff_src")
     pq.write_table(pa.table({
@@ -99,7 +99,7 @@ def test_offsets_error_without_flag(tmp_path_factory, ray_session):
     }), str(d / "docs.parquet"))
     out = str(tmp_path_factory.mktemp("nooff_idx") / "idx")
     build_index(str(d), out, text_field="content", store_positions=True)
-    r = SegmentsReader(out)
+    r = MergedReader(out)
     assert not r.has_offsets
     with pytest.raises(ValueError):
         r.term_offsets("plain")

@@ -31,9 +31,9 @@ def pay_idx(tmp_path_factory, ray_session):
 
 
 def test_payload_stream_roundtrip(pay_idx):
-    from lucene_solr_ray.search.readers import SegmentsReader
+    from lucene_solr_ray.search.readers import MergedReader
 
-    r = SegmentsReader(pay_idx)
+    r = MergedReader(pay_idx)
     assert r.has_payloads
     docs, tfs, pay = r.term_payloads("alpha")
     assert docs.tolist() == [0, 1]

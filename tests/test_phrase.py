@@ -149,7 +149,7 @@ def test_merged_positions_identical_to_segments(tmp_path_factory,
     import pyarrow.parquet as pq
 
     from lucene_solr_ray.index import build_index, merge_index
-    from lucene_solr_ray.search.readers import MergedReader, SegmentsReader
+    from lucene_solr_ray.search.readers import MergedReader
     from lucene_solr_ray.sources import generate_table
 
     d = tmp_path_factory.mktemp("pm_corpus")
@@ -157,8 +157,8 @@ def test_merged_positions_identical_to_segments(tmp_path_factory,
                    row_group_size=50)
     out = str(tmp_path_factory.mktemp("pm_index"))
     build_index(str(d), out, rows_per_partition=50, store_positions=True)
+    seg = MergedReader(out)  # before the merge: the segments' own files
     merge_index(out, hot_df_threshold=50, salt_group_size=2)
-    seg = SegmentsReader(out)
     mrg = MergedReader(out)
     terms = seg.unique_terms()
     assert np.array_equal(terms, mrg.unique_terms())

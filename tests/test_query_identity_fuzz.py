@@ -15,7 +15,6 @@ import pytest
 
 from lucene_solr_ray.index.build import build_index
 from lucene_solr_ray.search.query import parse_query
-from lucene_solr_ray.search.readers import SegmentsReader
 from lucene_solr_ray.search.searcher import IndexSearcher
 from lucene_solr_ray.sources import write_corpus
 
@@ -74,7 +73,7 @@ def test_rank_identity_across_configs(fuzz_index):
     """Pruned == exhaustive on the per-segment view, positional queries
     included."""
     idx, vocab = fuzz_index
-    s = IndexSearcher(idx, reader=SegmentsReader(idx))
+    s = IndexSearcher(idx)  # unmerged: the segments' own terms files
     ana = s.manifest.resolve_analyzer()
     checked = 0
     for qs in _rand_queries(vocab, 60, seed=17):

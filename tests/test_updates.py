@@ -129,9 +129,9 @@ def test_custom_analyzer_survives_append(tmp_path_factory, ray_session):
 
 def test_incremental_merge_append(tmp_path_factory, ray_session):
     """NRT publish without re-merge: appending a segment to a MERGED
-    index adds one terms-append metadata file referencing the delta
-    segment's bin in place; queries over the merged view see the new
-    docs and match a full re-merge exactly."""
+    index adds the delta segment's own terms file to the commit's list
+    and rewrites nothing; queries over the merged view see the new docs
+    and match a full re-merge exactly."""
     import os
 
     import pyarrow.parquet as pq
@@ -151,16 +151,16 @@ def test_incremental_merge_append(tmp_path_factory, ray_session):
     merge_index(out)
     merged_dir = os.path.join(out, "merged")
     before = set(os.listdir(merged_dir))
+    listed = IndexManifest.load(out).terms_files
     append_segment(out, pa.table({
         "doc_key": pa.array([4, 5], pa.int64()),
         "content": pa.array(["beta epsilon", "alpha zeta"]),
     }))
     man = IndexManifest.load(out)
     assert man.merged  # still merged — NOT invalidated
-    after = set(os.listdir(merged_dir))
-    added = after - before
-    assert before <= after and len(added) == 1  # one metadata file only
-    assert next(iter(added)).startswith("terms-append-")
+    assert set(os.listdir(merged_dir)) == before  # nothing rewritten
+    # the list gains the delta segment's own terms file only
+    assert man.terms_files == listed + [man.partitions[-1]["segment"]]
     s = IndexSearcher(out, reader=MergedReader(out))
     hits = s.search(TermQuery("beta"), k=10)
     assert {int(h) for h in hits["doc_id"].to_numpy()} == {0, 1, 3}
