@@ -15,6 +15,23 @@
 
 - :class:`WhitespaceAnalyzer` mirrors ``core/WhitespaceAnalyzer.java``.
 
+- :class:`VocabMapAnalyzer` is a base analyzer plus a per-token map (a
+  stemmer, a folding, a stop list); the English, folding, Snowball,
+  Turkish, Hunspell and ICU-folding analyzers are all this one shape.
+
+A batch of documents is analysed as ONE token stream,
+``tokens_batch_factorized(texts) -> (vocab, codes, doc_idx, positions,
+starts, ends)`` (the analogue of Lucene's attribute-based ``TokenStream``:
+a term, a position and an offset per token, the terms kept as codes into
+a duplicate-free batch vocabulary). ``index.build._invert`` consumes it
+for every index build; ``tokens_batch`` is its string view
+``vocab[codes]``. The StandardAnalyzer produces it with one vectorized
+ASCII pass (``fast.ascii_token_stream``) plus one per-document fallback
+for non-ASCII docs, and applies its stop filter to the vocabulary; a
+VocabMapAnalyzer maps the base stream's vocabulary once. Any other
+analyzer gets the stream by factorizing its ``tokens_batch``, without
+char spans.
+
 Analyzers are stateless after construction (compiled patterns, frozen stop
 set); construct once per worker (module-level registry) — the Ray analogue of
 ``Analyzer.ReuseStrategy`` (``lucene/core/.../analysis/Analyzer.java:72-96``).
@@ -31,12 +48,13 @@ import re
 
 import numpy as np
 
-from .fast import ascii_tokenize_concat
+from .fast import ascii_token_stream, factorize_tokens
 from .tokenizer import (
     DEFAULT_MAX_TOKEN_LENGTH,
     simple_lowercase,
     tokenize,
     tokenize_with_positions,
+    tokenize_with_spans,
 )
 
 # StopAnalyzer.ENGLISH_STOP_WORDS_SET (core/StopAnalyzer.java:42-48)
@@ -47,7 +65,11 @@ ENGLISH_STOP_WORDS = frozenset(
 
 
 class Analyzer:
-    """Base: subclasses implement tokens(text) and tokens_with_positions(text)."""
+    """Base: subclasses implement tokens(text) and tokens_with_positions(text).
+
+    A batch of documents is analysed as one token stream,
+    :meth:`tokens_batch_factorized` (the shape is described in
+    ``fast.py``); :meth:`tokens_batch` is its string view."""
 
     name = "base"
 
@@ -67,10 +89,11 @@ class Analyzer:
     ) -> tuple[list[str], np.ndarray, np.ndarray]:
         """Batch tokenize: returns (tokens, doc_idx:int64, positions:int64).
 
-        Default implementation loops docs; StandardAnalyzer overrides with a
-        vectorized concat pass. Positions include gaps for tokens removed by
-        the chain (stop words / over-long), mirroring posIncr accumulation
-        (``core/StopFilter.java:31``, ``StandardTokenizer.java:158``).
+        Default implementation loops docs; analyzers with a native
+        stream return its string view instead. Positions include gaps
+        for tokens removed by the chain (stop words / over-long),
+        mirroring posIncr accumulation (``core/StopFilter.java:31``,
+        ``StandardTokenizer.java:158``).
         """
         all_t: list[str] = []
         all_d: list[np.ndarray] = []
@@ -84,6 +107,34 @@ class Analyzer:
             return all_t, np.concatenate(all_d), np.concatenate(all_p)
         z = np.empty(0, np.int64)
         return all_t, z, z
+
+    def tokens_batch_factorized(self, texts: list[str]):
+        """The token stream ``(vocab, codes, doc_idx, positions, starts,
+        ends)``. Default: :meth:`tokens_batch` factorized, without
+        spans (``starts``/``ends`` None)."""
+        tokens, doc_idx, positions = self.tokens_batch(texts)
+        vocab, codes = factorize_tokens(tokens)
+        return vocab, codes, doc_idx, positions, None, None
+
+
+def _strings(stream) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """A token stream's string view ``(tokens, doc_idx, positions)``."""
+    vocab, codes, doc_idx, positions = stream[:4]
+    return np.asarray(vocab, dtype=object)[codes].tolist(), doc_idx, \
+        positions
+
+
+def _recode(stream, vocab: list[str], remap: np.ndarray):
+    """``stream`` with each code c replaced by ``remap[c]``, an index
+    into the new ``vocab``; tokens whose code maps to -1 are dropped and
+    leave their positions as gaps (``FilteringTokenFilter``)."""
+    _, codes, *cols = stream
+    codes = remap[codes]
+    keep = codes >= 0
+    if not keep.all():
+        codes = codes[keep]
+        cols = [c if c is None else c[keep] for c in cols]
+    return (vocab, codes, *cols)
 
 
 class StandardAnalyzer(Analyzer):
@@ -115,173 +166,86 @@ class StandardAnalyzer(Analyzer):
                 out_p.append(p)
         return out_t, out_p
 
-    def tokens_batch(
-        self, texts: list[str]
-    ) -> tuple[list[str], np.ndarray, np.ndarray]:
-        # Fast path for the ASCII docs (one vectorized pass over their
-        # concat); only non-ASCII docs take the per-doc regex path.
-        lowered = [t.lower() if t.isascii() else simple_lowercase(t) for t in texts]
-        ascii_ids = [i for i, t in enumerate(lowered) if t.isascii()]
-        if len(ascii_ids) == len(texts):
-            tokens, doc_idx, positions = ascii_tokenize_concat(
-                lowered, self.max_token_length
-            )
-        else:
-            a_tok, a_doc, a_pos = ascii_tokenize_concat(
-                [lowered[i] for i in ascii_ids], self.max_token_length
-            )
-            a_doc = np.asarray(ascii_ids, np.int64)[a_doc]
+    def tokens_batch(self, texts: list[str]):
+        return _strings(self.tokens_batch_factorized(texts))
+
+    def tokens_batch_factorized(self, texts: list[str]):
+        """The token stream, with char spans into the original texts (the
+        1:1 simple lowercase preserves offsets). ASCII docs go through
+        one vectorized pass (``fast.ascii_token_stream``); each non-ASCII
+        doc is tokenized on its own and appended after them, so each
+        doc's run stays contiguous with ascending positions. The stop
+        filter is applied to the vocabulary."""
+        ascii_ids = [i for i, t in enumerate(texts) if t.isascii()]
+        n = self.max_token_length
+        vocab, codes, doc_idx, positions, starts, ends = ascii_token_stream(
+            [texts[i].lower() for i in ascii_ids], n)
+        if len(ascii_ids) < len(texts):
+            doc_idx = np.asarray(ascii_ids, np.int64)[doc_idx]
             o_tok: list[str] = []
-            o_doc_l, o_pos_l = [], []
-            for i, t in enumerate(lowered):
+            cols: list[list] = [[doc_idx], [positions], [starts], [ends]]
+            for i, t in enumerate(texts):
                 if t.isascii():
                     continue
-                toks, pos = tokenize_with_positions(t, self.max_token_length)
+                toks, pos, ss, ee = tokenize_with_spans(
+                    simple_lowercase(t), n)
                 o_tok.extend(toks)
-                o_doc_l.append(np.full(len(toks), i, np.int64))
-                o_pos_l.append(np.asarray(pos, np.int64))
-            tokens = a_tok + o_tok
-            doc_idx = np.concatenate(
-                [a_doc] + o_doc_l if o_doc_l else [a_doc]
-            )
-            positions = np.concatenate(
-                [a_pos] + o_pos_l if o_pos_l else [a_pos]
-            )
-        stop = self.stop_words
-        if stop and tokens:
-            # vectorized stop filter: membership checked once per DISTINCT
-            # token (the batch vocabulary is tiny vs the stream), then a
-            # boolean gather — not a per-token Python set probe
-            import pandas as pd
-
-            arr = np.asarray(tokens, dtype=object)
-            codes, vocab = pd.factorize(arr)
-            keep_vocab = np.fromiter(
-                (t not in stop for t in vocab), bool, count=len(vocab))
-            if not keep_vocab.all():
-                keep = keep_vocab[codes]
-                tokens = arr[keep].tolist()
-                doc_idx = doc_idx[keep]
-                positions = positions[keep]
-        return tokens, doc_idx, positions
-
-    def tokens_batch_factorized(
-        self, texts: list[str]
-    ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray] | None:
-        """``(vocab, codes, doc_idx, positions)`` with the token stream
-        as int codes into ``vocab`` — the invert path's native shape
-        (skips per-token string materialization AND its factorize).
-        Non-ASCII docs take the per-doc path and append their tokens to
-        the vocabulary; like :meth:`tokens_batch`, the stream lists the
-        ASCII docs first, then the fallback docs (each doc's run stays
-        contiguous with ascending positions, which is all the invert's
-        boundary scan needs)."""
-        from .fast import ascii_tokenize_concat_factorized
-
-        lowered = [t.lower() if t.isascii() else None for t in texts]
-        ascii_ids = [i for i, t in enumerate(lowered) if t is not None]
-        if len(ascii_ids) == len(texts):
-            res = ascii_tokenize_concat_factorized(
-                lowered, self.max_token_length)
-            if res is None:  # over-wide token: string path instead
-                return None
-            vocab, codes, doc_idx, positions = res
-        else:
-            res = ascii_tokenize_concat_factorized(
-                [lowered[i] for i in ascii_ids],
-                self.max_token_length)
-            if res is None:
-                return None
-            vocab, codes, doc_idx, positions = res
-            doc_idx = np.asarray(ascii_ids, np.int64)[doc_idx]
-            vid = {t: i for i, t in enumerate(vocab)}
-            o_codes: list[int] = []
-            o_doc_l, o_pos_l = [], []
-            for i, t in enumerate(texts):
-                if lowered[i] is not None:
-                    continue
-                toks, pos = tokenize_with_positions(
-                    simple_lowercase(t), self.max_token_length)
-                for tok in toks:
-                    c = vid.get(tok)
-                    if c is None:
-                        c = len(vocab)
-                        vid[tok] = c
-                        vocab.append(tok)
-                    o_codes.append(c)
-                o_doc_l.append(np.full(len(toks), i, np.int64))
-                o_pos_l.append(np.asarray(pos, np.int64))
-            if o_codes:
-                codes = np.concatenate(
-                    [codes, np.asarray(o_codes, np.int64)])
-                doc_idx = np.concatenate([doc_idx] + o_doc_l)
-                positions = np.concatenate([positions] + o_pos_l)
+                for col, v in zip(cols, ([i] * len(toks), pos, ss, ee)):
+                    col.append(np.asarray(v, np.int64))
+            doc_idx, positions, starts, ends = map(np.concatenate, cols)
+            # dictionary encoding keeps first-appearance order, so the
+            # ASCII vocabulary keeps its codes and new tokens append
+            n_ascii = len(vocab)
+            vocab, o_codes = factorize_tokens(vocab + o_tok)
+            codes = np.concatenate([codes, o_codes[n_ascii:]])
+        stream = (vocab, codes, doc_idx, positions, starts, ends)
         stop = self.stop_words
         if stop and vocab:
-            keep_vocab = np.fromiter(
-                (t not in stop for t in vocab), bool, count=len(vocab))
-            if not keep_vocab.all():
-                keep = keep_vocab[codes]
-                codes = codes[keep]
-                doc_idx = doc_idx[keep]
-                positions = positions[keep]
-                remap = np.cumsum(keep_vocab) - 1
-                codes = remap[codes]
-                vocab = [t for t, k in zip(vocab, keep_vocab) if k]
-        return vocab, codes, doc_idx, positions
+            keep = np.fromiter((t not in stop for t in vocab), bool,
+                               count=len(vocab))
+            if not keep.all():
+                remap = np.where(keep, np.cumsum(keep) - 1, -1)
+                stream = _recode(stream, [t for t, k in zip(vocab, keep)
+                                         if k], remap)
+        return stream
 
 
-def _standard_tokens_batch_spans(ana: "StandardAnalyzer",
-                                 texts: list[str]):
-    """tokens_batch with char spans (OffsetAttribute): the 1:1 simple
-    lowercase preserves offsets, so spans index the original text.
-    Returns (tokens, doc_idx, positions, starts, ends)."""
-    from .fast import ascii_tokenize_concat_spans
-    from .tokenizer import tokenize_with_spans
+class VocabMapAnalyzer(Analyzer):
+    """A base analyzer followed by a per-token map (stemmer, folding,
+    elision, stop filter): :meth:`_one` maps a token to its term, or to
+    None to drop it (its position stays a gap). The batch stream maps
+    each DISTINCT token of the base stream once, so the cost scales with
+    the batch vocabulary, not the token stream; tokens that map to one
+    term ("running", "runs" -> "run") share one code. Subclasses keep
+    their base analyzer in ``self.base``."""
 
-    lowered = [t.lower() if t.isascii() else simple_lowercase(t)
-               for t in texts]
-    ascii_ids = [i for i, t in enumerate(lowered) if t.isascii()]
-    if len(ascii_ids) == len(texts):
-        tokens, doc_idx, positions, starts, ends = \
-            ascii_tokenize_concat_spans(lowered, ana.max_token_length)
-    else:
-        a_tok, a_doc, a_pos, a_s, a_e = ascii_tokenize_concat_spans(
-            [lowered[i] for i in ascii_ids], ana.max_token_length)
-        a_doc = np.asarray(ascii_ids, np.int64)[a_doc]
-        o_tok: list[str] = []
-        o_doc, o_pos, o_s, o_e = [], [], [], []
-        for i, t in enumerate(lowered):
-            if t.isascii():
-                continue
-            toks, pos, ss, ee = tokenize_with_spans(
-                t, ana.max_token_length)
-            o_tok.extend(toks)
-            o_doc.append(np.full(len(toks), i, np.int64))
-            o_pos.append(np.asarray(pos, np.int64))
-            o_s.append(np.asarray(ss, np.int64))
-            o_e.append(np.asarray(ee, np.int64))
-        tokens = a_tok + o_tok
-        doc_idx = np.concatenate([a_doc] + o_doc) if o_doc else a_doc
-        positions = np.concatenate([a_pos] + o_pos) if o_pos else a_pos
-        starts = np.concatenate([a_s] + o_s) if o_s else a_s
-        ends = np.concatenate([a_e] + o_e) if o_e else a_e
-    stop = ana.stop_words
-    if stop and tokens:
-        import pandas as pd
+    def _one(self, t: str) -> str | None:
+        raise NotImplementedError
 
-        arr = np.asarray(tokens, dtype=object)
-        codes, vocab = pd.factorize(arr)
-        keep_vocab = np.fromiter(
-            (t not in stop for t in vocab), bool, count=len(vocab))
-        if not keep_vocab.all():
-            keep = keep_vocab[codes]
-            tokens = arr[keep].tolist()
-            doc_idx = doc_idx[keep]
-            positions = positions[keep]
-            starts = starts[keep]
-            ends = ends[keep]
-    return tokens, doc_idx, positions, starts, ends
+    def tokens(self, text: str) -> list[str]:
+        return self.tokens_with_positions(text)[0]
+
+    def tokens_with_positions(self, text: str):
+        toks, pos = self.base.tokens_with_positions(text)
+        out_t, out_p = [], []
+        for t, p in zip(toks, pos):
+            s = self._one(t)
+            if s is not None:
+                out_t.append(s)
+                out_p.append(p)
+        return out_t, out_p
+
+    def tokens_batch(self, texts: list[str]):
+        return _strings(self.tokens_batch_factorized(texts))
+
+    def tokens_batch_factorized(self, texts: list[str]):
+        stream = self.base.tokens_batch_factorized(texts)
+        mapped = [self._one(t) for t in stream[0]]
+        kept = [i for i, m in enumerate(mapped) if m is not None]
+        vocab, codes = factorize_tokens([mapped[i] for i in kept])
+        remap = np.full(len(mapped), -1, np.int64)
+        remap[kept] = codes
+        return _recode(stream, vocab, remap)
 
 
 class SimpleRegexAnalyzer(Analyzer):

@@ -24,8 +24,9 @@ Filters (factory names in parentheses):
 
 :class:`CharFilteredAnalyzer` composes a chain in front of any
 analyzer: ``tokens``/``tokens_batch`` run the inner analyzer over the
-filtered text (positions unchanged), and ``tokens_batch_spans``
-corrects the inner spans back to original-text offsets, so an index
+filtered text (positions unchanged), and its token stream
+(``tokens_batch_factorized``) is the inner analyzer's stream with the
+spans corrected back to original-text offsets, so an index
 built with it stores original offsets exactly like a Lucene analyzer
 with charFilters configured.
 """
@@ -214,39 +215,34 @@ class CharFilteredAnalyzer(Analyzer):
         return text, correctors
 
     def tokens(self, text: str) -> list[str]:
-        filtered, _ = self._apply(text)
-        return self.inner.tokens(filtered)
+        return self.inner.tokens(self._apply(text)[0])
+
+    def tokens_with_positions(self, text: str):
+        return self.inner.tokens_with_positions(self._apply(text)[0])
 
     def tokens_batch(self, texts: list[str]):
         return self.inner.tokens_batch(
             [self._apply(t)[0] for t in texts])
 
-    def tokens_batch_spans(self, texts: list[str]):
-        from .analyzers import _standard_tokens_batch_spans
-
-        filtered, chains = [], []
-        for t in texts:
-            ft, corr = self._apply(t)
-            filtered.append(ft)
-            chains.append(corr)
-        inner = self.inner
-        if hasattr(inner, "tokens_batch_spans"):
-            toks, doc_idx, pos, starts, ends = \
-                inner.tokens_batch_spans(filtered)
-        else:
-            toks, doc_idx, pos, starts, ends = \
-                _standard_tokens_batch_spans(inner, filtered)
-        starts = np.asarray(starts, np.int64).copy()
-        ends = np.asarray(ends, np.int64).copy()
-        doc_idx = np.asarray(doc_idx)
-        for i, chain in enumerate(chains):
-            m = doc_idx == i
-            if not m.any():
-                continue
-            s, e = starts[m], ends[m]
+    def tokens_batch_factorized(self, texts: list[str]):
+        """The inner analyzer's stream over the filtered texts, its
+        spans corrected back through each doc's chain (None when the
+        inner stream has no spans)."""
+        applied = [self._apply(t) for t in texts]
+        vocab, codes, doc_idx, pos, starts, ends = \
+            self.inner.tokens_batch_factorized([ft for ft, _ in applied])
+        if starts is None:
+            return vocab, codes, doc_idx, pos, None, None
+        starts = np.array(starts, np.int64)
+        ends = np.array(ends, np.int64)
+        order = np.argsort(doc_idx, kind="stable")
+        bounds = np.searchsorted(doc_idx[order], np.arange(len(texts) + 1))
+        for i, (_, chain) in enumerate(applied):
+            rows = order[bounds[i]:bounds[i + 1]]
+            s, e = starts[rows], ends[rows]
             # innermost correction last (offsets flow outward)
             for corr in reversed(chain):
                 s = corr.correct(s)
                 e = corr.correct(e)
-            starts[m], ends[m] = s, e
-        return toks, doc_idx, pos, starts, ends
+            starts[rows], ends[rows] = s, e
+        return vocab, codes, doc_idx, pos, starts, ends

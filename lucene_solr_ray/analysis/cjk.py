@@ -26,10 +26,8 @@ from __future__ import annotations
 
 import unicodedata
 
-import numpy as np
-
 from .analyzers import (ENGLISH_STOP_WORDS, Analyzer, StandardAnalyzer,
-                        register_analyzer)
+                        VocabMapAnalyzer, register_analyzer)
 
 # ---- CJKWidthFilter ------------------------------------------------------
 
@@ -171,10 +169,8 @@ def icu_fold(token: str) -> str:
     return unicodedata.normalize("NFC", s)
 
 
-class ICUFoldingAnalyzer(Analyzer):
-    """StandardTokenizer + ICU-style folding of every token; the batch
-    path folds each DISTINCT token once (vocabulary gather, same trick
-    as StemmingAnalyzer)."""
+class ICUFoldingAnalyzer(VocabMapAnalyzer):
+    """StandardTokenizer + ICU-style folding of every token."""
 
     name = "icu_folded"
 
@@ -185,33 +181,6 @@ class ICUFoldingAnalyzer(Analyzer):
     def _one(self, t: str) -> str | None:
         f = icu_fold(t)
         return None if f in self.stop_words else f
-
-    def tokens_with_positions(self, text: str):
-        toks, pos = self.base.tokens_with_positions(text)
-        out_t, out_p = [], []
-        for t, p in zip(toks, pos):
-            s = self._one(t)
-            if s is not None:
-                out_t.append(s)
-                out_p.append(p)
-        return out_t, out_p
-
-    def tokens(self, text: str) -> list[str]:
-        return self.tokens_with_positions(text)[0]
-
-    def tokens_batch(self, texts: list[str]):
-        import pandas as pd
-
-        tokens, doc_idx, positions = self.base.tokens_batch(texts)
-        if not tokens:
-            return tokens, doc_idx, positions
-        codes, vocab = pd.factorize(np.asarray(tokens, dtype=object))
-        mapped = np.asarray([self._one(t) for t in vocab], dtype=object)
-        keep_vocab = np.fromiter((m is not None for m in mapped), bool,
-                                 count=len(mapped))
-        keep = keep_vocab[codes]
-        return (mapped[codes][keep].tolist(), doc_idx[keep],
-                positions[keep])
 
 
 register_analyzer("cjk", CJKAnalyzer())

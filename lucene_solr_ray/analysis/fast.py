@@ -1,4 +1,13 @@
-"""Vectorized ASCII fast path for StandardTokenizer.
+"""Vectorized ASCII tokenizer and the token stream's vocabulary encoder.
+
+The token stream is the one shape in which a batch of documents is
+analysed: ``(vocab, codes, doc_idx, positions, starts, ends)``, where
+``vocab`` holds distinct strings, ``vocab[codes[i]]`` is token i, token
+i belongs to document ``doc_idx[i]`` at ``positions[i]`` and spans chars
+``[starts[i], ends[i])`` of that document (``starts``/``ends`` are None
+when the producer has no spans). :func:`ascii_token_stream` produces it
+for ASCII documents; :func:`factorize_tokens` is the one encoder from
+token strings to ``(vocab, codes)``.
 
 For pure-ASCII text (the overwhelming majority of a source-code corpus) the
 UAX#29 word-break rules implemented by the reference grammar
@@ -14,15 +23,18 @@ UAX#29 word-break rules implemented by the reference grammar
 Tokens = maximal runs of (core | joined-mid) containing at least one
 letter/digit (a bare ``___`` run is not a token — the grammar's mandatory
 inner segment). This is exactly the language the full regex accepts on ASCII
-input; ``tests/test_analysis.py`` cross-checks the two on random ASCII text.
+input; ``tests/test_property.py`` cross-checks the two on generated text.
 
-Everything here is numpy over a uint8 view of the encoded text — no Python
-loop over characters, one slice per emitted token.
+Everything here is numpy and Arrow compute over a uint8 view of the
+encoded text: no Python loop over characters or tokens, and only the
+DISTINCT tokens ever become Python strings.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 _LUT = np.zeros(128, np.uint8)
 _AL, _NUM, _ENL, _DOTQ, _COLON, _COMMA = 1, 2, 3, 4, 5, 6
@@ -78,116 +90,57 @@ def ascii_token_spans(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     return starts, ends
 
 
-def _ascii_concat_impl(
-    texts: list[str],
-    max_token_length: int = 255,
-):
-    """Shared vectorized pass: returns (tokens, doc_idx, positions,
-    doc_rel_starts, doc_rel_ends) — spans are char offsets into each
-    token's OWN document."""
-    big = "\n".join(texts)
-    data = big.encode("ascii")
+def factorize_tokens(tokens) -> tuple[list[str], np.ndarray]:
+    """``(vocab, codes)`` of a token list or Arrow string array:
+    ``vocab`` is the distinct tokens in first-appearance order and
+    ``vocab[codes[i]] == tokens[i]`` (one ``pc.dictionary_encode``)."""
+    if not isinstance(tokens, pa.Array):
+        tokens = pa.array(tokens, pa.large_string())
+    enc = pc.dictionary_encode(tokens)
+    codes = enc.indices.to_numpy().astype(np.int64)
+    # via numpy: an object array's tolist() is ~20x faster than
+    # to_pylist() on a string array
+    return enc.dictionary.to_numpy(zero_copy_only=False).tolist(), codes
+
+
+def ascii_token_stream(texts: list[str],
+                       max_token_length: int = 255):
+    """The token stream ``(vocab, codes, doc_idx, positions, starts,
+    ends)`` of a batch of ASCII strings, in one vectorized pass.
+
+    Joins docs with ``\\n`` (always a boundary), extracts token spans
+    once and attributes each token to its document via searchsorted.
+    Positions are per-document token ordinals *including* gaps for
+    dropped over-long tokens (``StandardTokenizer.java:145-167``);
+    ``starts``/``ends`` are char offsets into each token's own document
+    (the ``OffsetAttribute`` feed of the ``.pay`` stream). The kept
+    tokens' bytes are gathered into one buffer, wrapped as an Arrow
+    string array and dictionary-encoded."""
+    data = "\n".join(texts).encode("ascii")
     starts, ends = ascii_token_spans(data)
-    lens = np.array([len(t) for t in texts], dtype=np.int64)
-    doc_starts = np.zeros(len(texts), dtype=np.int64)
+    lens = np.fromiter(map(len, texts), np.int64, count=len(texts))
+    doc_starts = np.zeros(len(texts), np.int64)
     np.cumsum(lens[:-1] + 1, out=doc_starts[1:])
     doc_idx = np.searchsorted(doc_starts, starts, side="right") - 1
-    # per-doc position ordinal (before the length filter)
-    first_of_doc = np.zeros(starts.size, dtype=bool)
-    if starts.size:
-        first_of_doc[0] = True
-        first_of_doc[1:] = doc_idx[1:] != doc_idx[:-1]
-    ordinal = np.arange(starts.size, dtype=np.int64)
-    doc_tok_base = np.maximum.accumulate(np.where(first_of_doc, ordinal, 0))
-    positions = ordinal - doc_tok_base
+    # per-doc position ordinal, counted before the length filter
+    per_doc = np.bincount(doc_idx, minlength=len(texts))
+    first = np.cumsum(per_doc) - per_doc
+    positions = np.arange(starts.size, dtype=np.int64) - first[doc_idx]
     ok = (ends - starts) <= max_token_length
-    starts, ends = starts[ok], ends[ok]
-    doc_idx, positions = doc_idx[ok], positions[ok]
-    tokens = [big[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+    if not ok.all():
+        starts, ends = starts[ok], ends[ok]
+        doc_idx, positions = doc_idx[ok], positions[ok]
+    # tokens never touch (a non-token byte separates any two), so +1 at
+    # each start and -1 at each end sum to a 0/1 inside-a-token mask
+    mark = np.zeros(len(data) + 1, np.int8)
+    mark[starts] = 1
+    mark[ends] = -1
+    inside = np.cumsum(mark[:-1], dtype=np.int8).view(bool)
+    offsets = np.zeros(starts.size + 1, np.int64)
+    np.cumsum(ends - starts, out=offsets[1:])
+    buf = np.frombuffer(data, np.uint8)[inside]
+    tokens = pa.LargeStringArray.from_buffers(
+        starts.size, pa.py_buffer(offsets), pa.py_buffer(buf))
+    vocab, codes = factorize_tokens(tokens)
     base = doc_starts[doc_idx]
-    return tokens, doc_idx, positions, starts - base, ends - base
-
-
-def ascii_tokenize_concat(
-    texts: list[str],
-    max_token_length: int = 255,
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Tokenize a batch of ASCII strings in one vectorized pass.
-
-    Joins docs with ``\\n`` (always a boundary), extracts token spans once,
-    and attributes each token to its document via searchsorted.
-
-    Returns ``(tokens, doc_idx, positions)`` where positions are
-    per-document token ordinals *including* gaps for dropped over-long
-    tokens (``StandardTokenizer.java:145-167``).
-    """
-    tokens, doc_idx, positions, _s, _e = _ascii_concat_impl(
-        texts, max_token_length)
-    return tokens, doc_idx, positions
-
-
-def ascii_tokenize_concat_spans(
-    texts: list[str],
-    max_token_length: int = 255,
-):
-    """Like :func:`ascii_tokenize_concat` but also returns each token's
-    char span within its document — the offsets that feed the postings
-    ``.pay`` stream (``IndexOptions.DOCS_AND_FREQS_AND_POSITIONS_AND_
-    OFFSETS``, ``Lucene50PostingsFormat.java:100-107``)."""
-    return _ascii_concat_impl(texts, max_token_length)
-
-
-MAX_FACTORIZE_WIDTH = 64  # bytes/row cap: beyond this the padded
-# matrix (n_tokens x max_token_len) costs more than it saves
-
-
-def ascii_tokenize_concat_factorized(
-    texts: list[str],
-    max_token_length: int = 255,
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray] | None:
-    """Factorized tokenization: ``(vocab, codes, doc_idx, positions)``
-    where ``vocab[codes[i]]`` is token i. Only the DISTINCT tokens ever
-    become Python strings — the token stream stays numpy end to end
-    (token spans are gathered into NUL-padded fixed-width byte rows and
-    hash-factorized as an ``S{w}`` array; ASCII tokens contain no
-    interior NULs, so padded-row equality == string equality and the
-    S-dtype decode strips the padding). Feeds ``_invert`` directly,
-    replacing both the per-token string materialization and its object
-    factorize. Returns None when a surviving token is wider than
-    ``MAX_FACTORIZE_WIDTH`` (callers fall back to the string path)."""
-    big = "\n".join(texts)
-    data = big.encode("ascii")
-    starts, ends = ascii_token_spans(data)
-    lens = np.array([len(t) for t in texts], dtype=np.int64)
-    doc_starts = np.zeros(len(texts), dtype=np.int64)
-    np.cumsum(lens[:-1] + 1, out=doc_starts[1:])
-    doc_idx = np.searchsorted(doc_starts, starts, side="right") - 1
-    first_of_doc = np.zeros(starts.size, dtype=bool)
-    if starts.size:
-        first_of_doc[0] = True
-        first_of_doc[1:] = doc_idx[1:] != doc_idx[:-1]
-    ordinal = np.arange(starts.size, dtype=np.int64)
-    doc_tok_base = np.maximum.accumulate(np.where(first_of_doc, ordinal, 0))
-    positions = ordinal - doc_tok_base
-    ok = (ends - starts) <= max_token_length
-    starts, ends = starts[ok], ends[ok]
-    doc_idx, positions = doc_idx[ok], positions[ok]
-    if not starts.size:
-        e = np.empty(0, np.int64)
-        return [], e, doc_idx, positions
-    b = np.frombuffer(data, dtype=np.uint8)
-    tok_len = ends - starts
-    w = int(tok_len.max())
-    if w > MAX_FACTORIZE_WIDTH:
-        return None
-    import pandas as pd
-
-    col = np.arange(w, dtype=np.int64)
-    idx = starts[:, None] + col
-    np.minimum(idx, b.size - 1, out=idx)
-    mat = b[idx]
-    mat[col >= tok_len[:, None]] = 0
-    rows = np.ascontiguousarray(mat).view(f"S{w}").ravel()
-    codes, uniq = pd.factorize(rows)
-    vocab = [u.decode("ascii") for u in uniq]
-    return vocab, codes.astype(np.int64, copy=False), doc_idx, positions
+    return vocab, codes, doc_idx, positions, starts - base, ends - base

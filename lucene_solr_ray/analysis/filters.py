@@ -31,7 +31,12 @@ import re
 
 import numpy as np
 
-from .analyzers import ENGLISH_STOP_WORDS, Analyzer, register_analyzer
+from .analyzers import (
+    ENGLISH_STOP_WORDS,
+    Analyzer,
+    VocabMapAnalyzer,
+    register_analyzer,
+)
 
 _WDF_BOUNDARY = re.compile(
     r"(?<=[a-z])(?=[A-Z])"          # fooBar -> foo|Bar
@@ -214,7 +219,7 @@ def ascii_fold(token: str) -> str:
     return folded
 
 
-class FoldingAnalyzer(Analyzer):
+class FoldingAnalyzer(VocabMapAnalyzer):
     """Standard chain + ASCII folding (the schema.xml staple
     ``<filter class="solr.ASCIIFoldingFilterFactory"/>``)."""
 
@@ -225,15 +230,11 @@ class FoldingAnalyzer(Analyzer):
 
         self.base = get_analyzer(base)
 
-    def tokens(self, text: str) -> list[str]:
-        return [ascii_fold(t) for t in self.base.tokens(text)]
-
-    def tokens_with_positions(self, text: str):
-        toks, pos = self.base.tokens_with_positions(text)
-        return [ascii_fold(t) for t in toks], pos
+    def _one(self, t: str) -> str:
+        return ascii_fold(t)
 
 
-class EnglishAnalyzer(Analyzer):
+class EnglishAnalyzer(VocabMapAnalyzer):
     """StandardAnalyzer chain + possessive strip + PorterStemFilter
     (``en/EnglishAnalyzer.java`` shape with the classic stemmer).
     ``stem_exclusions`` is the KeywordMarkerFilter protected-word set
@@ -248,33 +249,12 @@ class EnglishAnalyzer(Analyzer):
         self.base = StandardAnalyzer(stop_words=stop_words)
         self.stem_exclusions = frozenset(stem_exclusions)
 
-    def _stem(self, t: str) -> str:
+    def _one(self, t: str) -> str:
         if t in self.stem_exclusions:
             return t
         if t.endswith("'s"):  # EnglishPossessiveFilter
             t = t[:-2]
         return porter_stem(t)
-
-    def tokens(self, text: str) -> list[str]:
-        return [self._stem(t) for t in self.base.tokens(text)]
-
-    def tokens_with_positions(self, text: str):
-        toks, pos = self.base.tokens_with_positions(text)
-        return [self._stem(t) for t in toks], pos
-
-    def tokens_batch(self, texts: list[str]):
-        # stem cost scales with UNIQUE tokens, not total tokens: the Zipf
-        # distribution makes the per-batch vocabulary tiny relative to the
-        # stream, so stem each distinct token once and gather
-        import pandas as pd
-
-        tokens, doc_idx, positions = self.base.tokens_batch(texts)
-        if tokens:
-            codes, vocab = pd.factorize(np.asarray(tokens, dtype=object))
-            stemmed = np.asarray([self._stem(t) for t in vocab],
-                                 dtype=object)
-            tokens = stemmed[codes].tolist()
-        return tokens, doc_idx, positions
 
 
 class DelimitedPayloadAnalyzer(Analyzer):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .analyzers import Analyzer, StandardAnalyzer, register_analyzer
+from .analyzers import StandardAnalyzer, VocabMapAnalyzer, register_analyzer
 
 
 @dataclass(frozen=True)
@@ -154,12 +154,11 @@ class HunspellDictionary:
         return max(st, key=len) if st else None
 
 
-class HunspellAnalyzer(Analyzer):
+class HunspellAnalyzer(VocabMapAnalyzer):
     """StandardTokenizer + lowercase + hunspell longest-stem (the
     deterministic single-output mode of HunspellStemFilter's
     ``longestOnly``; tokens with no dictionary stem pass through, as in
-    the filter). Distinct-token memoization inside the batch path keeps
-    cost proportional to vocabulary, not token count."""
+    the filter)."""
 
     def __init__(self, name: str, dictionary: HunspellDictionary,
                  stop_words=frozenset()):
@@ -172,39 +171,6 @@ class HunspellAnalyzer(Analyzer):
         if t in self.stop_words:
             return None
         return self.dict.longest_stem(t) or t
-
-    def tokens(self, text: str) -> list[str]:
-        out = []
-        for t in self.base.tokens(text):
-            s = self._one(t)
-            if s is not None:
-                out.append(s)
-        return out
-
-    def tokens_with_positions(self, text: str):
-        toks, pos = self.base.tokens_with_positions(text)
-        out_t, out_p = [], []
-        for t, p in zip(toks, pos):
-            s = self._one(t)
-            if s is not None:
-                out_t.append(s)
-                out_p.append(p)
-        return out_t, out_p
-
-    def tokens_batch(self, texts: list[str]):
-        import numpy as np
-        import pandas as pd
-
-        tokens, doc_idx, positions = self.base.tokens_batch(texts)
-        if not tokens:
-            return tokens, doc_idx, positions
-        codes, vocab = pd.factorize(np.asarray(tokens, dtype=object))
-        mapped = np.asarray([self._one(t) for t in vocab], dtype=object)
-        keep_vocab = np.fromiter((m is not None for m in mapped), bool,
-                                 count=len(mapped))
-        keep = keep_vocab[codes]
-        out = mapped[codes][keep].tolist()
-        return out, doc_idx[keep], positions[keep]
 
 
 def load_hunspell(aff_path: str, dic_path: str,

@@ -292,7 +292,7 @@ class ICUAnalyzer(Analyzer):
         """Batch path: segmentation stays per-doc (script runs are
         inherently sequential), but the transform+fold post-step runs
         once per DISTINCT raw token (factorize + gather — the same
-        vocabulary trick as StemmingAnalyzer.tokens_batch), so its cost
+        vocabulary trick as VocabMapAnalyzer), so its cost
         scales with the batch vocabulary, not the token stream.
         Positions compact over SURVIVING tokens (a token that folds to
         empty, e.g. a bare Thai vowel sign, leaves no gap) — matching

@@ -21,7 +21,12 @@ ports of the Java sources; tests pin the documented behaviors.
 
 from __future__ import annotations
 
-from .analyzers import Analyzer, StandardAnalyzer, register_analyzer
+from .analyzers import (
+    Analyzer,
+    StandardAnalyzer,
+    VocabMapAnalyzer,
+    register_analyzer,
+)
 
 # ---------------------------------------------------------------------------
 # Arabic
@@ -780,7 +785,7 @@ yoksa yüz zaten çok çünkü öyle üzere üç şey şeyden şeyi şeyler şu 
 """.split())
 
 
-class TurkishAnalyzer(Analyzer):
+class TurkishAnalyzer(VocabMapAnalyzer):
     """Apostrophe strip + Turkish case fold BEFORE the stop filter
     (apostrophe/case both affect stop matching: O'nun -> o)."""
 
@@ -794,35 +799,6 @@ class TurkishAnalyzer(Analyzer):
         if not t or t in TURKISH_STOP_WORDS:
             return None
         return t
-
-    def tokens(self, text: str) -> list[str]:
-        return [s for t in self.base.tokens(text)
-                if (s := self._one(t)) is not None]
-
-    def tokens_with_positions(self, text: str):
-        toks, pos = self.base.tokens_with_positions(text)
-        out_t, out_p = [], []
-        for t, p in zip(toks, pos):
-            s = self._one(t)
-            if s is not None:
-                out_t.append(s)
-                out_p.append(p)
-        return out_t, out_p
-
-    def tokens_batch(self, texts: list[str]):
-        import numpy as np
-        import pandas as pd
-
-        tokens, doc_idx, positions = self.base.tokens_batch(texts)
-        if not tokens:
-            return tokens, doc_idx, positions
-        codes, vocab = pd.factorize(np.asarray(tokens, dtype=object))
-        mapped = np.asarray([self._one(t) for t in vocab], dtype=object)
-        keep_vocab = np.fromiter((m is not None for m in mapped), bool,
-                                 count=len(mapped))
-        keep = keep_vocab[codes]
-        out = mapped[codes][keep].tolist()
-        return out, doc_idx[keep], positions[keep]
 
 
 # ---------------------------------------------------------------------------

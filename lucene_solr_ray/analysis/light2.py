@@ -14,7 +14,7 @@ exception tables.
 
 from __future__ import annotations
 
-from .analyzers import register_analyzer
+from .analyzers import Analyzer, register_analyzer
 from .snowball import StemmingAnalyzer
 
 # ---------------------------------------------------------------------------
@@ -238,19 +238,9 @@ class IrishAnalyzer(StemmingAnalyzer):
             return None
         return t
 
-    def tokens(self, text: str) -> list[str]:
+    def tokens_with_positions(self, text: str):
         # Irish casing must see the ORIGINAL case, so tokenize raw and
         # lowercase per token with the Irish rule
-        from .tokenizer import tokenize
-
-        out = []
-        for raw in tokenize(text):
-            t = self._one(irish_lowercase(raw))
-            if t is not None:
-                out.append(t)
-        return out
-
-    def tokens_with_positions(self, text: str):
         from .tokenizer import tokenize_with_positions
 
         toks, pos = tokenize_with_positions(text)
@@ -262,19 +252,9 @@ class IrishAnalyzer(StemmingAnalyzer):
                 out_p.append(p)
         return out_t, out_p
 
-    def tokens_batch(self, texts):
-        import numpy as np
-
-        all_t, all_d, all_p = [], [], []
-        for i, text in enumerate(texts):
-            t, p = self.tokens_with_positions(text)
-            all_t.extend(t)
-            all_d.append(np.full(len(t), i, np.int64))
-            all_p.append(np.asarray(p, np.int64))
-        if all_d:
-            return all_t, np.concatenate(all_d), np.concatenate(all_p)
-        z = np.empty(0, np.int64)
-        return all_t, z, z
+    # raw-case tokens: no vocabulary map over the lowercased base stream
+    tokens_batch = Analyzer.tokens_batch
+    tokens_batch_factorized = Analyzer.tokens_batch_factorized
 
 
 # ---------------------------------------------------------------------------

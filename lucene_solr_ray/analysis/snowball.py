@@ -24,16 +24,14 @@ light/minimal French stemming papers) — no generated code.
   ``fr/FrenchMinimalStemFilter.java``); Italian/Portuguese light
   stemmers alongside.
 - :class:`StemmingAnalyzer` — StandardAnalyzer chain + language stop
-  list + optional elision + stem function, with the factorize-once
-  batch path (stem cost scales with the batch VOCABULARY, not the
-  token stream — same trick as EnglishAnalyzer.tokens_batch).
+  list + optional elision + stem function, a
+  :class:`~.analyzers.VocabMapAnalyzer` (stem cost scales with the
+  batch VOCABULARY, not the token stream).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .analyzers import Analyzer, StandardAnalyzer, register_analyzer
+from .analyzers import StandardAnalyzer, VocabMapAnalyzer, register_analyzer
 
 # ---------------------------------------------------------------------------
 # German (Snowball)
@@ -605,12 +603,10 @@ unos vosotras vosotros vuestra vuestras vuestro vuestros y ya yo él
 # Analyzer
 # ---------------------------------------------------------------------------
 
-class StemmingAnalyzer(Analyzer):
+class StemmingAnalyzer(VocabMapAnalyzer):
     """StandardTokenizer + lowercase + (elision) + language stop list +
     stem function — the per-language analyzer shape
-    (``de/GermanAnalyzer.java:121-133`` createComponents). The batch
-    path stems each DISTINCT token once (factorize + gather) so cost
-    scales with the batch vocabulary, not the token stream."""
+    (``de/GermanAnalyzer.java:121-133`` createComponents)."""
 
     def __init__(self, name: str, stop_words, stem_fn,
                  use_elision: bool = False,
@@ -630,38 +626,6 @@ class StemmingAnalyzer(Analyzer):
         if t in self.stem_exclusions:
             return t
         return self.stem_fn(t)
-
-    def tokens(self, text: str) -> list[str]:
-        out = []
-        for t in self.base.tokens(text):
-            s = self._one(t)
-            if s is not None:
-                out.append(s)
-        return out
-
-    def tokens_with_positions(self, text: str):
-        toks, pos = self.base.tokens_with_positions(text)
-        out_t, out_p = [], []
-        for t, p in zip(toks, pos):
-            s = self._one(t)
-            if s is not None:
-                out_t.append(s)
-                out_p.append(p)
-        return out_t, out_p
-
-    def tokens_batch(self, texts: list[str]):
-        import pandas as pd
-
-        tokens, doc_idx, positions = self.base.tokens_batch(texts)
-        if not tokens:
-            return tokens, doc_idx, positions
-        codes, vocab = pd.factorize(np.asarray(tokens, dtype=object))
-        mapped = np.asarray([self._one(t) for t in vocab], dtype=object)
-        keep_vocab = np.fromiter((m is not None for m in mapped), bool,
-                                 count=len(mapped))
-        keep = keep_vocab[codes]
-        out = mapped[codes][keep].tolist()
-        return out, doc_idx[keep], positions[keep]
 
 
 def german_analyzer(**kw) -> StemmingAnalyzer:

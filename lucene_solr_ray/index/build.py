@@ -34,13 +34,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..analysis import get_analyzer
+from ..analysis.fast import factorize_tokens
 from ..codec import encode_norm
 from ..codec.postings import (
     _intra,
@@ -248,6 +249,11 @@ class IndexManifest:
             raise ValueError(
                 f"{index_dir} keeps its merged view apart from its "
                 "segments (format 3): rebuild the index")
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(
+                f"{index_dir} has manifest fields {sorted(unknown)} this "
+                "version does not know: rebuild the index")
         d["index_dir"] = index_dir
         return cls(**d)
 
@@ -323,65 +329,38 @@ def _invert(
       pair's first occurrence — the ``.pay`` offset stream,
       ``Lucene50PostingsFormat.java:100-107``).
     """
-    import pandas as pd
-
     # analyzer_name may be a registered name OR a pickled Analyzer
     # instance (custom chains, e.g. synonyms, travel to workers by value)
     ana = (analyzer_name if not isinstance(analyzer_name, str)
            else get_analyzer(analyzer_name))
     e32 = np.empty(0, np.uint32)
-    pay = None
-    tid = vocab = None
     if want_payloads:
         if not hasattr(ana, "tokens_batch_payloads"):
             raise ValueError(
                 f"analyzer {type(ana).__name__} does not emit payloads "
                 "(tokens_batch_payloads) — use e.g. delimited_payload")
         tokens, doc_idx, pos, pay = ana.tokens_batch_payloads(texts)
-    elif want_offsets:
-        from ..analysis.analyzers import (
-            StandardAnalyzer,
-            _standard_tokens_batch_spans,
-        )
-
-        if hasattr(ana, "tokens_batch_spans"):
-            tokens, doc_idx, pos, c_start, c_end = \
-                ana.tokens_batch_spans(texts)
-        elif type(ana) is StandardAnalyzer:
-            tokens, doc_idx, pos, c_start, c_end = \
-                _standard_tokens_batch_spans(ana, texts)
-        else:
+        vocab, tid = factorize_tokens(tokens)
+    else:
+        # the token stream: terms arrive as codes into a duplicate-free
+        # batch vocabulary, with char spans when the analyzer has them
+        vocab, tid, doc_idx, pos, c_start, c_end = \
+            ana.tokens_batch_factorized(texts)
+        if want_offsets and c_start is None:
             raise ValueError(
                 f"analyzer {type(ana).__name__} does not expose char "
-                "spans (tokens_batch_spans) — offsets need them")
-    else:
-        # factorized fast path: the token stream arrives as int codes
-        # into a batch vocabulary — no per-token Python strings, no
-        # factorize below (analysis/fast.py builds the codes with one
-        # np.unique over padded byte rows)
-        fact = getattr(ana, "tokens_batch_factorized", None)
-        if fact is not None:
-            res = fact(texts)
-            if res is not None:
-                vocab, tid, doc_idx, pos = res
-        if tid is None:
-            tokens, doc_idx, pos = ana.tokens_batch(texts)
-    n_stream = len(tid) if tid is not None else len(tokens)
+                "spans in its token stream — offsets need them")
     # overlap-aware field length (DefaultIndexingChain.java:621-645:
     # length = positions, not tokens): posIncr-0 tokens — WDF sub-parts,
     # synonyms — share a position and count ONCE toward norms
-    if n_stream:
-        first = np.ones(n_stream, bool)
+    if tid.size:
+        first = np.ones(tid.size, bool)
         first[1:] = (doc_idx[1:] != doc_idx[:-1]) | (pos[1:] != pos[:-1])
         doc_len = np.bincount(
             doc_idx[first], minlength=len(texts)).astype(np.int32)
     else:
-        doc_len = np.zeros(len(texts), np.int32)
-    if not n_stream:
         e = np.empty(0, np.int64)
-        return [], e, e, e, doc_len, e32, e32, e32
-    if tid is None:
-        tid, vocab = pd.factorize(np.asarray(tokens, dtype=object))
+        return [], e, e, e, np.zeros(len(texts), np.int32), e32, e32, e32
     key = tid.astype(np.int64) * len(texts) + doc_idx
     pos_flat = e32
     off_flat = e32

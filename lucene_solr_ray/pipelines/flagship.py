@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -26,16 +27,28 @@ FLAGSHIP_QUERIES = [
 ]
 
 
+def cached_index(out: str, build) -> str:
+    """``out``, an on-disk index cache: reused when its manifest loads;
+    otherwise (absent, unreadable, or written by another version of the
+    engine) cleared and built again with ``build(out)``."""
+    try:
+        IndexManifest.load(out)
+        return out
+    except (OSError, ValueError):
+        shutil.rmtree(out, ignore_errors=True)
+    os.makedirs(out)
+    build(out)
+    return out
+
+
 def _flagship_index(sf_dir: str, merged: bool = True) -> str:
     key = hashlib.md5(
         f"{os.path.abspath(sf_dir)}:standard:flagship:v{FORMAT_VERSION}".encode()
     ).hexdigest()[:12]
-    out = f"/tmp/lsr_qidx/{key}"
     src = os.path.join(sf_dir, "documents.parquet")
-    if not os.path.exists(os.path.join(out, "manifest.json")):
-        os.makedirs(out, exist_ok=True)
-        build_index(src, out, text_field="text", analyzer="standard",
-                    rows_per_partition=50_000)
+    out = cached_index(f"/tmp/lsr_qidx/{key}", lambda out: build_index(
+        src, out, text_field="text", analyzer="standard",
+        rows_per_partition=50_000))
     if merged and not IndexManifest.load(out).merged:
         merge_index(out)
     return out

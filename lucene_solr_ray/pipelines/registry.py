@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -60,6 +61,7 @@ def _docs_ds(sf_dir: str, columns=None):
 # --------------------------------------------------------------------------
 
 from ..index.build import FORMAT_VERSION as _FMT
+from .flagship import cached_index
 
 _SEARCHERS: dict = {}
 
@@ -75,12 +77,10 @@ def _doc_index(sf_dir: str):
     ).hexdigest()[:12]
     if key in _SEARCHERS:
         return _SEARCHERS[key]
-    out = f"/tmp/lsr_qidx/{key}"
     src = os.path.join(sf_dir, "documents.parquet")
-    if not os.path.exists(os.path.join(out, "manifest.json")):
-        os.makedirs(out, exist_ok=True)
-        build_index(src, out, text_field="text", analyzer="simple",
-                    rows_per_partition=50_000, store_positions=True)
+    out = cached_index(f"/tmp/lsr_qidx/{key}", lambda out: build_index(
+        src, out, text_field="text", analyzer="simple",
+        rows_per_partition=50_000, store_positions=True))
     import pyarrow.parquet as pq
 
     doc_ids = pq.read_table(src, columns=["doc_id"])["doc_id"].to_numpy()
@@ -714,7 +714,8 @@ def q_payload_score_top10(sf_dir: str) -> pa.Table:
     ).hexdigest()[:12]
     out = f"/tmp/lsr_qidx/pay-{key}"
     staged = out + ".corpus"
-    if not os.path.exists(os.path.join(out, "manifest.json")):
+
+    def build(out):
         ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
                              columns=["event_id", "event_type", "value"])
 
@@ -729,14 +730,15 @@ def q_payload_score_top10(sf_dir: str) -> pa.Table:
                     pa.string()),
             })
 
-        os.makedirs(staged, exist_ok=True)
+        shutil.rmtree(staged, ignore_errors=True)
+        os.makedirs(staged)
         ev.map_batches(to_payload_doc, batch_format="pyarrow") \
             .repartition(2).write_parquet(staged)
-        os.makedirs(out, exist_ok=True)
         build_index(staged, out, text_field="content",
                     analyzer="delimited_payload", store_positions=True,
                     store_payloads=True, rows_per_partition=50_000)
-    s = IndexSearcher(out)
+
+    s = IndexSearcher(cached_index(out, build))
     t = payload_score(s, "click", fn="avg", k=10)
     # doc_id -> event_id via the staged corpus row order
     files = sorted(os.path.join(staged, f) for f in os.listdir(staged)
@@ -1101,13 +1103,11 @@ def q_highlight_offsets(sf_dir: str) -> pa.Table:
     key = hashlib.md5(
         f"{os.path.abspath(sf_dir)}:std:off:v{_FMT}".encode()
     ).hexdigest()[:12]
-    out = f"/tmp/lsr_qidx/off-{key}"
     src = os.path.join(sf_dir, "documents.parquet")
-    if not os.path.exists(os.path.join(out, "manifest.json")):
-        os.makedirs(out, exist_ok=True)
-        build_index(src, out, text_field="text", analyzer="standard",
-                    rows_per_partition=50_000, store_positions=True,
-                    store_offsets=True)
+    out = cached_index(f"/tmp/lsr_qidx/off-{key}", lambda out: build_index(
+        src, out, text_field="text", analyzer="standard",
+        rows_per_partition=50_000, store_positions=True,
+        store_offsets=True))
     import pyarrow.parquet as pq_
 
     doc_map = pq_.read_table(src, columns=["doc_id"])["doc_id"].to_numpy()
@@ -2066,12 +2066,10 @@ def q_wdf_brand_subtoken(sf_dir: str) -> pa.Table:
     key = hashlib.md5(
         f"{os.path.abspath(sf_dir)}:code:p_brand:v{_FMT}".encode()
     ).hexdigest()[:12]
-    out = f"/tmp/lsr_qidx/{key}"
     src = os.path.join(sf_dir, "part.parquet")
-    if not os.path.exists(os.path.join(out, "manifest.json")):
-        os.makedirs(out, exist_ok=True)
-        build_index(src, out, text_field="p_brand", analyzer="code",
-                    rows_per_partition=50_000)
+    out = cached_index(f"/tmp/lsr_qidx/{key}", lambda out: build_index(
+        src, out, text_field="p_brand", analyzer="code",
+        rows_per_partition=50_000))
     s = IndexSearcher(out)
     docs = s._docs_only(TermQuery("17"))
     keys = pq.read_table(src, columns=["p_partkey"])["p_partkey"].to_numpy()
@@ -3287,7 +3285,8 @@ def q_blockjoin_orders(sf_dir: str) -> pa.Table:
     ).hexdigest()[:12]
     out = f"/tmp/lsr_qidx/bj-{key}"
     staged = out + ".corpus"
-    if not os.path.exists(os.path.join(out, "manifest.json")):
+
+    def build(out):
         li = rd.read_parquet(
             os.path.join(sf_dir, "lineitem.parquet"),
             columns=["l_orderkey", "l_linenumber", "l_returnflag"])
@@ -3315,12 +3314,13 @@ def q_blockjoin_orders(sf_dir: str) -> pa.Table:
         blocks = li.map_batches(child, batch_format="pyarrow").union(
             orders.map_batches(parent, batch_format="pyarrow")
         ).sort(["okey", "sub"])
-        os.makedirs(staged, exist_ok=True)
+        shutil.rmtree(staged, ignore_errors=True)
+        os.makedirs(staged)
         blocks.write_parquet(staged)
-        os.makedirs(out, exist_ok=True)
         build_index(staged, out, text_field="content", analyzer="simple",
                     rows_per_partition=100_000)
-    s = IndexSearcher(out)
+
+    s = IndexSearcher(cached_index(out, build))
     q = ToParentBlockJoinQuery(
         child_query=ConstantScoreQuery(TermQuery("flagr"), 1.0),
         parents_filter=TermQuery("parentdoc"), score_mode="total")

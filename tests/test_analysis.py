@@ -21,7 +21,7 @@ from lucene_solr_ray.analysis import (
     tokenize,
     tokenize_with_positions,
 )
-from lucene_solr_ray.analysis.fast import ascii_tokenize_concat
+from lucene_solr_ray.analysis.fast import ascii_token_stream
 
 GOLDEN = [
     # (input, expected tokens from the raw tokenizer — no lowercase/stop)
@@ -92,8 +92,8 @@ def test_fast_path_matches_regex_on_random_ascii():
     )
     for _ in range(500):
         s = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 150)))
-        fast, _, _ = ascii_tokenize_concat([s])
-        assert fast == tokenize(s), repr(s)
+        vocab, codes, _, _, _, _ = ascii_token_stream([s])
+        assert [vocab[c] for c in codes] == tokenize(s), repr(s)
 
 
 def test_batch_tokenize_doc_attribution_and_positions():

@@ -56,3 +56,25 @@ def test_tokens_batch_matches_per_doc(name):
         want.extend((i, p, t) for t, p in zip(tt, pp))
     want.sort()
     assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(_registry()))
+def test_token_stream_matches_per_doc(name):
+    """The token stream every index build consumes: a duplicate-free
+    vocabulary whose decoded tokens equal the per-doc path, and spans
+    (when present) that re-analyse to the same token."""
+    ana = _registry()[name]
+    vocab, codes, doc_idx, pos, starts, ends = \
+        ana.tokens_batch_factorized(EDGE_TEXTS)
+    assert len(set(vocab)) == len(vocab)
+    got = sorted(zip(np.asarray(doc_idx).tolist(),
+                     np.asarray(pos).tolist(), [vocab[c] for c in codes]))
+    want = []
+    for i, text in enumerate(EDGE_TEXTS):
+        tt, pp = ana.tokens_with_positions(text)
+        want.extend((i, p, t) for t, p in zip(tt, pp))
+    assert got == sorted(want)
+    if starts is not None:
+        assert len(starts) == len(ends) == len(codes)
+        assert all(0 <= s < e <= len(EDGE_TEXTS[d])
+                   for s, e, d in zip(starts, ends, doc_idx))

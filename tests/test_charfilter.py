@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lucene_solr_ray.analysis import get_analyzer
+from lucene_solr_ray.index.build import _invert
 from lucene_solr_ray.analysis.charfilter import (
     CharFilteredAnalyzer,
     char_filter,
@@ -66,9 +67,11 @@ def test_charfiltered_analyzer_spans_point_at_original():
         [char_filter("html_strip")],
     )
     texts = ["<p>Hello <b>world</b></p>", "plain text"]
-    toks, doc_idx, pos, starts, ends = ana.tokens_batch_spans(texts)
+    vocab, codes, doc_idx, pos, starts, ends = \
+        ana.tokens_batch_factorized(texts)
     got = {}
-    for t, d, s, e in zip(toks, doc_idx, starts, ends):
+    for c, d, s, e in zip(codes, doc_idx, starts, ends):
+        t = vocab[c]
         got.setdefault(int(d), []).append((t, texts[int(d)][int(s):int(e)]))
     # every token's corrected span slices to the token in the ORIGINAL
     for d, pairs in got.items():
@@ -76,6 +79,8 @@ def test_charfiltered_analyzer_spans_point_at_original():
             assert sliced.lower() == tok, (d, tok, sliced)
     # plain tokens() path matches the filtered text
     assert ana.tokens("<i>Cats</i> & dogs") == ["cats", "dogs"]
+    # per-doc positions keep the stop-word gap, as the stream does
+    assert ana.tokens_with_positions("<i>the</i> cat") == (["cat"], [1])
 
 
 def test_chain_composition():
@@ -85,8 +90,33 @@ def test_chain_composition():
          char_filter("mapping", {"colour": "color"})],
     )
     text = "<p>the colour red</p>"
-    toks, doc_idx, pos, starts, ends = ana.tokens_batch_spans([text])
-    m = dict(zip(toks, zip(starts.tolist(), ends.tolist())))
+    vocab, codes, doc_idx, pos, starts, ends = \
+        ana.tokens_batch_factorized([text])
+    m = dict(zip([vocab[c] for c in codes],
+                 zip(starts.tolist(), ends.tolist())))
     assert "color" in m
     s, e = m["color"]
     assert text[s:e] == "colour"
+
+
+def test_offsets_index_the_inner_analyzers_terms():
+    """Storing offsets changes no term: the wrapper's spans come from the
+    inner analyzer's own stream, corrected through the chain; an inner
+    analyzer whose stream has no spans is refused by name."""
+    texts = ["<b>fooBar_baz</b> qux", "<i>Running</i> &amp; runs"]
+    html = [char_filter("html_strip")]
+    for inner in ("standard", "english"):
+        ana = CharFilteredAnalyzer(get_analyzer(inner), html)
+        plain = _invert(texts, ana, 0, want_positions=True)
+        off = _invert(texts, ana, 0, want_positions=True,
+                      want_offsets=True)
+        assert sorted(off[0]) == sorted(plain[0])
+        vocab, codes, doc_idx, _, starts, ends = \
+            ana.tokens_batch_factorized(texts)
+        for c, d, s, e in zip(codes, doc_idx, starts, ends):
+            want = get_analyzer(inner).tokens(texts[d][s:e])
+            assert want == [vocab[c]], (inner, vocab[c], texts[d][s:e])
+    for inner in ("simple", "code", "whitespace"):
+        ana = CharFilteredAnalyzer(get_analyzer(inner), html)
+        with pytest.raises(ValueError, match="char spans"):
+            _invert(texts, ana, 0, want_positions=True, want_offsets=True)

@@ -1,13 +1,17 @@
-"""Factorized tokenization fast path (analysis/fast.py
-ascii_tokenize_concat_factorized + StandardAnalyzer
-.tokens_batch_factorized): the token stream as vocabulary codes must
-reconstruct tokens_batch exactly, across ASCII, mixed, and fallback
-batches — and _invert must produce identical postings either way."""
+"""The token stream (StandardAnalyzer.tokens_batch_factorized, built on
+analysis/fast.py ascii_token_stream): the stream's tokens, positions and
+spans must equal the per-document path exactly, across ASCII, mixed,
+over-long and wide-token batches — and _invert must produce identical
+postings from the stream and from the per-document path."""
 import numpy as np
 import pytest
 
 from lucene_solr_ray.analysis import get_analyzer
-from lucene_solr_ray.analysis.analyzers import StandardAnalyzer
+from lucene_solr_ray.analysis.analyzers import Analyzer, StandardAnalyzer
+from lucene_solr_ray.analysis.tokenizer import (
+    simple_lowercase,
+    tokenize_with_spans,
+)
 from lucene_solr_ray.index.build import _invert
 
 CASES = [
@@ -20,25 +24,38 @@ CASES = [
 ]
 
 
+def _stream_rows(texts):
+    vocab, codes, doc_idx, pos, starts, ends = \
+        get_analyzer("standard").tokens_batch_factorized(texts)
+    assert len(set(vocab)) == len(vocab)  # vocabulary is deduplicated
+    return sorted(zip(doc_idx.tolist(), pos.tolist(),
+                      [vocab[c] for c in codes], starts.tolist(),
+                      ends.tolist()))
+
+
+def _per_doc_rows(texts):
+    stop = get_analyzer("standard").stop_words
+    return sorted(
+        (i, p, t, s, e) for i, text in enumerate(texts)
+        for t, p, s, e in zip(*tokenize_with_spans(simple_lowercase(text)))
+        if t not in stop)
+
+
 @pytest.mark.parametrize("texts", CASES)
 def test_factorized_reconstructs_tokens_batch(texts):
-    ana = get_analyzer("standard")
-    t1, d1, p1 = ana.tokens_batch(texts)
-    res = ana.tokens_batch_factorized(texts)
-    assert res is not None
-    vocab, codes, d2, p2 = res
-    assert [vocab[c] for c in codes] == t1
-    assert list(np.asarray(d1)) == list(d2)
-    assert list(np.asarray(p1)) == list(p2)
-    assert len(set(vocab)) == len(vocab)  # vocabulary is deduplicated
+    assert _stream_rows(texts) == _per_doc_rows(texts)
+    t, d, p = get_analyzer("standard").tokens_batch(texts)
+    assert sorted(zip(d.tolist(), p.tolist(), t)) == \
+        [r[:3] for r in _per_doc_rows(texts)]
 
 
-def test_wide_token_falls_back_to_string_path():
-    ana = get_analyzer("standard")
-    # 70 chars: survives the 255 length filter but exceeds
-    # MAX_FACTORIZE_WIDTH — the factorized path must decline, not blow
-    # up the padded matrix
-    assert ana.tokens_batch_factorized(["x" * 70 + " wide"]) is None
+@pytest.mark.parametrize("width", [70, 300])
+def test_wide_token_stream_equals_per_doc(width):
+    # a 70-char token is kept, a 300-char one dropped (leaving a position
+    # gap); both in ASCII and in mixed batches
+    for texts in (["x" * width + " wide", "narrow " + "y" * width],
+                  ["z" * width + " héllo", "x" * width + " wide"]):
+        assert _stream_rows(texts) == _per_doc_rows(texts)
 
 
 def test_invert_identical_with_and_without_fast_path():
@@ -47,17 +64,43 @@ def test_invert_identical_with_and_without_fast_path():
         "héllo wörld alpha", "zeta alpha 42 zeta",
     ]
     res_fast = _invert(texts, "standard", 0, want_positions=True)
-    orig = StandardAnalyzer.tokens_batch_factorized
-    StandardAnalyzer.tokens_batch_factorized = lambda self, t: None
+    # the per-document path: tokens_with_positions per doc, factorized
+    orig = (StandardAnalyzer.tokens_batch,
+            StandardAnalyzer.tokens_batch_factorized)
+    StandardAnalyzer.tokens_batch = Analyzer.tokens_batch
+    StandardAnalyzer.tokens_batch_factorized = \
+        Analyzer.tokens_batch_factorized
     try:
         res_slow = _invert(texts, "standard", 0, want_positions=True)
     finally:
-        StandardAnalyzer.tokens_batch_factorized = orig
-    v_f, tid_f = res_fast[0], res_fast[1]
-    v_s, tid_s = res_slow[0], res_slow[1]
-    # vocab ORDER may differ (hash factorize vs first-occurrence);
-    # resolved terms per posting and everything else must be equal
-    assert [v_f[t] for t in tid_f] == [v_s[t] for t in tid_s]
-    for i in (2, 3, 4, 5, 6, 7):  # doc, tf, doc_len, pos/off/pay flats
-        assert np.array_equal(np.asarray(res_fast[i]),
-                              np.asarray(res_slow[i])), i
+        (StandardAnalyzer.tokens_batch,
+         StandardAnalyzer.tokens_batch_factorized) = orig
+    # vocab ORDER may differ: compare each (term, doc) pair's tf and
+    # positions, and the field lengths
+    assert _pairs(res_fast) == _pairs(res_slow)
+    assert np.array_equal(res_fast[4], res_slow[4])
+
+
+def _pairs(res):
+    """{(term, doc): absolute positions} of an _invert result."""
+    vocab, tid, doc, tf, _, pos_flat = res[:6]
+    out, at = {}, 0
+    for t, d, f in zip(tid.tolist(), doc.tolist(), tf.tolist()):
+        deltas = pos_flat[at:at + f].astype(np.int64)
+        out[(vocab[t], d)] = np.cumsum(deltas).tolist()
+        at += f
+    return out
+
+
+def test_english_two_forms_of_one_stem_give_one_posting():
+    # "running" and "runs" both stem to "run": one posting, tf 2, with
+    # both positions
+    res = _invert(["running runs fast", "run"], "english", 0,
+                  want_positions=True)
+    assert len(set(res[0])) == len(res[0])
+    assert _pairs(res) == {("run", 0): [0, 1], ("fast", 0): [2],
+                           ("run", 1): [0]}
+    vocab_s, codes, doc_idx, pos, starts, ends = \
+        get_analyzer("english").tokens_batch_factorized(["running runs"])
+    assert vocab_s == ["run"] and codes.tolist() == [0, 0]
+    assert starts.tolist() == [0, 8] and ends.tolist() == [7, 12]

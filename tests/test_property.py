@@ -16,8 +16,13 @@ from lucene_solr_ray.codec.postings import (
     encode_values,
     first_doc,
 )
-from lucene_solr_ray.analysis import tokenize
-from lucene_solr_ray.analysis.fast import ascii_tokenize_concat
+from lucene_solr_ray.analysis import (
+    StandardAnalyzer,
+    simple_lowercase,
+    tokenize,
+)
+from lucene_solr_ray.analysis.fast import ascii_token_stream
+from lucene_solr_ray.analysis.tokenizer import tokenize_with_spans
 
 
 @st.composite
@@ -69,8 +74,55 @@ def test_smallfloat_monotone(f):
     max_size=160,
 ))
 def test_fast_path_equals_regex_property(s):
-    fast, _, _ = ascii_tokenize_concat([s])
-    assert fast == tokenize(s)
+    vocab, codes, _, _, _, _ = ascii_token_stream([s])
+    assert [vocab[c] for c in codes] == tokenize(s)
+
+
+# text pieces heavy in the joining characters (MidNumLet . ', MidLetter
+# :, MidNum , ;, ExtendNumLet _) and digits, stop words, and runs whose
+# widths sit on both sides of 64 and of the 255 length cap
+_PIECES = st.one_of(
+    st.text(alphabet="aZq09.':,;_ ", min_size=1, max_size=12),
+    st.sampled_from([" ", "\n", "the", "The", "and", "3.14", "1,000",
+                     "a:b", "x_1", "o'neil", "__", "..", "-"]),
+    st.builds(lambda c, n: c * n, st.sampled_from("aZ7_"),
+              st.sampled_from([63, 64, 65, 254, 255, 256])),
+)
+_NON_ASCII = st.sampled_from(["é", "Жук", "日本", "ß", "İ", "ﬁ", "\u0301",
+                              "café's", "ｶﾀ"])
+
+
+@st.composite
+def _docs(draw):
+    docs = []
+    for _ in range(draw(st.integers(0, 6))):
+        pieces = draw(st.lists(_PIECES, max_size=12))
+        if draw(st.integers(0, 3)) == 0:  # a mixed non-ASCII document
+            pieces.insert(draw(st.integers(0, len(pieces))),
+                          draw(_NON_ASCII))
+        docs.append("".join(pieces))
+    return docs
+
+
+@settings(max_examples=120, deadline=None)
+@given(texts=_docs())
+def test_token_stream_equals_per_doc_spans_property(texts):
+    """StandardAnalyzer's batch stream == per document
+    ``tokenize_with_spans`` + the stop filter: tokens, positions and
+    char spans; the vocabulary is duplicate-free."""
+    ana = StandardAnalyzer()
+    vocab, codes, doc_idx, pos, starts, ends = \
+        ana.tokens_batch_factorized(texts)
+    assert len(set(vocab)) == len(vocab)
+    got = sorted(zip(doc_idx.tolist(), pos.tolist(),
+                     [vocab[c] for c in codes], starts.tolist(),
+                     ends.tolist()))
+    want = []
+    for i, text in enumerate(texts):
+        for t, p, s, e in zip(*tokenize_with_spans(simple_lowercase(text))):
+            if t not in ana.stop_words:
+                want.append((i, p, t, s, e))
+    assert got == sorted(want)
 
 
 @settings(max_examples=40, deadline=None)

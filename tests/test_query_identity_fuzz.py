@@ -9,11 +9,13 @@ form of the fixed-query identity tests (300+ ad-hoc queries found zero
 divergences; this pins a 60-query seeded sample)."""
 import os
 import random
+import shutil
 
 import pyarrow.parquet as pq
 import pytest
 
 from lucene_solr_ray.index.build import build_index
+from lucene_solr_ray.index.merge import merge_index
 from lucene_solr_ray.search.query import parse_query
 from lucene_solr_ray.search.searcher import IndexSearcher
 from lucene_solr_ray.sources import write_corpus
@@ -90,14 +92,24 @@ def test_rank_identity_across_configs(fuzz_index):
     assert checked >= 40  # the grammar parses nearly everything
 
 
-def test_pruned_identity_on_merged_view(fuzz_index):
+@pytest.fixture(scope="module")
+def merged_fuzz_index(fuzz_index, tmp_path_factory):
     idx, vocab = fuzz_index
-    s = IndexSearcher(idx)  # merged view (non-positional queries only)
+    merged = str(tmp_path_factory.mktemp("fuzzmerged") / "idx")
+    shutil.copytree(idx, merged)
+    merge_index(merged)
+    return merged, vocab
+
+
+def test_pruned_identity_on_merged_view(merged_fuzz_index):
+    """Pruned == exhaustive on the merged view; positions survive the
+    merge, so phrase queries are checked too."""
+    idx, vocab = merged_fuzz_index
+    s = IndexSearcher(idx)
+    assert s.manifest.merged
     ana = s.manifest.resolve_analyzer()
     checked = 0
     for qs in _rand_queries(vocab, 60, seed=23):
-        if '"' in qs:
-            continue
         try:
             q = parse_query(qs, ana)
         except Exception:
@@ -107,4 +119,4 @@ def test_pruned_identity_on_merged_view(fuzz_index):
         assert (a["doc_id"].to_pylist(), a["score"].to_pylist()) == \
                (b["doc_id"].to_pylist(), b["score"].to_pylist()), qs
         checked += 1
-    assert checked >= 30
+    assert checked >= 40
