@@ -120,15 +120,15 @@ def encode_postings(
 
 def _plan_streams(vals: np.ndarray, starts: np.ndarray,
                   ends: np.ndarray):
-    """Gather the single-block streams ``vals[starts[i]:ends[i]]`` end to
-    end and apply :func:`_encode_stream`'s width rule to each. Returns
-    the plan :func:`_put_streams` writes and each stream's encoded byte
-    length (code byte included).
+    """Gather the non-empty single-block streams ``vals[starts[i]:ends[i]]``
+    end to end and apply :func:`_encode_stream`'s width rule to each.
+    Returns the plan :func:`_put_streams` writes and each stream's encoded
+    byte length (code byte included).
 
     Widths come from each stream's TRUE ``[start, end)`` range: for a
-    non-contiguous subset (``build_segment`` interleaves big terms),
-    ``reduceat`` over the original starts would run each stream into the
-    next subset start and fold foreign values in."""
+    non-contiguous subset of lists, ``reduceat`` over the original starts
+    would run each stream into the next subset start and fold foreign
+    values in."""
     counts = ends - starts
     if counts.size and (starts[0] != 0 or not np.array_equal(
             starts[1:], ends[:-1])):
@@ -137,17 +137,11 @@ def _plan_streams(vals: np.ndarray, starts: np.ndarray,
     else:
         v = vals[:int(ends[-1]) if counts.size else 0]
         at = starts
-    mx = np.zeros(counts.size, v.dtype)
-    mn = np.zeros(counts.size, v.dtype)
-    nz = counts > 0
-    if v.size:
-        mx[nz] = np.maximum.reduceat(v, at[nz])
-        mn[nz] = np.minimum.reduceat(v, at[nz])
+    mx = np.maximum.reduceat(v, at) if v.size else v
+    mn = np.minimum.reduceat(v, at) if v.size else v
     w = np.where(mx < 0x100, 1, np.where(mx < 0x10000, 2, 4))
     eq = (mx == mn) & (counts * w > 4)
-    nbytes = np.where(eq, 5, 1 + counts * w)
-    nbytes[~nz] = 0  # an empty list writes no block
-    return (v, at, counts, w, eq, mx), nbytes
+    return (v, at, counts, w, eq, mx), np.where(eq, 5, 1 + counts * w)
 
 
 def _put_u4(buf: np.ndarray, at: np.ndarray, vals: np.ndarray) -> None:
@@ -162,7 +156,7 @@ def _put_streams(buf: np.ndarray, at: np.ndarray, plan) -> None:
     buf[at[eq]] = 0
     _put_u4(buf, at[eq] + 1, mx[eq])
     for width in (1, 2, 4):
-        m = (w == width) & ~eq & (counts > 0)
+        m = (w == width) & ~eq
         if not m.any():
             continue
         buf[at[m]] = _CODE[width]
@@ -174,17 +168,51 @@ def _put_streams(buf: np.ndarray, at: np.ndarray, plan) -> None:
             buf[dst + b] = (x >> np.uint32(8 * b)) & 0xFF
 
 
+def _blocks(starts: np.ndarray, ends: np.ndarray):
+    """For lists ``[starts[i], ends[i])`` of a flat array: each list's
+    number of ``BLOCK_SIZE`` blocks and every block's flat ``[lo, hi)``,
+    lists in order, blocks in order within a list."""
+    nblocks = (ends - starts + BLOCK_SIZE - 1) // BLOCK_SIZE
+    lo = np.repeat(starts, nblocks) + _intra(nblocks) * BLOCK_SIZE
+    return nblocks, lo, np.minimum(lo + BLOCK_SIZE, np.repeat(ends, nblocks))
+
+
+def _pack(counts: np.ndarray, nblocks: np.ndarray,
+          planned: list) -> tuple[np.ndarray, np.ndarray]:
+    """Lay out lists as ``[count: u4]`` followed by each block's planned
+    streams in turn (``planned``: one ``(plan, byte lengths)`` per stream
+    kind, from :func:`_plan_streams` over every block). Returns the
+    buffer and each list's byte length."""
+    blen = sum(lens for _, lens in planned)
+    cum = np.zeros(blen.size + 1, np.int64)
+    np.cumsum(blen, out=cum[1:])
+    first = _exclusive_cumsum(nblocks)
+    lens = 4 + cum[first + nblocks] - cum[first]
+    buf = np.empty(int(lens.sum()), np.uint8)
+    _put_u4(buf, _exclusive_cumsum(lens), counts)
+    # a block follows every earlier list's bytes, its own list's header
+    # and its own list's earlier blocks
+    at = cum[:-1] + 4 * np.repeat(np.arange(1, counts.size + 1), nblocks)
+    for plan, plen in planned:
+        _put_streams(buf, at, plan)
+        at = at + plen
+    return buf, lens
+
+
 def encode_postings_batch_packed(
     docs_flat: np.ndarray,
     tfs_flat: np.ndarray,
     starts: np.ndarray,
     ends: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized encoder for many SINGLE-BLOCK terms at once (df <= 128):
-    assembles ALL payloads into one contiguous uint8 buffer (returned with
-    per-term byte lengths) — no per-term Python bytes objects. Payload i
-    is byte-identical to ``encode_postings`` of term i's list and occupies
-    ``[cum_lens[i], cum_lens[i+1])`` of the buffer."""
+    """Vectorized encoder for MANY posting lists at once: list i is
+    ``[starts[i], ends[i])`` of the flat arrays (any length; the lists
+    may be a non-contiguous subset). Every 128-value block of every list
+    is planned as one stream in one pass, and ALL payloads are assembled
+    into one contiguous uint8 buffer (returned with per-list byte
+    lengths) — no per-list Python bytes objects. Payload i is
+    byte-identical to ``encode_postings`` of list i: deltas and the
+    header start afresh only at a list's start."""
     docs_flat = np.asarray(docs_flat, np.int64)
     starts = np.asarray(starts, np.int64)
     ends = np.asarray(ends, np.int64)
@@ -195,15 +223,9 @@ def encode_postings_batch_packed(
                     casting="unsafe")
         deltas[starts] = docs_flat[starts]
     tfm1 = (np.asarray(tfs_flat, np.int64) - 1).astype(np.uint32)
-    dp, d_len = _plan_streams(deltas, starts, ends)
-    tp, t_len = _plan_streams(tfm1, starts, ends)
-    lens = 4 + d_len + t_len
-    o = _exclusive_cumsum(lens)
-    buf = np.empty(int(lens.sum()), np.uint8)
-    _put_u4(buf, o, ends - starts)
-    _put_streams(buf, o + 4, dp)
-    _put_streams(buf, o + 4 + d_len, tp)
-    return buf, lens
+    nblocks, lo, hi = _blocks(starts, ends)
+    return _pack(ends - starts, nblocks, [_plan_streams(deltas, lo, hi),
+                                          _plan_streams(tfm1, lo, hi)])
 
 
 def encode_values_batch_packed(
@@ -211,40 +233,16 @@ def encode_values_batch_packed(
     starts: np.ndarray,
     ends: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized single-stream encode of MANY short value payloads
-    (positions / offsets) into one contiguous uint8 buffer — the
-    ``.pos``/``.pay`` analogue of :func:`encode_postings_batch_packed`.
-    Each stream must fit one block (``ends - starts <= BLOCK_SIZE``);
-    payload i is byte-identical to :func:`encode_values` of stream i.
-    Handles non-contiguous subsets. Returns (buffer, per-stream byte
-    lengths)."""
+    """Vectorized encode of MANY value payloads (positions / offsets /
+    payload bits) into one contiguous uint8 buffer — the ``.pos``/``.pay``
+    analogue of :func:`encode_postings_batch_packed`, with the same list
+    addressing. Payload i is byte-identical to :func:`encode_values` of
+    stream i. Returns (buffer, per-stream byte lengths)."""
     starts = np.asarray(starts, np.int64)
     ends = np.asarray(ends, np.int64)
-    plan, v_len = _plan_streams(np.asarray(vals_flat, np.uint32), starts,
-                                ends)
-    lens = 4 + v_len
-    o = _exclusive_cumsum(lens)
-    buf = np.empty(int(lens.sum()), np.uint8)
-    _put_u4(buf, o, ends - starts)
-    _put_streams(buf, o + 4, plan)
-    return buf, lens
-
-
-def _lay_out(small: np.ndarray, sm_buf: np.ndarray, sm_lens: np.ndarray,
-             big: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
-    """One buffer holding every list's payload in list order: the packed
-    single-block payloads (``small`` lists) and the ``big`` ones."""
-    if not big:
-        return sm_buf, sm_lens
-    lens = np.empty(small.size, np.int64)
-    lens[small] = sm_lens
-    lens[~small] = [len(p) for p in big]
-    offs = _exclusive_cumsum(lens)
-    buf = np.empty(int(lens.sum()), np.uint8)
-    buf[np.repeat(offs[small], sm_lens) + _intra(sm_lens)] = sm_buf
-    for o, p in zip(offs[~small].tolist(), big):
-        buf[o:o + len(p)] = np.frombuffer(p, np.uint8)
-    return buf, lens
+    nblocks, lo, hi = _blocks(starts, ends)
+    return _pack(ends - starts, nblocks, [
+        _plan_streams(np.asarray(vals_flat, np.uint32), lo, hi)])
 
 
 def encode_postings_lists(
@@ -254,19 +252,11 @@ def encode_postings_lists(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode the posting lists laid end to end in ``docs``/``tfs`` (list
     i holds ``counts[i]`` postings) into one buffer, in list order, with
-    each list's byte length. Single-block lists go through one
-    :func:`encode_postings_batch_packed` call, longer ones through
-    :func:`encode_postings`; either way the bytes are ``encode_postings``'
-    (the segment build and the merge write through this one function)."""
+    each list's byte length; the bytes are ``encode_postings``' (the
+    segment build and the merge write through this one function)."""
     counts = np.asarray(counts, np.int64)
     starts = _exclusive_cumsum(counts)
-    small = counts <= BLOCK_SIZE
-    sm_buf, sm_lens = encode_postings_batch_packed(
-        docs, tfs, starts[small], starts[small] + counts[small])
-    big = [encode_postings(docs[s:s + c], tfs[s:s + c])[0]
-           for s, c in zip(starts[~small].tolist(),
-                           counts[~small].tolist())]
-    return _lay_out(small, sm_buf, sm_lens, big)
+    return encode_postings_batch_packed(docs, tfs, starts, starts + counts)
 
 
 def encode_values_lists(
@@ -274,16 +264,10 @@ def encode_values_lists(
     counts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`encode_postings_lists` for value streams (positions,
-    offsets, payload bytes): bytes equal per-stream :func:`encode_values`."""
+    offsets, payload bits): bytes equal per-stream :func:`encode_values`."""
     counts = np.asarray(counts, np.int64)
     starts = _exclusive_cumsum(counts)
-    small = counts <= BLOCK_SIZE
-    sm_buf, sm_lens = encode_values_batch_packed(
-        vals, starts[small], starts[small] + counts[small])
-    big = [encode_values(vals[s:s + c])
-           for s, c in zip(starts[~small].tolist(),
-                           counts[~small].tolist())]
-    return _lay_out(small, sm_buf, sm_lens, big)
+    return encode_values_batch_packed(vals, starts, starts + counts)
 
 
 def block_bounds(
@@ -293,13 +277,9 @@ def block_bounds(
     of ``BLOCK_SIZE`` blocks, and the flat index of every block's first
     and last value (per-block metadata is a gather or ``reduceat`` over
     these)."""
-    counts = np.asarray(counts, np.int64)
-    nblocks = (counts + BLOCK_SIZE - 1) // BLOCK_SIZE
-    starts = np.repeat(_exclusive_cumsum(counts), nblocks)
-    first = starts + _intra(nblocks) * BLOCK_SIZE
-    last = np.minimum(first + BLOCK_SIZE,
-                      starts + np.repeat(counts, nblocks)) - 1
-    return nblocks, first, last
+    starts = _exclusive_cumsum(np.asarray(counts, np.int64))
+    nblocks, first, end = _blocks(starts, starts + counts)
+    return nblocks, first, end - 1
 
 
 def decode_postings(payload: bytes | memoryview) -> tuple[np.ndarray, np.ndarray]:
@@ -356,30 +336,54 @@ def _gather_stream(buf: np.ndarray, data_start: np.ndarray,
     return stream_len
 
 
+def _gather_blocks(buf: np.ndarray, offs: np.ndarray, counts: np.ndarray,
+                   outs: tuple) -> np.ndarray:
+    """Decode MANY lists packed in one uint8 buffer, laid out as the
+    encoders write them (``[count: u4]``, then per block one stream per
+    array in ``outs``): list i starts at ``offs[i]`` and holds
+    ``counts[i]`` values (must equal the stored header). Each list's
+    values land in every ``outs`` array at its exclusive-cumsum start,
+    which is returned. Loops once per block ordinal (a list's blocks are
+    found by walking its earlier ones), each pass vectorized over the
+    lists that long: the lists ordered longest first, pass j takes the
+    first ``live[j]`` of them."""
+    offs = np.asarray(offs, np.int64)
+    counts = np.asarray(counts, np.int64)
+    out_starts = _exclusive_cumsum(counts)
+    nblocks = (counts + BLOCK_SIZE - 1) // BLOCK_SIZE
+    longest = np.argsort(-nblocks, kind="stable")
+    live = np.searchsorted(-nblocks[longest], -np.arange(
+        int(nblocks.max(initial=0))), "left")
+    at = offs + 4
+    for j, n in enumerate(live):
+        m = longest[:n]
+        cnt = np.minimum(counts[m] - j * BLOCK_SIZE, BLOCK_SIZE)
+        dst = out_starts[m] + j * BLOCK_SIZE
+        a = at[m]
+        for out in outs:
+            a = a + _gather_stream(buf, a, cnt, dst, out)
+        at[m] = a
+    return out_starts
+
+
 def decode_postings_batch(
     buf: np.ndarray,
     offs: np.ndarray,
     dfs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized decode of MANY single-block payloads packed in one uint8
-    buffer (the merge-compaction hot path: the Zipf tail is millions of
-    tiny lists; per-list Python decode dominated merge wall time).
-    ``offs[i]`` is payload i's start, ``dfs[i]`` its posting count (must
-    equal the stored header; all rows must have df <= BLOCK_SIZE).
+    """Vectorized decode of MANY payloads packed in one uint8 buffer (the
+    merge-compaction hot path: the Zipf tail is millions of tiny lists;
+    per-list Python decode dominated merge wall time). ``offs[i]`` is
+    payload i's start, ``dfs[i]`` its posting count (must equal the
+    stored header); lists of any length.
 
     Returns ``(docs_flat:int64, tfs_flat:int32)`` concatenated in row
     order; row i occupies ``[cum_dfs[i], cum_dfs[i+1])``.
     """
-    offs = np.asarray(offs, np.int64)
     dfs = np.asarray(dfs, np.int64)
-    total = int(dfs.sum())
-    out_starts = np.zeros(offs.size, np.int64)
-    np.cumsum(dfs[:-1], out=out_starts[1:])
-    deltas = np.empty(total, np.int64)
-    tfm1 = np.empty(total, np.int64)
-    d_start = offs + 4
-    d_len = _gather_stream(buf, d_start, dfs, out_starts, deltas)
-    _gather_stream(buf, d_start + d_len, dfs, out_starts, tfm1)
+    deltas = np.empty(int(dfs.sum()), np.int64)
+    tfm1 = np.empty(deltas.size, np.int64)
+    out_starts = _gather_blocks(buf, offs, dfs, (deltas, tfm1))
 
     # segmented cumsum: deltas -> absolute docs per row (first delta of a
     # row is its absolute first doc id)
@@ -394,16 +398,11 @@ def decode_values_batch(
     offs: np.ndarray,
     counts: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized :func:`decode_values` for MANY single-block value
-    streams packed in one uint8 buffer (``counts[i]`` must equal the
-    stored header and be <= BLOCK_SIZE). Returns the concatenated values
-    (uint32-ranged int64) in row order."""
-    offs = np.asarray(offs, np.int64)
-    counts = np.asarray(counts, np.int64)
-    out_starts = np.zeros(offs.size, np.int64)
-    np.cumsum(counts[:-1], out=out_starts[1:])
-    out = np.empty(int(counts.sum()), np.int64)
-    _gather_stream(buf, offs + 4, counts, out_starts, out)
+    """Vectorized :func:`decode_values` for MANY value streams packed in
+    one uint8 buffer (``counts[i]`` must equal the stored header).
+    Returns the concatenated values (uint32-ranged int64) in row order."""
+    out = np.empty(int(np.sum(counts)), np.int64)
+    _gather_blocks(buf, offs, counts, (out,))
     return out
 
 

@@ -74,9 +74,9 @@ def _plan(unique_terms: np.ndarray, min_terms: int,
 class _PrefixUnion:
     """Actor-pool stage: reader opened once per actor; each batch
     gathers EVERY member term-row's payload bytes for all its prefixes
-    into one flat buffer and decodes the Zipf-tail rows in ONE
-    vectorized call (``decode_postings_batch`` — the same economics as
-    the merge compaction), unions per prefix with a single
+    into one flat buffer and decodes every row in ONE vectorized call
+    (``decode_postings_batch`` — the same economics as the merge
+    compaction), unions per prefix with a single
     lexsort+dedup, and re-encodes.  The per-term Python decode this
     replaces dominated sidecar build time 10:1 at a 10^5-term
     vocabulary."""
@@ -87,12 +87,7 @@ class _PrefixUnion:
         self.reader = MergedReader(index_dir)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..codec.postings import (
-            BLOCK_SIZE,
-            _intra,
-            decode_postings,
-            decode_postings_batch,
-        )
+        from ..codec.postings import decode_postings_batch
 
         r = self.reader
         plist = batch["prefix"].to_pylist()
@@ -120,18 +115,7 @@ class _PrefixUnion:
         flat = np.concatenate(views) if views else np.empty(0, np.uint8)
         dst0 = np.zeros(rows.size, np.int64)
         np.cumsum(lens[:-1], out=dst0[1:])
-        total = int(dfs.sum())
-        docs = np.empty(total, np.int64)
-        out0 = np.zeros(rows.size, np.int64)
-        np.cumsum(dfs[:-1], out=out0[1:])
-        small = dfs <= BLOCK_SIZE
-        if small.any():
-            d_s, _ = decode_postings_batch(flat, dst0[small], dfs[small])
-            docs[np.repeat(out0[small], dfs[small])
-                 + _intra(dfs[small])] = d_s
-        for i in np.flatnonzero(~small).tolist():
-            d, _ = decode_postings(flat[dst0[i]:dst0[i] + int(lens[i])])
-            docs[out0[i]:out0[i] + dfs[i]] = d
+        docs, _ = decode_postings_batch(flat, dst0, dfs)
         # per-prefix sorted-unique union in one lexsort + diff pass
         gid_post = np.repeat(gid, dfs)
         order = np.lexsort((docs, gid_post))

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..analysis import get_analyzer
@@ -82,6 +83,12 @@ TERMS_SCHEMA = pa.schema({
     "block_max_tf": pa.list_(pa.int32()),
     "block_max_norm": pa.list_(pa.uint8()),
 })
+
+
+# rows per row group of a segment terms file: a range merge decodes only
+# the row groups that hold its rows (8192-row groups keep a 22k-term
+# segment's terms file as small as one row group does)
+TERMS_ROW_GROUP = 8192
 
 
 def terms_schema(store_offsets: bool, store_payloads: bool) -> pa.Schema:
@@ -491,7 +498,9 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
         ])
         pq.write_table(dv_tbl, dv_path + ".tmp")
         os.replace(dv_path + ".tmp", dv_path)
-    vocab: dict[str, int] = {}
+    # each sub-batch's vocabulary, end to end; a sub-batch's codes are
+    # offset by the vocabulary sizes before it
+    vocabs: list[str] = []
     tids, docs, tfs = [], [], []
     pos_parts: list = []
     off_parts: list = []
@@ -517,15 +526,8 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
             lens_parts.append(s_len)
             if not toks:
                 continue
-            # remap sub-batch tids into the partition vocab
-            remap = np.empty(len(toks), np.int64)
-            for i, t in enumerate(toks):
-                gid = vocab.get(t)
-                if gid is None:
-                    gid = len(vocab)
-                    vocab[t] = gid
-                remap[i] = gid
-            tids.append(remap[s_tid])
+            tids.append(s_tid + len(vocabs))
+            vocabs.extend(toks)
             docs.append(s_doc)
             tfs.append(s_tf)
             if store_positions:
@@ -541,20 +543,26 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
     )
     norm_bytes = encode_norm(doc_lens)
 
-    # SPIMI flush: sort terms bytewise (FreqProxTermsWriter.java:91 — UTF-8
-    # order == Python str order), then (term, doc) for encode.
-    terms_sorted = sorted(vocab)
-    order = np.array([vocab[t] for t in terms_sorted], np.int64)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
+    # SPIMI flush: one dictionary encode folds the sub-batch vocabularies
+    # into the partition's terms, one sort orders them bytewise
+    # (FreqProxTermsWriter.java:91 — Arrow compares UTF-8 bytes, which is
+    # Python str order) and gives each code its term's rank
+    enc = pc.dictionary_encode(pa.array(vocabs, pa.string()))
+    by_term = pc.sort_indices(enc.dictionary)
+    terms_sorted = enc.dictionary.take(by_term)
+    rank = np.empty(len(by_term), np.int64)
+    rank[by_term.to_numpy()] = np.arange(len(by_term))
     # no tokens: these empties make the emit below write an empty segment
     starts = ends = a_doc = a_tf = np.empty(0, np.int64)
     a_pos = a_off = a_pay = np.empty(0, np.uint32)
     if tids:
-        a_tid = rank[np.concatenate(tids)]
+        a_tid = rank[enc.indices.to_numpy()[np.concatenate(tids)]]
         a_doc = np.concatenate(docs)
         a_tf_pre = np.concatenate(tfs)
-        srt = np.lexsort((a_doc, a_tid))
+        # (term, doc) order for encode from a stable sort on the term
+        # alone: within a sub-batch, _invert emits each term's pairs in
+        # ascending doc order, and sub-batches arrive in doc order
+        srt = np.argsort(a_tid, kind="stable")
         a_tid, a_doc, a_tf = a_tid[srt], a_doc[srt], a_tf_pre[srt]
         bounds = np.flatnonzero(np.diff(a_tid)) + 1
         starts = np.concatenate(([0], bounds))
@@ -643,7 +651,7 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
 
     num_postings = int(df_arr.sum())
     cols = {
-        "term": pa.array(terms_sorted, pa.string()),
+        "term": terms_sorted,
         "df": pa.array(df_arr.astype(np.int32)),
         "ttf": pa.array(ttf_arr),
         "start_doc": pa.array(start_doc_arr.astype(np.int64)),
@@ -665,7 +673,8 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
         cols["pay_length"] = pa.array(pay_lens_v)
     seg_tbl = pa.table(cols).cast(terms_schema(store_offsets,
                                                 store_payloads))
-    pq.write_table(seg_tbl, seg_path + ".tmp")
+    pq.write_table(seg_tbl, seg_path + ".tmp",
+                   row_group_size=TERMS_ROW_GROUP)
     os.replace(seg_path + ".tmp", seg_path)
 
     doc_ids = np.arange(doc_base, doc_base + part["rows"], dtype=np.int64)

@@ -8,9 +8,13 @@ the merge mostly RE-POINTS at them instead of rewriting bytes.
 
 Input: the live partitions' own terms files, rows in the one terms schema
 (``build.TERMS_SCHEMA``) whose ``payload_file`` is the segment's own
-``segments/part-N.bin``. The merge range-shuffles ONLY these small metadata
-rows on ``(term, salt)`` (``Dataset.sort`` — the groupby-term exchange
-expressed as one sort pass) and emits the global term dictionary:
+``segments/part-N.bin``. Every one of them is already sorted by term, so
+the groupby-term exchange needs no sort: like ``MultiTermsEnum`` walking
+sorted segment dictionaries, the merge splits the term space into ranges
+at terms sampled from the sorted files, and each range task reads just
+the row groups holding its rows in every file, salts the rows, orders
+them by ``(term, salt, start_doc)`` and emits its part of the global
+term dictionary:
 
 - **passthrough** (single-source terms + any group whose total df exceeds
   ``REENCODE_MAX_DOCS``): the output row keeps its ``payload_file``, so it
@@ -25,35 +29,38 @@ expressed as one sort pass) and emits the global term dictionary:
   per-term chunk counts as the partition count grows (10^7 partitions at
   10^12 rows would otherwise give every rare term 10^7 14-byte chunks).
 
-One kernel, :func:`compact_groups`, does both for the interior groups of
-every sort block, for the groups at block edges (collected on the driver)
-and for the tier merges of ``mergepolicy.execute_merge``.
+One kernel, :func:`compact_groups`, does both for every term range of a
+full merge and for the tier merges of ``mergepolicy.execute_merge``.
 
-Output, per merge task: one ``merged/terms-<name>.parquet`` (the
-``.tim/.tip`` analogue — small enough to hold in RAM per shard actor) and
-its own ``merged/terms-<name>.bin``, empty when the task compacted
-nothing. One commit swaps them for the files the merge read in the
-manifest's ``terms_files``; readers open nothing else.
+Output, per range: one ``merged/terms-<name>.parquet`` (the ``.tim/.tip``
+analogue — small enough to hold in RAM per shard actor) and its own
+``merged/terms-<name>.bin``, empty when the range compacted nothing; an
+empty range writes neither. One commit swaps them for the files the merge
+read in the manifest's ``terms_files``; readers open nothing else.
 
 Skew handling (north rule): a stopword-like term's metadata rows are salted
-(``salt = pid // salt_group_size``) so one reducer never collects all of a
-hot term's rows; big groups pass through per-row as independent chunks, so
-no reducer ever materializes a hot term's full posting list either way —
-posting-list *splitting* is inherited from the build (chunks = per-partition
-lists, first delta absolute, so readers decode chunks independently and in
-parallel; chunks partition a term's doc set, readers order them by
-``start_doc`` and restore global doc order at read time).
+(``salt = pid // salt_group_size``) so no compaction ever collects all of a
+hot term's rows into one group; big groups pass through per-row as
+independent chunks, so no task ever materializes a hot term's full posting
+list either way — posting-list *splitting* is inherited from the build
+(chunks = per-partition lists, first delta absolute, so readers decode
+chunks independently and in parallel; chunks partition a term's doc set,
+readers order them by ``start_doc`` and restore global doc order at read
+time).
 
 File names are deterministic functions of the commit generation and the
-block's content (first term + row counts), so task retries are idempotent
-(write tmp + rename) and no earlier commit used them. Restart semantics: the
-segment BUILD is the checkpointed long phase; the merge is one bounded
-metadata shuffle whose files one commit publishes — a crash mid-merge
-leaves only unnamed files and restarts the merge only, never the build.
+range (its ordinal and lower bound), and the split terms are a function of
+the source files, so task retries are idempotent (write tmp + rename), two
+merges of one index write the same files, and no earlier commit used their
+names. Restart semantics: the segment BUILD is the checkpointed long phase;
+the merge is one bounded metadata pass whose files one commit publishes — a
+crash mid-merge leaves only unnamed files and restarts the merge only,
+never the build.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import mmap
 import os
@@ -63,11 +70,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..codec import BLOCK_SIZE, decode_postings
 from ..codec.postings import (_exclusive_cumsum, _intra, block_bounds,
-                              decode_postings_batch, decode_values,
-                              decode_values_batch, encode_postings_lists,
-                              encode_values_lists)
+                              decode_postings_batch, decode_values_batch,
+                              encode_postings_lists, encode_values_lists)
 from .build import IndexManifest, terms_schema
 
 # groups with more postings than this pass through as independent chunks
@@ -115,23 +120,6 @@ def _gather(paths: list[str], file_idx: np.ndarray,
     return out
 
 
-def _decode_values_lists(flat: np.ndarray, at: np.ndarray,
-                         lens: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The value streams at ``flat[at[i]:at[i] + lens[i]]`` (``counts[i]``
-    values each), decoded and laid end to end: single-block streams in
-    one vectorized call, the rare longer ones one by one."""
-    out = np.empty(int(counts.sum()), np.int64)
-    out0 = _exclusive_cumsum(counts)
-    small = counts <= BLOCK_SIZE
-    if small.any():
-        out[np.repeat(out0[small], counts[small]) + _intra(counts[small])] \
-            = decode_values_batch(flat, at[small], counts[small])
-    for i in np.flatnonzero(~small).tolist():
-        out[out0[i]:out0[i] + counts[i]] = \
-            decode_values(flat[at[i]:at[i] + lens[i]])
-    return out
-
-
 def _write_bin(path: str, sections: list[np.ndarray]) -> None:
     with open(path + ".tmp", "wb") as f:
         for sec in sections:
@@ -140,8 +128,8 @@ def _write_bin(path: str, sections: list[np.ndarray]) -> None:
 
 
 def compact_groups(rows: pa.Table, index_dir: str, stem: str) -> pa.Table:
-    """The merge kernel: full-merge interiors, boundary groups and tier
-    merges all compact through it (``SegmentMerger.merge``).
+    """The merge kernel: full-merge term ranges and tier merges all
+    compact through it (``SegmentMerger.merge``).
 
     ``rows`` are terms rows (``build.terms_schema``) plus a ``salt``
     column; rows sharing ``(term, salt)`` form a group. Single-row groups
@@ -153,14 +141,12 @@ def compact_groups(rows: pa.Table, index_dir: str, stem: str) -> pa.Table:
     ``index_dir/<stem>.bin`` (written, possibly empty, by every call).
     Every stored stream is carried: positions, char offsets (two values
     per occurrence) and payloads, laid out after the postings as the
-    build lays them out. The Zipf tail is most of the groups, so
-    single-block rows are decoded, and single-block groups encoded, in
-    one vectorized call per stream; only lists longer than ``BLOCK_SIZE``
-    take a per-list call. The encoder is the build's
-    (``encode_postings_lists``), so a group's bytes are what
-    ``encode_postings`` writes for its list: code 0 only where it is
-    strictly smaller (see ``codec.postings``). Returns the output rows
-    in the input's terms schema."""
+    build lays them out. Every row is decoded, and every group encoded,
+    in one vectorized call per stream, whatever its length. The encoder
+    is the build's (``encode_postings_lists``), so a group's bytes are
+    what ``encode_postings`` writes for its list: code 0 only where it
+    is strictly smaller (see ``codec.postings``). Returns the output
+    rows in the input's terms schema."""
     names = rows.schema.names
     schema = terms_schema("off_offset" in names, "pay_offset" in names)
     bin_rel = stem + ".bin"
@@ -189,27 +175,14 @@ def compact_groups(rows: pa.Table, index_dir: str, stem: str) -> pa.Table:
              for f in files.dictionary.to_pylist()]
     dfs = sub["df"].to_numpy().astype(np.int64)
     ttfs = sub["ttf"].to_numpy().astype(np.int64)
-    lens = sub["length"].to_numpy()
     cols = [("offset", "length")] + [(f"{n}_offset", f"{n}_length")
                                      for n, _ in streams]
     gathered = _gather(paths, files.indices.to_numpy(), [
         (sub[o].to_numpy(), sub[ln].to_numpy()) for o, ln in cols])
 
-    # decode: single-block rows in one vectorized call, rare multi-block
-    # rows scalar
-    flat, at = gathered[0]
-    docs = np.empty(int(dfs.sum()), np.int64)
-    tfs = np.empty(docs.size, np.int32)
-    out0 = _exclusive_cumsum(dfs)
-    small = dfs <= BLOCK_SIZE
-    if small.any():
-        d, t = decode_postings_batch(flat, at[small], dfs[small])
-        dst = np.repeat(out0[small], dfs[small]) + _intra(dfs[small])
-        docs[dst] = d
-        tfs[dst] = t
-    for i in np.flatnonzero(~small).tolist():
-        docs[out0[i]:out0[i] + dfs[i]], tfs[out0[i]:out0[i] + dfs[i]] = \
-            decode_postings(flat[at[i]:at[i] + lens[i]])
+    # decode every row in one batch call (a compacted group holds at most
+    # REENCODE_MAX_DOCS postings, so its rows span at most 32 blocks)
+    docs, tfs = decode_postings_batch(*gathered[0], dfs)
 
     g_df = np.add.reduceat(dfs, g_starts)
     g_ttf = np.add.reduceat(ttfs, g_starts)
@@ -236,8 +209,7 @@ def compact_groups(rows: pa.Table, index_dir: str, stem: str) -> pa.Table:
     # an index without positions keeps empty position refs
     refs = {"pos": (end + none, none)}
     for (n, k), (vflat, vat) in zip(streams, gathered[1:]):
-        vals = _decode_values_lists(vflat, vat,
-                                    sub[f"{n}_length"].to_numpy(), k * ttfs)
+        vals = decode_values_batch(vflat, vat, k * ttfs)
         enc, enc_lens = encode_values_lists(vals, k * g_ttf)
         sections.append(enc)
         refs[n] = (end + _exclusive_cumsum(enc_lens), enc_lens)
@@ -285,34 +257,87 @@ def _merged_stem(key: str) -> str:
     return "merged/terms-" + hashlib.sha1(key.encode()).hexdigest()[:16]
 
 
-def _merge_batch(batch: pa.Table, index_dir: str, gen: int) -> pa.Table:
-    """Merge all interior (term, salt) groups of a sorted metadata batch;
-    return the boundary rows (first & last key of the block) unmerged —
-    their groups may continue in a neighbouring block — each carrying in
-    ``written`` the terms file this batch wrote, if any."""
-    n = batch.num_rows
-    written: list[str] = []
-    edge = np.zeros(n, bool)
-    if n:
-        salts = batch["salt"].to_numpy()
-        for i in (0, n - 1):
-            edge |= (pc.equal(batch["term"], batch["term"][i])
-                     .to_numpy(zero_copy_only=False) & (salts == salts[i]))
-    if not edge.all():
-        written = [compact_to_file(
-            batch.filter(pa.array(~edge)), index_dir, _merged_stem(
-                f"{gen}:{batch['term'][0].as_py()}:{salts[0]}:{n}"))]
-    out = batch.filter(pa.array(edge))
-    return out.append_column("written", pa.array(
-        [written] * out.num_rows, pa.list_(pa.string())))
-
-
-def _exchange_blocks(rows: int, ncpu: int) -> int:
-    """Sort blocks for a merge of ``rows`` segment term rows: one per
-    ~100k rows (metadata rows are ~100 B each), capped at 2 per CPU —
-    the all-to-all exchange moves blocks^2 objects, so a small index on
-    a small host sorts in one block."""
+def _range_count(rows: int, ncpu: int) -> int:
+    """Term ranges for a merge of ``rows`` segment term rows: one per
+    ~100k rows (metadata rows are ~100 B each), at most 2 per CPU, so a
+    small index on a small host merges in one task. Each split costs at
+    most one more row group read per source file (a group it cuts is
+    read by both ranges)."""
     return max(1, min(rows // 100_000 + 1, 2 * ncpu))
+
+
+def _term_ranges(paths: list[str], k: int) -> list[tuple]:
+    """At most ``k`` term ranges over the sorted terms files ``paths``,
+    as ``(lo, rows)``: the range's lower bound (``""`` for the first)
+    and, per file, the ``(start, stop)`` rows whose terms fall in it.
+    The split terms are the k-quantiles of a sample holding each file's
+    terms at its own k-quantile rows; duplicates collapse. One range
+    reads no term column."""
+    if k <= 1:
+        return [("", [(0, pq.ParquetFile(p).metadata.num_rows)
+                      for p in paths])]
+    cols = [pq.read_table(p, columns=["term"]).column("term")
+            for p in paths]
+    sample = sorted(t for col in cols if len(col) for t in col.take(
+        [len(col) * j // k for j in range(1, k)]).to_pylist())
+    splits = sorted({sample[len(sample) * j // k] for j in range(1, k)}) \
+        if sample else []
+    # Arrow and Python order strings alike (UTF-8 bytes = code points)
+    cuts = [[0] + [bisect.bisect_left(col, s, key=lambda v: v.as_py())
+                   for s in splits] + [len(col)] for col in cols]
+    return [(lo, [(c[i], c[i + 1]) for c in cuts])
+            for i, lo in enumerate([""] + splits)]
+
+
+def _read_rows(path: str, start: int, stop: int) -> pa.Table:
+    """Rows ``[start, stop)`` of terms file ``path``, decoding only the
+    row groups that hold them (the build writes segment terms files in
+    ``build.TERMS_ROW_GROUP``-row groups)."""
+    pf = pq.ParquetFile(path)
+    ends = np.cumsum([pf.metadata.row_group(g).num_rows
+                      for g in range(pf.metadata.num_row_groups)])
+    g0, g1 = np.searchsorted(ends, [start, stop - 1], "right")
+    base = int(ends[g0 - 1]) if g0 else 0
+    return pf.read_row_groups(range(g0, g1 + 1)).slice(start - base,
+                                                      stop - start)
+
+
+def _salt(rows: pa.Table, bases: np.ndarray, pids: np.ndarray, cut: int,
+          gsize: int) -> pa.Table:
+    """``rows`` plus their ``salt``: a row salts itself when its own
+    partition's df meets the necessary condition for the term to be
+    globally hot (df_row >= ``cut`` = threshold / nparts; if every row is
+    below that cut, sum(df) < threshold), with ``pid // gsize``. A row's
+    partition is the one whose doc range (``bases``, ascending, with
+    their ``pids``) holds its start_doc. No global pre-pass: rows of one
+    term may disagree (some salt 0, some pid // G), which is safe
+    because readers restore doc order after concatenating chunks —
+    chunks always partition the term's doc set."""
+    pid = pids[np.searchsorted(bases, rows["start_doc"].to_numpy(),
+                               "right") - 1]
+    salt = np.where(rows["df"].to_numpy() >= cut, pid // gsize, 0)
+    return rows.append_column("salt", pa.array(salt.astype(np.int32)))
+
+
+def _merge_range(batch: pa.Table, *, index_dir: str, files: list[str],
+                 ranges: list[tuple], gen: int, salting: tuple) -> dict:
+    """Term range ``batch["i"]``'s merge task: read its rows from every
+    source terms file, salt them, sort them by ``(term, salt,
+    start_doc)`` and compact them into one terms file (none for an
+    empty range). The file's name is a function of the commit
+    generation and the range, so a retried task writes the same file."""
+    i = batch["i"][0].as_py()
+    lo, bounds = ranges[i]
+    parts = [_read_rows(os.path.join(index_dir, f), a, b)
+             for f, (a, b) in zip(files, bounds) if b > a]
+    if not parts:
+        return {"terms_file": np.empty(0, object)}
+    rows = _salt(pa.concat_tables(parts), *salting)
+    rows = rows.take(pc.sort_indices(rows, [
+        ("term", "ascending"), ("salt", "ascending"),
+        ("start_doc", "ascending")]))
+    return {"terms_file": np.array([compact_to_file(
+        rows, index_dir, _merged_stem(f"{gen}:{i}:{lo}"))], object)}
 
 
 def merge_index(
@@ -321,75 +346,51 @@ def merge_index(
     hot_df_threshold: int = 100_000,
     salt_group_size: int = 64,
 ) -> IndexManifest:
-    """Metadata-shuffle-merge the live partitions' own terms files into
-    ``index_dir/merged``.
+    """Merge the live partitions' own terms files into ``index_dir/merged``.
 
-    The segment term rows are sorted on ``(term, salt)`` in
-    :func:`_exchange_blocks` blocks (one per ~100k rows, at most 2 per
-    CPU). Each sort block's interior groups go through
-    :func:`compact_groups` in a Ray task; the groups at block edges are
-    collected as one table and go through the same kernel on the driver.
-    A compacted chunk holds exactly the bytes the build writes for the
-    same list (one width rule: code 0 only where it is strictly smaller),
-    so the block split changes file names, never decoded postings. One
-    commit then swaps the new terms files for the whole list; the files
-    only the old list named stay until that commit unlinks them."""
+    The term space is split into :func:`_range_count` ranges (one per
+    ~100k segment term rows, at most 2 per CPU) at split terms sampled
+    from the sorted source files, each range knowing its row span in
+    every file (:func:`_term_ranges`; nothing is sampled for one range).
+    Each range is one Ray Data task (:func:`_merge_range`) that reads
+    only the row groups holding its rows and compacts them through
+    :func:`compact_groups`; a ``(term, salt)`` group lies in exactly one
+    range. A compacted chunk holds exactly the bytes the build writes
+    for the same list (one width rule: code 0 only where it is strictly
+    smaller), and file names and contents depend only on the index and
+    the range count, so two merges of one index write the same files.
+    One commit then swaps the new terms files for the whole list; the
+    files only the old list named stay until that commit unlinks them.
+
+    Ray need not be running: Ray Data starts it for the range tasks, and
+    the range count reads the local CPU count until then."""
+    import functools
+
     import ray
     import ray.data as rd
 
     man = IndexManifest.load(index_dir)
     gen = man.generation + 1
     os.makedirs(os.path.join(index_dir, "merged"), exist_ok=True)
+    files = man.segment_terms()
+    ncpu = (ray.cluster_resources().get("CPU", 1) if ray.is_initialized()
+            else os.cpu_count() or 1)
+    ranges = _term_ranges(
+        [os.path.join(index_dir, f) for f in files],
+        _range_count(sum(r.get("num_terms", 0) for r in man.partitions),
+                     int(ncpu)))
 
-    # Local salting — NO global pre-pass: a row salts itself when its own
-    # per-partition df meets the necessary condition for the term to be
-    # globally hot (df_row >= threshold/nparts; if every row is below that
-    # cut, sum(df) < threshold). Rows of one term may disagree (some salt 0,
-    # some pid//G); that's safe because readers restore doc order after
-    # concatenating chunks — chunks always partition the term's doc set.
-    # A row's partition is the one whose doc range holds its start_doc.
-    nparts_src = max(1, man.num_partitions)
-    cut = max(1, hot_df_threshold // nparts_src)
-    gsize = salt_group_size
     bases = np.asarray([p["doc_base"] for p in man.partitions], np.int64)
     pids = np.asarray([p["partition_id"] for p in man.partitions], np.int64)
     by_base = np.argsort(bases, kind="stable")
-    bases, pids = bases[by_base], pids[by_base]
-
-    def add_salt(batch: pa.Table) -> pa.Table:
-        pid = pids[np.searchsorted(bases, batch["start_doc"].to_numpy(),
-                                   "right") - 1]
-        dfs = batch["df"].to_numpy()
-        salt = np.where(dfs >= cut, pid // gsize, 0).astype(np.int32)
-        return batch.append_column("salt", pa.array(salt))
-
-    nparts = _exchange_blocks(
-        sum(r.get("num_terms", 0) for r in man.partitions),
-        int(ray.cluster_resources().get("CPU", 8)))
-    seg_files = [os.path.join(index_dir, f) for f in man.segment_terms()]
-    edges = [t for t in ray.get(
-        # read directly into ~nparts blocks: the sort's all-to-all then
-        # exchanges nparts^2 objects instead of paying a separate
-        # repartition pass first
-        rd.read_parquet(seg_files, override_num_blocks=nparts)
-        .map_batches(add_salt, batch_format="pyarrow", batch_size=None)
-        .sort(["term", "salt"])
-        .map_batches(
-            lambda b: _merge_batch(b, index_dir, gen),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        # materialize first: to_arrow_refs() on a lazy dataset fetches
-        # the schema by running the pipeline again (limit 1), and that
-        # second run would write the first block's terms file twice
-        .materialize()
-        .to_arrow_refs()
-    ) if t.num_rows]
-    files = {f for t in edges for fs in t["written"].to_pylist() for f in fs}
-    if edges:
-        files.add(compact_to_file(
-            pa.concat_tables([t.drop_columns(["written"]) for t in edges]),
-            index_dir, _merged_stem(f"{gen}:boundary")))
-    man.terms_files = sorted(files)
+    salting = (bases[by_base], pids[by_base],
+               max(1, hot_df_threshold // max(1, man.num_partitions)),
+               salt_group_size)
+    task = functools.partial(_merge_range, index_dir=index_dir,
+                             files=files, ranges=ranges, gen=gen,
+                             salting=salting)
+    out = rd.from_items([{"i": i} for i in range(len(ranges))]) \
+        .map_batches(task, batch_format="pyarrow", batch_size=1)
+    man.terms_files = sorted(r["terms_file"] for r in out.take_all())
     man.commit()
     return man

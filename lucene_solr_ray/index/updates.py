@@ -17,7 +17,8 @@ batch granularity:
 
 Every keyed function resolves its keys with :func:`_matching_doc_ids`:
 the calling process reads each partition's key column and probes it
-with ``np.searchsorted`` against the sorted batch keys.
+with ``pc.index_in`` against the batch keys; a null key in the index
+matches nothing, and a null key in a batch is refused.
 
 Unchanged partitions are untouched — their checkpoints, segment parquet
 and payload bins keep their bytes (asserted by mtime in
@@ -30,6 +31,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from .build import IndexManifest, build_segment
@@ -83,24 +85,33 @@ def append_segment(index_dir: str, table: pa.Table) -> dict:
 def _matching_doc_ids(man: IndexManifest, key_col: str,
                       keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(doc_ids asc, pos): the global doc ids whose ``key_col`` value is
-    in ``keys`` (sorted, unique), and for each the index of its key in
+    in ``keys`` (unique, no nulls), and for each the index of its key in
     ``keys``. Reads each partition's key column for its row groups on
-    the calling process and probes it with ``np.searchsorted``; no Ray
-    job is started."""
+    the calling process and probes it with ``pc.index_in``, so a null
+    in the column matches nothing; no Ray job is started."""
     ids, pos = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for p in man.partitions if len(keys) else []:
         with pq.ParquetFile(p["file"]) as pf:
             col = pf.read_row_groups(list(p["row_groups"]),
-                                     columns=[key_col]) \
-                .column(key_col).to_numpy(zero_copy_only=False)
-        at = np.searchsorted(keys, col)
-        ok = (at < len(keys)) & (
-            keys[np.minimum(at, len(keys) - 1)] == col)
+                                     columns=[key_col]).column(key_col)
+        at = pc.index_in(col, value_set=pa.array(keys).cast(col.type))
+        ok = at.is_valid().to_numpy(zero_copy_only=False)
         ids.append(p["doc_base"] + np.flatnonzero(ok))
-        pos.append(at[ok])
+        pos.append(at.drop_null().to_numpy().astype(np.int64))
     ids, pos = np.concatenate(ids), np.concatenate(pos)
     order = np.argsort(ids, kind="stable")
     return ids[order], pos[order]
+
+
+def _batch_keys(keys, key_col: str) -> np.ndarray:
+    """An incoming batch's keys (an Arrow column or a sequence) as a
+    numpy array. A null key names no document, so it is refused."""
+    if not isinstance(keys, (pa.Array, pa.ChunkedArray)):
+        keys = pa.array(list(keys))
+    if keys.null_count:
+        raise ValueError(f"{keys.null_count} null key(s) in {key_col!r}: "
+                         "a null key names no document")
+    return keys.to_numpy(zero_copy_only=False)
 
 
 def _last_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,7 +125,7 @@ def update_documents(index_dir: str, table: pa.Table, key_col: str) -> dict:
     """Delete-then-add by key, in one commit: returns {"deleted": n,
     "added": m}. A key named twice in ``table`` keeps only its last row;
     an empty ``table`` changes nothing."""
-    keys = table.column(key_col).to_numpy(zero_copy_only=False)
+    keys = _batch_keys(table.column(key_col), key_col)
     if not len(keys):
         return {"deleted": 0, "added": 0}
     want, last = _last_rows(keys)
@@ -153,7 +164,7 @@ def atomic_update(index_dir: str, key_col: str,
     from .check import fetch_docs
 
     man = IndexManifest.load(index_dir)
-    doc_ids, _ = _matching_doc_ids(man, key_col, np.asarray(sorted(ops)))
+    doc_ids, _ = _matching_doc_ids(man, key_col, _batch_keys(ops, key_col))
     cur = fetch_docs(index_dir, doc_ids=doc_ids.tolist()) \
         if doc_ids.size else None
     rows_by_key: dict = {}
@@ -205,7 +216,7 @@ def realtime_get(index_dir: str, key_col: str, keys) -> pa.Table:
     from .check import fetch_docs
 
     man = IndexManifest.load(index_dir)
-    keys = np.asarray(keys)
+    keys = _batch_keys(keys, key_col)
     ids, _ = _matching_doc_ids(man, key_col, np.unique(keys))
     if ids.size and man.deletes:
         ids = ids[LiveDocs(man).mask[ids]]
@@ -233,7 +244,7 @@ def update_numeric_docvalues(index_dir: str, key_col: str, field: str,
     keys in one batch resolve last-row-wins. Returns the number of docs
     updated. The generation file holds (doc_id, value) pairs only —
     update-sized, never corpus-sized."""
-    keys = updates.column(key_col).to_numpy(zero_copy_only=False)
+    keys = _batch_keys(updates.column(key_col), key_col)
     vals = updates.column(field).to_numpy(zero_copy_only=False)
     want, last = _last_rows(keys)
     man = IndexManifest.load(index_dir)

@@ -91,6 +91,35 @@ def base(tmp_path_factory, ray_session):
     return idx
 
 
+class _InProcessDataset:
+    """``rd.from_items(rows).map_batches(fn, ...).take_all()`` with ``fn``
+    run in the calling process, one row per batch: merge_index writes
+    every file in its range tasks, and the crash hook below sees only
+    this process's writes."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def map_batches(self, fn, **_):
+        self.fn = fn
+        return self
+
+    def take_all(self):
+        out = []
+        for row in self.rows:
+            res = self.fn(pa.Table.from_pylist([row]))
+            out += [dict(zip(res, vals)) for vals in zip(*res.values())]
+        return out
+
+
+def _merge_in_process(idx):
+    import ray.data
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ray.data, "from_items", _InProcessDataset)
+        merge_index(idx)
+
+
 OPS = {
     "update_documents": lambda idx: update_documents(
         idx, _upsert_batch(7), "path"),
@@ -101,7 +130,7 @@ OPS = {
             "rank": pa.array([1000, 2000, 3000], pa.int64())})),
     "execute_merge": lambda idx: execute_merge(
         idx, [s.terms_path for s in list_append_segments(idx)]),
-    "merge_index": merge_index,
+    "merge_index": _merge_in_process,
 }
 
 

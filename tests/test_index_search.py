@@ -10,6 +10,7 @@ import hashlib
 import os
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -549,3 +550,43 @@ def test_rebuild_over_old_checkpoints_keeps_docvalues(tmp_path_factory,
     assert all(os.path.exists(os.path.join(out, p["docvalues"]))
                for p in man.partitions)
     assert IndexSearcher(out).docvalues("rank").tolist() == want
+
+
+def _payload_docs(n: int) -> list[str]:
+    return [f"common|{1 + i % 4}.5 w{i % 13}|2.0 naïve x{i % 3} "
+            + "common " * (i % 5) for i in range(n)]
+
+
+@pytest.mark.parametrize("analyzer,opts", [
+    ("standard", {"store_positions": True, "store_offsets": True}),
+    ("delimited_payload", {"store_positions": True,
+                           "store_payloads": True}),
+])
+def test_sub_batch_size_never_changes_segment_bytes(analyzer, opts,
+                                                    tmp_path):
+    """A segment analysed in 7-document sub-batches writes the same terms
+    file, ``.bin`` and norms bytes as one analysed in the default
+    sub-batches: the term dictionary's (term, doc) order comes from a
+    stable sort on the term, which holds only while each sub-batch
+    emits its pairs in doc order and sub-batches arrive in doc order."""
+    from lucene_solr_ray.index.build import build_segment, plan_partitions
+
+    if analyzer == "standard":
+        tbl = generate_table(300, seed=9)
+    else:
+        tbl = pa.table({"content": pa.array(_payload_docs(300))})
+    src = str(tmp_path / "c.parquet")
+    pq.write_table(tbl, src, row_group_size=100)
+    part = plan_partitions(src, 1000)[0]
+    rows = {}
+    for batch in (2000, 7):
+        out = str(tmp_path / f"b{batch}")
+        rows[batch] = build_segment(
+            part, out, text_field="content", analyzer_name=analyzer,
+            tokenize_batch_rows=batch, **opts)
+        rows[batch]["files"] = [
+            open(os.path.join(out, f), "rb").read() for f in (
+                rows[batch]["segment"], rows[batch]["segment"][:-8] + ".bin",
+                rows[batch]["norms"])]
+    assert rows[7]["num_terms"] == rows[2000]["num_terms"] > 10
+    assert rows[7]["files"] == rows[2000]["files"]

@@ -133,12 +133,15 @@ def test_tokenizer_never_crashes_and_tokens_nonempty(s):
 
 
 @st.composite
-def single_block_lists(draw):
-    """1-30 lists of 1-128 values each, drawn so that every width (1, 2
-    and 4 bytes) and all-equal runs occur; returns the lists laid end to
-    end as (docs, tfs, starts, ends) with docs ascending per list."""
-    counts = draw(st.lists(st.integers(1, BLOCK_SIZE), min_size=1,
-                           max_size=30))
+def block_lists(draw):
+    """1-30 lists of 1 to 5 * BLOCK_SIZE values each (so lists of one and
+    of several blocks, with short last blocks), drawn so that every
+    width (1, 2 and 4 bytes) and all-equal runs occur; returns the lists
+    laid end to end as (docs, tfs, starts, ends) with docs ascending per
+    list."""
+    counts = draw(st.lists(st.one_of(st.integers(1, BLOCK_SIZE),
+                                     st.integers(1, 5 * BLOCK_SIZE)),
+                           min_size=1, max_size=30))
     docs, tfs = [], []
     for n in counts:
         gap = draw(st.sampled_from([1, 200, 70_000, 1 << 20]))
@@ -157,13 +160,24 @@ def single_block_lists(draw):
     return np.concatenate(docs), np.concatenate(tfs), starts, starts + counts
 
 
+def _gathered(vals: np.ndarray, starts: np.ndarray,
+              ends: np.ndarray) -> np.ndarray:
+    return np.concatenate([vals[s:e] for s, e in zip(starts, ends)])
+
+
 @settings(max_examples=60, deadline=None)
-@given(lists=single_block_lists(), subset_stride=st.integers(1, 3))
+@given(lists=block_lists(), subset_stride=st.integers(1, 3))
 def test_postings_batch_packed_equals_per_term(lists, subset_stride):
     """encode_postings_batch_packed writes, for contiguous AND
-    non-contiguous subsets, exactly the concatenated encode_postings
-    payloads (one width rule for every writer)."""
-    from lucene_solr_ray.codec.postings import encode_postings_batch_packed
+    non-contiguous subsets of single- and multi-block lists, exactly the
+    concatenated encode_postings payloads (one width rule for every
+    writer), as encode_postings_lists does for the same lists laid end
+    to end; decode_postings_batch reads them back."""
+    from lucene_solr_ray.codec.postings import (
+        decode_postings_batch,
+        encode_postings_batch_packed,
+        encode_postings_lists,
+    )
 
     docs, tfs, starts, ends = lists
     sub = np.arange(0, starts.size, subset_stride)
@@ -173,15 +187,30 @@ def test_postings_batch_packed_equals_per_term(lists, subset_stride):
             for s, e in zip(starts[sub], ends[sub])]
     assert buf.tobytes() == b"".join(want)
     assert lens.tolist() == [len(p) for p in want]
+    d, t = _gathered(docs, starts[sub], ends[sub]), \
+        _gathered(tfs, starts[sub], ends[sub])
+    l_buf, l_lens = encode_postings_lists(d, t, ends[sub] - starts[sub])
+    assert l_buf.tobytes() == buf.tobytes()
+    assert np.array_equal(l_lens, lens)
+    offs = np.zeros(sub.size, np.int64)
+    np.cumsum(lens[:-1], out=offs[1:])
+    got_d, got_t = decode_postings_batch(buf, offs, ends[sub] - starts[sub])
+    assert np.array_equal(got_d, d) and np.array_equal(got_t, t)
 
 
 @settings(max_examples=60, deadline=None)
-@given(lists=single_block_lists(), subset_stride=st.integers(1, 3))
+@given(lists=block_lists(), subset_stride=st.integers(1, 3))
 def test_values_batch_packed_roundtrip_property(lists, subset_stride):
     """encode_values_batch_packed writes, for contiguous AND
-    non-contiguous subsets, exactly the concatenated encode_values
-    payloads, and each decodes back to its stream."""
-    from lucene_solr_ray.codec.postings import encode_values_batch_packed
+    non-contiguous subsets of single- and multi-block streams, exactly
+    the concatenated encode_values payloads, as encode_values_lists does
+    for the same streams laid end to end; each decodes back to its
+    stream, one by one and in one decode_values_batch call."""
+    from lucene_solr_ray.codec.postings import (
+        decode_values_batch,
+        encode_values_batch_packed,
+        encode_values_lists,
+    )
 
     _, tfs, starts, ends = lists
     vals = (tfs - 1).astype(np.uint32)
@@ -190,11 +219,17 @@ def test_values_batch_packed_roundtrip_property(lists, subset_stride):
     want = [encode_values(vals[s:e]) for s, e in zip(starts[sub], ends[sub])]
     assert buf.tobytes() == b"".join(want)
     assert lens.tolist() == [len(p) for p in want]
+    v = _gathered(vals, starts[sub], ends[sub])
+    l_buf, l_lens = encode_values_lists(v, ends[sub] - starts[sub])
+    assert l_buf.tobytes() == buf.tobytes()
+    assert np.array_equal(l_lens, lens)
     offs = np.zeros(sub.size + 1, np.int64)
     np.cumsum(lens, out=offs[1:])
     for k, ti in enumerate(sub.tolist()):
         got = decode_values(buf[offs[k]:offs[k + 1]].tobytes())
         assert np.array_equal(got, vals[starts[ti]:ends[ti]])
+    assert np.array_equal(
+        decode_values_batch(buf, offs[:-1], ends[sub] - starts[sub]), v)
 
 
 def test_code0_only_when_strictly_smaller():

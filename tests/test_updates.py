@@ -319,3 +319,48 @@ def test_keyed_functions_start_no_ray_data_job(tmp_path_factory,
     assert update_numeric_docvalues(idx, "path", "views", pa.table({
         "path": pa.array(["p6"]), "views": pa.array([3], pa.int64()),
     })) == 1
+
+
+def test_null_keys_match_nothing_and_are_refused_in_a_batch(tmp_path,
+                                                           ray_session):
+    """A null key in the index matches no incoming key, so every keyed
+    function still works; a null key in an incoming batch is refused
+    with a named ValueError."""
+    from lucene_solr_ray.index.updates import (
+        atomic_update, realtime_get, update_numeric_docvalues)
+
+    pq.write_table(pa.table({
+        "path": pa.array(["a", None, "c"]),
+        "content": pa.array(["alpha one", "beta two", "gamma three"]),
+    }), str(tmp_path / "c.parquet"))
+    idx = str(tmp_path / "idx")
+    build_index(str(tmp_path / "c.parquet"), idx, text_field="content")
+    assert update_documents(idx, pa.table({
+        "path": pa.array(["a"]), "content": pa.array(["alpha fresh"]),
+    }), "path") == {"deleted": 1, "added": 1}
+    assert realtime_get(idx, "path", ["c", "a"]).column(
+        "content").to_pylist() == ["gamma three", "alpha fresh"]
+    assert update_numeric_docvalues(idx, "path", "views", pa.table({
+        "path": pa.array(["c"]), "views": pa.array([3], pa.int64()),
+    })) == 1
+    assert atomic_update(idx, "path", {"c": {"content": ("add", "more")}}) \
+        == {"deleted": 1, "added": 1}
+    s = IndexSearcher(idx)
+    assert s._docs_only(TermQuery("beta")).size == 1
+    assert s._docs_only(TermQuery("fresh")).size == 1
+    assert s._docs_only(TermQuery("more")).size == 1
+
+    calls = [
+        lambda: update_documents(idx, pa.table({
+            "path": pa.array(["c", None]),
+            "content": pa.array(["x", "y"])}), "path"),
+        lambda: atomic_update(idx, "path",
+                              {None: {"content": ("set", "x")}}),
+        lambda: realtime_get(idx, "path", ["a", None]),
+        lambda: update_numeric_docvalues(idx, "path", "views", pa.table({
+            "path": pa.array([None], pa.string()),
+            "views": pa.array([1], pa.int64())})),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="null key"):
+            call()
