@@ -17,7 +17,8 @@
 
 - :class:`VocabMapAnalyzer` is a base analyzer plus a per-token map (a
   stemmer, a folding, a stop list); the English, folding, Snowball,
-  Turkish, Hunspell and ICU-folding analyzers are all this one shape.
+  Turkish, Hunspell, ICU-folding and ICU analyzers are all this one
+  shape.
 
 A batch of documents is analysed as ONE token stream,
 ``tokens_batch_factorized(texts) -> (vocab, codes, doc_idx, positions,
@@ -26,8 +27,9 @@ a term, a position and an offset per token, the terms kept as codes into
 a duplicate-free batch vocabulary). ``index.build._invert`` consumes it
 for every index build; ``tokens_batch`` is its string view
 ``vocab[codes]``. The StandardAnalyzer produces it with one vectorized
-ASCII pass (``fast.ascii_token_stream``) plus one per-document fallback
-for non-ASCII docs, and applies its stop filter to the vocabulary; a
+ASCII pass (``fast.ascii_tokens``) over its ASCII docs and one over its
+non-ASCII docs, whose non-ASCII words alone go through the regex
+tokenizer, and applies its stop filter to the Arrow vocabulary; a
 VocabMapAnalyzer maps the base stream's vocabulary once. Any other
 analyzer gets the stream by factorizing its ``tokens_batch``, without
 char spans.
@@ -47,14 +49,18 @@ from __future__ import annotations
 import re
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
-from .fast import ascii_token_stream, factorize_tokens
+from . import fast
+from .fast import factorize_tokens
 from .tokenizer import (
     DEFAULT_MAX_TOKEN_LENGTH,
+    _build_pattern,
     simple_lowercase,
+    simple_lowercase_codepoints,
     tokenize,
     tokenize_with_positions,
-    tokenize_with_spans,
 )
 
 # StopAnalyzer.ENGLISH_STOP_WORDS_SET (core/StopAnalyzer.java:42-48)
@@ -138,7 +144,13 @@ def _recode(stream, vocab: list[str], remap: np.ndarray):
 
 
 class StandardAnalyzer(Analyzer):
-    """The reference default chain (StandardAnalyzer.java:87-113)."""
+    """The reference default chain (StandardAnalyzer.java:87-113).
+
+    Its batch stream tokenizes ASCII text with the vectorized mask pass
+    (``fast.py``) and sends only the runs free of ASCII whitespace that
+    hold a non-ASCII char through the regex tokenizer: no token spans
+    ASCII whitespace, so such a run scanned alone yields the tokens the
+    per-document path finds in it (:func:`_non_ascii_tokens`)."""
 
     name = "standard"
 
@@ -146,6 +158,8 @@ class StandardAnalyzer(Analyzer):
                  max_token_length: int = DEFAULT_MAX_TOKEN_LENGTH):
         self.stop_words = frozenset(stop_words) if stop_words else frozenset()
         self.max_token_length = max_token_length
+        self._stop_set = pa.array(sorted(self.stop_words),
+                                  pa.large_string()) if stop_words else None
 
     def tokens(self, text: str) -> list[str]:
         # lowercase first: 1:1 simple mapping never changes WB classes, so
@@ -172,42 +186,99 @@ class StandardAnalyzer(Analyzer):
     def tokens_batch_factorized(self, texts: list[str]):
         """The token stream, with char spans into the original texts (the
         1:1 simple lowercase preserves offsets). ASCII docs go through
-        one vectorized pass (``fast.ascii_token_stream``); each non-ASCII
-        doc is tokenized on its own and appended after them, so each
-        doc's run stays contiguous with ascending positions. The stop
-        filter is applied to the vocabulary."""
-        ascii_ids = [i for i, t in enumerate(texts) if t.isascii()]
+        one vectorized pass (``fast.ascii_tokens``); the non-ASCII docs
+        follow them (:func:`_non_ascii_tokens`), so each doc's run stays
+        contiguous with ascending positions. The stop filter runs on the
+        Arrow dictionary before the vocabulary becomes Python strings."""
+        is_ascii = np.fromiter(map(str.isascii, texts), bool,
+                               count=len(texts))
+        ascii_ids = np.flatnonzero(is_ascii)
         n = self.max_token_length
-        vocab, codes, doc_idx, positions, starts, ends = ascii_token_stream(
-            [texts[i].lower() for i in ascii_ids], n)
-        if len(ascii_ids) < len(texts):
-            doc_idx = np.asarray(ascii_ids, np.int64)[doc_idx]
-            o_tok: list[str] = []
-            cols: list[list] = [[doc_idx], [positions], [starts], [ends]]
-            for i, t in enumerate(texts):
-                if t.isascii():
-                    continue
-                toks, pos, ss, ee = tokenize_with_spans(
-                    simple_lowercase(t), n)
-                o_tok.extend(toks)
-                for col, v in zip(cols, ([i] * len(toks), pos, ss, ee)):
-                    col.append(np.asarray(v, np.int64))
-            doc_idx, positions, starts, ends = map(np.concatenate, cols)
-            # dictionary encoding keeps first-appearance order, so the
-            # ASCII vocabulary keeps its codes and new tokens append
-            n_ascii = len(vocab)
-            vocab, o_codes = factorize_tokens(vocab + o_tok)
-            codes = np.concatenate([codes, o_codes[n_ascii:]])
-        stream = (vocab, codes, doc_idx, positions, starts, ends)
-        stop = self.stop_words
-        if stop and vocab:
-            keep = np.fromiter((t not in stop for t in vocab), bool,
-                               count=len(vocab))
-            if not keep.all():
+        lowered = [texts[i].lower() for i in ascii_ids]
+        doc_starts = fast.doc_starts_of(lowered)
+        tokens, doc_idx, positions, starts, ends = fast.ascii_tokens(
+            np.frombuffer("\n".join(lowered).encode("ascii"), np.uint8),
+            doc_starts, n)
+        base = doc_starts[doc_idx]
+        starts, ends = starts - base, ends - base
+        if ascii_ids.size < len(texts):
+            other = np.flatnonzero(~is_ascii)
+            o_tok, *o_cols = _non_ascii_tokens([texts[i] for i in other], n)
+            doc_idx = ascii_ids[doc_idx]
+            o_cols[0] = other[o_cols[0]]
+            tokens = pa.concat_arrays([tokens, o_tok])
+            doc_idx, positions, starts, ends = (
+                np.concatenate(c) for c in zip(
+                    (doc_idx, positions, starts, ends), o_cols))
+        enc = pc.dictionary_encode(tokens)
+        dictionary = enc.dictionary
+        codes = enc.indices.to_numpy().astype(np.int64)
+        remap = None
+        if self._stop_set is not None:
+            keep = pc.invert(pc.is_in(dictionary, value_set=self._stop_set))
+            if keep.false_count:
+                dictionary = dictionary.filter(keep)
+                keep = keep.to_numpy(zero_copy_only=False)
                 remap = np.where(keep, np.cumsum(keep) - 1, -1)
-                stream = _recode(stream, [t for t, k in zip(vocab, keep)
-                                         if k], remap)
-        return stream
+        stream = (fast.string_list(dictionary), codes, doc_idx, positions,
+                  starts, ends)
+        return stream if remap is None else _recode(stream, stream[0], remap)
+
+
+def _non_ascii_tokens(texts: list[str], max_token_length: int):
+    """``(tokens, doc_idx, positions, starts, ends)`` of texts that are
+    not all ASCII, lowercased per codepoint: ``tokens`` is an Arrow
+    string array and the spans are char offsets into each text.
+
+    Only the maximal runs free of ASCII whitespace that hold a non-ASCII
+    char go through the regex tokenizer. ASCII whitespace is in no token
+    class, so no token spans it, and no pattern starts with an Extend or
+    Format char, so whatever follows the whitespace (a combining mark
+    included) is scanned alike whether the scan starts at the run or
+    earlier in the text: a scan of the run alone finds exactly the
+    tokens a scan of the whole text finds in it. Every other char goes
+    through one ASCII pass over all the texts, with those runs blanked
+    to spaces of equal length so that char offsets hold, and no length
+    cap; the ASCII pass equals the regex on ASCII text. The two token
+    sets are merged by start, positions are counted over both, and then
+    over-long tokens are dropped."""
+    doc_starts = fast.doc_starts_of(texts)
+    cp = simple_lowercase_codepoints(np.frombuffer(
+        "\n".join(texts).encode("utf-32-le", "surrogatepass"), np.uint32))
+    text = cp.tobytes().decode("utf-32-le", "surrogatepass")
+    # the runs around each non-ASCII char: from just after the ASCII
+    # whitespace before it to the one after it
+    ws = np.flatnonzero((cp == 32) | (cp - 9 < 5))
+    k = np.searchsorted(ws, np.flatnonzero(cp > 127))
+    lo = np.unique(np.append(-1, ws)[k] + 1)
+    hi = np.append(ws, cp.size)[np.searchsorted(ws, lo)]
+    b = cp.astype(np.uint8)
+    b[fast.run_index(lo, hi)] = ord(" ")
+    m, starts, ends = fast.token_runs(b)
+    tokens = fast.gather_tokens(b, m, starts, ends)
+    r_tok: list[str] = []
+    r_span: list[int] = []
+    finditer = _build_pattern().finditer
+    for a, z in zip(lo.tolist(), hi.tolist()):
+        for mt in finditer(text, a, z):
+            r_tok.append(mt.group())
+            r_span.extend(mt.span())
+    if r_tok:
+        r_span = np.asarray(r_span, np.int64)
+        starts = np.concatenate([starts, r_span[0::2]])
+        ends = np.concatenate([ends, r_span[1::2]])
+        order = np.argsort(starts, kind="stable")
+        starts, ends = starts[order], ends[order]
+        tokens = pa.concat_arrays(
+            [tokens, pa.array(r_tok, pa.large_string())]).take(order)
+    doc_idx, positions = fast.doc_positions(starts, doc_starts)
+    ok = (ends - starts) <= max_token_length
+    if not ok.all():
+        tokens = tokens.filter(pa.array(ok))
+        starts, ends = starts[ok], ends[ok]
+        doc_idx, positions = doc_idx[ok], positions[ok]
+    base = doc_starts[doc_idx]
+    return tokens, doc_idx, positions, starts - base, ends - base
 
 
 class VocabMapAnalyzer(Analyzer):

@@ -30,7 +30,9 @@ from __future__ import annotations
 import bisect
 import unicodedata
 
-from .analyzers import Analyzer, register_analyzer
+import numpy as np
+
+from .analyzers import Analyzer, VocabMapAnalyzer, register_analyzer
 from .cjk import icu_fold
 from .tokenizer import tokenize_with_positions
 
@@ -201,10 +203,11 @@ def transliterate(text: str, system: str) -> str:
 # ICUTokenizer
 # ---------------------------------------------------------------------------
 
-class ICUTokenizer:
+class ICUTokenizer(Analyzer):
     """Script-run segmentation. Per run: UAX#29 for alphabetic
     scripts, Chinese dictionary-DAG for Han, Japanese lattice for
-    Kana; Thai-family runs whole (no bundled dictionary)."""
+    Kana; Thai-family runs whole (no bundled dictionary). As an
+    analyzer it emits the raw tokens, with no filter."""
 
     def __init__(self) -> None:
         self._zh = None
@@ -221,6 +224,9 @@ class ICUTokenizer:
             from .japanese import JapaneseTokenizer
             self._ja = JapaneseTokenizer()
         return self._ja
+
+    def tokens(self, text: str) -> list[str]:
+        return self.tokenize(text)
 
     def tokenize(self, text: str) -> list[str]:
         out: list[str] = []
@@ -258,20 +264,25 @@ class ICUTokenizer:
         return out
 
 
-class ICUAnalyzer(Analyzer):
+class ICUAnalyzer(VocabMapAnalyzer):
     """ICUTokenizer + optional Any-Latin transform + ICU folding —
     the module's chains composed end-to-end. ``mode``:
 
     - ``"folded"``: tokenizer + ICUFoldingFilter (accent/case/width)
     - ``"latin"``: tokenizer + ICUTransformFilter(Any-Latin) + folding
     - ``"normalized"``: tokenizer + ICUNormalizer2Filter (nfkc_cf)
-    """
+
+    Segmentation stays per document (script runs are inherently
+    sequential); the post-step maps each DISTINCT raw token once. Unlike
+    the other vocabulary maps, positions compact over SURVIVING tokens:
+    a token that folds to empty (e.g. a bare Thai vowel sign) leaves no
+    gap."""
 
     def __init__(self, mode: str = "folded"):
         assert mode in ("folded", "latin", "normalized")
         self.name = "icu_" + mode
         self.mode = mode
-        self._tok = ICUTokenizer()
+        self.base = ICUTokenizer()
 
     def _post(self, t: str) -> str:
         if self.mode == "normalized":
@@ -280,53 +291,21 @@ class ICUAnalyzer(Analyzer):
             t = _TRANSFORMS["Any-Latin"](t)
         return icu_fold(t)
 
+    def _one(self, t: str) -> str | None:
+        return self._post(t) or None
+
     def tokens_with_positions(self, text: str):
-        toks = [self._post(t) for t in self._tok.tokenize(text)]
-        toks = [t for t in toks if t]
+        toks = super().tokens_with_positions(text)[0]
         return toks, list(range(len(toks)))
 
-    def tokens(self, text: str) -> list[str]:
-        return self.tokens_with_positions(text)[0]
-
-    def tokens_batch(self, texts: list[str]):
-        """Batch path: segmentation stays per-doc (script runs are
-        inherently sequential), but the transform+fold post-step runs
-        once per DISTINCT raw token (factorize + gather — the same
-        vocabulary trick as VocabMapAnalyzer), so its cost
-        scales with the batch vocabulary, not the token stream.
-        Positions compact over SURVIVING tokens (a token that folds to
-        empty, e.g. a bare Thai vowel sign, leaves no gap) — matching
-        tokens_with_positions exactly."""
-        import numpy as np
-        import pandas as pd
-
-        raw: list[str] = []
-        doc_idx: list[int] = []
-        for i, text in enumerate(texts):
-            toks = self._tok.tokenize(text)
-            raw.extend(toks)
-            doc_idx.extend([i] * len(toks))
-        if not raw:
-            z = np.zeros(0, np.int64)
-            return [], z, z
-        codes, vocab = pd.factorize(np.asarray(raw, dtype=object))
-        mapped = np.asarray([self._post(t) for t in vocab], dtype=object)
-        keep_vocab = np.fromiter((bool(m) for m in mapped), bool,
-                                 count=len(mapped))
-        keep = keep_vocab[codes]
-        d = np.asarray(doc_idx, np.int64)[keep]
-        # positions restart at 0 per doc over kept tokens only; d is
-        # nondecreasing by construction, so a boundary-offset subtraction
-        # yields the per-doc running count.
-        idx = np.arange(len(d), dtype=np.int64)
-        if len(d):
-            boundary = np.empty(len(d), bool)
-            boundary[0] = True
-            boundary[1:] = d[1:] != d[:-1]
-            pos = idx - idx[boundary][np.cumsum(boundary) - 1]
-        else:
-            pos = idx
-        return mapped[codes][keep].tolist(), d, pos
+    def tokens_batch_factorized(self, texts: list[str]):
+        vocab, codes, doc_idx, _, starts, ends = \
+            super().tokens_batch_factorized(texts)
+        # doc_idx is nondecreasing: a token's position is its index
+        # minus its document's first index
+        positions = np.arange(doc_idx.size, dtype=np.int64) - \
+            np.searchsorted(doc_idx, doc_idx)
+        return vocab, codes, doc_idx, positions, starts, ends
 
 
 register_analyzer("icu_tokenizer", ICUAnalyzer("normalized"))

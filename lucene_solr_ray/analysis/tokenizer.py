@@ -26,7 +26,10 @@ as skipped positions, per ``StandardTokenizer.java:145-167``.
 from __future__ import annotations
 
 import re
+import sys
 from functools import lru_cache
+
+import numpy as np
 
 from . import _wb_ranges as wb
 from ._lowercase import SIMPLE_LOWER
@@ -81,6 +84,20 @@ def simple_lowercase(text: str) -> str:
     changes a codepoint's word-break class.
     """
     return text.translate(_lower_table())
+
+
+@lru_cache(maxsize=1)
+def _lower_array() -> np.ndarray:
+    table = _lower_table()
+    arr = np.arange(sys.maxunicode + 1, dtype=np.uint32)
+    arr[list(table)] = list(table.values())
+    arr.flags.writeable = False  # one table, shared by every caller
+    return arr
+
+
+def simple_lowercase_codepoints(cp: np.ndarray) -> np.ndarray:
+    """:func:`simple_lowercase` of a uint32 array of codepoints."""
+    return _lower_array()[cp]
 
 
 def tokenize(text: str, max_token_length: int = DEFAULT_MAX_TOKEN_LENGTH) -> list[str]:

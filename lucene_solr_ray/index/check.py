@@ -314,12 +314,11 @@ def fetch_docs(index_dir: str, corpus_source: str | None = None,
             for rg in part["row_groups"]
         ])
         local = ids[part_idx == pi] - part["doc_base"]
-        taken = tbl.take(pa.array(local))
-        taken = taken.add_column(
-            0, "doc_id", pa.array(ids[part_idx == pi])
-        )
-        out.append(taken)
-    return pa.concat_tables(out)
+        out.append(tbl.take(pa.array(local)))
+    # an append's file may order (or name) its columns differently from
+    # the source's: align them by name; the partitions come in id order
+    return pa.concat_tables(out, promote_options="default").add_column(
+        0, "doc_id", pa.array(ids))
 
 
 def index_info(index_dir: str) -> dict:

@@ -249,6 +249,10 @@ def update_numeric_docvalues(index_dir: str, key_col: str, field: str,
     want, last = _last_rows(keys)
     man = IndexManifest.load(index_dir)
     doc_ids, pos = _matching_doc_ids(man, key_col, want)
+    # only live docs take the value (a key's superseded versions do not)
+    if doc_ids.size and man.deletes:
+        live = LiveDocs(man).mask[doc_ids]
+        doc_ids, pos = doc_ids[live], pos[live]
     if not doc_ids.size:
         return 0
     gen_dir = os.path.join(index_dir, "docvalues_updates", field)

@@ -21,8 +21,14 @@ from lucene_solr_ray.analysis import (
     simple_lowercase,
     tokenize,
 )
-from lucene_solr_ray.analysis.fast import ascii_token_stream
-from lucene_solr_ray.analysis.tokenizer import tokenize_with_spans
+from lucene_solr_ray.analysis.fast import (
+    ascii_token_spans,
+    ascii_token_stream,
+)
+from lucene_solr_ray.analysis.tokenizer import (
+    _build_pattern,
+    tokenize_with_spans,
+)
 
 
 @st.composite
@@ -78,6 +84,17 @@ def test_fast_path_equals_regex_property(s):
     assert [vocab[c] for c in codes] == tokenize(s)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.text(alphabet="aZq09.':,;_ \n-", max_size=80))
+def test_ascii_token_spans_equal_regex_spans(s):
+    """Mixed-case text with '_'-only runs, joiners and runs at both ends
+    of the buffer: the mask pass finds the regex's token spans."""
+    for text in (s, "_" + s + "_", "A" + s + "9", "__ " + s + " __"):
+        starts, ends = ascii_token_spans(text.encode("ascii"))
+        assert list(zip(starts.tolist(), ends.tolist())) == \
+            [m.span() for m in _build_pattern().finditer(text)]
+
+
 # text pieces heavy in the joining characters (MidNumLet . ', MidLetter
 # :, MidNum , ;, ExtendNumLet _) and digits, stop words, and runs whose
 # widths sit on both sides of 64 and of the 255 length cap
@@ -88,8 +105,20 @@ _PIECES = st.one_of(
     st.builds(lambda c, n: c * n, st.sampled_from("aZ7_"),
               st.sampled_from([63, 64, 65, 254, 255, 256])),
 )
-_NON_ASCII = st.sampled_from(["é", "Жук", "日本", "ß", "İ", "ﬁ", "\u0301",
-                              "café's", "ｶﾀ"])
+# non-ASCII pieces: letters, a combining mark, CJK and half-width
+# katakana; non-ASCII chars beside joiners and '_'; Extend / Format chars
+# right after ASCII whitespace; non-ASCII whitespace (NBSP, U+3000) and
+# CRLF; and tokens around the 255 length cap that mix ASCII and
+# non-ASCII chars
+_NON_ASCII = st.one_of(
+    st.sampled_from(["é", "Жук", "日本", "ß", "İ", "ﬁ", "\u0301", "café's",
+                     "ｶﾀ", "é.x", "x.é", "1,٣", "٣,1", "_é_", "a_é",
+                     " \u0301x", "\n\u00adx", " \u200bx", "\u00a0",
+                     "a\u00a0b", "\u3000", "日\u3000本", "\r\n", "é\r\nx"]),
+    st.builds(lambda n, k: "a" * k + "é" + "a" * (n - 1 - k),
+              st.sampled_from([254, 255, 256]),
+              st.sampled_from([0, 1, 120, 253])),
+)
 
 
 @st.composite
@@ -98,8 +127,9 @@ def _docs(draw):
     for _ in range(draw(st.integers(0, 6))):
         pieces = draw(st.lists(_PIECES, max_size=12))
         if draw(st.integers(0, 3)) == 0:  # a mixed non-ASCII document
-            pieces.insert(draw(st.integers(0, len(pieces))),
-                          draw(_NON_ASCII))
+            for _ in range(draw(st.integers(1, 4))):
+                pieces.insert(draw(st.integers(0, len(pieces))),
+                              draw(_NON_ASCII))
         docs.append("".join(pieces))
     return docs
 

@@ -364,3 +364,51 @@ def test_null_keys_match_nothing_and_are_refused_in_a_batch(tmp_path,
     for call in calls:
         with pytest.raises(ValueError, match="null key"):
             call()
+
+
+def _abc_index(tmp_path):
+    """A ``path, content`` index of keys a, b, c where ``a`` was upserted
+    (an append in corpus column order) and ``c`` atomically updated (an
+    append with its columns sorted by name: ``content, path``)."""
+    from lucene_solr_ray.index.updates import atomic_update
+
+    pq.write_table(pa.table({
+        "path": pa.array(["a", "b", "c"]),
+        "content": pa.array(["alpha one", "beta two", "gamma three"]),
+    }), str(tmp_path / "c.parquet"))
+    idx = str(tmp_path / "idx")
+    build_index(str(tmp_path / "c.parquet"), idx, text_field="content")
+    assert update_documents(idx, pa.table({
+        "path": pa.array(["a"]), "content": pa.array(["alpha fresh"]),
+    }), "path") == {"deleted": 1, "added": 1}
+    assert atomic_update(idx, "path", {"c": {"content": ("add", "more")}}) \
+        == {"deleted": 1, "added": 1}
+    return idx
+
+
+def test_realtime_get_across_appends_with_other_column_order(tmp_path,
+                                                             ray_session):
+    from lucene_solr_ray.index.updates import realtime_get
+
+    idx = _abc_index(tmp_path)
+    got = realtime_get(idx, "path", ["c", "a", "b"])
+    assert got.column("path").to_pylist() == ["c", "a", "b"]
+    assert got.column("content").to_pylist() == [
+        "gamma three more", "alpha fresh", "beta two"]
+
+
+def test_docvalues_update_skips_deleted_versions(tmp_path, ray_session):
+    from lucene_solr_ray.index import IndexManifest
+    from lucene_solr_ray.index.updates import update_numeric_docvalues
+
+    idx = _abc_index(tmp_path)
+    assert update_numeric_docvalues(idx, "path", "views", pa.table({
+        "path": pa.array(["c"]), "views": pa.array([3], pa.int64()),
+    })) == 1
+    man = IndexManifest.load(idx)
+    (name,) = man.docvalues_updates["views"]
+    gen = pq.read_table(os.path.join(idx, "docvalues_updates", "views",
+                                     name))
+    assert gen.num_rows == 1
+    # the one row is c's live version, the last doc of the index
+    assert gen.column("doc_id").to_pylist() == [man.max_doc - 1]
