@@ -102,6 +102,28 @@ def terms_schema(store_offsets: bool, store_payloads: bool) -> pa.Schema:
     return schema
 
 
+# A file of at most this many rows reads faster on the calling thread
+# than through Arrow's thread pool, whose hand-off costs more than the
+# decode of the small files a publish adds (an append, its terms and
+# norms, a delete file); a larger one, like a merged terms file, decodes
+# faster on the pool.
+POOL_READ_ROWS = 16384
+
+
+def read_columns(path: str, columns: list[str],
+                 row_groups: list[int] | None = None) -> pa.Table:
+    """``columns`` of the Parquet file ``path`` (``row_groups``: only
+    those), in that order: one ``ParquetFile`` read, without a dataset's
+    discovery and scan set-up, on Arrow's thread pool only for a file of
+    more than ``POOL_READ_ROWS`` rows."""
+    with pq.ParquetFile(path) as pf:
+        pool = pf.metadata.num_rows > POOL_READ_ROWS
+        if row_groups is None:
+            return pf.read(columns=columns, use_threads=pool)
+        return pf.read_row_groups(row_groups, columns=columns,
+                                  use_threads=pool)
+
+
 def own_bin(terms_file: str) -> str:
     """The ``.bin`` that terms file ``terms_file`` writes its streams to
     (same path, ``.bin`` for ``.parquet``); a merge's output rows may
@@ -543,20 +565,25 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
     )
     norm_bytes = encode_norm(doc_lens)
 
-    # SPIMI flush: one dictionary encode folds the sub-batch vocabularies
-    # into the partition's terms, one sort orders them bytewise
+    # SPIMI flush: one dictionary encode folds several sub-batch
+    # vocabularies into the partition's terms (one sub-batch's is already
+    # duplicate-free), one sort orders them bytewise
     # (FreqProxTermsWriter.java:91 — Arrow compares UTF-8 bytes, which is
     # Python str order) and gives each code its term's rank
-    enc = pc.dictionary_encode(pa.array(vocabs, pa.string()))
-    by_term = pc.sort_indices(enc.dictionary)
-    terms_sorted = enc.dictionary.take(by_term)
+    terms, codes = pa.array(vocabs, pa.string()), None
+    if len(tids) > 1:
+        enc = pc.dictionary_encode(terms)
+        terms, codes = enc.dictionary, enc.indices.to_numpy()
+    by_term = pc.sort_indices(terms)
+    terms_sorted = terms.take(by_term)
     rank = np.empty(len(by_term), np.int64)
     rank[by_term.to_numpy()] = np.arange(len(by_term))
     # no tokens: these empties make the emit below write an empty segment
     starts = ends = a_doc = a_tf = np.empty(0, np.int64)
     a_pos = a_off = a_pay = np.empty(0, np.uint32)
     if tids:
-        a_tid = rank[enc.indices.to_numpy()[np.concatenate(tids)]]
+        a_tid = np.concatenate(tids)
+        a_tid = rank[a_tid if codes is None else codes[a_tid]]
         a_doc = np.concatenate(docs)
         a_tf_pre = np.concatenate(tfs)
         # (term, doc) order for encode from a stable sort on the term

@@ -8,7 +8,9 @@ vanish from results immediately, space is reclaimed at merge. Here:
   ``index_dir/deletes/gen-N.parquet`` (doc_id list, N = the commit's
   generation) named by the commit's ``deletes`` list;
 - :class:`LiveDocs` — the union mask of a commit's delete files, loaded by
-  searchers;
+  searchers; a reopen carries the previous mask forward and reads only
+  the delete files the new commit added (a name is never reused, and
+  docs are only appended);
 - ``IndexSearcher(apply_deletes=True)`` filters every scorer's doc arrays
   through the mask (``ReqExclScorer``-style), so ranks/scores equal an
   index where those docs never matched. Collection statistics (maxDoc,
@@ -24,19 +26,29 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .build import IndexManifest
+from .build import IndexManifest, read_columns
 
 
 class LiveDocs:
     """The live mask of commit ``man``: every doc not in one of its delete
-    files."""
+    files. ``prev`` (the mask of an earlier commit of this index, or None)
+    is carried forward when every file it read is still named and it
+    covers no more docs than ``man`` does: a commit never reuses a name
+    and never renumbers a doc, so its mask is copied and only the newly
+    named delete files are read. Else every file is read."""
 
-    def __init__(self, man: IndexManifest):
+    def __init__(self, man: IndexManifest, prev: "LiveDocs | None" = None):
         self.files = list(man.deletes)
         self.mask = np.ones(man.max_doc, bool)
-        for f in self.files:
-            ids = pq.read_table(os.path.join(man.index_dir, "deletes", f))
-            self.mask[ids["doc_id"].to_numpy()] = False
+        new = self.files
+        if prev is not None and prev.mask.size <= man.max_doc \
+                and set(prev.files) <= set(self.files):
+            self.mask[:prev.mask.size] = prev.mask
+            old = set(prev.files)
+            new = [f for f in self.files if f not in old]
+        for f in new:
+            ids = _read_ids(os.path.join(man.index_dir, "deletes", f))
+            self.mask[ids] = False
 
     @property
     def generations(self) -> int:
@@ -45,6 +57,11 @@ class LiveDocs:
     @property
     def num_deleted(self) -> int:
         return int((~self.mask).sum())
+
+
+def _read_ids(path: str) -> np.ndarray:
+    """The doc ids of one delete file."""
+    return read_columns(path, ["doc_id"])["doc_id"].to_numpy()
 
 
 def write_deletes(man: IndexManifest, doc_ids: np.ndarray) -> str:

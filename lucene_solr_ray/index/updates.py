@@ -16,9 +16,11 @@ batch granularity:
   (Lucene's pre-merge behavior).
 
 Every keyed function resolves its keys with :func:`_matching_doc_ids`:
-the calling process reads each partition's key column and probes it
-with ``pc.index_in`` against the batch keys; a null key in the index
-matches nothing, and a null key in a batch is refused.
+the calling process reads the key column of each source file once (one
+open and one read for all the row groups of the partitions it holds: a
+build's partitions share the corpus file, an append has its own) and
+probes it with ``pc.index_in`` against the batch keys; a null key in
+the index matches nothing, and a null key in a batch is refused.
 
 Unchanged partitions are untouched — their checkpoints, segment parquet
 and payload bins keep their bytes (asserted by mtime in
@@ -34,7 +36,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from .build import IndexManifest, build_segment
+from .build import IndexManifest, build_segment, read_columns
 from .deletes import LiveDocs, write_deletes
 
 
@@ -86,17 +88,25 @@ def _matching_doc_ids(man: IndexManifest, key_col: str,
                       keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(doc_ids asc, pos): the global doc ids whose ``key_col`` value is
     in ``keys`` (unique, no nulls), and for each the index of its key in
-    ``keys``. Reads each partition's key column for its row groups on
-    the calling process and probes it with ``pc.index_in``, so a null
-    in the column matches nothing; no Ray job is started."""
+    ``keys``. Reads the key column on the calling process, one open and
+    one read per source file for all the row groups of the partitions
+    it holds (a build's partitions all point at one corpus file), and
+    probes it with ``pc.index_in``, so a null in the column matches
+    nothing; no Ray job is started."""
     ids, pos = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    by_file: dict[str, list] = {}
     for p in man.partitions if len(keys) else []:
-        with pq.ParquetFile(p["file"]) as pf:
-            col = pf.read_row_groups(list(p["row_groups"]),
-                                     columns=[key_col]).column(key_col)
+        by_file.setdefault(p["file"], []).append(p)
+    for path, parts in by_file.items():
+        col = read_columns(path, [key_col], [
+            g for p in parts for g in p["row_groups"]]).column(key_col)
         at = pc.index_in(col, value_set=pa.array(keys).cast(col.type))
-        ok = at.is_valid().to_numpy(zero_copy_only=False)
-        ids.append(p["doc_base"] + np.flatnonzero(ok))
+        hit = np.flatnonzero(at.is_valid().to_numpy(zero_copy_only=False))
+        # the rows read run through the partitions in turn
+        start = np.cumsum([0] + [p["rows"] for p in parts])
+        part = np.searchsorted(start, hit, side="right") - 1
+        base = np.asarray([p["doc_base"] for p in parts], np.int64)
+        ids.append(base[part] + hit - start[part])
         pos.append(at.drop_null().to_numpy().astype(np.int64))
     ids, pos = np.concatenate(ids), np.concatenate(pos)
     order = np.argsort(ids, kind="stable")

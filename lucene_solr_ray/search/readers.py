@@ -21,10 +21,15 @@ sharded across scorer actors (each actor mounts a subset of the terms
 files).
 
 Every reader opens exactly the files one commit (``IndexManifest``)
-names, and maps every payload file when it opens, so a later commit that
+names, each with one light ``ParquetFile`` read (``build.read_columns``),
+and maps every payload file when it opens, so a later commit that
 unlinks them cannot break it. A reopen reuses the reader it replaces when
 every file that one loaded is still named: files are never rewritten
-under a name a commit used.
+under a name a commit used. So a publish that adds one terms file and
+one norms file costs the reopen those two reads and a fold of the new
+rows into the sorted dictionary, placed by integer keys
+(:func:`_fold_keys`); the live-docs mask is carried forward the same
+way (``index/deletes.py``).
 """
 
 from __future__ import annotations
@@ -35,12 +40,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 
 from ..codec import decode_postings
 from ..codec.postings import decode_values
-from ..index.build import IndexManifest, terms_schema
+from ..index.build import IndexManifest, read_columns, terms_schema
 
 
 def mmap_file(path: str) -> memoryview:
@@ -91,15 +96,11 @@ class NormsReader:
         else:
             self.norm[:prev.norm.size] = prev.norm
             self.length[:prev.length.size] = prev.length
-        if not files:
-            return
-        # one multi-threaded dataset read instead of per-file loops
-        t = pads.dataset(files, format="parquet").to_table(
-            columns=["doc_id", "length", "norm"]
-        )
-        ids = t["doc_id"].to_numpy()
-        self.norm[ids] = t["norm"].to_numpy()
-        self.length[ids] = t["length"].to_numpy()
+        for f in files:
+            t = read_columns(f, ["doc_id", "length", "norm"])
+            ids = t["doc_id"].to_numpy()
+            self.norm[ids] = t["norm"].to_numpy()
+            self.length[ids] = t["length"].to_numpy()
 
 
 class _LRU(OrderedDict):
@@ -132,6 +133,56 @@ class Chunk:
     block_max_tf: np.ndarray
     block_max_norm: np.ndarray
     positions: memoryview | bytes = b""
+
+
+# _TOP[n]: the top n bytes of a uint64
+_TOP = np.array([(1 << 64) - (1 << (64 - 8 * n)) if n else 0
+                 for n in range(8)], np.uint64)
+
+
+def _fold_keys(col) -> np.ndarray:
+    """One uint64 per string of ``col`` (Arrow strings): its first 7
+    UTF-8 bytes, zero-padded, big-endian, then its byte length capped at
+    8 in the low byte. Keys order as the strings do (``a < b`` gives
+    ``key(a) <= key(b)``), and two strings of under 8 bytes with equal
+    keys are equal, so only longer strings with equal keys need a
+    string compare."""
+    col = col.combine_chunks() if hasattr(col, "combine_chunks") else col
+    n = len(col)
+    off = np.frombuffer(col.buffers()[1], np.int32, n + 1, 4 * col.offset)
+    data = col.buffers()[2]
+    # 8 zero bytes past the end, so every string has an 8-byte window
+    buf = np.zeros(off[-1] + 8, np.uint8)
+    if data is not None:
+        buf[:off[-1]] = np.frombuffer(data, np.uint8, off[-1])
+    # the big-endian uint64 at every byte offset: one unaligned view
+    win = np.ndarray((buf.size - 7,), ">u8", buf, 0, (1,))
+    lens = np.diff(off)
+    return (win[off[:-1]].astype(np.uint64) & _TOP[np.minimum(lens, 7)]) \
+        | np.minimum(lens, 8).astype(np.uint64)
+
+
+def _fold_at(prev_terms: np.ndarray, prev_keys: np.ndarray,
+             terms: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(prev_terms, terms, "right")`` from the fold keys
+    (:func:`_fold_keys`) of the sorted ``prev_terms`` and of ``terms``:
+    a binary search on integers, then, only for terms of 8+ bytes whose
+    key equals some of ``prev_terms``' keys, a vectorized bisection of
+    that tie range comparing the strings."""
+    lo = np.searchsorted(prev_keys, keys, "left")
+    at = np.searchsorted(prev_keys, keys, "right")
+    tie = np.flatnonzero(((keys & 0xFF) == 8) & (at > lo))
+    lo, hi, t = lo[tie], at[tie], terms[tie]
+    while True:
+        j = np.flatnonzero(lo < hi)
+        if not j.size:
+            break
+        mid = (lo[j] + hi[j]) // 2
+        le = prev_terms[mid] <= t[j]
+        lo[j] = np.where(le, mid + 1, lo[j])
+        hi[j] = np.where(le, hi[j], mid)
+    at[tie] = lo
+    return at
 
 
 class TermDictReader:
@@ -217,10 +268,11 @@ class TermDictReader:
         fold them into ``prev``'s sorted rows (None: no rows), none of
         whose start docs may exceed any of ``tbl``'s: each row is
         inserted at ``searchsorted(prev.terms, term, "right")``, which
-        is where a sort of all rows would put it. ``tbl``'s rows number
-        on after ``prev``'s. The block-max list columns are kept as
-        (offsets, values) numpy pairs — no per-row Python list
-        materialization (5+ s at 10^6-row term dicts)."""
+        is where a sort of all rows would put it, found on integer fold
+        keys (:func:`_fold_keys`). ``tbl``'s rows number on after
+        ``prev``'s. The block-max list columns are kept as (offsets,
+        values) numpy pairs — no per-row Python list materialization
+        (5+ s at 10^6-row term dicts)."""
         # Arrow's stable sort compares UTF-8 bytes, which is code point
         # order: the order np.searchsorted sees on the str array
         order = pc.sort_indices(tbl, sort_keys=[
@@ -237,8 +289,14 @@ class TermDictReader:
             # maps sorted pos -> original row
             "_row_order": order.astype(np.int64) + base,
         }
-        if prev is not None:
-            at = np.searchsorted(prev.terms, new["terms"], side="right")
+        if prev is None:
+            # a full open builds no keys: the first fold into this
+            # reader builds them from its term column
+            self._term_col, self._keys = tbl["term"], None
+        else:
+            new["_keys"] = _fold_keys(tbl["term"])[order]
+            at = _fold_at(prev.terms, prev.fold_keys(), new["terms"],
+                          new["_keys"])
             new = {name: np.insert(getattr(prev, name), at, vals)
                    for name, vals in new.items()}
         self.__dict__.update(new)
@@ -254,6 +312,13 @@ class TermDictReader:
                 off = np.concatenate((poff[:-1], off + poff[-1]))
                 vals = np.concatenate((pvals, vals))
             self._blk[name] = (off, vals)
+
+    def fold_keys(self) -> np.ndarray:
+        """The :func:`_fold_keys` of ``self.terms``, built at the first
+        fold into a fully opened reader."""
+        if self._keys is None:
+            self._keys = _fold_keys(self._term_col)[self._row_order]
+        return self._keys
 
     def blk(self, name: str, row: int) -> np.ndarray:
         off, vals = self._blk[name]
@@ -384,7 +449,8 @@ def _read_terms(files: list[str], schema):
     are none)."""
     if not files:
         return schema.empty_table()
-    return pads.dataset(files, format="parquet", schema=schema).to_table()
+    return pa.concat_tables([read_columns(f, schema.names).cast(schema)
+                             for f in files])
 
 
 class MergedReader(TermDictReader):

@@ -252,24 +252,29 @@ def _sloppy_freq2_flat(searcher, cand, datas, slop: int) -> np.ndarray:
 OPEN_ATTEMPTS = 10
 
 
-def _open_commit(index_dir: str, reader, norms, apply_deletes: bool, prev):
+def _open_commit(index_dir: str, reader, norms, apply_deletes: bool, prev,
+                 man: IndexManifest | None = None):
     """(manifest, norms, live docs or None, term reader) of the index's
-    current commit, each opened from exactly the files it names;
-    ``reader`` / ``norms`` are used as given when not None. A named file
-    can vanish while it opens only because a newer commit dropped it:
-    then the manifest is reloaded and the open retried, up to
-    ``OPEN_ATTEMPTS`` times (Lucene's ``SegmentInfos.FindSegmentsFile``).
-    A file missing from the newest commit is an error."""
+    current commit ``man`` (None: load it), each opened from exactly the
+    files it names; ``reader`` / ``norms`` are used as given when not
+    None. When ``prev`` is an older commit of this index, its term
+    dictionary, norms and live docs are carried forward for the files
+    still named. A named file can vanish while it opens only because a
+    newer commit dropped it: then the manifest is reloaded and the open
+    retried, up to ``OPEN_ATTEMPTS`` times (Lucene's
+    ``SegmentInfos.FindSegmentsFile``). A file missing from the newest
+    commit is an error."""
     from ..index.deletes import LiveDocs
 
-    man = IndexManifest.load(index_dir)
+    if man is None:
+        man = IndexManifest.load(index_dir)
     for attempt in range(OPEN_ATTEMPTS):
         if prev is not None and prev.manifest.generation >= man.generation:
             prev = None  # not an older commit of this index: no reuse
         try:
             live = None
             if apply_deletes and man.deletes:
-                live = LiveDocs(man)
+                live = LiveDocs(man, prev=getattr(prev, "live_docs", None))
             terms = reader
             if terms is None:
                 terms = MergedReader(man, prev=getattr(prev, "reader", None))
@@ -284,7 +289,8 @@ def _open_commit(index_dir: str, reader, norms, apply_deletes: bool, prev):
 
 
 class IndexSearcher:
-    def __init__(self, index_dir: str, precise: bool = False, *,
+    def __init__(self, index_dir: "str | IndexManifest",
+                 precise: bool = False, *,
                  reader=None, norms=None, global_stats: dict | None = None,
                  apply_deletes: bool = True, similarity=None,
                  k1: float | None = None, b: float | None = None,
@@ -296,11 +302,16 @@ class IndexSearcher:
         solved by a stats pre-pass instead of per-shard stats).
 
         ``prev`` (optional): the searcher this one replaces; when it is
-        an older commit of this index, its norms and term dictionary are
-        reused for the files still named (``NormsReader`` /
-        ``MergedReader``), with results identical to a fresh open."""
+        an older commit of this index, its norms, term dictionary and
+        live docs are reused for the files still named (``NormsReader`` /
+        ``MergedReader`` / ``LiveDocs``), with results identical to a
+        fresh open. ``index_dir`` may be the index's current commit
+        itself, as a caller that has just loaded it passes it."""
+        man = None
+        if isinstance(index_dir, IndexManifest):
+            man, index_dir = index_dir, index_dir.index_dir
         self.manifest, self.norms, self.live_docs, self.reader = \
-            _open_commit(index_dir, reader, norms, apply_deletes, prev)
+            _open_commit(index_dir, reader, norms, apply_deletes, prev, man)
         self._stats = global_stats
         if global_stats is not None:
             self.max_doc = int(global_stats["max_doc"])
@@ -1240,8 +1251,10 @@ class SearcherManager:
     hands out the current searcher and swaps in a new one when the index's
     commit generation differs from the searcher's. Every writer publishes
     by one manifest replace, so the new searcher sees whole commits only.
-    It is opened from the current one (``IndexSearcher(prev=...)``), so a
-    publish that added files reads only those."""
+    It is opened from the current one (``IndexSearcher(prev=...)``) with
+    the manifest the refresh loaded, so a publish that added files reads
+    only those: the new terms and norms files and delete files, with the
+    live-docs mask carried forward."""
 
     def __init__(self, index_dir: str, **kw):
         self.index_dir = index_dir
@@ -1251,10 +1264,10 @@ class SearcherManager:
 
     def maybe_refresh(self) -> bool:
         s = self._searcher
-        if s is not None and IndexManifest.load(
-                self.index_dir).generation == s.manifest.generation:
+        man = IndexManifest.load(self.index_dir)
+        if s is not None and man.generation == s.manifest.generation:
             return False
-        self._searcher = IndexSearcher(self.index_dir, prev=s, **self._kw)
+        self._searcher = IndexSearcher(man, prev=s, **self._kw)
         return True
 
     def acquire(self) -> "IndexSearcher":

@@ -16,7 +16,12 @@ an immutable-file index on a shared/posix filesystem:
   a sync that fails before its publish leaves the replica's commit
   whole). A replica follows one master: a master whose generation is not
   above the replica's was rebuilt or is another index, so every file is
-  copied (SnapPuller's ``isFullCopyNeeded``).
+  copied (SnapPuller's ``isFullCopyNeeded``). Names are trusted only
+  while the replica's commit is the one the last sync published
+  (``_replication.json`` records its generation): a replica that took
+  commits of its own may have written the master's next names with
+  other bytes, so a sync that would trust them raises
+  :class:`ReplicaDivergedError` instead.
 
 ``SearcherManager.maybe_refresh`` on the replica picks up the new
 generation exactly like a local commit.
@@ -50,25 +55,47 @@ def _file_set(index_dir: str) -> set[str]:
     return out
 
 
+class ReplicaDivergedError(RuntimeError):
+    """The replica's commit is not the one the last sync published: it
+    took commits of its own (or never synced), so its file names may name
+    other bytes than the master's. Re-seed it: delete the replica
+    directory and replicate again."""
+
+
 def replicate(master_dir: str, replica_dir: str) -> dict:
     """One sync pass; returns {"generation", "copied", "deleted",
-    "up_to_date"}. Safe to call repeatedly (idempotent)."""
+    "up_to_date"}. Safe to call repeatedly (idempotent). Raises
+    :class:`ReplicaDivergedError` when the master's generation is above
+    the replica's but the replica's commit is not the one the last sync
+    published: trusting its names could keep a file of its own under a
+    master's name, and a full copy would publish a newer generation
+    whose names a reader of the replica could take for files it has
+    already read."""
     gen = index_generation(master_dir)
     man_path = os.path.join(replica_dir, MANIFEST)
     gen_path = os.path.join(replica_dir, "_replication.json")
-    if os.path.exists(man_path) and os.path.exists(gen_path):
-        with open(gen_path) as f:
-            if json.load(f).get("generation") == gen:
-                return {"generation": gen, "copied": 0, "deleted": 0,
-                        "up_to_date": True}
+    old = last = None
+    if os.path.exists(man_path):
+        old = IndexManifest.load(replica_dir)
+        if os.path.exists(gen_path):
+            with open(gen_path) as f:
+                last = json.load(f)
+    synced = last is not None \
+        and last.get("replica_generation") == old.generation
+    if synced and last.get("generation") == gen:
+        return {"generation": gen, "copied": 0, "deleted": 0,
+                "up_to_date": True}
     os.makedirs(replica_dir, exist_ok=True)
     man = IndexManifest.load(master_dir)
     want = _file_set(master_dir)
     have: set[str] = set()
-    if os.path.exists(man_path):
-        old = IndexManifest.load(replica_dir)
-        if man.generation > old.generation:
-            have = old.files()
+    if old is not None and man.generation > old.generation:
+        if not synced:
+            raise ReplicaDivergedError(
+                f"{replica_dir} is at generation {old.generation}, which "
+                "no sync from a master published (it took commits of its "
+                "own): delete it and replicate again to re-seed it")
+        have = old.files()
     copied = 0
     for rel in sorted(want - have):
         dst = os.path.join(replica_dir, rel)
@@ -90,7 +117,8 @@ def replicate(master_dir: str, replica_dir: str) -> dict:
     man.write()
     deleted = man.sweep()
     with open(gen_path + ".tmp", "w") as f:
-        json.dump({"generation": gen}, f)
+        json.dump({"generation": gen, "replica_generation": man.generation},
+                  f)
     os.replace(gen_path + ".tmp", gen_path)
     return {"generation": gen, "copied": copied, "deleted": deleted,
             "up_to_date": False}

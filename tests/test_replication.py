@@ -1,6 +1,7 @@
 """Replication (ReplicationHandler/SnapPuller analogue) + corpus loaders."""
 
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -286,3 +287,43 @@ def test_failed_publish_leaves_replica_as_after_last_sync(
         replicate(master, rep)
     monkeypatch.undo()
     assert answers() == before
+
+
+def test_replica_with_commits_of_its_own_is_refused(tmp_path, ray_session):
+    """A replica that committed since its last sync may hold its own
+    files under the names the master's next commits use: the sync
+    raises instead of keeping them, and a re-seeded replica answers as
+    the master does."""
+    from lucene_solr_ray.index.updates import update_documents
+    from lucene_solr_ray.state.replication import ReplicaDivergedError
+
+    def docs(keys, word):
+        return pa.table({
+            "path": pa.array(keys),
+            "content": pa.array([f"{k} body {word}" for k in keys]),
+        })
+
+    src = tmp_path / "src"
+    src.mkdir()
+    pq.write_table(docs([f"p{i}" for i in range(100)], "seed"),
+                   str(src / "c.parquet"), row_group_size=50)
+    master = str(tmp_path / "master")
+    build_index(str(src), master, text_field="content",
+                rows_per_partition=50)
+    merge_index(master)
+    replica = str(tmp_path / "replica")
+    replicate(master, replica)
+    update_documents(replica, docs(["p1", "r1"], "replicaonly"), "path")
+    for i in range(2):
+        update_documents(master, docs([f"p{2 + i}", f"m{i}"], "masteronly"),
+                         "path")
+    with pytest.raises(ReplicaDivergedError, match="re-seed"):
+        replicate(master, replica)
+    shutil.rmtree(replica)
+    replicate(master, replica)
+    for word in ("replicaonly", "masteronly", "seed"):
+        want = IndexSearcher(master).search(TermQuery(word), k=200)
+        got = IndexSearcher(replica).search(TermQuery(word), k=200)
+        assert got.to_pydict() == want.to_pydict(), word
+    assert IndexSearcher(replica).search(
+        TermQuery("masteronly"), k=10).num_rows == 4

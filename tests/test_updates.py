@@ -412,3 +412,35 @@ def test_docvalues_update_skips_deleted_versions(tmp_path, ray_session):
     assert gen.num_rows == 1
     # the one row is c's live version, the last doc of the index
     assert gen.column("doc_id").to_pylist() == [man.max_doc - 1]
+
+
+def test_key_lookup_reads_each_source_file_once(tmp_path, ray_session,
+                                                monkeypatch):
+    """The four partitions of a merged index all point at one corpus
+    file: the key lookup opens it once, reads all their row groups in
+    that read, and still maps each row to its own doc id."""
+    from lucene_solr_ray.index import IndexManifest
+    from lucene_solr_ray.index.updates import _matching_doc_ids
+
+    src = str(tmp_path / "c.parquet")
+    pq.write_table(_corpus(400), src, row_group_size=50)
+    idx = str(tmp_path / "idx")
+    build_index(src, idx, text_field="content", rows_per_partition=100)
+    merge_index(idx)
+    update_documents(idx, pa.table({
+        "doc_key": pa.array([400, 401], pa.int64()),
+        "content": pa.array(["appended one", "appended two"]),
+    }), "doc_key")
+    man = IndexManifest.load(idx)
+    corpus = {p["file"] for p in man.partitions[:4]}
+    assert len(man.partitions) == 5 and len(corpus) == 1
+    opened = []
+    real = pq.ParquetFile
+    monkeypatch.setattr(pq, "ParquetFile", lambda path, *a, **kw:
+                        opened.append(path) or real(path, *a, **kw))
+    ids, pos = _matching_doc_ids(man, "doc_key",
+                                 np.array([3, 120, 250, 399, 401]))
+    monkeypatch.undo()
+    assert opened.count(corpus.pop()) == 1 and len(opened) == 2
+    assert ids.tolist() == [3, 120, 250, 399, 401]
+    assert pos.tolist() == [0, 1, 2, 3, 4]
