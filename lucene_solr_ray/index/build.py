@@ -54,8 +54,12 @@ from ..codec.postings import (
 MANIFEST = "manifest.json"
 
 # bump when the on-disk segment/merged layout changes (cache-key component
-# for /tmp index caches; readers of one version never see another's files)
-FORMAT_VERSION = 4
+# for /tmp index caches; a manifest records it and load() refuses any
+# other, so readers of one version never see another's files). 5: merge
+# outputs own every byte their rows point at, a merge commit drops the
+# partitions' terms and .bin files, and source files under the index are
+# stored index-relative.
+FORMAT_VERSION = 5
 
 # the directories whose files a commit names; a commit unlinks every file
 # under them that it does not name
@@ -126,8 +130,8 @@ def read_columns(path: str, columns: list[str],
 
 def own_bin(terms_file: str) -> str:
     """The ``.bin`` that terms file ``terms_file`` writes its streams to
-    (same path, ``.bin`` for ``.parquet``); a merge's output rows may
-    also point at other files' bins."""
+    (same path, ``.bin`` for ``.parquet``): every row of a listed terms
+    file points into it."""
     return terms_file[:-len(".parquet")] + ".bin"
 
 
@@ -142,18 +146,26 @@ def _part_files(part: dict) -> list[str]:
 class IndexManifest:
     """The commit point (Lucene's ``segments_N``): the only list of what
     the index contains. A reader opens exactly the files it names — the
-    partitions' segment, ``.bin``, norms and docvalues files, and the
-    terms, delete and docvalues-update files listed below — and never
-    lists a directory. Every writer writes its new files under names no
-    earlier commit used, then publishes with :meth:`commit`.
+    partitions' norms and docvalues files, the listed terms files with
+    their ``.bin`` files, and the delete and docvalues-update files
+    listed below — and never lists a directory. Every writer writes its
+    new files under names no earlier commit used, then publishes with
+    :meth:`commit`.
 
     ``terms_files`` is the term dictionary: the index-relative terms
     files a reader folds into one sorted dictionary. A build lists its
     partitions' own terms files, an NRT append adds its segment's, and a
     merge swaps the files it compacted for its output (Lucene's
-    ``SegmentInfos`` list). The partitions' own terms files stay named
-    after a merge drops them from the list: they are the reference
-    ``check_merged`` compares against and what a doc shard reads."""
+    ``SegmentInfos`` list). Every row of a listed file points into that
+    file's own ``.bin`` (:func:`own_bin`), so a partition's terms file
+    and ``.bin`` are named only while the list holds them: the commit
+    that swaps them for a merge's output unlinks them, as Lucene's
+    ``IndexFileDeleter`` removes a merged segment's sources. Its norms,
+    docvalues and source file stay.
+
+    A partition's source ``file`` is absolute in memory; on disk one
+    under the index directory (an append's) is index-relative, so a
+    copy of the directory is a whole index of its own."""
 
     index_dir: str
     field: str
@@ -183,6 +195,8 @@ class IndexManifest:
     docvalues_updates: dict = field(default_factory=dict)
     # partition ids quarantined by exorcise_index: readers skip them
     exorcised: list = field(default_factory=list)
+    # the on-disk layout this commit was written in (FORMAT_VERSION)
+    format: int = FORMAT_VERSION
 
     @property
     def avgdl(self) -> float:
@@ -200,24 +214,35 @@ class IndexManifest:
         longer exactly the live partitions' own terms files."""
         return set(self.terms_files) != set(self.segment_terms())
 
-    def segment_terms(self, partition_ids=None) -> list[str]:
-        """The live partitions' own terms files (``partition_ids``: only
-        those partitions'); quarantined partitions (exorcise_index) are
-        left out, as their files may be unreadable."""
+    def segment_terms(self) -> list[str]:
+        """The names of the live partitions' own terms files, the list a
+        build commits; quarantined partitions (exorcise_index) are left
+        out. A merge commit unlinks the files once it stops listing
+        them."""
         drop = set(self.exorcised)
         return [p["segment"] for p in self.partitions
-                if p["partition_id"] not in drop and (
-                    partition_ids is None
-                    or p["partition_id"] in partition_ids)]
+                if p["partition_id"] not in drop]
+
+    def _source(self, path: str) -> str | None:
+        """``path``, a partition's source file, relative to the index
+        directory when it lies under it (an append's own file), else
+        None."""
+        rel = os.path.relpath(os.path.abspath(path),
+                              os.path.abspath(self.index_dir))
+        return None if rel.startswith(os.pardir) else rel
 
     def files(self) -> set[str]:
-        """Index-relative paths of every file this commit names."""
-        root = os.path.abspath(self.index_dir)
+        """Index-relative paths of every file this commit names: each
+        partition's norms, docvalues and (an append's) source file, and
+        each listed terms file with its own ``.bin``. A partition's own
+        terms file and ``.bin`` are named only while they are listed."""
         out = set()
         for p in self.partitions:
-            out.update(_part_files(p))
-            src = os.path.relpath(os.path.abspath(p["file"]), root)
-            if not src.startswith(os.pardir):  # an append's own file
+            out.add(p["norms"])
+            if "docvalues" in p:
+                out.add(p["docvalues"])
+            src = self._source(p["file"])
+            if src is not None:
                 out.add(src)
         for f in self.terms_files:
             out.update((f, own_bin(f)))
@@ -228,10 +253,15 @@ class IndexManifest:
         return out
 
     def write(self) -> None:
-        """Publish this manifest as it is: one ``os.replace``."""
+        """Publish this manifest as it is: one ``os.replace``. Source
+        files under the index directory are written index-relative."""
+        d = dict(self.__dict__, partitions=[
+            p if self._source(p["file"]) is None
+            else dict(p, file=self._source(p["file"]))
+            for p in self.partitions])
         tmp = os.path.join(self.index_dir, MANIFEST + ".tmp")
         with open(tmp, "w") as f:
-            json.dump(self.__dict__, f, indent=1)
+            json.dump(d, f, indent=1)
         os.replace(tmp, os.path.join(self.index_dir, MANIFEST))
 
     def sweep(self) -> int:
@@ -262,9 +292,15 @@ class IndexManifest:
         self.sweep()
 
     @classmethod
-    def load(cls, index_dir: str) -> "IndexManifest":
-        with open(os.path.join(index_dir, MANIFEST)) as f:
-            d = json.load(f)
+    def load(cls, index_dir: str, text: str | None = None
+             ) -> "IndexManifest":
+        """The current commit of ``index_dir`` (``text``: that commit's
+        ``manifest.json`` as already read). Refuses, with a "rebuild the
+        index" ``ValueError``, a manifest another on-disk format wrote."""
+        if text is None:
+            with open(os.path.join(index_dir, MANIFEST)) as f:
+                text = f.read()
+        d = json.loads(text)
         if not d.get("byte_aligned", True):
             raise ValueError(
                 f"{index_dir} was built with the bit-packed postings "
@@ -283,7 +319,18 @@ class IndexManifest:
             raise ValueError(
                 f"{index_dir} has manifest fields {sorted(unknown)} this "
                 "version does not know: rebuild the index")
+        if d.get("format") != FORMAT_VERSION:
+            # format 4 merges left rows pointing into partition .bin files
+            # that a format 5 commit would unlink
+            raise ValueError(
+                f"{index_dir} was written in on-disk format "
+                f"{d.get('format', 4)}, not {FORMAT_VERSION}: rebuild the "
+                "index")
         d["index_dir"] = index_dir
+        d["partitions"] = [
+            dict(p, file=os.path.join(index_dir, p["file"]))
+            if not os.path.isabs(p["file"]) else p
+            for p in d.get("partitions", [])]
         return cls(**d)
 
     def resolve_analyzer(self):
@@ -495,9 +542,11 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
                 not docvalues_fields or "docvalues" in row) and all(
                 os.path.exists(os.path.join(out_dir, f))
                 for f in _part_files(row)):
-            return row
-        # a rebuild of this partition: its files take a name no earlier
-        # build of it used, as a commit may still name the old ones
+            return dict(row, file=os.path.abspath(part["file"]))
+        # a rebuild of this partition (its input changed, or a merge
+        # dropped its terms file and .bin): its files take a name no
+        # earlier build of other input used, as a commit may still name
+        # the old ones; a rebuild of the same input writes the same bytes
         stem += "-" + hashlib.sha1(
             json.dumps(fingerprint).encode()).hexdigest()[:8]
     seg_path = os.path.join(out_dir, "segments", f"{stem}.parquet")
@@ -621,10 +670,11 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
     os.makedirs(os.path.dirname(ckpt_path), exist_ok=True)
 
     # payload sidecar: raw posting (then position) bytes concatenated into a
-    # flat mmap-able .bin — segments are ALREADY in final read format, so
-    # the merge can be metadata-only (chunks referenced in place; the .doc
-    # file written once at flush, exactly Lucene's "segments are immutable,
-    # merges mostly re-point" economics). Layout:
+    # flat mmap-able .bin, already in final read format: a merge copies a
+    # row's slices byte for byte into its own .bin, decoding only the small
+    # groups it compacts (Lucene's SegmentMerger copies a segment's
+    # postings into the merged segment, whose commit then drops the
+    # sources). Layout:
     #     [payload_0 .. payload_n][pos_0 .. pos_n]
     # Emit through the codec's list encoders: single-block terms (the
     # Zipf body, df <= 128) and single-block position/offset streams go
@@ -718,7 +768,7 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
     row = {
         "partition_id": pid,
         "input_fingerprint": fingerprint,
-        "file": part["file"],
+        "file": os.path.abspath(part["file"]),
         "row_groups": part["row_groups"],
         "doc_base": doc_base,
         "rows": part["rows"],
@@ -812,7 +862,10 @@ def build_index(
     # a (re)build commits a fresh view: segments are the source of truth,
     # so an earlier commit's merged terms files, deletes and docvalues
     # updates are dropped; the dictionary is the partitions' own terms
-    # files until merge_index compacts them
+    # files until merge_index compacts them. A merge commit unlinks those
+    # files, so a build over a merged index builds every partition again
+    # (build_segment reuses only a checkpoint whose files all exist): it
+    # costs a full build
     generation = 0
     if os.path.exists(os.path.join(out_dir, MANIFEST)):
         with open(os.path.join(out_dir, MANIFEST)) as f:

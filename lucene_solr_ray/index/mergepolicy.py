@@ -7,12 +7,16 @@ skew * size^0.05 * nonDelRatio^reclaim).
 What a "merge" is here: each NRT flush adds its segment's own terms file
 to the commit's ``terms_files`` (see ``updates.append_segment``), so reads
 stay correct but chunk counts per term grow with flush count. The tiered
-policy watches the listed segment files and, when a tier overflows,
-compacts a selected set into ONE ``merged/terms-tier-*.parquet`` (+ its
-own ``.bin`` for the small fragmented terms — big terms re-point). It runs
-the full merge's kernel (``merge.compact_groups``); a term's chunks keep
-partitioning its docs, so ``start_doc`` still orders them and later
-appends, whose docs come after every earlier one, still sort last.
+policy watches every listed terms file (appends, earlier tier outputs and
+a full merge's output alike, as Lucene's policy sees every segment) and,
+when a tier overflows, compacts a selected set into ONE
+``merged/terms-tier-*.parquet`` and its own ``.bin``, which holds every
+byte the output's rows point at (small fragmented terms re-encoded, big
+ones copied), so the merge commit unlinks the sources' terms files and
+``.bin`` files. It runs the full merge's kernel
+(``merge.compact_groups``); a term's chunks keep partitioning its docs,
+so ``start_doc`` still orders them and later appends, whose docs come
+after every earlier one, still sort last.
 
 Scale notes: selection is driver-side arithmetic over file sizes (two
 ``os.stat`` calls per listed segment — thousands, not billions); each
@@ -31,10 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 
 from .build import IndexManifest, own_bin, terms_schema
-from .merge import compact_to_file
+from .merge import compact_to_file, dropped_ranges
 
 @dataclass
 class SegmentSizeInfo:
@@ -133,16 +138,17 @@ class TieredMergePolicy:
 
 
 def list_append_segments(index_dir: str) -> list[SegmentSizeInfo]:
-    """Eligible segments = the listed terms files that are a partition's
-    own (a flush no merge has compacted yet), sized as the terms file
-    plus its own ``.bin``."""
+    """The segments the policy sees: every listed terms file (a flush, a
+    tier output or a full merge's output), sized as the terms file plus
+    its own ``.bin``, which holds every byte its rows point at.
+    ``find_merges`` leaves out those above half
+    ``max_merged_segment_bytes``."""
     man = IndexManifest.load(index_dir)
-    segs = set(man.segment_terms())
     return [SegmentSizeInfo(
         terms_path=os.path.join(index_dir, f),
         bytes=sum(os.path.getsize(os.path.join(index_dir, x))
                   for x in (f, own_bin(f))))
-        for f in man.terms_files if f in segs]
+        for f in man.terms_files]
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +158,9 @@ def list_append_segments(index_dir: str) -> list[SegmentSizeInfo]:
 def execute_merge(index_dir: str, terms_paths: list[str]) -> str:
     """Compact the given listed terms files into one tier terms file
     through the full merge's kernel (:func:`merge.compact_groups`, every
-    row in one salt): terms with few postings across the candidate are
-    re-encoded into the output's own bin, everything else re-points.
+    row in one salt, rows sorted by term so the output is too): terms
+    with few postings across the candidate are re-encoded into the
+    output's own bin, everything else is copied into it.
 
     The output is written under a name no earlier commit used, then one
     commit swaps the sources for it in ``terms_files``; files no commit
@@ -169,9 +176,12 @@ def execute_merge(index_dir: str, terms_paths: list[str]) -> str:
         .encode()).hexdigest()[:12]
     tbl = pads.dataset(terms_paths, format="parquet", schema=terms_schema(
         man.store_offsets, man.store_payloads)).to_table()
+    tbl = tbl.take(pc.sort_indices(tbl, [("term", "ascending"),
+                                         ("start_doc", "ascending")]))
     tbl = tbl.append_column(
         "salt", pa.array(np.zeros(tbl.num_rows, np.int32)))
-    out = compact_to_file(tbl, index_dir, f"merged/terms-tier-{digest}")
+    out = compact_to_file(tbl, index_dir, f"merged/terms-tier-{digest}",
+                          dropped_ranges(man))
     man.terms_files = [f for f in man.terms_files if f not in names] + [out]
     man.commit()
     return os.path.join(index_dir, out)

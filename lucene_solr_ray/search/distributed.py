@@ -1,4 +1,4 @@
-"""Doc-sharded distributed search: one stats pass + scatter + reduce core.
+"""Doc-sharded distributed search: one stats read + scatter + reduce core.
 
 The Ray Data restatement of Solr's two-stage distributed query
 (``QueryComponent.java:662-714`` STAGE_EXECUTE_QUERY scatter +
@@ -7,13 +7,14 @@ The Ray Data restatement of Solr's two-stage distributed query
 same three pieces over the deterministic partition groups of
 ``plan_shards``:
 
-1. **stats pass** (``_global_stats``) — each shard's ``doc_freqs`` for the
-   query terms are summed into GLOBAL (df, maxDoc, sumTotalTermFreq), so
+1. **stats** (``_global_stats``) — the query terms' GLOBAL df, read once
+   from the commit's dictionary, and its (maxDoc, sumTotalTermFreq), so
    every shard scores exactly as a single Lucene index would (no
    per-shard-IDF drift — the BaseDistributedSearchTestCase equivalence
    requirement);
 2. **scatter** — a per-shard function runs against ``_shard_searcher``
-   (only that shard's segments + norms, global stats injected) and its
+   (the commit's dictionary rows with docs in the shard's doc range + its
+   partitions' norms, global stats injected), built once per request, and its
    payloads come back in shard-id order, never actor arrival order.
    Per-call requests scatter with ``map_batches`` over the shard
    descriptors, one row per shard (``_scatter``); ``ShardedServingPool``
@@ -24,13 +25,14 @@ same three pieces over the deterministic partition groups of
    ``collect_sharded``, (value, doc asc) for ``search_by_field_sharded``.
 
 ``ServingPool`` is the query-parallel path: whole-index replicas, one
-query per replica call, no stats pass. Rank identity vs the
+query per replica call, no global stats. Rank identity vs the
 single-process searcher is asserted in tests at several shard counts
 (the control-vs-sharded strategy).
 """
 
 from __future__ import annotations
 
+import os
 from functools import partial
 
 import numpy as np
@@ -52,7 +54,7 @@ from .topk import merge_shard_topk
 
 
 def query_terms(q: Query) -> set[str]:
-    """All literal terms a query scores with (for the stats pass)."""
+    """All literal terms a query scores with (for the global stats)."""
     if isinstance(q, TermQuery):
         return {q.term}
     if isinstance(q, PhraseQuery):
@@ -102,26 +104,38 @@ def plan_shards(manifest: IndexManifest, num_shards: int) -> list[dict]:
     ]
 
 
-def _global_stats(man: IndexManifest, terms, scatter) -> dict:
-    """The stats pass: ``scatter(fn, stats)`` returns ``fn(shard
-    searcher)`` for every shard; their ``doc_freqs`` sum into the global
-    df. Collection constants come from the manifest, so an empty term set
-    needs no scatter."""
+def _global_stats(man: IndexManifest, terms) -> dict:
+    """The global statistics of commit ``man``: collection constants
+    from the manifest, and each of ``terms``' df summed over its rows in
+    the listed terms files, as the single-process reader sums it (one
+    light read of each file's ``term`` and ``df`` columns)."""
+    import pyarrow.compute as pc
+
+    from ..index.build import read_columns
+
     stats = {"max_doc": man.max_doc, "sum_ttf": man.sum_total_term_freq,
              "df": {}}
     terms = sorted(terms)
     if not terms:
         return stats
-    dfs = scatter(lambda s: s.reader.doc_freqs(terms), stats)
-    return dict(stats, df={t: sum(d.get(t, 0) for d in dfs) for t in terms})
+    want = pa.array(terms, pa.string())
+    rows = [t.filter(pc.is_in(t["term"], value_set=want)) for t in (
+        read_columns(os.path.join(man.index_dir, f), ["term", "df"])
+        for f in man.terms_files)]
+    df = dict.fromkeys(terms, 0)
+    for t in rows:
+        for term, n in zip(t["term"].to_pylist(), t["df"].to_pylist()):
+            df[term] += n
+    return dict(stats, df=df)
 
 
 def _shard_searcher(index_dir: str, pids: list[int], stats: dict):
-    """IndexSearcher over one shard's partitions (their own terms files +
-    norms only) scoring with the injected global ``stats``; ``doc_range``
-    is the shard's slice of the global doc-id space."""
-    from dataclasses import replace
-
+    """IndexSearcher over one shard's partitions (the commit's
+    dictionary rows with docs in the shard's doc range, and its
+    partitions' norms) scoring with the injected global ``stats``;
+    ``doc_range`` is the shard's slice of the global doc-id space, and
+    the searcher reads every doc outside it as deleted. Plans are
+    contiguous, so the range holds exactly the shard's partitions."""
     from .readers import MergedReader, NormsReader
     from .searcher import IndexSearcher
 
@@ -132,8 +146,7 @@ def _shard_searcher(index_dir: str, pids: list[int], stats: dict):
     hi = max(r["doc_base"] + r["rows"] for r in rows)
     return IndexSearcher(
         index_dir,
-        reader=MergedReader(replace(
-            man, terms_files=man.segment_terms(want))),
+        reader=MergedReader(man, doc_range=(lo, hi)),
         norms=NormsReader(man, partition_ids=pids),
         global_stats=dict(stats, doc_range=(lo, hi)),
     )
@@ -163,11 +176,11 @@ def _scatter(index_dir: str, shards: list[dict], fn, stats: dict) -> list:
 
 
 def _sharded(index_dir: str, num_shards: int, terms, fn) -> list:
-    """Stats pass, then one scatter of ``fn``: per-shard payloads in
+    """Global stats, then one scatter of ``fn``: per-shard payloads in
     shard-id order, for the caller's reduce."""
     man = IndexManifest.load(index_dir)
-    scatter = partial(_scatter, index_dir, plan_shards(man, num_shards))
-    return scatter(fn, _global_stats(man, terms, scatter))
+    return _scatter(index_dir, plan_shards(man, num_shards), fn,
+                    _global_stats(man, terms))
 
 
 def _hits(s, q: Query, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -300,7 +313,7 @@ class ShardSearcherActor:
 
 class ShardedServingPool:
     """Persistent doc-sharded serving: N resident shard actors + the
-    distributed query (stats pass, scatter, TopDocs merge) per request —
+    distributed query (global stats, scatter, TopDocs merge) per request —
     the steady-state SolrCloud query path, with rank identity to the
     single-process searcher."""
 
@@ -308,7 +321,7 @@ class ShardedServingPool:
         import ray
 
         self.manifest = IndexManifest.load(index_dir)
-        stats = _global_stats(self.manifest, (), None)
+        stats = _global_stats(self.manifest, ())
         actor_cls = ray.remote(ShardSearcherActor)
         self.actors = [
             actor_cls.remote(index_dir, s["partition_ids"], stats)
@@ -322,7 +335,7 @@ class ShardedServingPool:
         return ray.get([a.run.remote(fn, stats) for a in self.actors])
 
     def search(self, q: Query, k: int = 10) -> pa.Table:
-        stats = _global_stats(self.manifest, query_terms(q), self._scatter)
+        stats = _global_stats(self.manifest, query_terms(q))
         docs, scores = _merge(
             self._scatter(lambda s: _hits(s, q, k), stats), k)
         return pa.table({
@@ -396,7 +409,7 @@ def search_by_field_sharded(
     the docvalues field, the driver merges with the same (value, doc id
     asc) order — rank-identical to the single-process ``search_by_field``
     because doc ids are global (no shardIndex tie-break needed, unlike
-    TopFieldDocs.merge). The df stats pass still runs: scores are unused
+    TopFieldDocs.merge). The df stats are still read: scores are unused
     for the field sort, but ``_docs_only`` runs the scorer machinery."""
     parts = _sharded(index_dir, num_shards, query_terms(q),
                      partial(_field_topk, q=q, k=k, field=field,

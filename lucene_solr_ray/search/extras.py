@@ -341,7 +341,7 @@ def payload_score(searcher: IndexSearcher, term: str, *, fn: str = "avg",
     else:
         raise ValueError(f"unknown payload fn {fn!r}")
     if searcher.live_docs is not None:
-        alive = searcher.live_docs.mask(docs)
+        alive = searcher.live_docs.mask[docs]
         docs, agg = docs[alive], agg[alive]
     order = np.lexsort((docs, -agg))[:k]
     return pa.table({
@@ -367,7 +367,7 @@ def payload_check(searcher: IndexSearcher, term: str,
             out.append(int(docs[i]))
     arr = np.asarray(out, np.int64)
     if searcher.live_docs is not None and arr.size:
-        arr = arr[searcher.live_docs.mask(arr)]
+        arr = arr[searcher.live_docs.mask[arr]]
     return arr
 
 

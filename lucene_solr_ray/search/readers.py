@@ -11,14 +11,12 @@ The DirectoryReader analogue (``index/DirectoryReader.java:62-202``):
   sorted array held in RAM and binary-searched, and memory-maps the
   ``.bin`` files their rows point at (the ``.doc``/``.pos``/``.pay``
   analogue, decoded lazily per term with an LRU cache, the
-  ``LRUQueryCache`` analogue). A doc shard or a reference view opens the
-  same reader over a commit whose list is a subset of the partitions'
-  own terms files.
+  ``LRUQueryCache`` analogue). A doc shard opens the same reader
+  restricted to its doc range.
 
 The term dictionary is one sorted array of term strings per reader. Its
-RAM cost is ~60 B/term + the term bytes; at web scale the dictionary is
-sharded across scorer actors (each actor mounts a subset of the terms
-files).
+RAM cost is ~60 B/term + the term bytes; a doc shard holds only the rows
+with docs in its range, but reads every listed terms file to find them.
 
 Every reader opens exactly the files one commit (``IndexManifest``)
 names, each with one light ``ParquetFile`` read (``build.read_columns``),
@@ -46,6 +44,7 @@ import pyarrow.compute as pc
 from ..codec import decode_postings
 from ..codec.postings import decode_values
 from ..index.build import IndexManifest, read_columns, terms_schema
+from ..index.merge import last_docs
 
 
 def mmap_file(path: str) -> memoryview:
@@ -75,7 +74,9 @@ def _unloaded(prev, files: list[str]) -> list[str] | None:
 
 class NormsReader:
     """Norm bytes and lengths by doc id, from the norms files of commit
-    ``src``'s partitions (``partition_ids``: only those). ``prev`` (the
+    ``src``'s partitions (``partition_ids``: only those); a quarantined
+    partition's (exorcise_index) are not read, as they may be
+    unreadable, and its docs, all deleted, read 0. ``prev`` (the
     reader this one replaces, or None) is reused when every norms file it
     loaded is still named: its arrays are copied and only the other
     partitions' norms files are read."""
@@ -83,12 +84,14 @@ class NormsReader:
     def __init__(self, src: "str | IndexManifest",
                  partition_ids: list[int] | None = None, prev=None):
         man = _commit(src)
-        self.norm = np.empty(man.max_doc, np.uint8)
-        self.length = np.empty(man.max_doc, np.int32)
+        self.norm = np.zeros(man.max_doc, np.uint8)
+        self.length = np.zeros(man.max_doc, np.int32)
         want = None if partition_ids is None else set(partition_ids)
+        drop = set(man.exorcised)
         self._files = [
             os.path.join(man.index_dir, p["norms"]) for p in man.partitions
-            if want is None or p["partition_id"] in want
+            if (want is None or p["partition_id"] in want)
+            and p["partition_id"] not in drop
         ]
         files = _unloaded(prev, self._files)
         if files is None:
@@ -465,16 +468,31 @@ class MergedReader(TermDictReader):
 
     Row payloads stay in the mmap'd ``.bin`` files their ``payload_file``
     (index-relative) names: each stored stream keeps one (offsets,
-    lengths) pair per row."""
+    lengths) pair per row.
+
+    ``doc_range`` (``(lo, hi)``, a doc shard's slice of the doc-id
+    space): the reader holds only the rows with a doc in ``[lo, hi)``,
+    as they are, undecoded; a partition's own terms file outside the
+    range is not read. A row that straddles the range (a merge's
+    compacted chunk, at most ``merge.REENCODE_MAX_DOCS`` postings in a
+    full merge) still decodes to its docs outside it and counts them in
+    its df: the shard's searcher treats those docs as deleted, and its
+    statistics come from the commit (``distributed._global_stats``)."""
 
     def __init__(self, src: "str | IndexManifest",
-                 prev: "MergedReader | None" = None, **kw):
+                 prev: "MergedReader | None" = None,
+                 doc_range: tuple[int, int] | None = None, **kw):
         super().__init__(**kw)
         man = _commit(src)
         root = man.index_dir
         schema = terms_schema(man.store_offsets, man.store_payloads)
-        self._files = files = [os.path.join(root, f)
-                               for f in man.terms_files]
+        names = man.terms_files
+        if doc_range is not None:
+            lo, hi = doc_range
+            outside = {p["segment"] for p in man.partitions
+                       if not lo <= p["doc_base"] < hi}
+            names = [f for f in names if f not in outside]
+        self._files = files = [os.path.join(root, f) for f in names]
         new = _unloaded(prev, files)
         if new is None:
             prev, new = None, files
@@ -482,6 +500,12 @@ class MergedReader(TermDictReader):
         if prev is not None and tbl.num_rows and prev.terms.size and (
                 pc.min(tbl["start_doc"]).as_py() <= prev.chunk_order.max()):
             prev, tbl = None, _read_terms(files, schema)
+        if doc_range is not None:
+            # a shard's reader is no reopen's base: its rows are not all
+            # the files' rows
+            self._files = None
+            first, last = tbl["start_doc"].to_numpy(), last_docs(tbl)
+            tbl = tbl.filter(pa.array((first < hi) & (last >= lo)))
         fdict = tbl["payload_file"].combine_chunks().dictionary_encode()
         self._set_payload_refs(
             [os.path.join(root, f) for f in fdict.dictionary.to_pylist()],

@@ -313,6 +313,17 @@ class IndexSearcher:
         self.manifest, self.norms, self.live_docs, self.reader = \
             _open_commit(index_dir, reader, norms, apply_deletes, prev, man)
         self._stats = global_stats
+        if global_stats is not None and "doc_range" in global_stats:
+            # a doc shard: docs outside its range are other shards', and
+            # read as deleted here (its reader's rows that straddle the
+            # range still decode to them)
+            from ..index.deletes import LiveDocs
+
+            lo, hi = global_stats["doc_range"]
+            live = self.live_docs or LiveDocs(self.manifest)
+            live.mask[:lo] = False
+            live.mask[hi:] = False
+            self.live_docs = live
         if global_stats is not None:
             self.max_doc = int(global_stats["max_doc"])
             sum_ttf = int(global_stats["sum_ttf"])

@@ -40,14 +40,19 @@ from ..index.build import MANIFEST, IndexManifest
 def index_generation(index_dir: str) -> str:
     """Content hash of the commit point (manifest.json)."""
     with open(os.path.join(index_dir, MANIFEST), "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()[:16]
+        return _hash(f.read())
 
 
-def _file_set(index_dir: str) -> set[str]:
-    """Index-relative paths of the files the commit names, plus the
-    root-level commit companions: the pickled analyzer and
-    ExternalFileField key=value files travel with the index."""
-    out = IndexManifest.load(index_dir).files()
+def _hash(text: bytes) -> str:
+    return hashlib.sha256(text).hexdigest()[:16]
+
+
+def _file_set(index_dir: str, man: IndexManifest | None = None) -> set[str]:
+    """Index-relative paths of the files the commit (``man``, else the
+    current one) names, plus the root-level commit companions: the
+    pickled analyzer and ExternalFileField key=value files travel with
+    the index."""
+    out = (man or IndexManifest.load(index_dir)).files()
     for name in os.listdir(index_dir):
         if os.path.isfile(os.path.join(index_dir, name)) and (
                 name == "analyzer.pkl" or name.startswith("external_")):
@@ -71,7 +76,11 @@ def replicate(master_dir: str, replica_dir: str) -> dict:
     master's name, and a full copy would publish a newer generation
     whose names a reader of the replica could take for files it has
     already read."""
-    gen = index_generation(master_dir)
+    # the master's commit, read once: its bytes are what the replica
+    # publishes (every path in it is index-relative or outside the index)
+    with open(os.path.join(master_dir, MANIFEST), "rb") as f:
+        text = f.read()
+    gen = _hash(text)
     man_path = os.path.join(replica_dir, MANIFEST)
     gen_path = os.path.join(replica_dir, "_replication.json")
     old = last = None
@@ -86,8 +95,8 @@ def replicate(master_dir: str, replica_dir: str) -> dict:
         return {"generation": gen, "copied": 0, "deleted": 0,
                 "up_to_date": True}
     os.makedirs(replica_dir, exist_ok=True)
-    man = IndexManifest.load(master_dir)
-    want = _file_set(master_dir)
+    man = IndexManifest.load(master_dir, text.decode())
+    want = _file_set(master_dir, man)
     have: set[str] = set()
     if old is not None and man.generation > old.generation:
         if not synced:
@@ -103,19 +112,14 @@ def replicate(master_dir: str, replica_dir: str) -> dict:
         shutil.copyfile(os.path.join(master_dir, rel), dst + ".tmp")
         os.replace(dst + ".tmp", dst)
         copied += 1
-    # the publish; file paths inside are relative to index_dir except the
-    # source-corpus references: partitions whose file lies INSIDE the
-    # master dir (delta-append segments) re-point at the replica's synced
-    # copies, shared corpus paths outside the index dir stay as-is
-    man.index_dir = replica_dir
-    mabs = os.path.abspath(master_dir)
-    for p in man.partitions:
-        fabs = os.path.abspath(p["file"])
-        if fabs.startswith(mabs + os.sep):
-            p["file"] = os.path.join(
-                replica_dir, os.path.relpath(fabs, mabs))
-    man.write()
-    deleted = man.sweep()
+    # the publish: the master's manifest as it is. Its file paths are
+    # index-relative (an append's source file too), so they name the
+    # replica's synced copies; corpus paths outside the index are shared
+    tmp = man_path + ".tmp"
+    with open(tmp, "wb") as f:
+        f.write(text)
+    os.replace(tmp, man_path)
+    deleted = IndexManifest.load(replica_dir).sweep()
     with open(gen_path + ".tmp", "w") as f:
         json.dump({"generation": gen, "replica_generation": man.generation},
                   f)

@@ -227,14 +227,17 @@ def test_sharded_search_rank_identity(index_dir, searcher, ray_session):
                 num_shards, qi)
 
 
-def test_resume_skips_and_is_deterministic(corpus_dir, index_dir,
-                                           tmp_path_factory, ray_session):
+def test_resume_skips_and_is_deterministic(corpus_dir, tmp_path_factory,
+                                           ray_session):
     import pyarrow.dataset as pads
 
-    # fresh build in a new dir -> identical segment tables
+    # two fresh builds in new dirs -> identical segment tables (the
+    # module's index_dir may already be merged, which drops its own)
+    out1 = str(tmp_path_factory.mktemp("index1"))
+    build_index(corpus_dir, out1, rows_per_partition=100)
     out2 = str(tmp_path_factory.mktemp("index2"))
     build_index(corpus_dir, out2, rows_per_partition=100)
-    a = _seg_table(os.path.join(index_dir, "segments"))
+    a = _seg_table(os.path.join(out1, "segments"))
     b = _seg_table(os.path.join(out2, "segments"))
     assert a.sort_by([("term", "ascending"),
                       ("start_doc", "ascending")]).equals(

@@ -6,7 +6,6 @@ a merge keeps no mapping of the payload bins it read."""
 import glob
 import os
 import shutil
-from dataclasses import replace
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -14,7 +13,7 @@ import pytest
 
 from lucene_solr_ray.index import (IndexManifest, append_segment,
                                    build_index, merge, merge_index)
-from lucene_solr_ray.index.check import check_merged
+from lucene_solr_ray.index.check import check_merged, reference_reader
 from lucene_solr_ray.index.mergepolicy import (execute_merge,
                                                list_append_segments)
 from lucene_solr_ray.search import IndexSearcher, TermQuery
@@ -70,19 +69,27 @@ def test_k_ranges_merge_like_one(corpus, tmp_path, ray_session,
     per range, and the merged rows and every term's postings and
     positions equal the one-range merge's, also when the splits fall
     inside the source files' row groups. Two merges of copies of one
-    index write byte-identical files under the same names."""
+    index write byte-identical files under the same names. Each k merges
+    its own copy of the built index: a merge commit drops the
+    partitions' terms files it read."""
     idx = str(tmp_path / "idx")
-    twin = str(tmp_path / "twin")
     build_index(corpus, idx, rows_per_partition=50, store_positions=True)
     # 7-row groups: each range reads a few groups of every file, and the
     # splits cut groups in two
     for f in IndexManifest.load(idx).segment_terms():
         path = os.path.join(idx, f)
         pq.write_table(pq.read_table(path), path, row_group_size=7)
-    shutil.copytree(idx, twin)
     salted = dict(hot_df_threshold=50, salt_group_size=2)
-    views = {k: _merge_with_ranges(idx, k, monkeypatch, **salted)
-             for k in (1, 2, 4)}
+    views = {}
+    for k in (1, 2, 4):
+        copy, twin = str(tmp_path / f"k{k}"), str(tmp_path / f"twin{k}")
+        shutil.copytree(idx, copy)
+        shutil.copytree(idx, twin)
+        views[k] = _merge_with_ranges(copy, k, monkeypatch, **salted)
+        _merge_with_ranges(twin, k, monkeypatch, **salted)
+        assert IndexManifest.load(twin).terms_files == \
+            IndexManifest.load(copy).terms_files
+        assert _merged_files(twin) == _merged_files(copy)
     assert [views[k][0] for k in (1, 2, 4)] == [1, 2, 4]
     for k in (2, 4):
         assert views[k][1:] == views[1][1:]
@@ -91,12 +98,6 @@ def test_k_ranges_merge_like_one(corpus, tmp_path, ray_session,
     for row in views[1][1]:
         chunks[row[0]] = chunks.get(row[0], 0) + 1
     assert max(chunks.values()) > 1
-    # the twin reaches the same generation through the same merges
-    for k in (1, 2, 4):
-        _merge_with_ranges(twin, k, monkeypatch, **salted)
-    assert IndexManifest.load(twin).terms_files == \
-        IndexManifest.load(idx).terms_files
-    assert _merged_files(twin) == _merged_files(idx)
 
 
 def test_read_rows_decodes_only_its_row_groups(tmp_path, monkeypatch):
@@ -152,8 +153,11 @@ def test_more_ranges_than_terms(tmp_path, ray_session, monkeypatch):
     else:
         raise AssertionError(f"no non-ASCII split between two: {splits}")
     salted = dict(hot_df_threshold=50, salt_group_size=2)
+    # each merges its own copy: a merge drops the terms files it read
+    shutil.copytree(idx, str(tmp_path / "many"))
     one = _merge_with_ranges(idx, 1, monkeypatch, **salted)
-    many = _merge_with_ranges(idx, k, monkeypatch, **salted)
+    many = _merge_with_ranges(str(tmp_path / "many"), k, monkeypatch,
+                              **salted)
     # one file per range but the empty first one ("" up to "alpha")
     assert many[0] == len(splits) < k
     assert many[1:] == one[1:]
@@ -213,14 +217,10 @@ STREAM_DOCS = {
 }
 
 
-def _stream_view(idx: str, kind: str, segments: bool = False) -> dict:
+def _stream_view(idx: str, kind: str, reader=None) -> dict:
     """Every term's stored stream, and (offsets) every doc's match spans,
-    as a fresh searcher over the commit's dictionary sees them — or,
-    with ``segments``, over the partitions' own terms files."""
-    reader = None
-    if segments:
-        man = IndexManifest.load(idx)
-        reader = MergedReader(replace(man, terms_files=man.segment_terms()))
+    as a fresh searcher over the commit's dictionary sees them — or over
+    ``reader``'s."""
     s = IndexSearcher(idx, reader=reader)
     terms = s.reader.unique_terms().tolist()
     read = (s.reader.term_offsets if kind == "offsets"
@@ -249,9 +249,14 @@ def test_streams_survive_every_compaction(kind, tmp_path, ray_session):
     assert _stream_view(idx, kind) == before
     for text in docs[:2]:
         append_segment(idx, pa.table({"content": pa.array([text])}))
-    want = _stream_view(idx, kind, segments=True)
+    # the reference: the partitions' segments built again from their
+    # source rows (the merge commit dropped their own terms files)
+    with reference_reader(idx) as ref:
+        want = _stream_view(idx, kind, ref)
     assert _stream_view(idx, kind) == want
-    execute_merge(idx, [s.terms_path for s in list_append_segments(idx)])
+    # the policy lists the full merge's output first, then the appends
+    execute_merge(idx, [s.terms_path
+                        for s in list_append_segments(idx)[1:]])
     from lucene_solr_ray.index.build import own_bin
 
     tier = IndexManifest.load(idx).terms_files[-1]

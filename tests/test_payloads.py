@@ -82,3 +82,24 @@ def test_checkindex_covers_payload_stream(pay_idx):
 
     rep = check_index(pay_idx)
     assert rep["ok"] and rep["terms_checked"] > 0
+
+
+def test_payload_queries_skip_deleted_docs(tmp_path, ray_session):
+    from lucene_solr_ray.index import build_index, delete_docs
+    from lucene_solr_ray.search import IndexSearcher
+    from lucene_solr_ray.search.extras import payload_check, payload_score
+
+    docs = ["alpha|2.0 beta|1.0 alpha|4.0", "alpha|10.0 gamma",
+            "alpha|2.0 alpha|4.0"]
+    pq.write_table(pa.table({"content": pa.array(docs)}),
+                   str(tmp_path / "c.parquet"))
+    idx = str(tmp_path / "idx")
+    build_index(str(tmp_path / "c.parquet"), idx,
+                analyzer="delimited_payload", store_positions=True,
+                store_payloads=True, rows_per_partition=10)
+    delete_docs(idx, np.array([1]))
+    s = IndexSearcher(idx)
+    t = payload_score(s, "alpha", fn="max")
+    assert t["doc_id"].to_pylist() == [0, 2]
+    assert payload_check(s, "alpha", [2.0, 4.0]).tolist() == [0, 2]
+    assert payload_check(s, "alpha", [10.0]).tolist() == []

@@ -3,14 +3,16 @@
 untouched partitions keep their segment bytes."""
 
 import os
+import shutil
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from lucene_solr_ray.index import build_index, merge_index
-from lucene_solr_ray.index.updates import append_segment, update_documents
+from lucene_solr_ray.index import build_index, check_index, merge_index
+from lucene_solr_ray.index.updates import (append_segment, realtime_get,
+                                           update_documents)
 from lucene_solr_ray.search import IndexSearcher, TermQuery
 
 
@@ -444,3 +446,35 @@ def test_key_lookup_reads_each_source_file_once(tmp_path, ray_session,
     assert opened.count(corpus.pop()) == 1 and len(opened) == 2
     assert ids.tolist() == [3, 120, 250, 399, 401]
     assert pos.tolist() == [0, 1, 2, 3, 4]
+
+
+def _keyed(keys, tag=""):
+    return pa.table({"path": pa.array(keys),
+                     "content": pa.array([f"doc {k} body{tag}"
+                                          for k in keys])})
+
+
+def test_an_index_with_appends_can_be_copied(tmp_path, ray_session):
+    """Append source files are stored index-relative: a copy of an index
+    with appends is a whole index of its own, whose commits keep its
+    own appends after the original is gone."""
+    src = tmp_path / "src"
+    src.mkdir()
+    pq.write_table(_keyed([f"k{i}" for i in range(20)]),
+                   str(src / "c.parquet"), row_group_size=10)
+    idx = str(tmp_path / "idx")
+    build_index(str(src), idx, rows_per_partition=10)
+    update_documents(idx, _keyed(["k1", "n1"], " one"), "path")
+    update_documents(idx, _keyed(["k2", "n2"], " two"), "path")
+    copy = str(tmp_path / "copy")
+    shutil.copytree(idx, copy)
+    update_documents(copy, _keyed(["k3", "n3"], " three"), "path")
+    shutil.rmtree(idx)
+    got = realtime_get(copy, "path", ["n1", "n2", "n3", "k2"])
+    assert got["path"].to_pylist() == ["n1", "n2", "n3", "k2"]
+    assert got["content"].to_pylist()[-1] == "doc k2 body two"
+    assert update_documents(copy, _keyed(["n1"], " again"), "path") == \
+        {"deleted": 1, "added": 1}
+    s = IndexSearcher(copy)
+    assert s.search(TermQuery("again"), k=5).num_rows == 1
+    assert check_index(copy)["ok"]

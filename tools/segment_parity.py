@@ -1,7 +1,7 @@
 """Segment parity between two checkouts of the engine.
 
     python tools/segment_parity.py BASE CHANGE [--seed 701] [--docs 4000]
-        [--work DIR]
+        [--work DIR] [--merged] [--out FILE]
 
 A change to analysis or to the segment build must leave every segment
 the same. This script writes the perfbench corpus
@@ -19,6 +19,18 @@ Each subprocess also writes the ``standard`` token stream
 doc_idx, positions, starts, ends, dtypes included), and times the
 stream of a batch of mostly non-ASCII documents (median of 7 runs).
 
+``--merged`` adds a merged pass: each subprocess also runs
+``merge_index`` on a copy of each build, then ``check_merged(strict=True)``,
+and reads ``index_info(...)["bytes_by_family"]``. It prints, per checkout
+and configuration, the bytes of each top-level directory, the total per
+input byte (the UTF-8 bytes of the ``content`` column, as perfbench's
+``index_bytes_per_input_byte`` counts them), and how many
+``segments/*.parquet`` or ``segments/*.bin`` files the merge commit still
+names; ``--out`` writes all of it as one JSON file. With ``--merged``,
+the exit status also requires that ``check_merged`` passes for both
+checkouts and that CHANGE's merge commits name no partition terms file
+or ``.bin`` (a merged index keeps one copy of each posting).
+
 The exit status is 0 when everything is equal. Run it from a checkout
 whose ``perfbench/`` writes the corpus (the first of BASE and CHANGE
 that has it is used).
@@ -30,6 +42,7 @@ import argparse
 import json
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -64,9 +77,60 @@ def _non_ascii_batch(texts: list[str], seed: int) -> list[str]:
     return out
 
 
-def worker(corpus: str, spare: str, out: str, seed: int) -> None:
-    """Runs under one checkout: build every configuration, write the
-    stream and the timing."""
+def merged_pass(out: str) -> None:
+    """Merge a copy of each configuration's build under ``out``, check
+    it and count its bytes; writes ``merged.json`` into ``out``."""
+    from lucene_solr_ray.index import IndexManifest, check_merged, \
+        merge_index
+    from lucene_solr_ray.index.check import index_info
+
+    result = {}
+    for name in CONFIGS:
+        idx = os.path.join(out, name + "-merged")
+        shutil.copytree(os.path.join(out, name), idx)
+        merge_index(idx)
+        try:
+            check_merged(idx, strict=True)
+            checked = "ok"
+        except AssertionError as e:
+            checked = f"FAILED: {e}"
+        named = [f for f in IndexManifest.load(idx).files()
+                 if f.startswith("segments" + os.sep)
+                 and f.endswith((".parquet", ".bin"))]
+        result[name] = {"bytes_by_family": index_info(idx)["bytes_by_family"],
+                        "check_merged": checked,
+                        "segments_named": len(named)}
+    with open(os.path.join(out, "merged.json"), "w") as f:
+        json.dump(result, f)
+
+
+def report_merged(outs: list[str], labels: list[str],
+                  input_bytes: int) -> tuple[dict, bool]:
+    """Print each checkout's merged pass; returns the results and
+    whether every check held."""
+    results, ok = {}, True
+    for label, out in zip(labels, outs):
+        with open(os.path.join(out, "merged.json")) as f:
+            results[label] = json.load(f)
+        for name, r in results[label].items():
+            total = sum(r["bytes_by_family"].values())
+            r["bytes_per_input_byte"] = total / input_bytes
+            fams = ", ".join(f"{k} {v:,}" for k, v in
+                             sorted(r["bytes_by_family"].items()))
+            print(f"{label} {name} merged: {total:,} B = "
+                  f"{r['bytes_per_input_byte']:.3f} of input ({fams}); "
+                  f"check_merged {r['check_merged']}; "
+                  f"segments/ files named {r['segments_named']}")
+            ok &= r["check_merged"] == "ok"
+            ok &= label != "change" or r["segments_named"] == 0
+    return results, ok
+
+
+def worker(corpus: str, spare: str, out: str, seed: int,
+           merged: bool = False) -> None:
+    """Runs under one checkout: build every configuration (and with
+    ``merged``, run :func:`merged_pass`), write the stream and the
+    timing."""
     import numpy as np
     import pyarrow.parquet as pq
     import ray
@@ -82,6 +146,8 @@ def worker(corpus: str, spare: str, out: str, seed: int) -> None:
         for name, kw in CONFIGS.items():
             build_index(corpus, os.path.join(out, name),
                         text_field="content", rows_per_partition=1000, **kw)
+        if merged:
+            merged_pass(out)
     finally:
         ray.shutdown()
     texts = pq.read_table(corpus)["content"].to_pylist() + \
@@ -154,11 +220,15 @@ def main(argv=None) -> int:
     ap.add_argument("--work", default=None,
                     help="directory for the corpus and the indexes "
                          "(default: a new temporary directory)")
+    ap.add_argument("--merged", action="store_true",
+                    help="also merge each build and report its bytes")
+    ap.add_argument("--out", default=None,
+                    help="write the merged pass's results here")
     ap.add_argument("--worker", nargs=3, metavar=("CORPUS", "SPARE", "OUT"),
                     help=argparse.SUPPRESS)
     a = ap.parse_args(argv)
     if a.worker:
-        worker(*a.worker, a.seed)
+        worker(*a.worker, a.seed, a.merged)
         return 0
     if not (a.base and a.change):
         ap.error("BASE and CHANGE checkouts are required")
@@ -168,12 +238,12 @@ def main(argv=None) -> int:
     bench = next(os.path.join(c, "perfbench") for c in checkouts
                  if os.path.exists(os.path.join(c, "perfbench", "inputs.py")))
     sys.path[:0] = [os.path.dirname(bench), bench]
-    from inputs import write_corpus
+    from inputs import content_bytes, write_corpus
 
     corpus = os.path.join(work, "corpus.parquet")
     spare = os.path.join(work, "spare.parquet")
     import pyarrow.parquet as pq
-    _, spare_tbl = write_corpus(corpus, a.docs, a.seed)
+    corpus_tbl, spare_tbl = write_corpus(corpus, a.docs, a.seed)
     pq.write_table(spare_tbl, spare)
     outs = []
     for label, ck in zip(("base", "change"), checkouts):
@@ -181,7 +251,8 @@ def main(argv=None) -> int:
         env = dict(os.environ, PYTHONPATH=ck)
         subprocess.run([sys.executable, os.path.abspath(__file__),
                         "--seed", str(a.seed),
-                        "--worker", corpus, spare, out],
+                        "--worker", corpus, spare, out]
+                       + ["--merged"] * a.merged,
                        env=env, cwd=ck, check=True)
         outs.append(out)
     diffs = compare(*outs)
@@ -191,7 +262,19 @@ def main(argv=None) -> int:
         print(f"{label}: {t['non_ascii_docs']} of {BATCH} docs non-ASCII, "
               f"stream {t['non_ascii_batch_ms']:.1f} ms (median of 7)")
     print("PARITY OK" if not diffs else f"PARITY FAILED: {diffs}")
-    return 0 if not diffs else 1
+    ok = True
+    if a.merged:
+        input_bytes = content_bytes(corpus_tbl)
+        results, ok = report_merged(outs, ["base", "change"], input_bytes)
+        if a.out:
+            with open(a.out, "w") as f:
+                json.dump({"seed": a.seed, "docs": a.docs,
+                           "input_bytes": input_bytes,
+                           "checkouts": dict(zip(checkouts,
+                                                 results.values()))},
+                          f, indent=1)
+        print("MERGED OK" if ok else "MERGED: a check failed")
+    return 0 if not diffs and ok else 1
 
 
 if __name__ == "__main__":
