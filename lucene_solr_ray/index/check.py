@@ -381,7 +381,9 @@ def index_info(index_dir: str) -> dict:
     admin/LukeRequestHandler.java``): commit-point metadata + physical
     sizes without opening posting payloads — numDocs/deletedDocs,
     segment/merge state, term counts from the term-dict parquet
-    metadata, bytes per file family."""
+    metadata, bytes per file family, and the term dictionary's bytes per
+    column (``terms_bytes_by_column``: each column's compressed bytes in
+    the listed terms files, from their footers; no data page is read)."""
     import pyarrow.parquet as pq
 
     from .deletes import LiveDocs
@@ -395,8 +397,17 @@ def index_info(index_dir: str) -> dict:
             fam = os.path.relpath(root, index_dir).split(os.sep)[0]
             fam = fam if fam != "." else "root"
             sizes[fam] = sizes.get(fam, 0) + os.path.getsize(p)
-    term_rows = sum(pq.read_metadata(os.path.join(index_dir, f)).num_rows
-                    for f in man.terms_files)
+    term_rows, by_column = 0, {}
+    for f in man.terms_files:
+        md = pq.read_metadata(os.path.join(index_dir, f))
+        term_rows += md.num_rows
+        for g in range(md.num_row_groups):
+            rg = md.row_group(g)
+            for i in range(rg.num_columns):
+                col = rg.column(i)
+                name = col.path_in_schema.split(".")[0]
+                by_column[name] = (by_column.get(name, 0)
+                                   + col.total_compressed_size)
     return {
         "max_doc": man.max_doc,
         "num_docs": man.max_doc - deleted,
@@ -409,6 +420,7 @@ def index_info(index_dir: str) -> dict:
         "avgdl": man.avgdl,
         "term_dict_rows": term_rows,
         "bytes_by_family": sizes,
+        "terms_bytes_by_column": by_column,
         "positions": man.store_positions,
         "offsets": man.store_offsets,
         "payloads": man.store_payloads,

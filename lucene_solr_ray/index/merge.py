@@ -36,13 +36,16 @@ One kernel, :func:`compact_groups`, does both for every term range of a
 full merge and for the tier merges of ``mergepolicy.execute_merge``.
 
 Output, per range: one ``merged/terms-<name>.parquet`` (the ``.tim/.tip``
-analogue — small enough to hold in RAM per shard actor), sorted by term,
-and its own ``merged/terms-<name>.bin`` holding every byte its rows
-point at; an empty range writes neither. One commit swaps them for the
-files the merge read in the manifest's ``terms_files``, and that commit
-unlinks the files it no longer names: the partitions' terms files and
-``.bin`` files (Lucene's ``IndexFileDeleter``). Readers open nothing
-else.
+analogue — small enough to hold in RAM per shard actor), sorted by term
+and written in the build's fixed encoding (``build.write_encoded``), and
+its own ``merged/terms-<name>.bin`` holding every byte its rows point at,
+laid out as the build lays out a segment: stream after stream, each in
+row order, so each stream's offsets ascend by its lengths and the terms
+file stores them as small deltas. An empty range writes neither. One
+commit swaps them for the files the merge read in the manifest's
+``terms_files``, and that commit unlinks the files it no longer names:
+the partitions' terms files and ``.bin`` files (Lucene's
+``IndexFileDeleter``). Readers open nothing else.
 
 Skew handling (north rule): a stopword-like term's metadata rows are salted
 (``salt = pid // salt_group_size``) so no compaction ever collects all of a
@@ -79,7 +82,7 @@ import pyarrow.parquet as pq
 from ..codec.postings import (_exclusive_cumsum, _intra, block_bounds,
                               decode_postings_batch, decode_values_batch,
                               encode_postings_lists, encode_values_lists)
-from .build import IndexManifest, terms_schema
+from .build import IndexManifest, terms_schema, write_encoded
 
 # groups with more postings than this pass through as independent chunks
 # instead of decode+re-encode (readers merge chunks at read time)
@@ -126,10 +129,25 @@ def _gather(paths: list[str], file_idx: np.ndarray,
     return out
 
 
-# pass-through rows are copied in runs of about this many bytes (a row
-# longer than one run in one slice copy), so a copy holds index arrays of
-# a few runs' size whatever the rows' total
+# slices are copied in runs of about this many bytes (a row longer than
+# one run in one slice copy), so a copy holds index arrays of a few runs'
+# size whatever the rows' total
 _COPY_RUN = 1 << 20
+
+
+def _copy_runs(out: np.ndarray, src: np.ndarray, offs: np.ndarray,
+               lens: np.ndarray, dst: np.ndarray, rows: np.ndarray) -> None:
+    """Copy each of ``rows``' byte slice ``[offs, offs + lens)`` of
+    ``src`` to ``[dst, dst + lens)`` of ``out``, in runs of about
+    ``_COPY_RUN`` bytes."""
+    for r in rows[lens[rows] > _COPY_RUN]:
+        out[dst[r]:dst[r] + lens[r]] = src[offs[r]:offs[r] + lens[r]]
+    small = rows[lens[rows] <= _COPY_RUN]
+    run = np.cumsum(lens[small]) // _COPY_RUN
+    for part in np.split(small, np.flatnonzero(np.diff(run)) + 1):
+        il = _intra(lens[part])
+        out[np.repeat(dst[part], lens[part]) + il] = \
+            src[np.repeat(offs[part], lens[part]) + il]
 
 
 def _copy_rows(out: np.ndarray, paths: list[str], file_idx: np.ndarray,
@@ -137,8 +155,8 @@ def _copy_rows(out: np.ndarray, paths: list[str], file_idx: np.ndarray,
     """Copy each row's byte slice ``[offs, offs + lens)`` of its bin
     (``paths[file_idx]``) to ``[dst, dst + lens)`` of ``out`` (a
     writable mapping of the output bin), one mapped source at a time and
-    in runs of about ``_COPY_RUN`` bytes: nothing is buffered in RAM, so
-    a hot term's big rows cost no memory, only a copy."""
+    in runs (:func:`_copy_runs`): nothing is buffered in RAM, so a hot
+    term's big rows cost no memory, only a copy."""
     for f, path in enumerate(paths):
         rows = np.flatnonzero((file_idx == f) & (lens > 0))
         if rows.size == 0:
@@ -147,25 +165,17 @@ def _copy_rows(out: np.ndarray, paths: list[str], file_idx: np.ndarray,
                 fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
             src = np.frombuffer(mm, np.uint8)
             try:
-                for r in rows[lens[rows] > _COPY_RUN]:
-                    out[dst[r]:dst[r] + lens[r]] = src[offs[r]:offs[r]
-                                                       + lens[r]]
-                small = rows[lens[rows] <= _COPY_RUN]
-                run = np.cumsum(lens[small]) // _COPY_RUN
-                for part in np.split(small,
-                                     np.flatnonzero(np.diff(run)) + 1):
-                    il = _intra(lens[part])
-                    out[np.repeat(dst[part], lens[part]) + il] = \
-                        src[np.repeat(offs[part], lens[part]) + il]
+                _copy_runs(out, src, offs, lens, dst, rows)
             finally:
                 del src  # drop the buffer export so the map can close
 
 
-def _write_bin(path: str, size: int, copies: list, sections: list) -> None:
+def _write_bin(path: str, size: int, copies: list, lists: list) -> None:
     """Write the bin ``path`` of ``size`` bytes: each ``(paths, file_idx,
     offs, lens, dst)`` of ``copies`` copied from the source bins
-    (:func:`_copy_rows`), then ``sections`` (arrays) laid end to end
-    after the copied bytes."""
+    (:func:`_copy_rows`), and each ``(buffer, lens, dst)`` of ``lists``
+    (lists of ``lens`` bytes laid end to end in ``buffer``) scattered
+    to its ``dst``."""
     with open(path + ".tmp", "w+b") as f:
         if size:
             f.truncate(size)
@@ -174,11 +184,11 @@ def _write_bin(path: str, size: int, copies: list, sections: list) -> None:
                 try:
                     for c in copies:
                         _copy_rows(out, *c)
+                    for buf, lens, dst in lists:
+                        _copy_runs(out, buf, _exclusive_cumsum(lens), lens,
+                                   dst, np.flatnonzero(lens > 0))
                 finally:
                     del out
-            f.seek(sum(int(c[3].sum()) for c in copies))
-        for sec in sections:
-            f.write(sec.tobytes())
     os.replace(path + ".tmp", path)
 
 
@@ -242,31 +252,23 @@ def _decode(gathered: list, sel: np.ndarray, dfs: np.ndarray,
 
 
 def _encode(terms: pa.Array, docs: np.ndarray, tfs: np.ndarray,
-            vals: list, streams, list_df: np.ndarray, norm: np.ndarray,
-            base: int) -> tuple[list, dict]:
+            vals: list, streams, list_df: np.ndarray,
+            norm: np.ndarray) -> tuple[dict, dict]:
     """Encode the posting lists laid end to end in ``docs``/``tfs`` (list
     i holds ``list_df[i]`` postings of term ``terms[i]``) and their
-    ``streams`` values into bin sections that start at byte ``base``:
-    ``[postings...][positions...][offsets or payloads...]``, as the build
-    lays a segment out. The encoder is the build's
+    ``streams`` values. The encoder is the build's
     (``encode_postings_lists``), so a list's bytes are what
     ``encode_postings`` writes for it: code 0 only where it is strictly
     smaller (see ``codec.postings``). ``norm`` is each list's block max
-    norm byte, an upper bound used for all its blocks. Returns (sections,
-    the terms columns but ``payload_file``)."""
+    norm byte, an upper bound used for all its blocks. Returns (each
+    stream's lists laid end to end and their byte lengths, by offset
+    column: ``offset`` for the postings, ``<stream>_offset`` for the
+    others; the terms columns but ``payload_file`` and the offsets)."""
     bounds = _exclusive_cumsum(list_df)
     list_ttf = np.add.reduceat(tfs.astype(np.int64), bounds)
-    payload, p_lens = encode_postings_lists(docs, tfs, list_df)
-    sections = [payload]
-    end = base + int(p_lens.sum())
-    none = np.zeros(list_df.size, np.int64)
-    # an index without positions keeps empty position refs
-    refs = {"pos": (end + none, none)}
+    enc = {"offset": encode_postings_lists(docs, tfs, list_df)}
     for (n, k), v in zip(streams, vals):
-        enc, enc_lens = encode_values_lists(v, k * list_ttf)
-        sections.append(enc)
-        refs[n] = (end + _exclusive_cumsum(enc_lens), enc_lens)
-        end += int(enc_lens.sum())
+        enc[f"{n}_offset"] = encode_values_lists(v, k * list_ttf)
     nblk, first, last = block_bounds(list_df)
     boff = pa.array(np.r_[0, np.cumsum(nblk)], pa.int32())
     out = {
@@ -274,10 +276,8 @@ def _encode(terms: pa.Array, docs: np.ndarray, tfs: np.ndarray,
         "df": list_df.astype(np.int32),
         "ttf": list_ttf,
         "start_doc": docs[bounds],
-        "offset": base + _exclusive_cumsum(p_lens),
-        "length": p_lens,
-        "pos_offset": refs["pos"][0],
-        "pos_length": refs["pos"][1],
+        # an index without positions keeps empty position refs
+        "pos_length": np.zeros(list_df.size, np.int64),
         "block_last": pa.ListArray.from_arrays(
             boff, pa.array(docs[last])),
         "block_max_tf": pa.ListArray.from_arrays(
@@ -285,10 +285,9 @@ def _encode(terms: pa.Array, docs: np.ndarray, tfs: np.ndarray,
         "block_max_norm": pa.ListArray.from_arrays(
             boff, pa.array(np.repeat(norm, nblk), pa.uint8())),
     }
-    for n, _ in streams:
-        if n != "pos":
-            out[f"{n}_offset"], out[f"{n}_length"] = refs[n]
-    return sections, out
+    for col, (_, lens) in enc.items():
+        out[col.replace("offset", "length")] = lens
+    return enc, out
 
 
 def _max_norm(rows: pa.Table, starts: np.ndarray) -> np.ndarray:
@@ -345,9 +344,14 @@ def compact_groups(rows: pa.Table, index_dir: str, stem: str,
     whose doc ranges interleave, which are then sorted by doc — and
     re-encoded (:func:`_encode`), each stream in one vectorized call
     whatever the group count. Every stored stream is carried: positions,
-    char offsets (two values per occurrence) and payloads. The bin holds
-    the passed-through sections, then the compacted ones, each laid out
-    as the build lays out a segment.
+    char offsets (two values per occurrence) and payloads. The bin is laid
+    out as the build lays out a segment: stream after stream (postings,
+    positions, then offsets or payloads), each in output row order, a
+    passed-through row's slices copied to their place and a compacted
+    list's scattered to its place from the re-encoded buffer. Each
+    stream's offsets are then its base plus the exclusive cumulative sum
+    of its lengths, deltas the terms file stores small
+    (``build.write_encoded``).
 
     ``drop`` (:func:`dropped_ranges`): doc ranges whose postings are left
     out. A row wholly inside one is dropped undecoded; a row that
@@ -383,87 +387,92 @@ def compact_groups(rows: pa.Table, index_dir: str, stem: str,
     sel = sel[np.lexsort((rows["start_doc"].to_numpy()[sel], lid[sel]))]
     streams = _streams(rows)
 
-    # passthrough: each stream's slices laid end to end in row order,
-    # stream after stream, the rows re-based onto them
+    # passthrough rows keep their columns but the bin and the stream
+    # offsets; their slices are copied from the source bins below
     src = rows.take(pa.array(keep))
+    parts = [src.select(schema.names).set_column(
+        schema.get_field_index("payload_file"), "payload_file",
+        pa.repeat(bin_rel, keep.size)).cast(schema)]
+    at, enc = keep, {}
+    if sel.size:
+        sub = rows.take(pa.array(sel))
+        lids = lid[sel]
+        l_starts = np.flatnonzero(np.r_[True, lids[1:] != lids[:-1]])
+        dfs = sub["df"].to_numpy().astype(np.int64)
+        docs, tfs, vals = _decode(_gather_rows(sub, index_dir, streams),
+                                  np.arange(sel.size), dfs,
+                                  sub["ttf"].to_numpy().astype(np.int64),
+                                  streams)
+        l_df = np.add.reduceat(dfs, l_starts)
+        norm = _max_norm(sub, l_starts)
+        if clip.any():
+            inside = ~_in_ranges(docs, drop)
+            lst = np.repeat(np.arange(l_starts.size), l_df)
+            vals = [v[np.repeat(inside, k * tfs)]
+                    for (_, k), v in zip(streams, vals)]
+            docs, tfs = docs[inside], tfs[inside]
+            l_df = np.bincount(lst[inside], minlength=l_starts.size)
+            live = l_df > 0
+            l_starts, l_df, norm = l_starts[live], l_df[live], norm[live]
+        if not _increasing(docs, l_df):
+            # a tier merge of non-adjacent segments leaves chunks whose
+            # doc ranges interleave: put each list's postings in doc order
+            docs, tfs, vals = _doc_order(docs, tfs, vals, streams, l_df)
+            if not _increasing(docs, l_df):
+                raise ValueError(
+                    "merge: a compacted group holds one doc twice")
+        enc, out = _encode(sub["term"].take(pa.array(l_starts)), docs, tfs,
+                           vals, streams, l_df, norm)
+        out["payload_file"] = pa.repeat(bin_rel, l_starts.size)
+        for col in schema.names:  # the offsets, set with the layout below
+            out.setdefault(col, np.zeros(l_starts.size, np.int64))
+        parts.append(pa.table(out).select(schema.names).cast(schema))
+        # a compacted list goes where its first row was
+        at = np.concatenate((keep, sel[l_starts]))
+    tbl = pa.concat_tables(parts)
+    order = np.argsort(at, kind="stable")  # the input's order
+
+    # the bin, laid out as the build lays out a segment: stream after
+    # stream, each stream's slices in output row order, so each offset
+    # column is its stream's base plus the exclusive cumulative sum of
+    # its lengths
     files = src["payload_file"].combine_chunks().dictionary_encode()
     paths = [os.path.join(index_dir, f)
              for f in files.dictionary.to_pylist()]
     fidx = files.indices.to_numpy()
-    copies, refs, end = [], {}, 0
-    for col in ["offset"] + [f"{n}_offset" for n, _ in streams]:
-        offs = src[col].to_numpy()
-        lens = src[col.replace("offset", "length")].to_numpy()
-        refs[col] = end + _exclusive_cumsum(lens)
-        copies.append((paths, fidx, offs, lens, refs[col]))
+    copies, lists, end = [], [], 0
+    cols = ["offset"] + [f"{n}_offset" for n, _ in streams]
+    if "pos_offset" not in cols:
+        cols.append("pos_offset")  # no positions: empty refs
+    for col in cols:
+        lens = tbl[col.replace("offset", "length")].to_numpy()
+        dst = np.empty(lens.size, np.int64)
+        dst[order] = end + _exclusive_cumsum(lens[order])
+        copies.append((paths, fidx, src[col].to_numpy(), lens[:keep.size],
+                       dst[:keep.size]))
+        if col in enc:
+            lists.append((enc[col][0], lens[keep.size:], dst[keep.size:]))
+        tbl = tbl.set_column(schema.get_field_index(col), col,
+                             pa.array(dst, pa.int64()))
         end += int(lens.sum())
-    if "pos_offset" not in refs:
-        # no positions: empty refs at one offset, as compacted rows get
-        refs["pos_offset"] = np.full(keep.size, end, np.int64)
-    passthrough = src.select(schema.names)
-    for col, vals in refs.items():
-        passthrough = passthrough.set_column(
-            schema.get_field_index(col), col, pa.array(vals, pa.int64()))
-    passthrough = passthrough.set_column(
-        schema.get_field_index("payload_file"), "payload_file",
-        pa.repeat(bin_rel, keep.size)).cast(schema)
-    path = os.path.join(index_dir, bin_rel)
-    if sel.size == 0:
-        _write_bin(path, end, copies, [])
-        return passthrough
-
-    sub = rows.take(pa.array(sel))
-    lids = lid[sel]
-    l_starts = np.flatnonzero(np.r_[True, lids[1:] != lids[:-1]])
-    dfs = sub["df"].to_numpy().astype(np.int64)
-    docs, tfs, vals = _decode(_gather_rows(sub, index_dir, streams),
-                              np.arange(sel.size), dfs,
-                              sub["ttf"].to_numpy().astype(np.int64),
-                              streams)
-    l_df = np.add.reduceat(dfs, l_starts)
-    norm = _max_norm(sub, l_starts)
-    if clip.any():
-        inside = ~_in_ranges(docs, drop)
-        lst = np.repeat(np.arange(l_starts.size), l_df)
-        vals = [v[np.repeat(inside, k * tfs)]
-                for (_, k), v in zip(streams, vals)]
-        docs, tfs = docs[inside], tfs[inside]
-        l_df = np.bincount(lst[inside], minlength=l_starts.size)
-        live = l_df > 0
-        l_starts, l_df, norm = l_starts[live], l_df[live], norm[live]
-    if not _increasing(docs, l_df):
-        # a tier merge of non-adjacent segments leaves chunks whose doc
-        # ranges interleave: put each list's postings in doc order
-        docs, tfs, vals = _doc_order(docs, tfs, vals, streams, l_df)
-        if not _increasing(docs, l_df):
-            raise ValueError("merge: a compacted group holds one doc twice")
-    enc, out = _encode(sub["term"].take(pa.array(l_starts)), docs, tfs,
-                       vals, streams, l_df, norm, end)
-    _write_bin(path, end + sum(e.nbytes for e in enc), copies, enc)
-    out["payload_file"] = pa.repeat(bin_rel, l_starts.size)
-    tbl = pa.concat_tables([
-        passthrough, pa.table(out).select(schema.names).cast(schema)])
-    # back to the input's order: passthrough rows at their own place, a
-    # compacted list at its first row's
-    at = np.concatenate((keep, sel[l_starts]))
-    return tbl.take(pa.array(np.argsort(at, kind="stable")))
+    _write_bin(os.path.join(index_dir, bin_rel), end, copies, lists)
+    return tbl.take(pa.array(order))
 
 
 def compact_to_file(rows: pa.Table, index_dir: str, stem: str,
                     drop: np.ndarray | None = None) -> str:
     """Compact ``rows`` (:func:`compact_groups`, leaving out ``drop``)
     into the terms file ``<stem>.parquet`` and its own ``<stem>.bin``,
-    both index-relative; returns the terms file's index-relative path. The terms file keeps
-    Arrow's default row groups (1M rows): the perfbench corpus's merge
-    output is 6% smaller in one row group than in
-    ``build.TERMS_ROW_GROUP``-row groups, at the cost that a later merge
-    split into ranges reads each output of under 1M rows whole in each
-    range."""
+    both index-relative; returns the terms file's index-relative path.
+    The terms file is written in the build's fixed encoding
+    (``build.write_encoded``) and keeps Arrow's default row groups (1M
+    rows): in that encoding the benchmark corpus's merge output is 0.4%
+    smaller in one row group than in ``build.TERMS_ROW_GROUP``-row groups,
+    at the cost that a later merge split into ranges reads each output of
+    under 1M rows whole in each range."""
     tbl = compact_groups(rows, index_dir, stem, drop)
     rel = stem + ".parquet"
-    path = os.path.join(index_dir, rel)
-    pq.write_table(tbl, path + ".tmp")
-    os.replace(path + ".tmp", path)
+    write_encoded(tbl, os.path.join(index_dir, rel))
     return rel
 
 

@@ -10,8 +10,11 @@ subprocess per checkout (``PYTHONPATH`` set to it, so its Ray workers
 import it too), builds it with ``rows_per_partition=1000`` in three
 configurations: ``standard``; ``standard`` with positions and offsets;
 and ``english``. It then reports, per configuration and partition,
-whether the segment terms tables (``segments/part-*.parquet``) are
-equal as tables and the ``.bin`` and norms files byte-identical.
+whether the segment terms tables (``segments/part-*.parquet``) and the
+norms tables (``norms/part-*.parquet``) are equal as tables and the
+``.bin`` files byte-identical. Terms and norms are compared as tables,
+not bytes, so a change to their on-disk encoding alone is no
+difference.
 
 Each subprocess also writes the ``standard`` token stream
 (``tokens_batch_factorized``) of the corpus and spare documents in
@@ -21,15 +24,20 @@ stream of a batch of mostly non-ASCII documents (median of 7 runs).
 
 ``--merged`` adds a merged pass: each subprocess also runs
 ``merge_index`` on a copy of each build, then ``check_merged(strict=True)``,
-and reads ``index_info(...)["bytes_by_family"]``. It prints, per checkout
-and configuration, the bytes of each top-level directory, the total per
+and reads ``index_info(...)``. It prints, per checkout and
+configuration, the bytes of each top-level directory, the total per
 input byte (the UTF-8 bytes of the ``content`` column, as perfbench's
-``index_bytes_per_input_byte`` counts them), and how many
-``segments/*.parquet`` or ``segments/*.bin`` files the merge commit still
-names; ``--out`` writes all of it as one JSON file. With ``--merged``,
-the exit status also requires that ``check_merged`` passes for both
-checkouts and that CHANGE's merge commits name no partition terms file
-or ``.bin`` (a merged index keeps one copy of each posting).
+``index_bytes_per_input_byte`` counts them), the term dictionary's bytes
+per column (``terms_bytes_by_column``), how many ``segments/*.parquet``
+or ``segments/*.bin`` files the merge commit still names, and which merge
+outputs' ``.bin`` is not laid out in row order; ``--out`` writes all of
+it as one JSON file. With ``--merged``, the exit status also requires
+that ``check_merged`` passes for both checkouts, and that CHANGE's merge
+commits name no partition terms file or ``.bin`` (a merged index keeps
+one copy of each posting) and every merge output's offsets are
+row-ordered: each stream (postings, positions, then offsets or payloads)
+follows the one before it in the ``.bin``, and its offsets are its base
+plus the exclusive cumulative sum of its lengths.
 
 The exit status is 0 when everything is equal. Run it from a checkout
 whose ``perfbench/`` writes the corpus (the first of BASE and CHANGE
@@ -77,6 +85,30 @@ def _non_ascii_batch(texts: list[str], seed: int) -> list[str]:
     return out
 
 
+def unordered_streams(idx: str) -> list[str]:
+    """The streams of ``idx``'s listed terms files whose ``.bin`` is not
+    laid out in row order (see the module docstring), as
+    ``file: column``."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from lucene_solr_ray.index import IndexManifest
+
+    bad = []
+    for f in IndexManifest.load(idx).terms_files:
+        t = pq.read_table(os.path.join(idx, f))
+        base = 0
+        for s in ("", "pos_", "off_", "pay_"):
+            if s + "offset" not in t.schema.names:
+                continue
+            lens = t[s + "length"].to_numpy()
+            if not np.array_equal(t[s + "offset"].to_numpy(),
+                                  base + np.cumsum(lens) - lens):
+                bad.append(f"{f}: {s}offset")
+            base += int(lens.sum())
+    return bad
+
+
 def merged_pass(out: str) -> None:
     """Merge a copy of each configuration's build under ``out``, check
     it and count its bytes; writes ``merged.json`` into ``out``."""
@@ -97,9 +129,14 @@ def merged_pass(out: str) -> None:
         named = [f for f in IndexManifest.load(idx).files()
                  if f.startswith("segments" + os.sep)
                  and f.endswith((".parquet", ".bin"))]
-        result[name] = {"bytes_by_family": index_info(idx)["bytes_by_family"],
+        info = index_info(idx)
+        result[name] = {"bytes_by_family": info["bytes_by_family"],
+                        # an index_info before it had this key: {}
+                        "terms_bytes_by_column":
+                            info.get("terms_bytes_by_column", {}),
                         "check_merged": checked,
-                        "segments_named": len(named)}
+                        "segments_named": len(named),
+                        "unordered_streams": unordered_streams(idx)}
     with open(os.path.join(out, "merged.json"), "w") as f:
         json.dump(result, f)
 
@@ -121,8 +158,15 @@ def report_merged(outs: list[str], labels: list[str],
                   f"{r['bytes_per_input_byte']:.3f} of input ({fams}); "
                   f"check_merged {r['check_merged']}; "
                   f"segments/ files named {r['segments_named']}")
+            cols = ", ".join(f"{k} {v:,}" for k, v in
+                             r["terms_bytes_by_column"].items()) \
+                or "not reported"
+            print(f"{label} {name} terms bytes by column: {cols}")
+            print(f"{label} {name} streams not in row order: "
+                  f"{r['unordered_streams'] or 'none'}")
             ok &= r["check_merged"] == "ok"
-            ok &= label != "change" or r["segments_named"] == 0
+            ok &= label != "change" or (r["segments_named"] == 0
+                                        and not r["unordered_streams"])
     return results, ok
 
 
@@ -188,7 +232,7 @@ def compare(base: str, change: str) -> list[str]:
                 continue
             for f in fa:
                 pa_, pb = os.path.join(da, f), os.path.join(db, f)
-                if sub == "segments" and f.endswith(".parquet"):
+                if f.endswith(".parquet"):
                     same = pq.read_table(pa_).equals(pq.read_table(pb))
                 else:
                     same = _files_equal(pa_, pb)
