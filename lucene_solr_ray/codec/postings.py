@@ -9,9 +9,12 @@ with Lucene — SURVEY.md §2.3 licenses our own spec.
 
 Layout (little-endian):
 
-    [num_docs: uint32]
+    [num_docs: vInt]
     repeat per block of <=128 docs (last block may be short):
         [doc_code: uint8][doc payload][tf_code: uint8][tf payload]
+
+    vInt: unsigned LEB128, 7 bits per byte, low group first, the high bit
+    set on every byte but the last (Lucene's ``DataOutput.writeVInt``)
 
     payload for code == 0   : uint32 value (all values in block equal)
     payload for code == 253 : n * uint8  raw values
@@ -27,7 +30,17 @@ encoders) applies this one rule, so the same list always encodes to the
 same bytes.
 
 Doc IDs are encoded as deltas: first = doc_id[0], then successive gaps
-(always >= 1). TFs are encoded as tf-1 (tf >= 1).
+(always >= 1). TFs are encoded as tf-1 (tf >= 1). Value streams
+(positions, char offsets, payloads) share the layout with one stream per
+block: ``[count: vInt]``, then per block ``[code][payload]``.
+
+The index writers (``encode_postings_lists``, through which the segment
+build and the merge write) store no bytes at all for a ``df == 1`` list:
+its one doc is the term row's ``start_doc`` and its tf the row's ``ttf``
+(Lucene's ``singletonDocID``, ``Lucene50PostingsWriter.java:325-330``).
+A reader that needs the bytes synthesizes ``encode_postings([start_doc],
+[ttf])`` (:func:`encode_singleton`); every other list is stored as
+``encode_postings`` writes it.
 
 Block metadata for skipping + block-max scoring (the analogue of
 ``Lucene50SkipWriter.java:25-70`` plus Block-Max WAND metadata, Ding & Suel
@@ -63,6 +76,44 @@ def _check_codes(codes: np.ndarray) -> None:
     if bad.any():
         raise ValueError(
             f"unknown postings width code {int(codes[bad][0])}")
+
+
+def _vint_len(counts) -> np.ndarray:
+    """Each count's vInt byte length (counts are below 2**32: at most 5)."""
+    c = np.asarray(counts, np.int64)
+    return 1 + (c >= 1 << 7) + (c >= 1 << 14) + (c >= 1 << 21) \
+        + (c >= 1 << 28)
+
+
+def _vint(n: int) -> bytes:
+    out = bytearray()
+    while n >= 0x80:
+        out.append(n & 0x7F | 0x80)
+        n >>= 7
+    out.append(n)
+    return bytes(out)
+
+
+def _read_vint(buf: memoryview, off: int) -> tuple[int, int]:
+    """The vInt at ``off`` and the offset just past it."""
+    n = shift = 0
+    while True:
+        b = buf[off]
+        off += 1
+        n |= (b & 0x7F) << shift
+        if b < 0x80:
+            return n, off
+        shift += 7
+
+
+def _put_vints(buf: np.ndarray, at: np.ndarray, vals: np.ndarray) -> None:
+    """Write each of ``vals`` as a vInt at ``at``."""
+    vals = np.asarray(vals, np.int64)
+    nb = _vint_len(vals)
+    for j in range(int(nb.max(initial=0))):
+        m = nb > j
+        buf[at[m] + j] = ((vals[m] >> (7 * j)) & 0x7F) \
+            | np.where(nb[m] - 1 > j, 0x80, 0)
 
 
 def _encode_stream(out: list, vals: np.ndarray) -> None:
@@ -105,7 +156,7 @@ def encode_postings(
         deltas[0] = doc_ids[0]
         np.subtract(doc_ids[1:], doc_ids[:-1], out=deltas[1:], casting="unsafe")
     tfm1 = (tfs - 1).astype(np.uint32)
-    out: list[bytes] = [np.uint32(n).tobytes()]
+    out: list[bytes] = [_vint(n)]
     nblocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     block_last = np.empty(nblocks, np.int64)
     block_maxtf = np.empty(nblocks, np.int32)
@@ -116,6 +167,17 @@ def encode_postings(
         block_last[b] = doc_ids[hi - 1]
         block_maxtf[b] = tfs[lo:hi].max()
     return b"".join(out), block_last, block_maxtf
+
+
+def encode_singleton(doc: int, tf: int) -> bytes:
+    """``encode_postings([doc], [tf])[0]`` without numpy (a one-value
+    block never takes code 0): the bytes a reader synthesizes for a
+    ``df == 1`` row, which the index stores none of."""
+    out = [b"\x01"]
+    for v in (int(doc), int(tf) - 1):
+        w = 1 if v < 0x100 else 2 if v < 0x10000 else 4
+        out += (bytes((_CODE[w],)), v.to_bytes(w, "little"))
+    return b"".join(out)
 
 
 def _plan_streams(vals: np.ndarray, starts: np.ndarray,
@@ -179,7 +241,7 @@ def _blocks(starts: np.ndarray, ends: np.ndarray):
 
 def _pack(counts: np.ndarray, nblocks: np.ndarray,
           planned: list) -> tuple[np.ndarray, np.ndarray]:
-    """Lay out lists as ``[count: u4]`` followed by each block's planned
+    """Lay out lists as ``[count: vInt]`` followed by each block's planned
     streams in turn (``planned``: one ``(plan, byte lengths)`` per stream
     kind, from :func:`_plan_streams` over every block). Returns the
     buffer and each list's byte length."""
@@ -187,12 +249,13 @@ def _pack(counts: np.ndarray, nblocks: np.ndarray,
     cum = np.zeros(blen.size + 1, np.int64)
     np.cumsum(blen, out=cum[1:])
     first = _exclusive_cumsum(nblocks)
-    lens = 4 + cum[first + nblocks] - cum[first]
+    hdr = _vint_len(counts)
+    lens = hdr + cum[first + nblocks] - cum[first]
     buf = np.empty(int(lens.sum()), np.uint8)
-    _put_u4(buf, _exclusive_cumsum(lens), counts)
+    _put_vints(buf, _exclusive_cumsum(lens), counts)
     # a block follows every earlier list's bytes, its own list's header
     # and its own list's earlier blocks
-    at = cum[:-1] + 4 * np.repeat(np.arange(1, counts.size + 1), nblocks)
+    at = cum[:-1] + np.repeat(np.cumsum(hdr), nblocks)
     for plan, plen in planned:
         _put_streams(buf, at, plan)
         at = at + plen
@@ -252,11 +315,18 @@ def encode_postings_lists(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode the posting lists laid end to end in ``docs``/``tfs`` (list
     i holds ``counts[i]`` postings) into one buffer, in list order, with
-    each list's byte length; the bytes are ``encode_postings``' (the
-    segment build and the merge write through this one function)."""
+    each list's byte length (the segment build and the merge write
+    through this one function). A ``df == 1`` list takes 0 bytes: its doc
+    and tf are the term row's ``start_doc`` and ``ttf``. Every other
+    list's bytes are ``encode_postings``'."""
     counts = np.asarray(counts, np.int64)
     starts = _exclusive_cumsum(counts)
-    return encode_postings_batch_packed(docs, tfs, starts, starts + counts)
+    multi = np.flatnonzero(counts != 1)
+    buf, m_lens = encode_postings_batch_packed(
+        docs, tfs, starts[multi], starts[multi] + counts[multi])
+    lens = np.zeros(counts.size, np.int64)
+    lens[multi] = m_lens
+    return buf, lens
 
 
 def encode_values_lists(
@@ -285,8 +355,7 @@ def block_bounds(
 def decode_postings(payload: bytes | memoryview) -> tuple[np.ndarray, np.ndarray]:
     """Decode a full posting list -> (doc_ids:int64[], tfs:int32[])."""
     buf = memoryview(payload).cast("B")  # unsigned view (arrow buffers are 'b')
-    n = int(np.frombuffer(buf, "<u4", count=1)[0])
-    off = 4
+    n, off = _read_vint(buf, 0)
     deltas = np.empty(n, np.uint32)
     tfm1 = np.empty(n, np.uint32)
     pos = 0
@@ -339,7 +408,7 @@ def _gather_stream(buf: np.ndarray, data_start: np.ndarray,
 def _gather_blocks(buf: np.ndarray, offs: np.ndarray, counts: np.ndarray,
                    outs: tuple) -> np.ndarray:
     """Decode MANY lists packed in one uint8 buffer, laid out as the
-    encoders write them (``[count: u4]``, then per block one stream per
+    encoders write them (``[count: vInt]``, then per block one stream per
     array in ``outs``): list i starts at ``offs[i]`` and holds
     ``counts[i]`` values (must equal the stored header). Each list's
     values land in every ``outs`` array at its exclusive-cumsum start,
@@ -354,7 +423,7 @@ def _gather_blocks(buf: np.ndarray, offs: np.ndarray, counts: np.ndarray,
     longest = np.argsort(-nblocks, kind="stable")
     live = np.searchsorted(-nblocks[longest], -np.arange(
         int(nblocks.max(initial=0))), "left")
-    at = offs + 4
+    at = offs + _vint_len(counts)
     for j, n in enumerate(live):
         m = longest[:n]
         cnt = np.minimum(counts[m] - j * BLOCK_SIZE, BLOCK_SIZE)
@@ -447,7 +516,7 @@ def encode_values(vals: np.ndarray) -> bytes:
     position deltas flattened across postings, 128-value FOR blocks —
     ``Lucene50PostingsWriter`` pos stream)."""
     vals = np.asarray(vals, dtype=np.uint32)
-    out: list[bytes] = [np.uint32(vals.size).tobytes()]
+    out: list[bytes] = [_vint(vals.size)]
     for b in range((vals.size + BLOCK_SIZE - 1) // BLOCK_SIZE):
         _encode_stream(out, vals[b * BLOCK_SIZE : (b + 1) * BLOCK_SIZE])
     return b"".join(out)
@@ -455,9 +524,8 @@ def encode_values(vals: np.ndarray) -> bytes:
 
 def decode_values(payload: bytes | memoryview) -> np.ndarray:
     buf = memoryview(payload).cast("B")
-    n = int(np.frombuffer(buf, "<u4", count=1)[0])
+    n, off = _read_vint(buf, 0)
     out = np.empty(n, np.uint32)
-    off = 4
     pos = 0
     while pos < n:
         cnt = min(BLOCK_SIZE, n - pos)
@@ -470,8 +538,9 @@ def decode_values(payload: bytes | memoryview) -> np.ndarray:
 def first_doc(payload: bytes | memoryview) -> int:
     """First doc id of a payload without decoding (header peek)."""
     buf = memoryview(payload).cast("B")
-    w = 4 if buf[4] == 0 else _width(buf[4])
-    return int(np.frombuffer(buf, _DTYPE[w], count=1, offset=5)[0])
+    _, off = _read_vint(buf, 0)
+    w = 4 if buf[off] == 0 else _width(buf[off])
+    return int(np.frombuffer(buf, _DTYPE[w], count=1, offset=off + 1)[0])
 
 
 def block_offsets(payload: bytes | memoryview, n_docs: int) -> np.ndarray:
@@ -480,7 +549,7 @@ def block_offsets(payload: bytes | memoryview, n_docs: int) -> np.ndarray:
     buf = memoryview(payload).cast("B")
     nblocks = (n_docs + BLOCK_SIZE - 1) // BLOCK_SIZE
     offs = np.empty(nblocks, np.int64)
-    off = 4
+    _, off = _read_vint(buf, 0)
     pos = 0
     for b in range(nblocks):
         offs[b] = off

@@ -58,8 +58,9 @@ MANIFEST = "manifest.json"
 # other, so readers of one version never see another's files). 5: merge
 # outputs own every byte their rows point at, a merge commit drops the
 # partitions' terms and .bin files, and source files under the index are
-# stored index-relative.
-FORMAT_VERSION = 5
+# stored index-relative. 6: a df == 1 list stores no postings bytes, every
+# list's count is a vInt, and norms files hold no per-doc digests.
+FORMAT_VERSION = 6
 
 # the directories whose files a commit names; a commit unlinks every file
 # under them that it does not name
@@ -73,11 +74,13 @@ _FILE_DIRS = ("segments", "norms", "docvalues", "_appends", "merged",
 # index-relative ``.bin`` holding the row's streams: postings at
 # (offset, length), positions at (pos_offset, pos_length), and, when the
 # index stores them, char offsets and payloads (see :func:`terms_schema`).
-# The .bin lays each stream out in row order, so every ``*_offset``
-# column ascends. On disk (:func:`write_encoded`): ``term`` front-coded
-# (DELTA_BYTE_ARRAY), ``start_doc``, the ``*_offset`` columns and the
-# ``block_last`` elements as bit-packed deltas (DELTA_BINARY_PACKED),
-# every other column dictionary-encoded, pages zstd-compressed.
+# A df == 1 row has no postings bytes (length 0): its doc is ``start_doc``
+# and its tf ``ttf``. The .bin lays each stream out in row order, so every
+# ``*_offset`` column ascends. On disk (:func:`write_encoded`): ``term``
+# front-coded (DELTA_BYTE_ARRAY), ``start_doc``, the ``*_offset`` columns
+# and the ``block_last`` elements as bit-packed deltas
+# (DELTA_BINARY_PACKED), every other column dictionary-encoded, pages
+# zstd-compressed.
 TERMS_SCHEMA = pa.schema({
     "term": pa.string(),
     "df": pa.int32(),
@@ -106,9 +109,9 @@ TERMS_ROW_GROUP = 8192
 # file pointers as deltas) and ``.nvd`` (``Lucene50NormsConsumer`` picks a
 # delta or a table encoding): the sorted terms front-coded, the ascending
 # columns (doc ids, pointers into the row-ordered .bin) as bit-packed
-# deltas, the sha256 digests plain (each is unique), every other column
-# dictionary-encoded, and zstd pages. Readers take any Parquet encoding,
-# so files written with Arrow's defaults read alike.
+# deltas, every other column dictionary-encoded, and zstd pages. Readers
+# take any Parquet encoding, so files written with Arrow's defaults read
+# alike.
 _ENCODING = {"term": "DELTA_BYTE_ARRAY", **dict.fromkeys(
     ("start_doc", "offset", "pos_offset", "off_offset", "pay_offset",
      "block_last", "doc_id"), "DELTA_BINARY_PACKED")}
@@ -128,8 +131,7 @@ def write_encoded(tbl: pa.Table, path: str,
     pq.write_table(
         tbl, path + ".tmp", row_group_size=row_group_size,
         compression="zstd", column_encoding=enc,
-        use_dictionary=[leaf(c) for c in names
-                        if leaf(c) not in enc and c != "content_sha256"])
+        use_dictionary=[leaf(c) for c in names if leaf(c) not in enc])
     os.replace(path + ".tmp", path)
 
 
@@ -621,7 +623,9 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
         col = tbl.column(text_field)
         texts = col.to_pylist()
         texts = [t if t is not None else "" for t in texts]
-        # per-row content sha256 — the end-to-end invariant (input_hint)
+        # per-row content sha256, rolled up into the partition's lineage
+        # (checkpoint and manifest); check_merged recomputes it from the
+        # source rows
         sha_parts.extend(hashlib.sha256(t.encode("utf-8")).digest() for t in texts)
         for lo in range(0, len(texts), tokenize_batch_rows):
             sub = texts[lo : lo + tokenize_batch_rows]
@@ -714,9 +718,8 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
     # postings into the merged segment, whose commit then drops the
     # sources). Layout:
     #     [payload_0 .. payload_n][pos_0 .. pos_n]
-    # Emit through the codec's list encoders: single-block terms (the
-    # Zipf body, df <= 128) and single-block position/offset streams go
-    # through one packed batch call each, only longer lists per term.
+    # Emit through the codec's list encoders, one vectorized call per
+    # stream; a df == 1 term's postings take no bytes (its row holds them).
     n_terms = starts.size
     df_arr = (ends - starts).astype(np.int64)
     ttf_arr = np.add.reduceat(a_tf, starts).astype(np.int64)
@@ -795,7 +798,6 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
         "doc_id": pa.array(doc_ids),
         "length": pa.array(doc_lens.astype(np.int32)),
         "norm": pa.array(norm_bytes),
-        "content_sha256": pa.array(sha_parts, pa.binary(32)),
     })
     write_encoded(norm_tbl, norm_path)
 

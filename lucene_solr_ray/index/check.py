@@ -8,14 +8,18 @@ every partition's norms, and verifies
 - term order: sorted terms within each terms file
 - postings consistency: stored df == decoded doc count, ttf == sum(tf),
   doc ids strictly ascending and inside the file's doc range (its
-  partition's, or [0, maxDoc) for a merge's output), every row inside the
-  file's own ``.bin``
+  partition's, or [0, maxDoc) for a merge's output), the first decoded
+  doc == start_doc, every row inside the file's own ``.bin``
+- singletons: a df == 1 row stores no postings bytes (its doc is
+  start_doc, its tf ttf), so its block_last is [start_doc] and its
+  block_max_tf [ttf]; every df > 1 row stores some
 - block metadata: block_last matches decoded block boundaries, block_max_tf
   is the true block max, block_max_norm is an upper bound
 - norms: one entry per doc, dense doc_id coverage, norm byte re-encodes
   from the stored length
-- checkpoint lineage: sha256 rollup recomputes from the norms table and
-  equals the manifest's and the checkpoint's
+- checkpoint lineage: the checkpoint's sha256 rollup equals the
+  manifest's; :func:`check_merged` recomputes the rollup from the source
+  rows, which it reads anyway to rebuild the reference segments
 - manifest stats: maxDoc / sumTotalTermFreq match the partition rows
 
 Returns a dict report; raises AssertionError on the first violation when
@@ -27,7 +31,6 @@ Returns a dict report; raises AssertionError on the first violation when
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import tempfile
@@ -103,8 +106,8 @@ def _fold(reports: list[dict], man: IndexManifest) -> dict:
 def check_index(index_dir: str, *, sample_terms: int | None = None,
                 strict: bool = True) -> dict:
     """Check each listed terms file once against its own ``.bin`` (a
-    merged index's and an unmerged one's alike), each partition's norms,
-    sha256 rollup and checkpoint, and the manifest's totals. Returns the
+    merged index's and an unmerged one's alike), each partition's norms
+    and checkpoint rollup, and the manifest's totals. Returns the
     report; with ``strict``, raises AssertionError at the first
     violation instead."""
     man = IndexManifest.load(index_dir)
@@ -151,6 +154,8 @@ def _check_terms_file(index_dir: str, man: IndexManifest, rel: str,
         err("rows point outside its own .bin")
     dfs = seg["df"].to_numpy()
     ttfs = seg["ttf"].to_numpy()
+    first = seg["start_doc"].to_numpy()
+    lens = seg["length"].to_numpy()
     # payloads live in the .bin sidecar, referenced by (offset, length)
     from ..search.readers import mmap_file
 
@@ -163,7 +168,7 @@ def _check_terms_file(index_dir: str, man: IndexManifest, rel: str,
                 for o, ln in zip(offs, lens)]
 
     payloads = [bin_mv[int(o):int(o) + int(ln)] for o, ln in zip(
-        seg["offset"].to_numpy(), seg["length"].to_numpy())]
+        seg["offset"].to_numpy(), lens)]
     b_last = seg["block_last"].to_pylist()
     b_maxtf = seg["block_max_tf"].to_pylist()
     pos_col = slices("pos") if man.store_positions else None
@@ -174,7 +179,22 @@ def _check_terms_file(index_dir: str, man: IndexManifest, rel: str,
         rng = np.random.default_rng(lo)
         idx = np.sort(rng.choice(len(terms), sample_terms, replace=False))
     for i in idx.tolist():
-        d, f = decode_postings(payloads[i])
+        if dfs[i] == 1:
+            if lens[i] != 0:
+                err(f"term {terms[i]!r}: df 1 row stores {lens[i]} "
+                    "postings bytes")
+            # the block checks below hold its metadata to these
+            d = first[i:i + 1]
+            f = ttfs[i:i + 1]
+        else:
+            if lens[i] == 0:
+                err(f"term {terms[i]!r}: df {dfs[i]} row stores no "
+                    "postings bytes")
+                continue
+            d, f = decode_postings(payloads[i])
+            if d.size and d[0] != first[i]:
+                err(f"term {terms[i]!r}: first doc {d[0]} != start_doc "
+                    f"{first[i]}")
         if pos_col is not None:
             pv = decode_values(pos_col[i])
             if pv.size != int(f.sum()):
@@ -215,8 +235,8 @@ def _check_terms_file(index_dir: str, man: IndexManifest, rel: str,
 def _check_norms(index_dir: str, part: dict, strict: bool,
                  report: dict) -> None:
     """One partition's norms (dense doc ids, norm bytes that re-encode
-    from the lengths) and the sha256 rollup against its checkpoint,
-    accumulated into ``report``."""
+    from the lengths) and its checkpoint's sha256 rollup against the
+    manifest's, accumulated into ``report``."""
     pid = part["partition_id"]
 
     def err(msg):
@@ -233,15 +253,11 @@ def _check_norms(index_dir: str, part: dict, strict: bool,
         err(f"norms doc_id coverage not dense [{lo},{hi})")
     if not np.array_equal(encode_norm(lengths), norms["norm"].to_numpy()):
         err("norm bytes don't re-encode from lengths")
-    sha_roll = hashlib.sha256(
-        b"".join(norms["content_sha256"].to_pylist())).hexdigest()
-    if sha_roll != part["sha256_rollup"]:
-        err("norms sha256 rollup != the manifest's")
     ck = os.path.join(index_dir, "_checkpoints", f"part-{pid:05d}.json")
     if os.path.exists(ck):
         with open(ck) as f:
-            if json.load(f)["sha256_rollup"] != sha_roll:
-                err("checkpoint sha256 rollup mismatch")
+            if json.load(f)["sha256_rollup"] != part["sha256_rollup"]:
+                err("checkpoint sha256 rollup != the manifest's")
     report["docs"] += part["rows"]
     report["sum_len"] += int(lengths.sum())
 
@@ -268,29 +284,36 @@ def check_index_distributed(index_dir: str, *,
 
 
 @contextlib.contextmanager
-def reference_reader(index_dir: str):
-    """A ``MergedReader`` over the live partitions' segments built again
-    from their source rows (``build_segment``, which is deterministic)
-    into a temporary directory outside the index: the source of truth a
-    merged dictionary is compared against. The index directory is left
-    byte-for-byte unchanged."""
+def _rebuilt(man: IndexManifest):
+    """Commit ``man``'s live partitions built again from their source rows
+    (``build_segment``, which is deterministic) into a temporary
+    directory outside the index: yields ``(partition, rebuilt checkpoint
+    row)`` pairs and a ``MergedReader`` over the rebuilt segments."""
     from ..search.readers import MergedReader
     from .build import build_segment
 
-    man = IndexManifest.load(index_dir)
-    drop = set(man.exorcised)
     ana = man.resolve_analyzer()
     with tempfile.TemporaryDirectory(prefix="lsr-reference-") as tmp:
-        rows = [build_segment(
+        pairs = [(p, build_segment(
             {k: p[k] for k in ("partition_id", "file", "row_groups", "rows",
                                "doc_base")}, tmp,
             text_field=man.field, analyzer_name=ana,
             store_positions=man.store_positions,
             store_offsets=man.store_offsets,
-            store_payloads=man.store_payloads)
-            for p in man.partitions if p["partition_id"] not in drop]
-        yield MergedReader(replace(man, index_dir=tmp,
-                                   terms_files=[r["segment"] for r in rows]))
+            store_payloads=man.store_payloads))
+            for p in man.partitions if p["partition_id"] not in man.exorcised]
+        yield pairs, MergedReader(replace(
+            man, index_dir=tmp, terms_files=[r["segment"] for _, r in pairs]))
+
+
+@contextlib.contextmanager
+def reference_reader(index_dir: str):
+    """A ``MergedReader`` over the live partitions' segments built again
+    from their source rows (:func:`_rebuilt`): the source of truth a
+    merged dictionary is compared against. The index directory is left
+    byte-for-byte unchanged."""
+    with _rebuilt(IndexManifest.load(index_dir)) as (_, reader):
+        yield reader
 
 
 def check_merged(index_dir: str, *, sample_terms: int = 500,
@@ -298,11 +321,13 @@ def check_merged(index_dir: str, *, sample_terms: int = 500,
     """The commit's term dictionary vs the segment source of truth: the
     live partitions' segments built again from their source rows
     (:func:`reference_reader`; a merge commit no longer names the
-    partitions' own terms files). Same term set, per-term df/ttf totals
-    equal, and sampled postings (and positions, offsets and payloads,
-    when stored) decode identically — CheckIndex extended to the
-    post-merge index (catches chunk-loss / double-count corruption, e.g.
-    a stale staging dir). Writes nothing under the index."""
+    partitions' own terms files). Each partition's sha256 rollup,
+    recomputed from its source rows, equals the manifest's (the lineage
+    check). Same term set, per-term df/ttf totals equal, and sampled
+    postings (and positions, offsets and payloads, when stored) decode
+    identically — CheckIndex extended to the post-merge index (catches
+    chunk-loss / double-count corruption, e.g. a stale staging dir).
+    Writes nothing under the index."""
     from ..search.readers import MergedReader
 
     report = {"terms": 0, "terms_checked": 0, "errors": []}
@@ -314,7 +339,11 @@ def check_merged(index_dir: str, *, sample_terms: int = 500,
 
     man = IndexManifest.load(index_dir)
     mrg = MergedReader(man)
-    with reference_reader(index_dir) as seg:
+    with _rebuilt(man) as (pairs, seg):
+        for p, row in pairs:
+            if row["sha256_rollup"] != p["sha256_rollup"]:
+                err(f"part {p['partition_id']}: sha256 rollup of the "
+                    "source rows != the manifest's")
         ts = seg.unique_terms()
         tm = mrg.unique_terms()
         if not np.array_equal(ts, tm):

@@ -111,11 +111,14 @@ def _gather(paths: list[str], file_idx: np.ndarray,
     into one buffer; returns ``(buffer, each row's start in it)`` per
     span. Each bin is mapped only while its rows are copied out, so no
     mapping outlives the call (a long-lived process would otherwise pin
-    the disk space of every index it ever merged)."""
+    the disk space of every index it ever merged); a bin none of whose
+    rows has bytes to copy (it may be empty) is not opened."""
     out = [(np.empty(int(lens.sum()), np.uint8), _exclusive_cumsum(lens))
            for _, lens in spans]
     for f, path in enumerate(paths):
         m = file_idx == f
+        if not any(lens[m].any() for _, lens in spans):
+            continue
         with open(path, "rb") as fh, mmap.mmap(
                 fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
             b = np.frombuffer(mm, np.uint8)
@@ -240,14 +243,23 @@ def _gather_rows(rows: pa.Table, index_dir: str, streams) -> list:
         (rows[o].to_numpy(), rows[ln].to_numpy()) for o, ln in cols])
 
 
-def _decode(gathered: list, sel: np.ndarray, dfs: np.ndarray,
-            ttfs: np.ndarray, streams) -> tuple:
-    """Decode rows ``sel`` of :func:`_gather_rows`' buffers (``dfs`` /
-    ``ttfs``: theirs), each in one vectorized call per stream: (docs,
-    tfs, [values per stream]), concatenated in ``sel`` order."""
+def _decode(gathered: list, dfs: np.ndarray, ttfs: np.ndarray,
+            start_doc: np.ndarray, streams) -> tuple:
+    """Decode every row of :func:`_gather_rows`' buffers (``dfs`` /
+    ``ttfs`` / ``start_doc``: theirs), each stream in one vectorized
+    call: (docs, tfs, [values per stream]), concatenated in row order. A
+    ``df == 1`` row stores no postings bytes: its doc and tf are its
+    ``start_doc`` and ``ttf``."""
     (pbuf, pat), rest = gathered[0], gathered[1:]
-    docs, tfs = decode_postings_batch(pbuf, pat[sel], dfs)
-    return docs, tfs, [decode_values_batch(vbuf, vat[sel], k * ttfs)
+    one = dfs == 1
+    docs = np.empty(int(dfs.sum()), np.int64)
+    tfs = np.empty(docs.size, np.int32)
+    at = _exclusive_cumsum(dfs)
+    docs[at[one]], tfs[at[one]] = start_doc[one], ttfs[one]
+    multi = np.repeat(~one, dfs)
+    docs[multi], tfs[multi] = decode_postings_batch(pbuf, pat[~one],
+                                                    dfs[~one])
+    return docs, tfs, [decode_values_batch(vbuf, vat, k * ttfs)
                        for (_, k), (vbuf, vat) in zip(streams, rest)]
 
 
@@ -356,7 +368,9 @@ def compact_groups(rows: pa.Table, index_dir: str, stem: str,
     ``drop`` (:func:`dropped_ranges`): doc ranges whose postings are left
     out. A row wholly inside one is dropped undecoded; a row that
     overlaps one is decoded with its group (or alone) and keeps only its
-    other docs; a list left with no doc is dropped.
+    other docs; a list left with one doc is written as a singleton (no
+    postings bytes, like every ``df == 1`` list), one left with none is
+    dropped.
 
     Returns the output rows in the input's terms schema, in the input's
     order (a group at its first row): a sorted input gives a sorted
@@ -400,9 +414,8 @@ def compact_groups(rows: pa.Table, index_dir: str, stem: str,
         l_starts = np.flatnonzero(np.r_[True, lids[1:] != lids[:-1]])
         dfs = sub["df"].to_numpy().astype(np.int64)
         docs, tfs, vals = _decode(_gather_rows(sub, index_dir, streams),
-                                  np.arange(sel.size), dfs,
-                                  sub["ttf"].to_numpy().astype(np.int64),
-                                  streams)
+                                  dfs, sub["ttf"].to_numpy().astype(np.int64),
+                                  sub["start_doc"].to_numpy(), streams)
         l_df = np.add.reduceat(dfs, l_starts)
         norm = _max_norm(sub, l_starts)
         if clip.any():
@@ -455,6 +468,8 @@ def compact_groups(rows: pa.Table, index_dir: str, stem: str,
         tbl = tbl.set_column(schema.get_field_index(col), col,
                              pa.array(dst, pa.int64()))
         end += int(lens.sum())
+    os.makedirs(os.path.dirname(os.path.join(index_dir, bin_rel)),
+                exist_ok=True)
     _write_bin(os.path.join(index_dir, bin_rel), end, copies, lists)
     return tbl.take(pa.array(order))
 
@@ -600,7 +615,6 @@ def merge_index(
 
     man = IndexManifest.load(index_dir)
     gen = man.generation + 1
-    os.makedirs(os.path.join(index_dir, "merged"), exist_ok=True)
     files = list(man.terms_files)
     ncpu = (ray.cluster_resources().get("CPU", 1) if ray.is_initialized()
             else os.cpu_count() or 1)

@@ -42,7 +42,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..codec import decode_postings
-from ..codec.postings import decode_values
+from ..codec.postings import decode_values, encode_singleton
 from ..index.build import IndexManifest, read_columns, terms_schema
 from ..index.merge import last_docs
 
@@ -217,7 +217,21 @@ class TermDictReader:
         raise NotImplementedError
 
     def _payload(self, row: int) -> memoryview:
+        """Row ``row``'s postings bytes, the one way to them: a ``df ==
+        1`` row stores none (its doc is ``start_doc``, its tf ``ttf``),
+        so they are synthesized as the codec writes that list."""
+        if self.df[row] == 1:
+            return memoryview(encode_singleton(self.start_doc[row],
+                                               self.ttf[row]))
         return self._stream("doc", row)
+
+    def _row_postings(self, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row ``row``'s (doc_ids, tfs); a ``df == 1`` row's straight from
+        ``start_doc`` / ``ttf``, with no decode."""
+        if self.df[row] == 1:
+            return (self.start_doc[row:row + 1].copy(),
+                    self.ttf[row:row + 1].astype(np.int32))
+        return decode_postings(self._stream("doc", row))
 
     def _postings_with_stream(self, term: str, name: str, per_tf: int):
         """(doc_ids asc, tfs, values) over every row of ``term``:
@@ -229,7 +243,7 @@ class TermDictReader:
             return e, e.astype(np.int32), np.empty(0, np.uint32)
         docs_l, tfs_l, val_l = [], [], []
         for r in rows:
-            d, f = decode_postings(self._payload(r))
+            d, f = self._row_postings(r)
             docs_l.append(d)
             tfs_l.append(f)
             val_l.append(decode_values(self._stream(name, r)))
@@ -378,9 +392,9 @@ class TermDictReader:
         if len(rows) == 0:
             out = (np.empty(0, np.int64), np.empty(0, np.int32))
         elif len(rows) == 1:
-            out = decode_postings(self._payload(rows[0]))
+            out = self._row_postings(rows[0])
         else:
-            parts = [decode_postings(self._payload(r)) for r in rows]
+            parts = [self._row_postings(r) for r in rows]
             docs = np.concatenate([p[0] for p in parts])
             tfs = np.concatenate([p[1] for p in parts])
             # chunks partition the term's doc set but need not arrive in

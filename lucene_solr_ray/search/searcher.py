@@ -1260,12 +1260,16 @@ class SearcherManager:
     """SearcherManager / DirectoryReader.openIfChanged analogue
     (``search/SearcherManager.java``, ``index/DirectoryReader.java:122-202``):
     hands out the current searcher and swaps in a new one when the index's
-    commit generation differs from the searcher's. Every writer publishes
-    by one manifest replace, so the new searcher sees whole commits only.
-    It is opened from the current one (``IndexSearcher(prev=...)``) with
-    the manifest the refresh loaded, so a publish that added files reads
-    only those: the new terms and norms files and delete files, with the
-    live-docs mask carried forward."""
+    commit differs from the searcher's. Every writer publishes by one
+    manifest replace, so the new searcher sees whole commits only. A
+    commit of a higher generation is opened from the current searcher
+    (``IndexSearcher(prev=...)``) with the manifest the refresh loaded,
+    so a publish that added files reads only those: the new terms and
+    norms files and delete files, with the live-docs mask carried
+    forward. A different commit whose generation is not higher (a
+    replica's full copy, ``state.replication.replicate``, publishes the
+    master's generation, which may reuse names the searcher read with
+    other bytes) is opened fresh."""
 
     def __init__(self, index_dir: str, **kw):
         self.index_dir = index_dir
@@ -1276,8 +1280,10 @@ class SearcherManager:
     def maybe_refresh(self) -> bool:
         s = self._searcher
         man = IndexManifest.load(self.index_dir)
-        if s is not None and man.generation == s.manifest.generation:
-            return False
+        if s is not None and man.generation <= s.manifest.generation:
+            if man == s.manifest:
+                return False
+            s = None  # nothing of it may be reused
         self._searcher = IndexSearcher(man, prev=s, **self._kw)
         return True
 

@@ -24,7 +24,8 @@ an immutable-file index on a shared/posix filesystem:
   :class:`ReplicaDivergedError` instead.
 
 ``SearcherManager.maybe_refresh`` on the replica picks up the new
-generation exactly like a local commit.
+generation exactly like a local commit, and opens afresh a full copy
+published at a generation not above its searcher's.
 """
 
 from __future__ import annotations

@@ -93,9 +93,9 @@ def test_unknown_width_code_rejected():
     )
 
     pad = bytes(64)
-    u4 = np.uint32(3).tobytes()
-    bad_doc = u4 + bytes([7]) + pad                       # doc stream code 7
-    bad_tf = u4 + bytes([253, 1, 2, 3]) + bytes([7]) + pad  # tf stream code 7
+    n3 = bytes([3])  # the list's count, a one-byte vInt
+    bad_doc = n3 + bytes([7]) + pad                       # doc stream code 7
+    bad_tf = n3 + bytes([253, 1, 2, 3]) + bytes([7]) + pad  # tf stream code 7
     for payload in (bad_doc, bad_tf):
         buf = np.frombuffer(payload, np.uint8)
         with pytest.raises(ValueError, match="width code 7"):
@@ -103,7 +103,7 @@ def test_unknown_width_code_rejected():
         with pytest.raises(ValueError, match="width code 7"):
             block_offsets(payload, 3)
         with pytest.raises(ValueError, match="width code 7"):
-            decode_block(payload, np.array([4]), 0, 3, 0)
+            decode_block(payload, np.array([1]), 0, 3, 0)
         with pytest.raises(ValueError, match="width code 7"):
             decode_postings_batch(buf, np.array([0]), np.array([3]))
     buf = np.frombuffer(bad_doc, np.uint8)
@@ -182,4 +182,5 @@ def test_packed_encoder_noncontiguous_subset_tight_widths():
                               .astype(np.int32))
     # term 0 (deltas 1,1,1 / tf-1 = 0) must get 1-byte widths despite the
     # 4-byte term 2 sitting between it and the next subset member
-    assert lens[0] == 4 + 1 + 3 * 1 + 1 + 3 * 1
+    # (after the one-byte vInt count)
+    assert lens[0] == 1 + 1 + 3 * 1 + 1 + 3 * 1

@@ -327,3 +327,43 @@ def test_replica_with_commits_of_its_own_is_refused(tmp_path, ray_session):
         assert got.to_pydict() == want.to_pydict(), word
     assert IndexSearcher(replica).search(
         TermQuery("masteronly"), k=10).num_rows == 4
+
+
+def test_searcher_manager_sees_a_full_copy_at_the_same_generation(
+        tmp_path, ray_session):
+    """A full copy may publish the master's commit at the generation the
+    replica's searcher already has, under names it read with other
+    bytes: ``maybe_refresh`` opens it fresh and then finds the master's
+    docs; refreshing again with nothing new returns False."""
+    from lucene_solr_ray.index.updates import update_documents
+
+    def docs(keys, word):
+        return pa.table({
+            "path": pa.array(keys),
+            "content": pa.array([f"{k} body {word}" for k in keys]),
+        })
+
+    src = tmp_path / "src"
+    src.mkdir()
+    pq.write_table(docs([f"p{i}" for i in range(40)], "seed"),
+                   str(src / "c.parquet"), row_group_size=20)
+    master = str(tmp_path / "master")
+    build_index(str(src), master, text_field="content",
+                rows_per_partition=20)
+    merge_index(master)
+    replica = str(tmp_path / "replica")
+    replicate(master, replica)
+    update_documents(replica, docs(["p1"], "replicaonly"), "path")
+    update_documents(master, docs(["p2"], "masteronly"), "path")
+    mgr = SearcherManager(replica)
+    assert mgr.acquire().count(TermQuery("replicaonly")) == 1
+    gen = mgr.acquire().manifest.generation
+    replicate(master, replica)
+    assert IndexSearcher(replica).manifest.generation == gen
+    assert mgr.maybe_refresh()
+    s = mgr.acquire()
+    assert s.count(TermQuery("masteronly")) == 1
+    assert s.count(TermQuery("replicaonly")) == 0
+    want = IndexSearcher(master).search(TermQuery("body"), k=50)
+    assert s.search(TermQuery("body"), k=50).to_pydict() == want.to_pydict()
+    assert not mgr.maybe_refresh()

@@ -48,8 +48,7 @@ ENCODINGS = {"term": "DELTA_BYTE_ARRAY",
              "off_offset": "DELTA_BINARY_PACKED",
              "pay_offset": "DELTA_BINARY_PACKED",
              "block_last.list.element": "DELTA_BINARY_PACKED",
-             "doc_id": "DELTA_BINARY_PACKED",
-             "content_sha256": "PLAIN"}
+             "doc_id": "DELTA_BINARY_PACKED"}
 
 
 @pytest.fixture(scope="module")

@@ -16,6 +16,14 @@ norms tables (``norms/part-*.parquet``) are equal as tables and the
 not bytes, so a change to their on-disk encoding alone is no
 difference.
 
+When the two checkouts' ``FORMAT_VERSION`` differ, their ``.bin`` bytes
+and the pointers into them need not agree. Each subprocess then also
+decodes every partition's terms through its own reader (every term's
+postings, and its positions and char offsets when stored) into a
+``decoded/`` table, and the comparison is: those tables equal, the terms
+tables equal without their ``offset`` / ``length`` columns, and the norms
+tables equal on the columns both have (the left-out ones are printed).
+
 Each subprocess also writes the ``standard`` token stream
 (``tokens_batch_factorized``) of the corpus and spare documents in
 1,000-doc batches, which must be identical (vocabulary list, codes,
@@ -171,10 +179,10 @@ def report_merged(outs: list[str], labels: list[str],
 
 
 def worker(corpus: str, spare: str, out: str, seed: int,
-           merged: bool = False) -> None:
-    """Runs under one checkout: build every configuration (and with
-    ``merged``, run :func:`merged_pass`), write the stream and the
-    timing."""
+           merged: bool = False, decoded: bool = False) -> None:
+    """Runs under one checkout: build every configuration (with
+    ``decoded``, run :func:`decode_partitions`; with ``merged``,
+    :func:`merged_pass`), write the stream and the timing."""
     import numpy as np
     import pyarrow.parquet as pq
     import ray
@@ -190,6 +198,8 @@ def worker(corpus: str, spare: str, out: str, seed: int,
         for name, kw in CONFIGS.items():
             build_index(corpus, os.path.join(out, name),
                         text_field="content", rows_per_partition=1000, **kw)
+        if decoded:
+            decode_partitions(out)
         if merged:
             merged_pass(out)
     finally:
@@ -212,33 +222,112 @@ def worker(corpus: str, spare: str, out: str, seed: int,
                    "non_ascii_docs": sum(not t.isascii() for t in batch)}, f)
 
 
+def format_version(checkout: str) -> int:
+    """``FORMAT_VERSION`` of the engine in ``checkout``."""
+    out = subprocess.run(
+        [sys.executable, "-c", "from lucene_solr_ray.index.build import "
+         "FORMAT_VERSION; print(FORMAT_VERSION)"],
+        env=dict(os.environ, PYTHONPATH=checkout), cwd=checkout,
+        check=True, capture_output=True, text=True)
+    return int(out.stdout.strip())
+
+
+def decode_partitions(out: str) -> None:
+    """For each configuration built under ``out``, write one table per
+    partition to ``decoded/<config>/``: every term of the partition's own
+    terms file with its postings (``docs``, ``tfs``) and, when stored,
+    its position and char-offset streams, read through the checkout's
+    own ``MergedReader``."""
+    from dataclasses import replace
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from lucene_solr_ray.index import IndexManifest
+    from lucene_solr_ray.search.readers import MergedReader
+
+    for name in CONFIGS:
+        man = IndexManifest.load(os.path.join(out, name))
+        dst = os.path.join(out, "decoded", name)
+        os.makedirs(dst, exist_ok=True)
+        for p in man.partitions:
+            r = MergedReader(replace(man, terms_files=[p["segment"]]))
+            terms = r.unique_terms().tolist()
+            cols = {"term": terms, "docs": [], "tfs": []}
+            if man.store_positions:
+                cols["positions"] = []
+            if man.store_offsets:
+                cols["offsets"] = []
+            for t in terms:
+                if man.store_positions:
+                    d, f, pos = r.postings_with_positions(t)
+                    cols["positions"].append(pos.astype("int64"))
+                else:
+                    d, f = r.postings(t)
+                if man.store_offsets:
+                    cols["offsets"].append(
+                        r.term_offsets(t)[2].astype("int64"))
+                cols["docs"].append(d.astype("int64"))
+                cols["tfs"].append(f.astype("int64"))
+            pq.write_table(pa.table(cols), os.path.join(
+                dst, os.path.basename(p["segment"])))
+
+
+# the terms columns that point into a .bin
+_POINTERS = ("offset", "length", "pos_offset", "pos_length", "off_offset",
+             "off_length", "pay_offset", "pay_length")
+
+
+def _tables_equal(a: str, b: str, across_formats: bool) -> bool:
+    """Whether Parquet files ``a`` and ``b`` hold equal tables; across
+    formats, terms tables without their pointer columns and norms
+    tables on the columns both have."""
+    import pyarrow.parquet as pq
+
+    ta, tb = pq.read_table(a), pq.read_table(b)
+    if across_formats:
+        keep = [c for c in ta.schema.names
+                if c in tb.schema.names and c not in _POINTERS]
+        gone = sorted(set(ta.schema.names) ^ set(tb.schema.names))
+        if gone:
+            print(f"{b}: columns not in both left out: {gone}")
+        ta, tb = ta.select(keep), tb.select(keep)
+    return ta.equals(tb)
+
+
 def _files_equal(a: str, b: str) -> bool:
     with open(a, "rb") as fa, open(b, "rb") as fb:
         return fa.read() == fb.read()
 
 
-def compare(base: str, change: str) -> list[str]:
-    """Differences between the two worker outputs (empty when equal)."""
+def compare(base: str, change: str,
+            across_formats: bool = False) -> list[str]:
+    """Differences between the two worker outputs (empty when equal);
+    ``across_formats``: the checkouts' on-disk formats differ, so the
+    decoded tables stand for the ``.bin`` bytes."""
     import numpy as np
-    import pyarrow.parquet as pq
 
     diffs = []
     for name in CONFIGS:
-        for sub in ("segments", "norms"):
-            da, db = (os.path.join(d, name, sub) for d in (base, change))
-            fa, fb = sorted(os.listdir(da)), sorted(os.listdir(db))
+        subs = [os.path.join(name, "segments"), os.path.join(name, "norms")]
+        if across_formats:
+            subs.append(os.path.join("decoded", name))
+        for sub in subs:
+            da, db = (os.path.join(d, sub) for d in (base, change))
+            fa, fb = (sorted(f for f in os.listdir(d) if not (
+                across_formats and f.endswith(".bin"))) for d in (da, db))
             if fa != fb:
-                diffs.append(f"{name}/{sub}: files {fa} != {fb}")
+                diffs.append(f"{sub}: files {fa} != {fb}")
                 continue
             for f in fa:
                 pa_, pb = os.path.join(da, f), os.path.join(db, f)
                 if f.endswith(".parquet"):
-                    same = pq.read_table(pa_).equals(pq.read_table(pb))
+                    same = _tables_equal(pa_, pb, across_formats)
                 else:
                     same = _files_equal(pa_, pb)
-                print(f"{name}/{sub}/{f}: {'equal' if same else 'DIFFERS'}")
+                print(f"{sub}/{f}: {'equal' if same else 'DIFFERS'}")
                 if not same:
-                    diffs.append(f"{name}/{sub}/{f}")
+                    diffs.append(f"{sub}/{f}")
     with open(os.path.join(base, "stream.pkl"), "rb") as f:
         sa = pickle.load(f)
     with open(os.path.join(change, "stream.pkl"), "rb") as f:
@@ -270,9 +359,10 @@ def main(argv=None) -> int:
                     help="write the merged pass's results here")
     ap.add_argument("--worker", nargs=3, metavar=("CORPUS", "SPARE", "OUT"),
                     help=argparse.SUPPRESS)
+    ap.add_argument("--decoded", action="store_true", help=argparse.SUPPRESS)
     a = ap.parse_args(argv)
     if a.worker:
-        worker(*a.worker, a.seed, a.merged)
+        worker(*a.worker, a.seed, a.merged, a.decoded)
         return 0
     if not (a.base and a.change):
         ap.error("BASE and CHANGE checkouts are required")
@@ -289,6 +379,11 @@ def main(argv=None) -> int:
     import pyarrow.parquet as pq
     corpus_tbl, spare_tbl = write_corpus(corpus, a.docs, a.seed)
     pq.write_table(spare_tbl, spare)
+    formats = [format_version(ck) for ck in checkouts]
+    across = formats[0] != formats[1]
+    if across:
+        print(f"on-disk formats {formats[0]} -> {formats[1]}: comparing "
+              "decoded postings and streams, not .bin bytes")
     outs = []
     for label, ck in zip(("base", "change"), checkouts):
         out = os.path.join(work, label)
@@ -296,10 +391,10 @@ def main(argv=None) -> int:
         subprocess.run([sys.executable, os.path.abspath(__file__),
                         "--seed", str(a.seed),
                         "--worker", corpus, spare, out]
-                       + ["--merged"] * a.merged,
+                       + ["--merged"] * a.merged + ["--decoded"] * across,
                        env=env, cwd=ck, check=True)
         outs.append(out)
-    diffs = compare(*outs)
+    diffs = compare(*outs, across)
     for label, out in zip(("base", "change"), outs):
         with open(os.path.join(out, "timing.json")) as f:
             t = json.load(f)
