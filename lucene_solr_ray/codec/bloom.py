@@ -34,7 +34,7 @@ Faithful semantics restated here (same math, numpy storage):
 The sidecar is one small ``bloom.blm`` per index directory (version,
 bloom_size, bitset words — the FuzzySet serialize layout,
 FuzzySet.java:164-199), built once from the term dictionary's unique
-terms and attached to readers via ``TermDictReader.attach_bloom``; every
+terms and attached to readers via ``MergedReader.attach_bloom``; every
 ``_term_rows`` miss then short-circuits without bisecting the dict.
 """
 

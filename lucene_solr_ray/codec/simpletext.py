@@ -40,18 +40,14 @@ POS = "      pos "
 def write_simpletext(reader, out_path: str, *, field: str = "text",
                      positions: bool | None = None) -> int:
     """Dump a reader's postings to the SimpleText grammar; returns the
-    number of terms written.  ``positions=None`` auto-detects by
-    probing the first term's position payload."""
+    number of terms written.  ``positions=None`` writes positions when
+    the index stores them (``reader.has_positions``)."""
     terms = reader.unique_terms()
+    has_pos = reader.has_positions if positions is None else positions
     n = 0
     with open(out_path, "w", encoding="utf-8") as f:
         f.write(FIELD + field + "\n")
         for t in terms.tolist():
-            has_pos = positions
-            if has_pos is None:
-                has_pos = len(bytes(reader._stream(
-                    "pos", reader._term_rows(t).start))) > 0 \
-                    if len(reader._term_rows(t)) else False
             if has_pos:
                 docs, tfs, flat = reader.postings_with_positions(t)
                 offs = np.concatenate(([0], np.cumsum(tfs)))

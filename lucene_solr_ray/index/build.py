@@ -45,6 +45,7 @@ from ..analysis import get_analyzer
 from ..analysis.fast import factorize_tokens
 from ..codec import encode_norm
 from ..codec.postings import (
+    _exclusive_cumsum,
     _intra,
     block_bounds,
     encode_postings_lists,
@@ -59,8 +60,10 @@ MANIFEST = "manifest.json"
 # outputs own every byte their rows point at, a merge commit drops the
 # partitions' terms and .bin files, and source files under the index are
 # stored index-relative. 6: a df == 1 list stores no postings bytes, every
-# list's count is a vInt, and norms files hold no per-doc digests.
-FORMAT_VERSION = 6
+# list's count is a vInt, and norms files hold no per-doc digests. 7: a
+# terms file has a value stream's columns only when the index stores that
+# stream (no all-zero pos_offset / pos_length in a non-positional index).
+FORMAT_VERSION = 7
 
 # the directories whose files a commit names; a commit unlinks every file
 # under them that it does not name
@@ -71,9 +74,9 @@ _FILE_DIRS = ("segments", "norms", "docvalues", "_appends", "merged",
 # The one terms-file schema: a segment's terms file and a merge's output
 # alike hold one row per (term, chunk). Within a term, chunks partition the
 # doc set, so ``start_doc`` orders them. ``payload_file`` is the
-# index-relative ``.bin`` holding the row's streams: postings at
-# (offset, length), positions at (pos_offset, pos_length), and, when the
-# index stores them, char offsets and payloads (see :func:`terms_schema`).
+# index-relative ``.bin`` holding the row's postings at (offset, length)
+# and, after them, the value streams the index stores, each at its
+# ``<stream>_offset`` / ``<stream>_length`` columns (:func:`terms_schema`).
 # A df == 1 row has no postings bytes (length 0): its doc is ``start_doc``
 # and its tf ``ttf``. The .bin lays each stream out in row order, so every
 # ``*_offset`` column ascends. On disk (:func:`write_encoded`): ``term``
@@ -89,12 +92,50 @@ TERMS_SCHEMA = pa.schema({
     "payload_file": pa.string(),
     "offset": pa.int64(),
     "length": pa.int64(),
-    "pos_offset": pa.int64(),
-    "pos_length": pa.int64(),
     "block_last": pa.list_(pa.int64()),
     "block_max_tf": pa.list_(pa.int32()),
     "block_max_norm": pa.list_(pa.uint8()),
 })
+
+# The value streams a terms row may carry after its postings, in their
+# .bin order, each with the number of values one occurrence holds:
+# positions (a delta), char offsets (a (start_delta, length) pair) and
+# payloads (a float32 bit pattern) — Lucene's .pos and the two halves of
+# .pay. The one rule for which of them exist: an index stores the ones
+# :func:`stored_streams` gives for its ``store_*`` flags
+# (``IndexManifest.streams``), and the build, the merge, the readers and
+# CheckIndex each loop over those.
+STREAMS = (("pos", 1), ("off", 2), ("pay", 1))
+
+
+def stored_streams(store_positions: bool, store_offsets: bool,
+                   store_payloads: bool) -> tuple[tuple[str, int], ...]:
+    """The :data:`STREAMS` an index with these ``store_*`` flags stores
+    (Lucene's ``IndexOptions`` plus the payload flag); raises
+    ``ValueError`` for a combination no index stores."""
+    if store_offsets and not store_positions:
+        raise ValueError("store_offsets requires store_positions=True "
+                         "(offsets ride the positional .pay layout)")
+    if store_payloads and not store_positions:
+        raise ValueError("store_payloads requires store_positions=True "
+                         "(payloads ride the positional .pay layout)")
+    if store_payloads and store_offsets:
+        raise ValueError("store_payloads and store_offsets are exclusive "
+                         "(one .pay sidecar stream per index)")
+    on = {"pos": store_positions, "off": store_offsets,
+          "pay": store_payloads}
+    return tuple((name, k) for name, k in STREAMS if on[name])
+
+
+def terms_schema(streams) -> pa.Schema:
+    """:data:`TERMS_SCHEMA` plus the ``<stream>_offset`` /
+    ``<stream>_length`` columns of each of ``streams`` (``(name, k)``
+    pairs of :data:`STREAMS`, e.g. ``IndexManifest.streams``)."""
+    schema = TERMS_SCHEMA
+    for name, _ in streams:
+        schema = schema.append(pa.field(f"{name}_offset", pa.int64())) \
+            .append(pa.field(f"{name}_length", pa.int64()))
+    return schema
 
 
 # rows per row group of a segment terms file: a range merge decodes only
@@ -113,8 +154,8 @@ TERMS_ROW_GROUP = 8192
 # take any Parquet encoding, so files written with Arrow's defaults read
 # alike.
 _ENCODING = {"term": "DELTA_BYTE_ARRAY", **dict.fromkeys(
-    ("start_doc", "offset", "pos_offset", "off_offset", "pay_offset",
-     "block_last", "doc_id"), "DELTA_BINARY_PACKED")}
+    ["start_doc", "offset", "block_last", "doc_id"]
+    + [f"{name}_offset" for name, _ in STREAMS], "DELTA_BINARY_PACKED")}
 
 
 def write_encoded(tbl: pa.Table, path: str,
@@ -133,17 +174,6 @@ def write_encoded(tbl: pa.Table, path: str,
         compression="zstd", column_encoding=enc,
         use_dictionary=[leaf(c) for c in names if leaf(c) not in enc])
     os.replace(path + ".tmp", path)
-
-
-def terms_schema(store_offsets: bool, store_payloads: bool) -> pa.Schema:
-    """:data:`TERMS_SCHEMA` plus the ``off_*`` / ``pay_*`` stream columns
-    of an index that stores offsets / payloads."""
-    schema = TERMS_SCHEMA
-    for name, on in (("off", store_offsets), ("pay", store_payloads)):
-        if on:
-            schema = schema.append(pa.field(f"{name}_offset", pa.int64())) \
-                .append(pa.field(f"{name}_length", pa.int64()))
-    return schema
 
 
 # A file of at most this many rows reads faster on the calling thread
@@ -247,6 +277,13 @@ class IndexManifest:
         return float(
             np.float32(self.sum_total_term_freq / float(self.max_doc))
         )
+
+    @property
+    def streams(self) -> tuple[tuple[str, int], ...]:
+        """The value streams this index stores (:func:`stored_streams`),
+        as ``(name, values per occurrence)`` in .bin order."""
+        return stored_streams(self.store_positions, self.store_offsets,
+                              self.store_payloads)
 
     @property
     def merged(self) -> bool:
@@ -424,33 +461,32 @@ def plan_partitions(source: str | list[str], rows_per_partition: int) -> list[di
     return parts
 
 
-def _invert(
-    texts: list[str], analyzer_name: str, doc_base_local: int,
-    want_positions: bool = False, want_offsets: bool = False,
-    want_payloads: bool = False,
-):
+def _invert(texts: list[str], analyzer_name: str, doc_base_local: int,
+            streams=()):
     """Tokenize a sub-batch and aggregate (term, doc, tf) triples.
 
-    Returns (vocab_tokens, tid, doc, tf, doc_len, pos_flat, off_flat):
+    Returns (vocab_tokens, tid, doc, tf, doc_len, values): ``values`` maps
+    the name of each of ``streams`` (``(name, k)`` pairs of
+    :data:`STREAMS`) to ONE uint32 array of every (term, doc) pair's
+    values, pairs concatenated in triple order, pair i occupying
+    ``k * tf[i]`` values:
 
-    - ``pos_flat`` (when ``want_positions``): ONE uint32 array — the
-      delta-encoded in-doc token positions of every (term, doc) pair,
-      pairs concatenated in triple order, pair i occupying ``tf[i]``
-      values (first position raw per pair; gaps from removed stop /
-      over-long tokens preserved — ``FreqProxTermsWriterPerField``
-      prox accumulation, delta shape of ``.pos``).
-    - ``off_flat`` (when ``want_offsets``): ONE uint32 array of
-      interleaved (start_delta, length) char-offset pairs per
-      occurrence, ``2 * tf[i]`` values per pair (start raw at each
-      pair's first occurrence — the ``.pay`` offset stream,
-      ``Lucene50PostingsFormat.java:100-107``).
+    - ``"pos"``: the delta-encoded in-doc token positions (first position
+      raw per pair; gaps from removed stop / over-long tokens preserved —
+      ``FreqProxTermsWriterPerField`` prox accumulation, delta shape of
+      ``.pos``);
+    - ``"off"``: interleaved (start_delta, length) char-offset pairs
+      (start raw at each pair's first occurrence — the ``.pay`` offset
+      stream, ``Lucene50PostingsFormat.java:100-107``);
+    - ``"pay"``: raw float32 bit patterns, no delta (payloads are opaque
+      values, the ``.pay`` payload half).
     """
+    names = {name for name, _ in streams}
     # analyzer_name may be a registered name OR a pickled Analyzer
     # instance (custom chains, e.g. synonyms, travel to workers by value)
     ana = (analyzer_name if not isinstance(analyzer_name, str)
            else get_analyzer(analyzer_name))
-    e32 = np.empty(0, np.uint32)
-    if want_payloads:
+    if "pay" in names:
         if not hasattr(ana, "tokens_batch_payloads"):
             raise ValueError(
                 f"analyzer {type(ana).__name__} does not emit payloads "
@@ -462,7 +498,7 @@ def _invert(
         # batch vocabulary, with char spans when the analyzer has them
         vocab, tid, doc_idx, pos, c_start, c_end = \
             ana.tokens_batch_factorized(texts)
-        if want_offsets and c_start is None:
+        if "off" in names and c_start is None:
             raise ValueError(
                 f"analyzer {type(ana).__name__} does not expose char "
                 "spans in its token stream — offsets need them")
@@ -476,12 +512,11 @@ def _invert(
             doc_idx[first], minlength=len(texts)).astype(np.int32)
     else:
         e = np.empty(0, np.int64)
-        return [], e, e, e, np.zeros(len(texts), np.int32), e32, e32, e32
+        return [], e, e, e, np.zeros(len(texts), np.int32), \
+            dict.fromkeys(names, np.empty(0, np.uint32))
     key = tid.astype(np.int64) * len(texts) + doc_idx
-    pos_flat = e32
-    off_flat = e32
-    pay_flat = e32
-    if want_positions or want_offsets or want_payloads:
+    values = {}
+    if names:
         # stable single-key sort: the stream is doc-grouped with
         # ascending in-doc positions, so stability alone keeps each
         # (term, doc) pair's occurrences position-ordered — no need to
@@ -496,46 +531,33 @@ def _invert(
         starts = np.flatnonzero(first)
         counts = np.diff(np.append(starts, key_s.size))
         uniq = key_s[starts]
-        if want_positions:
-            pos_s = pos[order].astype(np.int64)
-            d = np.empty(pos_s.size, np.int64)
-            d[0] = pos_s[0]
-            d[1:] = pos_s[1:] - pos_s[:-1]
-            d[starts] = pos_s[starts]
-            pos_flat = d.astype(np.uint32)
-        if want_offsets:
-            cs = np.asarray(c_start, np.int64)[order]
-            ce = np.asarray(c_end, np.int64)[order]
-            ds = np.empty(cs.size, np.int64)
-            ds[0] = cs[0]
-            ds[1:] = cs[1:] - cs[:-1]
-            ds[starts] = cs[starts]
-            off_flat = np.empty(2 * cs.size, np.uint32)
-            off_flat[0::2] = ds.astype(np.uint32)
-            off_flat[1::2] = (ce - cs).astype(np.uint32)
-        if want_payloads:
-            # raw float32 bit patterns, one per occurrence (no delta —
-            # payloads are opaque values, the .pay payload half)
-            pay_flat = np.asarray(pay, np.float32)[order].view(np.uint32)
+
+        def deltas(v):
+            """``v`` in pair order as deltas, raw at each pair's first
+            occurrence."""
+            v = np.asarray(v, np.int64)[order]
+            d = np.empty(v.size, np.int64)
+            d[0] = v[0]
+            d[1:] = v[1:] - v[:-1]
+            d[starts] = v[starts]
+            return d.astype(np.uint32)
+
+        if "pos" in names:
+            values["pos"] = deltas(pos)
+        if "off" in names:
+            off = np.empty(2 * key.size, np.uint32)
+            off[0::2] = deltas(c_start)
+            off[1::2] = (np.asarray(c_end, np.int64)
+                         - np.asarray(c_start, np.int64))[order]
+            values["off"] = off
+        if "pay" in names:
+            values["pay"] = np.asarray(pay, np.float32)[order].view(np.uint32)
     else:
         uniq, counts = np.unique(key, return_counts=True)
     u_tid = uniq // len(texts)
     u_doc = uniq % len(texts) + doc_base_local
     return list(vocab), u_tid, u_doc, counts.astype(np.int64), doc_len, \
-        pos_flat, off_flat, pay_flat
-
-
-def _check_index_options(store_positions: bool, store_offsets: bool,
-                         store_payloads: bool) -> None:
-    if store_offsets and not store_positions:
-        raise ValueError("store_offsets requires store_positions=True "
-                         "(offsets ride the positional .pay layout)")
-    if store_payloads and not store_positions:
-        raise ValueError("store_payloads requires store_positions=True "
-                         "(payloads ride the positional .pay layout)")
-    if store_payloads and store_offsets:
-        raise ValueError("store_payloads and store_offsets are exclusive "
-                         "(one .pay sidecar stream per index)")
+        values
 
 
 def build_segment(part: dict, out_dir: str, *, text_field: str,
@@ -553,7 +575,7 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
     if not byte_aligned:
         raise ValueError("the bit-packed postings encoding was removed; "
                          "byte_aligned must be True")
-    _check_index_options(store_positions, store_offsets, store_payloads)
+    streams = stored_streams(store_positions, store_offsets, store_payloads)
     pid = part["partition_id"]
     doc_base = part["doc_base"]
     ckpt_path = os.path.join(out_dir, "_checkpoints", f"part-{pid:05d}.json")
@@ -613,9 +635,8 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
     # offset by the vocabulary sizes before it
     vocabs: list[str] = []
     tids, docs, tfs = [], [], []
-    pos_parts: list = []
-    off_parts: list = []
-    pay_parts: list = []
+    # each stream's flat values, one array per sub-batch
+    val_parts: dict = {name: [] for name, _ in streams}
     lens_parts, sha_parts = [], []
     rows_done = 0
     for rg in part["row_groups"]:
@@ -629,13 +650,8 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
         sha_parts.extend(hashlib.sha256(t.encode("utf-8")).digest() for t in texts)
         for lo in range(0, len(texts), tokenize_batch_rows):
             sub = texts[lo : lo + tokenize_batch_rows]
-            toks, s_tid, s_doc, s_tf, s_len, s_pos, s_off, s_pay = \
-                _invert(
-                    sub, analyzer_name, rows_done + lo,
-                    want_positions=store_positions,
-                    want_offsets=store_offsets,
-                    want_payloads=store_payloads,
-                )
+            toks, s_tid, s_doc, s_tf, s_len, s_vals = _invert(
+                sub, analyzer_name, rows_done + lo, streams)
             lens_parts.append(s_len)
             if not toks:
                 continue
@@ -643,12 +659,8 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
             vocabs.extend(toks)
             docs.append(s_doc)
             tfs.append(s_tf)
-            if store_positions:
-                pos_parts.append(s_pos)
-            if store_offsets:
-                off_parts.append(s_off)
-            if store_payloads:
-                pay_parts.append(s_pay)
+            for name, parts in val_parts.items():
+                parts.append(s_vals[name])
         rows_done += len(texts)
 
     doc_lens = (
@@ -671,7 +683,7 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
     rank[by_term.to_numpy()] = np.arange(len(by_term))
     # no tokens: these empties make the emit below write an empty segment
     starts = ends = a_doc = a_tf = np.empty(0, np.int64)
-    a_pos = a_off = a_pay = np.empty(0, np.uint32)
+    a_vals = dict.fromkeys(val_parts, np.empty(0, np.uint32))
     if tids:
         a_tid = np.concatenate(tids)
         a_tid = rank[a_tid if codes is None else codes[a_tid]]
@@ -685,39 +697,27 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
         bounds = np.flatnonzero(np.diff(a_tid)) + 1
         starts = np.concatenate(([0], bounds))
         ends = np.concatenate((bounds, [a_tid.size]))
-        # permute the flat per-pair position/offset streams into the
-        # sorted pair order with ONE vectorized gather (the r2 build kept
-        # a Python list of per-pair arrays here — the positional path's
-        # hot loop)
-        if store_positions:
-            src = np.zeros(a_tf_pre.size, np.int64)
-            np.cumsum(a_tf_pre[:-1], out=src[1:])
-            idx = np.repeat(src[srt], a_tf) + _intra(a_tf)
-            a_pos = np.concatenate(pos_parts)[idx]
-        if store_offsets:
-            c2 = 2 * a_tf_pre
-            src2 = np.zeros(c2.size, np.int64)
-            np.cumsum(c2[:-1], out=src2[1:])
-            idx2 = np.repeat(src2[srt], c2[srt]) + _intra(c2[srt])
-            a_off = np.concatenate(off_parts)[idx2]
-        if store_payloads:
-            src3 = np.zeros(a_tf_pre.size, np.int64)
-            np.cumsum(a_tf_pre[:-1], out=src3[1:])
-            idx3 = np.repeat(src3[srt], a_tf) + _intra(a_tf)
-            a_pay = np.concatenate(pay_parts)[idx3]
+        # permute each stream's flat per-pair values into the sorted pair
+        # order with ONE vectorized gather (the r2 build kept a Python
+        # list of per-pair arrays here — the positional path's hot loop)
+        for name, k in streams:
+            per = k * a_tf_pre
+            idx = np.repeat(_exclusive_cumsum(per)[srt], per[srt]) \
+                + _intra(per[srt])
+            a_vals[name] = np.concatenate(val_parts[name])[idx]
 
     a_doc_g = a_doc + doc_base
     os.makedirs(os.path.dirname(seg_path), exist_ok=True)
     os.makedirs(os.path.dirname(norm_path), exist_ok=True)
     os.makedirs(os.path.dirname(ckpt_path), exist_ok=True)
 
-    # payload sidecar: raw posting (then position) bytes concatenated into a
-    # flat mmap-able .bin, already in final read format: a merge copies a
-    # row's slices byte for byte into its own .bin, decoding only the small
-    # groups it compacts (Lucene's SegmentMerger copies a segment's
-    # postings into the merged segment, whose commit then drops the
-    # sources). Layout:
-    #     [payload_0 .. payload_n][pos_0 .. pos_n]
+    # payload sidecar: raw posting bytes, then each stored stream's,
+    # concatenated into a flat mmap-able .bin, already in final read
+    # format: a merge copies a row's slices byte for byte into its own
+    # .bin, decoding only the small groups it compacts (Lucene's
+    # SegmentMerger copies a segment's postings into the merged segment,
+    # whose commit then drops the sources). Layout, in STREAMS order:
+    #     [postings_0 .. postings_n][pos_0 .. pos_n][off_0 .. | pay_0 ..]
     # Emit through the codec's list encoders, one vectorized call per
     # stream; a df == 1 term's postings take no bytes (its row holds them).
     n_terms = starts.size
@@ -725,31 +725,15 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
     ttf_arr = np.add.reduceat(a_tf, starts).astype(np.int64)
     start_doc_arr = a_doc_g[starts]
     buf, lens = encode_postings_lists(a_doc_g, a_tf, df_arr)
-    offs = np.zeros(n_terms, np.int64)
-    np.cumsum(lens[:-1], out=offs[1:])
-
-    doc_total = int(lens.sum())
     sections = [buf]
-    if store_positions:
-        pos_sec, pos_lens_v = encode_values_lists(a_pos, ttf_arr)
-        pos_offs_v = np.full(n_terms, doc_total, np.int64)
-        pos_offs_v[1:] += np.cumsum(pos_lens_v[:-1])
-        sections.append(pos_sec)
-        if store_offsets:
-            off_sec, off_lens_v = encode_values_lists(a_off, 2 * ttf_arr)
-            base = doc_total + int(pos_lens_v.sum())
-            off_offs_v = np.full(n_terms, base, np.int64)
-            off_offs_v[1:] += np.cumsum(off_lens_v[:-1])
-            sections.append(off_sec)
-        if store_payloads:
-            pay_sec, pay_lens_v = encode_values_lists(a_pay, ttf_arr)
-            base = doc_total + int(pos_lens_v.sum())
-            pay_offs_v = np.full(n_terms, base, np.int64)
-            pay_offs_v[1:] += np.cumsum(pay_lens_v[:-1])
-            sections.append(pay_sec)
-    else:
-        pos_offs_v = np.zeros(n_terms, np.int64)
-        pos_lens_v = np.zeros(n_terms, np.int64)
+    refs = {"offset": _exclusive_cumsum(lens), "length": lens}
+    end = int(lens.sum())
+    for name, k in streams:
+        sec, s_lens = encode_values_lists(a_vals[name], k * ttf_arr)
+        refs[f"{name}_offset"] = end + _exclusive_cumsum(s_lens)
+        refs[f"{name}_length"] = s_lens
+        sections.append(sec)
+        end += int(s_lens.sum())
     with open(bin_path + ".tmp", "wb") as f:
         for s_ in sections:
             f.write(s_.tobytes())
@@ -775,22 +759,13 @@ def build_segment(part: dict, out_dir: str, *, text_field: str,
         "start_doc": pa.array(start_doc_arr.astype(np.int64)),
         "payload_file": pa.repeat(os.path.relpath(bin_path, out_dir),
                                   n_terms),
-        "offset": pa.array(offs),
-        "length": pa.array(lens),
-        "pos_offset": pa.array(pos_offs_v),
-        "pos_length": pa.array(pos_lens_v),
+        **{col: pa.array(v) for col, v in refs.items()},
         "block_last": _list_arr(bl_last_v, pa.int64()),
         "block_max_tf": _list_arr(bl_maxtf_v, pa.int32()),
         "block_max_norm": _list_arr(bl_maxnorm_v, pa.uint8()),
     }
-    if store_offsets:
-        cols["off_offset"] = pa.array(off_offs_v)
-        cols["off_length"] = pa.array(off_lens_v)
-    if store_payloads:
-        cols["pay_offset"] = pa.array(pay_offs_v)
-        cols["pay_length"] = pa.array(pay_lens_v)
-    seg_tbl = pa.table(cols).cast(terms_schema(store_offsets,
-                                                store_payloads))
+    schema = terms_schema(streams)
+    seg_tbl = pa.table(cols).select(schema.names).cast(schema)
     write_encoded(seg_tbl, seg_path, TERMS_ROW_GROUP)
 
     doc_ids = np.arange(doc_base, doc_base + part["rows"], dtype=np.int64)
@@ -874,7 +849,7 @@ def build_index(
 
     import ray.data as rd
 
-    _check_index_options(store_positions, store_offsets, store_payloads)
+    stored_streams(store_positions, store_offsets, store_payloads)
     os.makedirs(out_dir, exist_ok=True)
     parts = plan_partitions(source, rows_per_partition)
     ds = rd.from_items(parts)

@@ -10,6 +10,9 @@ every partition's norms, and verifies
   doc ids strictly ascending and inside the file's doc range (its
   partition's, or [0, maxDoc) for a merge's output), the first decoded
   doc == start_doc, every row inside the file's own ``.bin``
+- value streams: each stream the index stores (``IndexManifest.streams``,
+  one loop over ``build.STREAMS``) decodes to ``k * ttf`` values per row,
+  ``k`` values per occurrence, and no char-offset span has length 0
 - singletons: a df == 1 row stores no postings bytes (its doc is
   start_doc, its tf ttf), so its block_last is [start_doc] and its
   block_max_tf [ttf]; every df > 1 row stores some
@@ -134,8 +137,10 @@ def _check_terms_file(index_dir: str, man: IndexManifest, rel: str,
                       report: dict) -> None:
     """Invariant checks for ONE listed terms file and its own ``.bin``,
     accumulated into ``report``: sorted terms; per sampled row, decoded
-    df / ttf / stream lengths equal the stored ones, doc ids ascend
-    inside the file's doc range, and the block metadata is right."""
+    df / ttf equal the stored ones, each stored stream holds ``k * ttf``
+    values (errors name the stream: ``pos``, ``off``, ``pay``), doc ids
+    ascend inside the file's doc range, and the block metadata is
+    right."""
     label, lo, hi = _doc_range(man, rel)
 
     def err(msg):
@@ -171,9 +176,7 @@ def _check_terms_file(index_dir: str, man: IndexManifest, rel: str,
         seg["offset"].to_numpy(), lens)]
     b_last = seg["block_last"].to_pylist()
     b_maxtf = seg["block_max_tf"].to_pylist()
-    pos_col = slices("pos") if man.store_positions else None
-    off_col = slices("off") if "off_offset" in seg.schema.names else None
-    pay_col = slices("pay") if "pay_offset" in seg.schema.names else None
+    streams = [(name, k, slices(name)) for name, k in man.streams]
     idx = np.arange(len(terms))
     if sample_terms and len(terms) > sample_terms:
         rng = np.random.default_rng(lo)
@@ -195,23 +198,13 @@ def _check_terms_file(index_dir: str, man: IndexManifest, rel: str,
             if d.size and d[0] != first[i]:
                 err(f"term {terms[i]!r}: first doc {d[0]} != start_doc "
                     f"{first[i]}")
-        if pos_col is not None:
-            pv = decode_values(pos_col[i])
-            if pv.size != int(f.sum()):
-                err(f"term {terms[i]!r}: positions stream length "
-                    f"{pv.size} != ttf {int(f.sum())}")
-        if off_col is not None:
-            ov = decode_values(off_col[i])
-            if ov.size != 2 * int(f.sum()):
-                err(f"term {terms[i]!r}: offsets stream length {ov.size} "
-                    f"!= 2*ttf {2 * int(f.sum())}")
-            elif ov.size and np.any(ov[1::2] == 0):
+        for name, k, col in streams:
+            v = decode_values(col[i])
+            if v.size != k * int(f.sum()):
+                err(f"term {terms[i]!r}: {name} stream length {v.size} "
+                    f"!= {k}*ttf {k * int(f.sum())}")
+            elif name == "off" and np.any(v[1::2] == 0):
                 err(f"term {terms[i]!r}: zero-length offset span")
-        if pay_col is not None:
-            yv = decode_values(pay_col[i])
-            if yv.size != int(f.sum()):
-                err(f"term {terms[i]!r}: payload stream length {yv.size} "
-                    f"!= ttf {int(f.sum())}")
         if d.size != dfs[i]:
             err(f"term {terms[i]!r}: df {dfs[i]} != decoded {d.size}")
         if int(f.sum()) != ttfs[i]:
@@ -324,9 +317,10 @@ def check_merged(index_dir: str, *, sample_terms: int = 500,
     partitions' own terms files). Each partition's sha256 rollup,
     recomputed from its source rows, equals the manifest's (the lineage
     check). Same term set, per-term df/ttf totals equal, and sampled
-    postings (and positions, offsets and payloads, when stored) decode
-    identically — CheckIndex extended to the post-merge index (catches
-    chunk-loss / double-count corruption, e.g. a stale staging dir).
+    postings and every stream the index stores
+    (``IndexManifest.streams``) decode identically — CheckIndex extended
+    to the post-merge index (catches chunk-loss / double-count
+    corruption, e.g. a stale staging dir).
     Writes nothing under the index."""
     from ..search.readers import MergedReader
 
@@ -364,15 +358,10 @@ def check_merged(index_dir: str, *, sample_terms: int = 500,
             if not (np.array_equal(a[0], b[0])
                     and np.array_equal(a[1], b[1])):
                 err(f"term {t!r}: postings differ")
-            for name, on, read in (
-                    ("positions", man.store_positions,
-                     lambda r: r.postings_with_positions(t)),
-                    ("offsets", man.store_offsets,
-                     lambda r: r.term_offsets(t)),
-                    ("payloads", man.store_payloads,
-                     lambda r: r.term_payloads(t))):
-                if on and not np.array_equal(read(seg)[2], read(mrg)[2]):
-                    err(f"term {t!r}: {name} differ")
+            for name, _ in man.streams:
+                if not np.array_equal(seg.postings_with_stream(t, name)[2],
+                                      mrg.postings_with_stream(t, name)[2]):
+                    err(f"term {t!r}: {name} stream differs")
             report["terms_checked"] += 1
     report["ok"] = not report["errors"]
     return report

@@ -7,16 +7,17 @@ the economics Lucene has: a merged segment replaces its sources, so each
 posting is stored once.
 
 Input: the commit's listed terms files (``IndexManifest.terms_files``),
-rows in the one terms schema (``build.TERMS_SCHEMA``) whose
-``payload_file`` is the file's own ``.bin``: after a build, the
-partitions' own terms files; on a re-merge, earlier merge outputs and NRT
-appends. Every one of them is sorted by term, so the groupby-term
-exchange needs no sort: like ``MultiTermsEnum`` walking sorted segment
-dictionaries, the merge splits the term space into ranges at terms
-sampled from the sorted files, and each range task reads just the row
-groups holding its rows in every file, salts the rows, orders them by
-``(term, salt, start_doc)`` and emits its part of the global term
-dictionary:
+rows in the index's terms schema (``build.terms_schema`` of
+``IndexManifest.streams``: the postings' columns plus one offset/length
+pair per value stream the index stores) whose ``payload_file`` is the
+file's own ``.bin``: after a build, the partitions' own terms files; on
+a re-merge, earlier merge outputs and NRT appends. Every one of them is
+sorted by term, so the groupby-term exchange needs no sort: like
+``MultiTermsEnum`` walking sorted segment dictionaries, the merge splits
+the term space into ranges at terms sampled from the sorted files, and
+each range task reads just the row groups holding its rows in every
+file, salts the rows, orders them by ``(term, salt, start_doc)`` and
+emits its part of the global term dictionary:
 
 - **passthrough** (single-source terms + any group whose total df exceeds
   ``REENCODE_MAX_DOCS``): the row's stream slices are copied byte for
@@ -27,10 +28,11 @@ dictionary:
   Zipf tail, e.g. a df=3 term spread over 3 partitions): the merge task
   decodes just those payload slices, concatenates them in doc order,
   re-encodes them into one chunk and writes it to the output's own
-  ``.bin``. Every stored stream (positions, char offsets, payloads) is
-  compacted alongside the postings. This bounds per-term chunk counts as
-  the partition count grows (10^7 partitions at 10^12 rows would
-  otherwise give every rare term 10^7 14-byte chunks).
+  ``.bin``. Every stream the index stores (positions, char offsets,
+  payloads) is compacted alongside the postings, in one loop over the
+  streams. This bounds per-term chunk counts as the partition count
+  grows (10^7 partitions at 10^12 rows would otherwise give every rare
+  term 10^7 14-byte chunks).
 
 One kernel, :func:`compact_groups`, does both for every term range of a
 full merge and for the tier merges of ``mergepolicy.execute_merge``.
@@ -82,16 +84,11 @@ import pyarrow.parquet as pq
 from ..codec.postings import (_exclusive_cumsum, _intra, block_bounds,
                               decode_postings_batch, decode_values_batch,
                               encode_postings_lists, encode_values_lists)
-from .build import IndexManifest, terms_schema, write_encoded
+from .build import STREAMS, IndexManifest, terms_schema, write_encoded
 
 # groups with more postings than this pass through as independent chunks
 # instead of decode+re-encode (readers merge chunks at read time)
 REENCODE_MAX_DOCS = 4096
-
-# the value streams a terms row may carry after its postings, with the
-# number of values each occurrence holds (a char offset is a
-# (start_delta, length) pair)
-_STREAMS = (("pos", 1), ("off", 2), ("pay", 1))
 
 
 def _group_ids(rows: pa.Table) -> np.ndarray:
@@ -220,16 +217,6 @@ def dropped_ranges(man: IndexManifest) -> np.ndarray:
         if p["partition_id"] in drop), np.int64).reshape(-1, 2)
 
 
-def _streams(rows: pa.Table) -> list[tuple[str, int]]:
-    """The value streams ``rows`` store after their postings: positions
-    when any row has them, offsets and payloads when the schema carries
-    them."""
-    names = rows.schema.names
-    stored = {"pos": rows["pos_length"].to_numpy().any(),
-              "off": "off_offset" in names, "pay": "pay_offset" in names}
-    return [(n, k) for n, k in _STREAMS if stored[n]]
-
-
 def _gather_rows(rows: pa.Table, index_dir: str, streams) -> list:
     """:func:`_gather` of every row's postings and ``streams`` slices, in
     row order, from the index-relative bins their ``payload_file``
@@ -288,8 +275,6 @@ def _encode(terms: pa.Array, docs: np.ndarray, tfs: np.ndarray,
         "df": list_df.astype(np.int32),
         "ttf": list_ttf,
         "start_doc": docs[bounds],
-        # an index without positions keeps empty position refs
-        "pos_length": np.zeros(list_df.size, np.int64),
         "block_last": pa.ListArray.from_arrays(
             boff, pa.array(docs[last])),
         "block_max_tf": pa.ListArray.from_arrays(
@@ -355,15 +340,16 @@ def compact_groups(rows: pa.Table, index_dir: str, stem: str,
     doc order unless a tier merge of non-adjacent segments left chunks
     whose doc ranges interleave, which are then sorted by doc — and
     re-encoded (:func:`_encode`), each stream in one vectorized call
-    whatever the group count. Every stored stream is carried: positions,
-    char offsets (two values per occurrence) and payloads. The bin is laid
-    out as the build lays out a segment: stream after stream (postings,
-    positions, then offsets or payloads), each in output row order, a
-    passed-through row's slices copied to their place and a compacted
-    list's scattered to its place from the re-encoded buffer. Each
-    stream's offsets are then its base plus the exclusive cumulative sum
-    of its lengths, deltas the terms file stores small
-    (``build.write_encoded``).
+    whatever the group count. The streams carried are the ones whose
+    columns the rows' schema has, which are the ones the index stores
+    (``build.terms_schema``), each with its values per occurrence
+    (``build.STREAMS``). The bin is laid out as the build lays out a
+    segment: stream after stream (postings, then each stream in
+    ``STREAMS`` order), each in output row order, a passed-through row's
+    slices copied to their place and a compacted list's scattered to its
+    place from the re-encoded buffer. Each stream's offsets are then its
+    base plus the exclusive cumulative sum of its lengths, deltas the
+    terms file stores small (``build.write_encoded``).
 
     ``drop`` (:func:`dropped_ranges`): doc ranges whose postings are left
     out. A row wholly inside one is dropped undecoded; a row that
@@ -375,8 +361,10 @@ def compact_groups(rows: pa.Table, index_dir: str, stem: str,
     Returns the output rows in the input's terms schema, in the input's
     order (a group at its first row): a sorted input gives a sorted
     terms file, which a later merge reads by term range."""
-    names = rows.schema.names
-    schema = terms_schema("off_offset" in names, "pay_offset" in names)
+    # the index's streams, as its terms schema carries them
+    streams = [(name, k) for name, k in STREAMS
+               if f"{name}_offset" in rows.schema.names]
+    schema = terms_schema(streams)
     bin_rel = stem + ".bin"
     drop = np.empty((0, 2), np.int64) if drop is None else drop
     clip = np.zeros(rows.num_rows, bool)
@@ -399,7 +387,6 @@ def compact_groups(rows: pa.Table, index_dir: str, stem: str,
     keep = np.flatnonzero(lid < 0)
     sel = np.flatnonzero(lid >= 0)
     sel = sel[np.lexsort((rows["start_doc"].to_numpy()[sel], lid[sel]))]
-    streams = _streams(rows)
 
     # passthrough rows keep their columns but the bin and the stream
     # offsets; their slices are copied from the source bins below
@@ -454,10 +441,7 @@ def compact_groups(rows: pa.Table, index_dir: str, stem: str,
              for f in files.dictionary.to_pylist()]
     fidx = files.indices.to_numpy()
     copies, lists, end = [], [], 0
-    cols = ["offset"] + [f"{n}_offset" for n, _ in streams]
-    if "pos_offset" not in cols:
-        cols.append("pos_offset")  # no positions: empty refs
-    for col in cols:
+    for col in ["offset"] + [f"{n}_offset" for n, _ in streams]:
         lens = tbl[col.replace("offset", "length")].to_numpy()
         dst = np.empty(lens.size, np.int64)
         dst[order] = end + _exclusive_cumsum(lens[order])

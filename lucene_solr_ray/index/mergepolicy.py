@@ -175,7 +175,7 @@ def execute_merge(index_dir: str, terms_paths: list[str]) -> str:
         ("|".join([str(man.generation + 1)] + sorted(names)))
         .encode()).hexdigest()[:12]
     tbl = pads.dataset(terms_paths, format="parquet", schema=terms_schema(
-        man.store_offsets, man.store_payloads)).to_table()
+        man.streams)).to_table()
     tbl = tbl.take(pc.sort_indices(tbl, [("term", "ascending"),
                                          ("start_doc", "ascending")]))
     tbl = tbl.append_column(

@@ -43,7 +43,7 @@ import pyarrow.compute as pc
 
 from ..codec import decode_postings
 from ..codec.postings import decode_values, encode_singleton
-from ..index.build import IndexManifest, read_columns, terms_schema
+from ..index.build import STREAMS, IndexManifest, read_columns, terms_schema
 from ..index.merge import last_docs
 
 
@@ -135,7 +135,6 @@ class Chunk:
     block_last: np.ndarray
     block_max_tf: np.ndarray
     block_max_norm: np.ndarray
-    positions: memoryview | bytes = b""
 
 
 # _TOP[n]: the top n bytes of a uint64
@@ -188,33 +187,127 @@ def _fold_at(prev_terms: np.ndarray, prev_keys: np.ndarray,
     return at
 
 
-class TermDictReader:
-    """Shared logic: the in-memory term dictionary + payload resolution.
+def _read_terms(files: list[str], schema):
+    """One table of ``files``' term rows in ``schema`` (empty when there
+    are none)."""
+    if not files:
+        return schema.empty_table()
+    return pa.concat_tables([read_columns(f, schema.names).cast(schema)
+                             for f in files])
 
-    The dictionary is ``self.terms``: one sorted object array of term
-    strings, one entry per term-dict row (a term split into several
-    chunks repeats), bisected with ``np.searchsorted``. Each row points
-    at its payloads in the mmap'd ``.bin`` files."""
 
-    def __init__(self, cache_size: int = 4096):
+class MergedReader:
+    """The term dictionary of commit ``src``: the terms files it lists,
+    folded into ``self.terms``, one sorted object array of term strings,
+    one entry per term-dict row (a term split into several chunks
+    repeats), bisected with ``np.searchsorted``; rows of one term order
+    by ``start_doc`` (a term's chunks partition its docs). ``prev`` (the
+    reader this one replaces, or None) is reused when every file it
+    loaded is still named and every new row starts above its rows (an
+    NRT append's docs follow every earlier doc): only the newly named
+    files are read and folded into its rows. Else every file is folded
+    from empty — a full open. Either way each sorted row holds what a
+    fresh open's does.
+
+    Row payloads stay in the mmap'd ``.bin`` files their ``payload_file``
+    (index-relative) names: the postings and each stream the index
+    stores (``IndexManifest.streams``) keep one (offsets, lengths) pair
+    per row.
+
+    ``doc_range`` (``(lo, hi)``, a doc shard's slice of the doc-id
+    space): the reader holds only the rows with a doc in ``[lo, hi)``,
+    as they are, undecoded; a partition's own terms file outside the
+    range is not read. A row that straddles the range (a merge's
+    compacted chunk, at most ``merge.REENCODE_MAX_DOCS`` postings in a
+    full merge) still decodes to its docs outside it and counts them in
+    its df: the shard's searcher treats those docs as deleted, and its
+    statistics come from the commit (``distributed._global_stats``)."""
+
+    def __init__(self, src: "str | IndexManifest",
+                 prev: "MergedReader | None" = None,
+                 doc_range: tuple[int, int] | None = None,
+                 cache_size: int = 4096):
         self._cache = _LRU(cache_size)
         self._bloom = None  # optional FuzzySet (codec.bloom sidecar)
-        # subclasses fill:
-        self.terms: np.ndarray  # sorted object array (with duplicates)
-        self.df: np.ndarray
-        self.ttf: np.ndarray
-        self.start_doc: np.ndarray  # a term's rows are in start_doc order
-
-    @property
-    def chunk_order(self) -> np.ndarray:
-        """The order of a term's rows: their ``start_doc``."""
-        return self.start_doc
+        man = _commit(src)
+        root = man.index_dir
+        schema = terms_schema(man.streams)
+        names = man.terms_files
+        if doc_range is not None:
+            lo, hi = doc_range
+            outside = {p["segment"] for p in man.partitions
+                       if not lo <= p["doc_base"] < hi}
+            names = [f for f in names if f not in outside]
+        self._files = files = [os.path.join(root, f) for f in names]
+        new = _unloaded(prev, files)
+        if new is None:
+            prev, new = None, files
+        tbl = _read_terms(new, schema)
+        if prev is not None and tbl.num_rows and prev.terms.size and (
+                pc.min(tbl["start_doc"]).as_py() <= prev.start_doc.max()):
+            prev, tbl = None, _read_terms(files, schema)
+        if doc_range is not None:
+            # a shard's reader is no reopen's base: its rows are not all
+            # the files' rows
+            self._files = None
+            first, last = tbl["start_doc"].to_numpy(), last_docs(tbl)
+            tbl = tbl.filter(pa.array((first < hi) & (last >= lo)))
+        # each row's .bin file and, for its postings ("doc") and each
+        # stored stream, its (offsets, lengths); with prev the rows number
+        # on after prev's rows and the files extend its files
+        fdict = tbl["payload_file"].combine_chunks().dictionary_encode()
+        file_paths = [os.path.join(root, f)
+                      for f in fdict.dictionary.to_pylist()]
+        self._file_paths = [] if prev is None else list(prev._file_paths)
+        fi = {p: i for i, p in enumerate(self._file_paths)}
+        for p in file_paths:
+            if p not in fi:
+                fi[p] = len(self._file_paths)
+                self._file_paths.append(p)
+        remap = np.asarray([fi[p] for p in file_paths], np.int64)
+        self._file_idx = remap[np.asarray(fdict.indices.to_numpy(),
+                                          np.int64)]
+        self._refs = {
+            name: (np.asarray(tbl[pre + "offset"].to_numpy(), np.int64),
+                   np.asarray(tbl[pre + "length"].to_numpy(), np.int64))
+            for name, pre in [("doc", "")] + [
+                (name, name + "_") for name, _ in man.streams]}
+        self._mmaps = [] if prev is None else list(prev._mmaps)
+        if prev is not None:
+            self._file_idx = np.concatenate((prev._file_idx, self._file_idx))
+            self._refs = {
+                name: tuple(np.concatenate((p, n))
+                            for p, n in zip(prev._refs[name], ref))
+                for name, ref in self._refs.items()
+            }
+        # mapped now, not at first use: a mapping outlives the unlink of
+        # its file by a later commit
+        self._mmaps += [mmap_file(p)
+                        for p in self._file_paths[len(self._mmaps):]]
+        self._finish_init(tbl, prev)
 
     def _stream(self, name: str, row: int):
-        """One row's bytes of stream ``name``: "doc" postings, "pos"
-        positions, "off" char offsets, "pay" payloads (b"" when the
-        index does not store it)."""
-        raise NotImplementedError
+        """One row's bytes of stream ``name``: "doc" postings, or one of
+        the streams the index stores ("pos" positions, "off" char
+        offsets, "pay" payloads)."""
+        ref = self._refs[name]
+        orig = int(self._row_order[row])
+        off = int(ref[0][orig])
+        return self._mmaps[int(self._file_idx[orig])][
+            off : off + int(ref[1][orig])
+        ]
+
+    @property
+    def has_positions(self) -> bool:
+        return "pos" in self._refs
+
+    @property
+    def has_offsets(self) -> bool:
+        return "off" in self._refs
+
+    @property
+    def has_payloads(self) -> bool:
+        return "pay" in self._refs
 
     def _payload(self, row: int) -> memoryview:
         """Row ``row``'s postings bytes, the one way to them: a ``df ==
@@ -233,10 +326,12 @@ class TermDictReader:
                     self.ttf[row:row + 1].astype(np.int32))
         return decode_postings(self._stream("doc", row))
 
-    def _postings_with_stream(self, term: str, name: str, per_tf: int):
+    def postings_with_stream(self, term: str, name: str):
         """(doc_ids asc, tfs, values) over every row of ``term``:
-        ``values`` is the concatenated ``name`` stream, ``per_tf`` values
-        per occurrence, its per-posting runs gathered into doc order."""
+        ``values`` is the concatenated stream ``name`` (one the index
+        stores, see ``build.STREAMS``), its per-posting runs gathered
+        into doc order."""
+        per_tf = dict(STREAMS)[name]
         rows = self._term_rows(term)
         if len(rows) == 0:
             e = np.empty(0, np.int64)
@@ -267,7 +362,7 @@ class TermDictReader:
         if not self.has_payloads:
             raise ValueError(
                 "index has no payloads (build with store_payloads=True)")
-        docs, tfs, pay = self._postings_with_stream(term, "pay", 1)
+        docs, tfs, pay = self.postings_with_stream(term, "pay")
         return docs, tfs, pay.astype(np.uint32).view(np.float32)
 
     def term_offsets(self, term: str):
@@ -278,7 +373,7 @@ class TermDictReader:
         if not self.has_offsets:
             raise ValueError(
                 "index has no offsets (build with store_offsets=True)")
-        return self._postings_with_stream(term, "off", 2)
+        return self.postings_with_stream(term, "off")
 
     def _finish_init(self, tbl, prev=None):
         """Sort the terms table ``tbl``'s rows by (term, start_doc) and
@@ -379,7 +474,6 @@ class TermDictReader:
                 block_last=self.blk("last", r).astype(np.int64),
                 block_max_tf=self.blk("maxtf", r).astype(np.int32),
                 block_max_norm=self.blk("maxnorm", r).astype(np.uint8),
-                positions=self._stream("pos", r),
             )
             for r in rows
         ]
@@ -411,10 +505,13 @@ class TermDictReader:
         """(doc_ids asc, tfs, positions) — positions is the flattened
         prox-delta stream aligned with postings (tf values per posting);
         requires a positional index (store_positions=True at build)."""
+        if not self.has_positions:
+            raise ValueError(
+                "index has no positions (build with store_positions=True)")
         hit = self._cache.get(("pp", term))
         if hit is not None:
             return hit
-        out = self._postings_with_stream(term, "pos", 1)
+        out = self.postings_with_stream(term, "pos")
         self._cache.put(("pp", term), out)
         return out
 
@@ -451,129 +548,3 @@ class TermDictReader:
         if upper is not None:
             hi = np.searchsorted(u, upper, "right" if include_upper else "left")
         return list(u[lo:hi])
-
-
-def _refs(tbl, prefix: str):
-    """(offsets, lengths) columns of one stream, or None if not stored."""
-    if f"{prefix}_offset" not in tbl.schema.names:
-        return None
-    return (tbl[f"{prefix}_offset"].to_numpy(),
-            tbl[f"{prefix}_length"].to_numpy())
-
-
-def _read_terms(files: list[str], schema):
-    """One table of ``files``' term rows in ``schema`` (empty when there
-    are none)."""
-    if not files:
-        return schema.empty_table()
-    return pa.concat_tables([read_columns(f, schema.names).cast(schema)
-                             for f in files])
-
-
-class MergedReader(TermDictReader):
-    """The terms files commit ``src`` lists, folded into one sorted
-    dictionary; rows of one term order by ``start_doc`` (a term's chunks
-    partition its docs). ``prev`` (the reader this one replaces, or None)
-    is reused when every file it loaded is still named and every new
-    row starts above its rows (an NRT append's docs follow every earlier
-    doc): only the newly named files are read and folded into its rows.
-    Else every file is folded from empty — a full open. Either way each
-    sorted row holds what a fresh open's does.
-
-    Row payloads stay in the mmap'd ``.bin`` files their ``payload_file``
-    (index-relative) names: each stored stream keeps one (offsets,
-    lengths) pair per row.
-
-    ``doc_range`` (``(lo, hi)``, a doc shard's slice of the doc-id
-    space): the reader holds only the rows with a doc in ``[lo, hi)``,
-    as they are, undecoded; a partition's own terms file outside the
-    range is not read. A row that straddles the range (a merge's
-    compacted chunk, at most ``merge.REENCODE_MAX_DOCS`` postings in a
-    full merge) still decodes to its docs outside it and counts them in
-    its df: the shard's searcher treats those docs as deleted, and its
-    statistics come from the commit (``distributed._global_stats``)."""
-
-    def __init__(self, src: "str | IndexManifest",
-                 prev: "MergedReader | None" = None,
-                 doc_range: tuple[int, int] | None = None, **kw):
-        super().__init__(**kw)
-        man = _commit(src)
-        root = man.index_dir
-        schema = terms_schema(man.store_offsets, man.store_payloads)
-        names = man.terms_files
-        if doc_range is not None:
-            lo, hi = doc_range
-            outside = {p["segment"] for p in man.partitions
-                       if not lo <= p["doc_base"] < hi}
-            names = [f for f in names if f not in outside]
-        self._files = files = [os.path.join(root, f) for f in names]
-        new = _unloaded(prev, files)
-        if new is None:
-            prev, new = None, files
-        tbl = _read_terms(new, schema)
-        if prev is not None and tbl.num_rows and prev.terms.size and (
-                pc.min(tbl["start_doc"]).as_py() <= prev.chunk_order.max()):
-            prev, tbl = None, _read_terms(files, schema)
-        if doc_range is not None:
-            # a shard's reader is no reopen's base: its rows are not all
-            # the files' rows
-            self._files = None
-            first, last = tbl["start_doc"].to_numpy(), last_docs(tbl)
-            tbl = tbl.filter(pa.array((first < hi) & (last >= lo)))
-        fdict = tbl["payload_file"].combine_chunks().dictionary_encode()
-        self._set_payload_refs(
-            [os.path.join(root, f) for f in fdict.dictionary.to_pylist()],
-            fdict.indices.to_numpy(), prev,
-            doc=(tbl["offset"].to_numpy(), tbl["length"].to_numpy()),
-            pos=_refs(tbl, "pos"), off=_refs(tbl, "off"),
-            pay=_refs(tbl, "pay"),
-        )
-        self._finish_init(tbl, prev)
-
-    def _set_payload_refs(self, file_paths, file_idx, prev=None,
-                          **streams):
-        """``streams``: name -> (offsets, lengths), or None when the
-        index does not store that stream. With ``prev`` the rows number
-        on after ``prev``'s rows and ``file_paths`` extends its files."""
-        self._file_paths = [] if prev is None else list(prev._file_paths)
-        fi = {p: i for i, p in enumerate(self._file_paths)}
-        for p in file_paths:
-            if p not in fi:
-                fi[p] = len(self._file_paths)
-                self._file_paths.append(p)
-        remap = np.asarray([fi[p] for p in file_paths], np.int64)
-        self._file_idx = remap[np.asarray(file_idx, np.int64)]
-        self._refs = {
-            name: (np.asarray(ref[0], np.int64), np.asarray(ref[1], np.int64))
-            for name, ref in streams.items() if ref is not None
-        }
-        self._mmaps = [] if prev is None else list(prev._mmaps)
-        if prev is not None:
-            self._file_idx = np.concatenate((prev._file_idx, self._file_idx))
-            self._refs = {
-                name: tuple(np.concatenate((p, n))
-                            for p, n in zip(prev._refs[name], ref))
-                for name, ref in self._refs.items()
-            }
-        # mapped now, not at first use: a mapping outlives the unlink of
-        # its file by a later commit
-        self._mmaps += [mmap_file(p)
-                        for p in self._file_paths[len(self._mmaps):]]
-
-    def _stream(self, name: str, row: int):
-        ref = self._refs.get(name)
-        if ref is None:
-            return b""
-        orig = int(self._row_order[row])
-        off = int(ref[0][orig])
-        return self._mmaps[int(self._file_idx[orig])][
-            off : off + int(ref[1][orig])
-        ]
-
-    @property
-    def has_offsets(self) -> bool:
-        return "off" in self._refs
-
-    @property
-    def has_payloads(self) -> bool:
-        return "pay" in self._refs

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lucene_solr_ray.analysis import get_analyzer
-from lucene_solr_ray.index.build import _invert
+from lucene_solr_ray.index.build import _invert, stored_streams
 from lucene_solr_ray.analysis.charfilter import (
     CharFilteredAnalyzer,
     char_filter,
@@ -107,9 +107,8 @@ def test_offsets_index_the_inner_analyzers_terms():
     html = [char_filter("html_strip")]
     for inner in ("standard", "english"):
         ana = CharFilteredAnalyzer(get_analyzer(inner), html)
-        plain = _invert(texts, ana, 0, want_positions=True)
-        off = _invert(texts, ana, 0, want_positions=True,
-                      want_offsets=True)
+        plain = _invert(texts, ana, 0, stored_streams(True, False, False))
+        off = _invert(texts, ana, 0, stored_streams(True, True, False))
         assert sorted(off[0]) == sorted(plain[0])
         vocab, codes, doc_idx, _, starts, ends = \
             ana.tokens_batch_factorized(texts)
@@ -119,4 +118,4 @@ def test_offsets_index_the_inner_analyzers_terms():
     for inner in ("simple", "code", "whitespace"):
         ana = CharFilteredAnalyzer(get_analyzer(inner), html)
         with pytest.raises(ValueError, match="char spans"):
-            _invert(texts, ana, 0, want_positions=True, want_offsets=True)
+            _invert(texts, ana, 0, stored_streams(True, True, False))

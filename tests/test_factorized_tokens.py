@@ -12,7 +12,9 @@ from lucene_solr_ray.analysis.tokenizer import (
     simple_lowercase,
     tokenize_with_spans,
 )
-from lucene_solr_ray.index.build import _invert
+from lucene_solr_ray.index.build import _invert, stored_streams
+
+POSITIONS = stored_streams(True, False, False)
 
 CASES = [
     ["The quick brown fox and the lazy dog", "hash join merge table scan"],
@@ -63,7 +65,7 @@ def test_invert_identical_with_and_without_fast_path():
         "alpha beta gamma alpha", "beta beta the of", "",
         "héllo wörld alpha", "zeta alpha 42 zeta",
     ]
-    res_fast = _invert(texts, "standard", 0, want_positions=True)
+    res_fast = _invert(texts, "standard", 0, POSITIONS)
     # the per-document path: tokens_with_positions per doc, factorized
     orig = (StandardAnalyzer.tokens_batch,
             StandardAnalyzer.tokens_batch_factorized)
@@ -71,7 +73,7 @@ def test_invert_identical_with_and_without_fast_path():
     StandardAnalyzer.tokens_batch_factorized = \
         Analyzer.tokens_batch_factorized
     try:
-        res_slow = _invert(texts, "standard", 0, want_positions=True)
+        res_slow = _invert(texts, "standard", 0, POSITIONS)
     finally:
         (StandardAnalyzer.tokens_batch,
          StandardAnalyzer.tokens_batch_factorized) = orig
@@ -83,7 +85,8 @@ def test_invert_identical_with_and_without_fast_path():
 
 def _pairs(res):
     """{(term, doc): absolute positions} of an _invert result."""
-    vocab, tid, doc, tf, _, pos_flat = res[:6]
+    vocab, tid, doc, tf, _, values = res
+    pos_flat = values["pos"]
     out, at = {}, 0
     for t, d, f in zip(tid.tolist(), doc.tolist(), tf.tolist()):
         deltas = pos_flat[at:at + f].astype(np.int64)
@@ -95,8 +98,7 @@ def _pairs(res):
 def test_english_two_forms_of_one_stem_give_one_posting():
     # "running" and "runs" both stem to "run": one posting, tf 2, with
     # both positions
-    res = _invert(["running runs fast", "run"], "english", 0,
-                  want_positions=True)
+    res = _invert(["running runs fast", "run"], "english", 0, POSITIONS)
     assert len(set(res[0])) == len(res[0])
     assert _pairs(res) == {("run", 0): [0, 1], ("fast", 0): [2],
                            ("run", 1): [0]}

@@ -46,3 +46,29 @@ def test_stale_cached_manifest_is_rebuilt(ray_session, tmp_path):
         assert man.max_doc == 3 and man.merged
     finally:
         shutil.rmtree(probe, ignore_errors=True)
+
+
+def test_format_6_cache_is_refused_and_rebuilt(ray_session, tmp_path):
+    """A cached index written in format 6 (every terms file carried
+    ``pos_*`` columns) is refused with the rebuild message and rebuilt
+    in place."""
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    pq.write_table(pa.table({
+        "doc_id": pa.array([0, 1, 2], pa.int64()),
+        "text": ["table join", "vector table", "stream scan"],
+    }), str(sf / "documents.parquet"))
+    out = _flagship_index(str(sf), merged=False)
+    try:
+        path = os.path.join(out, MANIFEST)
+        with open(path) as f:
+            man = json.load(f)
+        man["format"] = 6
+        with open(path, "w") as f:
+            json.dump(man, f)
+        with pytest.raises(ValueError, match="format 6, not 7: rebuild"):
+            IndexManifest.load(out)
+        assert _flagship_index(str(sf), merged=False) == out
+        assert IndexManifest.load(out).format == 7
+    finally:
+        shutil.rmtree(out, ignore_errors=True)

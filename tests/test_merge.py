@@ -13,6 +13,7 @@ import pytest
 
 from lucene_solr_ray.index import (IndexManifest, append_segment,
                                    build_index, merge, merge_index)
+from lucene_solr_ray.index.build import own_bin, terms_schema
 from lucene_solr_ray.index.check import check_merged, reference_reader
 from lucene_solr_ray.index.mergepolicy import (execute_merge,
                                                list_append_segments)
@@ -205,50 +206,70 @@ def test_empty_dictionary_opens(tmp_path, ray_session):
     assert IndexManifest.load(idx).terms_files == []
 
 
-# analyzer and documents of one index per stream stored beside positions;
-# the fourth document's long stream spans several blocks
-STREAM_DOCS = {
-    "offsets": ("standard", [
-        "the quick brown fox", "a fox and another fox", "lazy dog fox",
-        "fox " * 200, "quick dog", "brown quick fox"]),
-    "payloads": ("delimited_payload", [
+# the build options and documents of one index per set of value streams:
+# none, positions alone, and positions with offsets or with payloads; the
+# fourth document's long stream spans several blocks
+_PLAIN_DOCS = ["the quick brown fox", "a fox and another fox",
+               "lazy dog fox", "fox " * 200, "quick dog", "brown quick fox"]
+STREAM_INDEXES = {
+    "none": ({}, _PLAIN_DOCS),
+    "positions": ({"store_positions": True}, _PLAIN_DOCS),
+    "offsets": ({"store_positions": True, "store_offsets": True},
+                _PLAIN_DOCS),
+    "payloads": ({"store_positions": True, "store_payloads": True,
+                  "analyzer": "delimited_payload"}, [
         "alpha|2.0 beta|1.0 alpha|4.0", "alpha|10.0 fox", "beta|0.5 fox",
         "fox|3.0 " * 150, "alpha beta|7.5", "gamma|1.5 alpha"]),
 }
 
 
 def _stream_view(idx: str, kind: str, reader=None) -> dict:
-    """Every term's stored stream, and (offsets) every doc's match spans,
-    as a fresh searcher over the commit's dictionary sees them — or over
-    ``reader``'s."""
+    """Every term's postings and stored stream, and (offsets) every doc's
+    match spans, as a fresh searcher over the commit's dictionary sees
+    them — or over ``reader``'s."""
     s = IndexSearcher(idx, reader=reader)
     terms = s.reader.unique_terms().tolist()
-    read = (s.reader.term_offsets if kind == "offsets"
-            else s.reader.term_payloads)
+    read = {"none": s.reader.postings,
+            "positions": s.reader.postings_with_positions,
+            "offsets": s.reader.term_offsets,
+            "payloads": s.reader.term_payloads}[kind]
     view = {t: tuple(a.tolist() for a in read(t)) for t in terms}
     if kind == "offsets":
         view["spans"] = offsets_for_docs(s, terms, range(s.max_doc))
     return view
 
 
-@pytest.mark.parametrize("kind", sorted(STREAM_DOCS))
+def _assert_stream_columns(idx: str) -> None:
+    """Every listed terms file has exactly the columns of the index's
+    terms schema: the postings' and one offset/length pair per stored
+    stream, none for a stream the index does not store."""
+    man = IndexManifest.load(idx)
+    want = terms_schema(man.streams).names
+    for f in man.terms_files:
+        assert pq.read_schema(os.path.join(idx, f)).names == want, f
+
+
+@pytest.mark.parametrize("kind", sorted(STREAM_INDEXES))
 def test_streams_survive_every_compaction(kind, tmp_path, ray_session):
-    """Offsets and payloads read after ``merge_index``, after NRT appends
-    and after a tier merge of those appends exactly as the partitions'
-    own terms files give them."""
-    analyzer, docs = STREAM_DOCS[kind]
+    """Postings and every stored stream read after ``merge_index``, after
+    NRT appends and after a tier merge of those appends exactly as the
+    partitions' own terms files give them, and every terms file written
+    on the way has exactly the stored streams' columns."""
+    options, docs = STREAM_INDEXES[kind]
     pq.write_table(pa.table({"content": pa.array(docs)}),
                    str(tmp_path / "c.parquet"), row_group_size=1)
     idx = str(tmp_path / "idx")
-    build_index(str(tmp_path / "c.parquet"), idx, analyzer=analyzer,
-                rows_per_partition=1, store_positions=True,
-                **{f"store_{kind}": True})
+    build_index(str(tmp_path / "c.parquet"), idx, rows_per_partition=1,
+                **options)
+    _assert_stream_columns(idx)
     before = _stream_view(idx, kind)
     # salt pairs of partitions: every pair's shared terms are compacted
     merge_index(idx, hot_df_threshold=4, salt_group_size=2)
+    _assert_stream_columns(idx)
     assert _stream_view(idx, kind) == before
     for text in docs[:2]:
         append_segment(idx, pa.table({"content": pa.array([text])}))
+    _assert_stream_columns(idx)
     # the reference: the partitions' segments built again from their
     # source rows (the merge commit dropped their own terms files)
     with reference_reader(idx) as ref:
@@ -257,8 +278,7 @@ def test_streams_survive_every_compaction(kind, tmp_path, ray_session):
     # the policy lists the full merge's output first, then the appends
     execute_merge(idx, [s.terms_path
                         for s in list_append_segments(idx)[1:]])
-    from lucene_solr_ray.index.build import own_bin
-
+    _assert_stream_columns(idx)
     tier = IndexManifest.load(idx).terms_files[-1]
     assert os.path.getsize(os.path.join(idx, own_bin(tier))) > 0
     assert _stream_view(idx, kind) == want

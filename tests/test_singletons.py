@@ -146,9 +146,12 @@ def _assert_same_postings(idx: str, want_idx: str, same_chunks: bool):
         if same_chunks:
             for a, b in zip(r.chunks(t), w.chunks(t)):
                 assert bytes(a.payload) == bytes(b.payload), t
-                assert bytes(a.positions) == bytes(b.positions), t
                 assert (a.df, a.ttf, a.start_doc) == (b.df, b.ttf,
                                                       b.start_doc), t
+            for ra, rb in zip(r._term_rows(t), w._term_rows(t)):
+                for name, _ in man.streams:
+                    assert bytes(r._stream(name, ra)) == \
+                        bytes(w._stream(name, rb)), (t, name)
         reads = []
         if man.store_positions:
             reads.append(lambda x: x.postings_with_positions(t))
@@ -357,4 +360,35 @@ def test_check_index_reports_each_broken_singleton_invariant(built,
         assert any(repr(terms[row]) in e and msg in e for e in errors), \
             (fix.__name__, errors)
         with pytest.raises(AssertionError):
+            check_index(idx)
+
+
+@pytest.mark.parametrize("config", ["positions_offsets", "payloads"])
+def test_check_index_reports_a_broken_stream_by_name(built, config,
+                                                     tmp_path):
+    """``check_index(strict=False)`` reports, by the stream's name, a row
+    whose ``<name>_offset`` / ``<name>_length`` point at the slice of
+    another row with a different ``ttf``, for each stream the index
+    stores: positions, then offsets or payloads."""
+    merged = _copy(built[config]["base"], tmp_path, "merged")
+    merge_index(merged)
+    man = IndexManifest.load(merged)
+    assert [name for name, _ in man.streams] == \
+        ["pos", "off" if config == "positions_offsets" else "pay"]
+    (rel,) = man.terms_files
+    t = pq.read_table(os.path.join(merged, rel))
+    ttf = t["ttf"].to_numpy()
+    i, j = 0, int(np.flatnonzero(ttf != ttf[0])[0])
+    term = t["term"][i].as_py()
+    for name, _ in man.streams:
+        def other_slice(cols):
+            for col in (f"{name}_offset", f"{name}_length"):
+                cols[col][i] = cols[col][j]
+
+        idx = _copy(merged, tmp_path, f"broken_{name}")
+        _corrupt(idx, other_slice)
+        errors = check_index(idx, strict=False)["errors"]
+        assert errors and all(repr(term) in e and f"{name} stream length"
+                              in e for e in errors), (name, errors)
+        with pytest.raises(AssertionError, match=f"{name} stream length"):
             check_index(idx)

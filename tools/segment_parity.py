@@ -7,9 +7,10 @@ A change to analysis or to the segment build must leave every segment
 the same. This script writes the perfbench corpus
 (``perfbench/inputs.py:write_corpus(path, docs, seed)``) and, in one
 subprocess per checkout (``PYTHONPATH`` set to it, so its Ray workers
-import it too), builds it with ``rows_per_partition=1000`` in three
+import it too), builds it with ``rows_per_partition=1000`` in four
 configurations: ``standard``; ``standard`` with positions and offsets;
-and ``english``. It then reports, per configuration and partition,
+``english``; and ``delimited_payload`` with positions and payloads. It
+then reports, per configuration and partition,
 whether the segment terms tables (``segments/part-*.parquet``) and the
 norms tables (``norms/part-*.parquet``) are equal as tables and the
 ``.bin`` files byte-identical. Terms and norms are compared as tables,
@@ -19,10 +20,11 @@ difference.
 When the two checkouts' ``FORMAT_VERSION`` differ, their ``.bin`` bytes
 and the pointers into them need not agree. Each subprocess then also
 decodes every partition's terms through its own reader (every term's
-postings, and its positions and char offsets when stored) into a
-``decoded/`` table, and the comparison is: those tables equal, the terms
-tables equal without their ``offset`` / ``length`` columns, and the norms
-tables equal on the columns both have (the left-out ones are printed).
+postings, and its positions, char offsets and payloads when stored) into
+a ``decoded/`` table, and the comparison is: those tables equal, the
+terms tables equal on the columns both have without their ``offset`` /
+``length`` columns, and the norms tables equal on the columns both have
+(the left-out ones are printed).
 
 Each subprocess also writes the ``standard`` token stream
 (``tokens_batch_factorized``) of the corpus and spare documents in
@@ -68,6 +70,8 @@ CONFIGS = {
     "standard": {},
     "positions_offsets": {"store_positions": True, "store_offsets": True},
     "english": {"analyzer": "english"},
+    "positions_payloads": {"analyzer": "delimited_payload",
+                           "store_positions": True, "store_payloads": True},
 }
 BATCH = 1000
 
@@ -236,8 +240,9 @@ def decode_partitions(out: str) -> None:
     """For each configuration built under ``out``, write one table per
     partition to ``decoded/<config>/``: every term of the partition's own
     terms file with its postings (``docs``, ``tfs``) and, when stored,
-    its position and char-offset streams, read through the checkout's
-    own ``MergedReader``."""
+    its position, char-offset and payload streams (payloads as their
+    float32 bit patterns), read through the checkout's own
+    ``MergedReader``."""
     from dataclasses import replace
 
     import pyarrow as pa
@@ -258,6 +263,8 @@ def decode_partitions(out: str) -> None:
                 cols["positions"] = []
             if man.store_offsets:
                 cols["offsets"] = []
+            if man.store_payloads:
+                cols["payloads"] = []
             for t in terms:
                 if man.store_positions:
                     d, f, pos = r.postings_with_positions(t)
@@ -267,6 +274,9 @@ def decode_partitions(out: str) -> None:
                 if man.store_offsets:
                     cols["offsets"].append(
                         r.term_offsets(t)[2].astype("int64"))
+                if man.store_payloads:
+                    cols["payloads"].append(
+                        r.term_payloads(t)[2].view("uint32").astype("int64"))
                 cols["docs"].append(d.astype("int64"))
                 cols["tfs"].append(f.astype("int64"))
             pq.write_table(pa.table(cols), os.path.join(
